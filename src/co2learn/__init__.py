@@ -38,7 +38,7 @@ from .harness import (
     parse_steps_csv,
     run_experiment,
 )
-from .losses import LossSpec, empirical_risk, grad_loss, loss
+from .losses import LossSpec, grad_loss, loss
 from .meta import MetaWeights, combine, init_weights, step_size_nu, update_weights
 from .offline import (
     Anchor,

@@ -10,7 +10,7 @@ Subcommands:
 
 A JSON config file (--config) may supply everything; explicit flags
 override it. Exit codes: 0 success, 1 config error, 2 data/parse error,
-3 bound or invariant violation.
+3 bound or invariant violation, or an ERM solve that hit its iteration cap.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import sys
 import numpy as np
 
 from . import bounds as tb
-from .errors import BoundViolation, ConfigError, DataError
+from .errors import BoundViolation, ConfigError, ConvergenceError, DataError
 from .harness import ExperimentConfig, emit_reports, run_experiment
 from .losses import LossSpec
 from .streams import StreamSpec, condition_norms, dump_stream, generate, parse_libsvm
@@ -264,6 +264,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except BoundViolation as exc:
         print(f"bound violation: {exc}", file=sys.stderr)
+        return 3
+    except ConvergenceError as exc:
+        print(f"convergence error: {exc}", file=sys.stderr)
         return 3
 
 

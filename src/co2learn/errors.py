@@ -1,7 +1,8 @@
 """Exception types shared across the package.
 
 The CLI maps these onto exit codes: ConfigError -> 1, data errors
-(StreamFormatError, DataError) -> 2, BoundViolation -> 3.
+(StreamFormatError, DataError) -> 2, BoundViolation and ConvergenceError
+(the ERM oracle hit its iteration cap) -> 3.
 """
 
 

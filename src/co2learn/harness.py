@@ -3,7 +3,8 @@
 One experiment runs, per seed: the coupled learner across all G intervals of
 a generated stream, and a bare OGD baseline trained on the identical sample
 sequence with no interval structure. Each interval's regret comparator is
-the empirical minimizer over that interval's B samples (the ERM oracle);
+the empirical minimizer over that interval's B samples (the ERM oracle: the
+offline solver with gamma = 0, see ``offline.projected_gradient``);
 synthetic runs can additionally report a population-optimum proxy fitted on
 10*B fresh samples from the same interval distribution, labeled separately.
 
@@ -17,26 +18,24 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 from dataclasses import asdict, dataclass, field, replace
-from typing import Sequence
 
 import numpy as np
 
 from . import bounds as tb
 from .errors import BoundViolation, ConfigError, ConvergenceError
-from .geometry import Sample, project_to_ball
-from .losses import LossSpec, batch_losses, batch_mean_grad, loss, grad_loss
-from .offline import omega
-from .online import init_online, ogd_step
-from .pool import ExpertPool
-from .streams import (
-    IntervalBuffer,
-    StreamSpec,
-    fresh_proxy_samples,
-    generate,
-    parse_libsvm,
-)
+from .geometry import Sample
+from .losses import LossSpec, batch_losses, loss, grad_loss
+from .offline import omega, projected_gradient
+from .online import INIT_POLICIES, init_online, ogd_step
+from .pool import STRATEGIES, ExpertPool
+from .streams import StreamSpec, fresh_proxy_samples, generate, parse_libsvm
+
+# Not called here; kept importable because bench/tracing.py patches these names.
+from .geometry import project_to_ball  # noqa: F401
+from .losses import batch_mean_grad  # noqa: F401
 
 _TOL_BOUND = 1e-6   # deterministic-bound slack
 _TOL_IDENT = 1e-9   # algebraic-identity slack
@@ -70,6 +69,14 @@ class ExperimentConfig:
             raise ConfigError("K_max must be >= 2")
         if not (0 < self.delta < 1):
             raise ConfigError("delta must lie in (0, 1)")
+        if self.strategy not in STRATEGIES:
+            raise ConfigError(f"strategy must be one of {STRATEGIES}, got {self.strategy!r}")
+        if self.init_policy not in INIT_POLICIES:
+            raise ConfigError(f"init must be one of {INIT_POLICIES}, got {self.init_policy!r}")
+        for name in ("grad_map_tol", "erm_tol"):
+            value = getattr(self, name)
+            if not (isinstance(value, (int, float)) and 0 < value < math.inf):
+                raise ConfigError(f"{name} must be a finite positive number, got {value!r}")
         if self.stream.mode == "libsvm_noised" and self.input_path is None:
             raise ConfigError("libsvm_noised mode needs input_path")
 
@@ -152,42 +159,25 @@ class RunReport:
 
 
 def erm_oracle(
-    samples: IntervalBuffer | Sequence[Sample] | tuple,
+    X: np.ndarray,
+    y: np.ndarray,
     spec: LossSpec,
     tol: float = 1e-9,
     max_iters: int = 200_000,
 ) -> np.ndarray:
     """Empirical minimizer over the hypothesis ball.
 
-    Projected gradient descent with fixed step 1/beta from the zero start;
-    stops when the projected-gradient mapping norm is at most ``tol`` and
-    raises ConvergenceError if the cap is hit first. Deterministic.
+    The offline solver with gamma = 0 from the zero start (fixed step
+    1/beta); returns the first iterate whose projected-gradient mapping norm
+    is at most ``tol`` and raises ConvergenceError if the cap is hit first.
+    Deterministic.
     """
-    X, y = _as_arrays(samples)
-    if X.shape[0] == 0:
-        raise ValueError("cannot minimize over an empty sample set")
-    R = spec.constants.R
-    step = 1.0 / spec.constants.beta
-    w = np.zeros(X.shape[1])
-    for _ in range(max_iters):
-        grad = batch_mean_grad(w, X, y, spec)
-        w_next = project_to_ball(w - step * grad, R)
-        if float(np.linalg.norm(w - w_next)) / step <= tol:
-            return w
-        w = w_next
-    raise ConvergenceError(
-        f"ERM oracle did not reach mapping norm {tol} within {max_iters} iterations"
-    )
-
-
-def _as_arrays(samples) -> tuple[np.ndarray, np.ndarray]:
-    if isinstance(samples, IntervalBuffer):
-        return samples.X, samples.y
-    if isinstance(samples, tuple) and len(samples) == 2:
-        return np.asarray(samples[0], dtype=np.float64), np.asarray(samples[1])
-    X = np.asarray([s.x for s in samples])
-    y = np.asarray([s.y for s in samples], dtype=np.int64)
-    return X, y
+    w, _, _, converged = projected_gradient(X, y, spec, tol=tol, max_iters=max_iters)
+    if not converged:
+        raise ConvergenceError(
+            f"ERM oracle did not reach mapping norm {tol} within {max_iters} iterations"
+        )
+    return w
 
 
 def _load_input_samples(config: ExperimentConfig):
@@ -243,7 +233,7 @@ def _run_seed(config: ExperimentConfig, spec: LossSpec, seed: int, input_samples
             ogd_losses[t] = loss(baseline.w, s, spec)
             baseline = ogd_step(baseline, grad_loss(baseline.w, s, spec))
 
-        w_hat = erm_oracle(buf, spec, tol=config.erm_tol)
+        w_hat = erm_oracle(buf.X, buf.y, spec, tol=config.erm_tol)
         erm_losses = batch_losses(w_hat, buf.X, buf.y, spec)
         m = _interval_metrics(
             config, spec, seed, g, K, nu, B,
@@ -298,7 +288,7 @@ def _interval_metrics(config, spec, seed, g, K, nu, B, co2_losses, ogd_losses,
     vs_wstar = (None, None)
     if config.wstar_proxy and buf.class_means is not None:
         Xf, yf = fresh_proxy_samples(stream_spec, buf, 10 * B)
-        w_star = erm_oracle((Xf, yf), spec, tol=config.erm_tol)
+        w_star = erm_oracle(Xf, yf, spec, tol=config.erm_tol)
         star_cum = float(batch_losses(w_star, buf.X, buf.y, spec).sum())
         vs_wstar = (cum_co2 - star_cum, cum_ogd - star_cum)
 
@@ -326,7 +316,7 @@ def _rollover_metrics(config, spec, seed, stream_spec, buf, roll) -> RolloverMet
     gap_measured = gap_bound = gap_holds = omega_star = None
     if config.wstar_proxy and buf.class_means is not None:
         Xf, yf = fresh_proxy_samples(stream_spec, buf, 10 * buf.n)
-        w_star = erm_oracle((Xf, yf), spec, tol=config.erm_tol)
+        w_star = erm_oracle(Xf, yf, spec, tol=config.erm_tol)
         omega_star = omega(w_star, roll.anchor)
         gap_measured = float(np.linalg.norm(roll.result.w - w_star))
         gap_bound = tb.transfer_gap_bound(

@@ -20,7 +20,6 @@ smooth; clipping would not. The family obeys the self-bounding property
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -74,46 +73,47 @@ class LossSpec:
         return cls(C=C, constants=ProblemConstants(D=D, R=R, beta=beta, dim=dim))
 
 
-def _check_domain(w: np.ndarray, x: np.ndarray, y: int, spec: LossSpec) -> None:
-    c = spec.constants
-    nw = float(np.linalg.norm(w))
-    if nw > c.R + _DOMAIN_ATOL:
-        raise ValueError(f"||w||={nw} exceeds R={c.R}; project first")
+def check_sample(x: np.ndarray, y: int, spec: LossSpec) -> None:
+    """Reject a sample outside the loss's domain: ||x|| > D or y not +-1."""
     nx = float(np.linalg.norm(x))
-    if nx > c.D + _DOMAIN_ATOL:
-        raise ValueError(f"||x||={nx} exceeds D={c.D}; condition the stream first")
+    if nx > spec.constants.D + _DOMAIN_ATOL:
+        raise ValueError(f"||x||={nx} exceeds D={spec.constants.D}; condition the stream first")
     if y not in (-1, 1):
         raise ValueError(f"label must be -1 or +1, got {y}")
+
+
+def _check_domain(w: np.ndarray, s: Sample, spec: LossSpec) -> None:
+    nw = float(np.linalg.norm(w))
+    if nw > spec.constants.R + _DOMAIN_ATOL:
+        raise ValueError(f"||w||={nw} exceeds R={spec.constants.R}; project first")
+    check_sample(s.x, s.y, spec)
 
 
 def loss(w: np.ndarray, s: Sample, spec: LossSpec) -> float:
     """Loss of hypothesis ``w`` on sample ``s``; value in [0, 1]."""
     w = np.asarray(w, dtype=np.float64)
-    _check_domain(w, s.x, s.y, spec)
-    z = s.y * float(np.dot(w, s.x))
-    return float(softplus(-z)) / spec.C
+    _check_domain(w, s, spec)
+    return float(batch_losses(w, s.x, s.y, spec))
 
 
 def grad_loss(w: np.ndarray, s: Sample, spec: LossSpec) -> np.ndarray:
     """Gradient of the loss in w; norm at most D/C <= 2 sqrt(beta)."""
     w = np.asarray(w, dtype=np.float64)
-    _check_domain(w, s.x, s.y, spec)
-    z = s.y * float(np.dot(w, s.x))
-    return (-s.y * float(sigmoid(-z)) / spec.C) * s.x
+    _check_domain(w, s, spec)
+    return batch_mean_grad(w, s.x[np.newaxis], np.array([s.y]), spec)
 
 
-def empirical_risk(w: np.ndarray, samples: Sequence[Sample], spec: LossSpec) -> float:
-    """Mean loss over a non-empty sample list."""
-    if len(samples) == 0:
-        raise ValueError("empirical risk of an empty sample list is undefined")
-    return float(np.mean([loss(w, s, spec) for s in samples]))
+# The batch forms below are the one implementation of each formula. They skip
+# the domain checks: the stream layer conditions every row into the D-ball,
+# and the checked single-sample forms above delegate to them.
 
+def batch_losses(w: np.ndarray, X: np.ndarray, y: np.ndarray | int,
+                 spec: LossSpec) -> np.ndarray:
+    """Per-sample losses of w on the rows of X with labels y.
 
-# Array fast paths over pre-conditioned batches (X rows already in the D-ball).
-# These skip per-call domain checks; the stream layer guarantees the bounds.
-
-def batch_losses(w: np.ndarray, X: np.ndarray, y: np.ndarray, spec: LossSpec) -> np.ndarray:
-    """Per-sample losses for a batch: rows of X against labels y."""
+    The margin y <w, x> is symmetric in w and x, so one sample x is scored
+    against every row of a hypothesis stack W by ``batch_losses(x, W, y)``.
+    """
     z = y * (X @ w)
     return softplus(-z) / spec.C
 

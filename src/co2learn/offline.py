@@ -9,11 +9,13 @@ experts at interval end. The anchor also carries the experts' weighted
 empirical risk WL, and gamma must satisfy gamma >= WL / (4 R^2) for the
 regularizer to carry information (its unconditional cap is 4 R^2).
 
-Solver: projected gradient descent with fixed step 1/(beta + gamma) started
-at the anchor. F is (beta + gamma)-smooth and gamma-strongly convex, so the
-iteration descends monotonically and converges linearly; it stops when the
-projected-gradient mapping norm reaches ``grad_map_tol`` and reports the
-certificate either way.
+Solver: ``projected_gradient``, the package's one projected-gradient
+routine, with fixed step 1/(beta + gamma) started at the anchor. F is
+(beta + gamma)-smooth and gamma-strongly convex, so the iteration descends
+monotonically and converges linearly; it stops when the projected-gradient
+mapping norm reaches ``grad_map_tol``, and ``train_offline`` reports the
+certificate either way. With gamma = 0 and no anchor the same routine is the
+harness's ERM oracle, which raises ConvergenceError instead of reporting.
 """
 
 from __future__ import annotations
@@ -100,6 +102,41 @@ def default_config(
     return OfflineTrainConfig(gamma=gamma, max_iters=max_iters, grad_map_tol=grad_map_tol)
 
 
+def projected_gradient(
+    X: np.ndarray,
+    y: np.ndarray,
+    spec: LossSpec,
+    *,
+    gamma: float = 0.0,
+    anchor: np.ndarray | None = None,
+    tol: float,
+    max_iters: int,
+) -> tuple[np.ndarray, float, int, bool]:
+    """Minimize mean loss on (X, y) + (gamma / 2) ||w - anchor||^2 over the ball.
+
+    Fixed step 1/(beta + gamma), started at the anchor, which defaults to the
+    origin. Stops at the first iterate whose projected-gradient mapping norm
+    is at most ``tol``. Returns ``(w, mapping norm, iterations, converged)``;
+    after ``max_iters`` steps without the certificate, ``w`` is the last
+    iterate and ``converged`` is False. Deterministic.
+    """
+    if X.shape[0] == 0:
+        raise ValueError("cannot minimize over an empty sample set")
+    v = np.zeros(X.shape[1]) if anchor is None else anchor
+    R = spec.constants.R
+    step = 1.0 / (spec.constants.beta + gamma)
+    w = v.copy()
+    grad_map_norm = np.inf
+    for it in range(max_iters):
+        grad = batch_mean_grad(w, X, y, spec) + gamma * (w - v)
+        w_next = project_to_ball(w - step * grad, R)
+        grad_map_norm = float(np.linalg.norm(w - w_next)) / step
+        if grad_map_norm <= tol:
+            return w, grad_map_norm, it, True
+        w = w_next
+    return w, grad_map_norm, max_iters, False
+
+
 def train_offline(
     interval: IntervalBuffer,
     anchor: Anchor,
@@ -111,33 +148,20 @@ def train_offline(
     Starts at the anchor (feasible) and never increases the objective, so the
     returned point always scores at least as well as the anchor itself.
     """
-    if interval.n == 0:
-        raise ValueError("cannot train on an empty interval")
     floor = gamma_lower_bound(anchor, spec.constants.R)
     if config.gamma < floor - _GAMMA_ATOL:
         raise ValueError(
             f"gamma={config.gamma} is below the admissible floor {floor}"
         )
-    R = spec.constants.R
-    if float(np.linalg.norm(anchor.v)) > R * (1.0 + 1e-9):
+    if float(np.linalg.norm(anchor.v)) > spec.constants.R * (1.0 + 1e-9):
         raise ValueError("anchor lies outside the hypothesis ball")
-    X, y = interval.X, interval.y
-    step = 1.0 / (spec.constants.beta + config.gamma)
-    w = anchor.v.copy()
-    grad_map_norm = np.inf
-    for it in range(config.max_iters):
-        grad = batch_mean_grad(w, X, y, spec) + config.gamma * (w - anchor.v)
-        w_next = project_to_ball(w - step * grad, R)
-        grad_map_norm = float(np.linalg.norm(w - w_next)) / step
-        if grad_map_norm <= config.grad_map_tol:
-            return OfflineTrainResult(
-                w=w, grad_map_norm=grad_map_norm, iterations=it,
-                converged=True, gamma=config.gamma,
-            )
-        w = w_next
+    w, grad_map_norm, iterations, converged = projected_gradient(
+        interval.X, interval.y, spec, gamma=config.gamma, anchor=anchor.v,
+        tol=config.grad_map_tol, max_iters=config.max_iters,
+    )
     return OfflineTrainResult(
-        w=w, grad_map_norm=grad_map_norm, iterations=config.max_iters,
-        converged=False, gamma=config.gamma,
+        w=w, grad_map_norm=grad_map_norm, iterations=iterations,
+        converged=converged, gamma=config.gamma,
     )
 
 

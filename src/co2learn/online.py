@@ -5,8 +5,8 @@ Step t applies
     w' = project_to_ball(w - eta_t * grad,  R),      eta_t = D / sqrt(beta t),
 
 where the gradient is always evaluated at the expert's own iterate. A new
-interval starts the expert either cold (w = 0), warm (inherit the previous
-interval's final iterate), or at a seeded random point of the ball.
+interval starts the expert either cold (w = 0) or warm (inherit the previous
+interval's final iterate); see ``INIT_POLICIES``.
 """
 
 from __future__ import annotations
@@ -17,7 +17,8 @@ from math import sqrt
 import numpy as np
 
 from .geometry import ProblemConstants, project_to_ball
-from .rng import CounterRng
+
+INIT_POLICIES = ("cold", "warm")
 
 
 @dataclass(frozen=True)
@@ -57,14 +58,12 @@ def init_online(
     policy: str,
     constants: ProblemConstants,
     previous: np.ndarray | None = None,
-    rng: CounterRng | None = None,
 ) -> OnlineExpertState:
     """Fresh expert for a new interval.
 
     cold    w = 0 (deterministic, reproducible; the regret analysis does not
             depend on the start point)
     warm    inherit the given previous iterate, which must be in the ball
-    random  seeded uniform draw from the ball (experimentation only)
     """
     if policy == "cold":
         w = np.zeros(constants.dim)
@@ -74,14 +73,6 @@ def init_online(
         w = np.asarray(previous, dtype=np.float64)
         if float(np.linalg.norm(w)) > constants.R * (1.0 + 1e-9):
             raise ValueError("warm-start iterate lies outside the hypothesis ball")
-    elif policy == "random":
-        if rng is None:
-            raise ValueError("random start requires a seeded generator")
-        direction = rng.normals(constants.dim)
-        norm = float(np.linalg.norm(direction))
-        radius = constants.R * float(rng.uniforms(1)[0]) ** (1.0 / constants.dim)
-        w = direction * (radius / norm) if norm > 0 else np.zeros(constants.dim)
-        w = project_to_ball(w, constants.R)
     else:
         raise ValueError(f"unknown init policy {policy!r}")
     return OnlineExpertState(w=w, t=1, constants=constants)

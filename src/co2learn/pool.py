@@ -30,19 +30,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import Sample, inner
-from .losses import LossSpec, batch_losses, loss, grad_loss
+from .losses import LossSpec, batch_losses, batch_mean_loss, check_sample, grad_loss
 from .meta import MetaWeights, combine, update_weights
-from .offline import (
-    Anchor,
-    OfflineTrainConfig,
-    OfflineTrainResult,
-    default_config,
-    omega,
-    train_offline,
-)
-from .online import init_online, ogd_step
-from .rng import CounterRng
+from .offline import Anchor, OfflineTrainResult, default_config, omega, train_offline
+from .online import INIT_POLICIES, init_online, ogd_step
 from .streams import IntervalBuffer
+
+# Not called here; kept importable because bench/tracing.py patches this name.
+from .losses import loss  # noqa: F401
 
 STRATEGIES = ("fifo", "weight")
 
@@ -94,7 +89,6 @@ class ExpertPool:
         init_policy: str = "cold",
         gamma_floor: float = 0.1,
         grad_map_tol: float = 1e-8,
-        rng: CounterRng | None = None,
     ):
         if B < 1:
             raise ValueError("B must be >= 1")
@@ -102,6 +96,8 @@ class ExpertPool:
             raise ValueError("K_max must be >= 2")
         if strategy not in STRATEGIES:
             raise ValueError(f"strategy must be one of {STRATEGIES}, got {strategy!r}")
+        if init_policy not in INIT_POLICIES:
+            raise ValueError(f"init_policy must be one of {INIT_POLICIES}, got {init_policy!r}")
         self.spec = spec
         self.B = B
         self.K_max = K_max
@@ -109,12 +105,11 @@ class ExpertPool:
         self.init_policy = init_policy
         self.gamma_floor = gamma_floor
         self.grad_map_tol = grad_map_tol
-        self._rng = rng
         self.G = 1
         self.t = 0
         self.offline: list[np.ndarray] = []
-        self.online = init_online(init_policy if init_policy != "warm" else "cold",
-                                  spec.constants, rng=rng)
+        # no previous interval to inherit from, so even a warm pool starts cold
+        self.online = init_online("cold", spec.constants)
         self.meta = MetaWeights.fresh(K=1, horizon=B)
 
     @property
@@ -133,10 +128,11 @@ class ExpertPool:
         """One pass of the per-sample loop; advances t."""
         if self.t >= self.B:
             raise RuntimeError("online interval already holds B samples; rollover first")
-        advice = self.expert_advice()
+        check_sample(s.x, s.y, self.spec)
+        advice = np.array(self.offline + [self.online.w])
         w_t = combine(self.meta, advice)
-        losses = np.array([loss(w_k, s, self.spec) for w_k in advice])
-        loss_meta = loss(w_t, s, self.spec)
+        losses = batch_losses(s.x, advice, s.y, self.spec)  # one row per expert
+        loss_meta = float(batch_losses(w_t, s.x, s.y, self.spec))
         alpha_before = self.meta.alpha.copy()
         self.meta = update_weights(self.meta, losses)
         grad = grad_loss(self.online.w, s, self.spec)
@@ -154,31 +150,21 @@ class ExpertPool:
         value = inner(self.current_output(), x)
         return 1 if value >= 0 else -1
 
-    def rollover(
-        self,
-        completed: IntervalBuffer,
-        strategy: str | None = None,
-        config: OfflineTrainConfig | None = None,
-    ) -> RolloverRecord:
+    def rollover(self, completed: IntervalBuffer) -> RolloverRecord:
         """Close the online interval: train, evict, reindex, reinitialize."""
         if self.t != self.B:
             raise RuntimeError(f"rollover needs t = B = {self.B}, have t = {self.t}")
         if completed.n != self.B:
             raise ValueError(f"completed interval must hold exactly B={self.B} samples")
-        strategy = self.strategy if strategy is None else strategy
-        if strategy not in STRATEGIES:
-            raise ValueError(f"strategy must be one of {STRATEGIES}, got {strategy!r}")
 
         # Anchor from the final state: post-update weights, final iterates.
         advice = self.expert_advice()
         risks = np.array([
-            float(np.mean(batch_losses(w_k, completed.X, completed.y, self.spec)))
-            for w_k in advice
+            batch_mean_loss(w_k, completed.X, completed.y, self.spec) for w_k in advice
         ])
         anchor = Anchor(v=combine(self.meta, advice),
                         weighted_loss=float(self.meta.alpha @ risks))
-        if config is None:
-            config = default_config(anchor, self.spec, self.gamma_floor, self.grad_map_tol)
+        config = default_config(anchor, self.spec, self.gamma_floor, self.grad_map_tol)
         result = train_offline(completed, anchor, config, self.spec)
         omega_new = omega(result.w, anchor)
 
@@ -186,7 +172,7 @@ class ExpertPool:
         self.G += 1
         K_new = effective_K(self.G, self.K_max)
 
-        if strategy == "fifo":
+        if self.strategy == "fifo":
             order = list(range(len(self.offline)))
         else:
             # surviving offline experts ranked by their final meta weights
@@ -199,12 +185,8 @@ class ExpertPool:
             candidates = candidates[len(candidates) - keep:]
         self.offline = candidates
         self.meta = MetaWeights.fresh(K=K_new, horizon=self.B)
-        previous = self.online.w.copy()
-        self.online = init_online(
-            self.init_policy, self.spec.constants,
-            previous=previous if self.init_policy == "warm" else None,
-            rng=self._rng,
-        )
+        self.online = init_online(self.init_policy, self.spec.constants,
+                                  previous=self.online.w)
         self.t = 0
         return RolloverRecord(
             g_completed=g_completed, anchor=anchor, result=result,

@@ -273,6 +273,7 @@ def dump_stream(intervals: list[IntervalBuffer], path: str) -> None:
 def load_stream(path: str) -> list[IntervalBuffer]:
     """Read a dump_stream file back; exact float round-trip."""
     per_g: dict[int, list[tuple[int, np.ndarray]]] = {}
+    dim = None
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -286,6 +287,11 @@ def load_stream(path: str) -> list[IntervalBuffer]:
                 x = np.array([float(v) for v in parts[3:]])
             except ValueError:
                 raise StreamFormatError("non-numeric stream record", lineno) from None
+            if dim is None:
+                dim = x.size
+            elif x.size != dim:
+                raise StreamFormatError(
+                    f"record has {x.size} coordinates, earlier records have {dim}", lineno)
             per_g.setdefault(g, []).append((y, x))
     intervals = []
     for g in sorted(per_g):

@@ -198,7 +198,7 @@ def test_criterion_07_solvers_match_grid_search(spec):
 
     for _ in range(10):  # ERM oracle instances
         X, y = random_instance()
-        w = erm_oracle((X, y), spec, tol=1e-9)
+        w = erm_oracle(X, y, spec, tol=1e-9)
         grid_best, _ = grid_min_objective(X, y, spec.C)
         gap = batch_mean_loss(w, X, y, spec) - grid_best
         worst = max(worst, gap)

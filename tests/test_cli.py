@@ -1,5 +1,9 @@
+import functools
 import json
 
+import pytest
+
+from co2learn import harness
 from co2learn.cli import main
 
 
@@ -45,6 +49,29 @@ class TestRun:
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"nope": 1}))
         assert run_cli("run", "--config", str(cfg_path)) == 1
+
+    @pytest.mark.parametrize("body", [
+        {"strategy": "bogus"},
+        {"init": "random"},
+        {"grad_map_tol": 0},
+    ])
+    def test_bad_config_value_is_one_line_exit_1(self, tmp_path, capsys, body):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"stream": {"G": 2, "B": 20}, **body}))
+        rc = run_cli("run", "--config", str(cfg_path), "--out", str(tmp_path / "o"))
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert "Traceback" not in err
+        assert err.startswith("config error:") and len(err.splitlines()) == 1
+
+    def test_erm_convergence_failure_is_one_line_exit_3(self, tmp_path, capsys, monkeypatch):
+        capped = functools.partial(harness.erm_oracle, max_iters=1)
+        monkeypatch.setattr(harness, "erm_oracle", capped)
+        rc = run_cli("run", "--seeds", "1", "--g", "2", "--b", "20",
+                     "--out", str(tmp_path / "o"))
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert err.startswith("convergence error:") and len(err.splitlines()) == 1
 
 
 class TestBounds:

@@ -34,14 +34,14 @@ class TestErmOracle:
     def test_single_sample_matches_grid(self, spec):
         X = np.array([[0.8, -0.4]])
         y = np.array([1])
-        w = erm_oracle((X, y), spec)
+        w = erm_oracle(X, y, spec)
         grid_best, _ = grid_min_objective(X, y, spec.C)
         assert batch_mean_loss(w, X, y, spec) <= grid_best + 1e-4
 
     def test_separable_pair_sits_on_boundary(self, spec):
         X = np.array([[0.9, 0.1], [-0.85, 0.05]])
         y = np.array([1, -1])
-        w = erm_oracle((X, y), spec)
+        w = erm_oracle(X, y, spec)
         assert np.linalg.norm(w) == pytest.approx(1.0, abs=1e-6)
         grid_best, _ = grid_min_objective(X, y, spec.C)
         assert batch_mean_loss(w, X, y, spec) <= grid_best + 1e-4
@@ -54,18 +54,19 @@ class TestErmOracle:
         y = rng.choice([-1, 1], 12)
         Xs = np.vstack([X, -X])
         ys = np.concatenate([y, y])
-        w = erm_oracle((Xs, ys), spec)
+        w = erm_oracle(Xs, ys, spec)
         assert batch_mean_loss(w, Xs, ys, spec) == pytest.approx(
             batch_mean_loss(-w, Xs, ys, spec), rel=1e-9
         )
 
     def test_empty_rejected(self, spec):
         with pytest.raises(ValueError):
-            erm_oracle((np.zeros((0, 2)), np.zeros(0)), spec)
+            erm_oracle(np.zeros((0, 2)), np.zeros(0), spec)
 
     def test_deterministic(self, spec):
         buf = gen_synthetic(StreamSpec(G=1, B=50, dim=2, seed=5))[0]
-        np.testing.assert_array_equal(erm_oracle(buf, spec), erm_oracle(buf, spec))
+        np.testing.assert_array_equal(erm_oracle(buf.X, buf.y, spec),
+                                      erm_oracle(buf.X, buf.y, spec))
 
 
 class TestRunExperiment:
@@ -138,7 +139,7 @@ class TestRunExperiment:
         run = small_report.runs[0]
         stream = gen_synthetic(dc_replace(config.stream, seed=run.seed))
         for buf in stream:
-            w_hat = erm_oracle(buf, spec, tol=config.erm_tol)
+            w_hat = erm_oracle(buf.X, buf.y, spec, tol=config.erm_tol)
             comparator = batch_losses(w_hat, buf.X, buf.y, spec)
             rows = [r for r in run.steps if r.g == buf.interval_index]
             prev = 0.0

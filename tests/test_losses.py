@@ -8,7 +8,7 @@ from co2learn.losses import (
     LossSpec,
     batch_losses,
     batch_mean_grad,
-    empirical_risk,
+    batch_mean_loss,
     grad_loss,
     loss,
     sigmoid,
@@ -134,17 +134,18 @@ class TestGrad:
 
 
 class TestEmpiricalRisk:
+    """The empirical risk is the batch mean loss."""
+
     def test_single_sample(self, spec):
         s = Sample(x=np.array([0.5, 0.1]), y=-1)
         w = np.array([0.2, -0.3])
-        assert empirical_risk(w, [s], spec) == loss(w, s, spec)
+        assert batch_mean_loss(w, s.x[None], np.array([s.y]), spec) == loss(w, s, spec)
 
     def test_duplication_invariance(self, spec):
-        s = Sample(x=np.array([0.5, 0.1]), y=1)
+        x, y = np.array([[0.5, 0.1]]), np.array([1])
         w = np.array([0.2, -0.3])
-        assert empirical_risk(w, [s] * 5, spec) == pytest.approx(
-            empirical_risk(w, [s], spec), rel=1e-15
-        )
+        assert batch_mean_loss(w, np.repeat(x, 5, axis=0), np.repeat(y, 5), spec) == \
+            pytest.approx(batch_mean_loss(w, x, y, spec), rel=1e-15)
 
     def test_mean_of_two_known_losses(self):
         # choose margins whose normalized losses are exactly 0.2 and 0.4
@@ -155,11 +156,8 @@ class TestEmpiricalRisk:
         samples = [Sample(x=np.array([z, 0.0]), y=1) for z in (z1, z2)]
         assert loss(w, samples[0], spec) == pytest.approx(0.2, rel=1e-12)
         assert loss(w, samples[1], spec) == pytest.approx(0.4, rel=1e-12)
-        assert empirical_risk(w, samples, spec) == pytest.approx(0.3, rel=1e-12)
-
-    def test_empty_rejected(self, spec):
-        with pytest.raises(ValueError):
-            empirical_risk(np.zeros(2), [], spec)
+        X = np.array([s.x for s in samples])
+        assert batch_mean_loss(w, X, np.array([1, 1]), spec) == pytest.approx(0.3, rel=1e-12)
 
 
 class TestBatchHelpers:

@@ -241,9 +241,11 @@ class TestDumpLoad:
 
     def test_load_rejects_garbage(self, tmp_path):
         path = tmp_path / "bad.csv"
-        path.write_text("1,1,1,0.5,oops\n")
-        with pytest.raises(StreamFormatError, match="line 1"):
-            load_stream(str(path))
+        for text, line in [("1,1,1,0.5,oops\n", 1),
+                           ("1,1,1,0.5,0.25\n1,2,-1,0.5\n", 2)]:  # ragged rows
+            path.write_text(text)
+            with pytest.raises(StreamFormatError, match=f"line {line}"):
+                load_stream(str(path))
 
 
 class TestIntervalBuffer:
