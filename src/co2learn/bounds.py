@@ -22,7 +22,8 @@ eigenvalues lambda_i):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import exp, log, sqrt, e as _E
+from math import exp, isfinite, log, sqrt, e as _E
+from numbers import Real
 from typing import NamedTuple
 
 import numpy as np
@@ -48,6 +49,11 @@ class BoundInputs:
     def __post_init__(self):
         ev = np.asarray(self.eigenvalues, dtype=np.float64)
         object.__setattr__(self, "eigenvalues", ev)
+        for name in ("D", "R", "beta", "gamma", "delta", "regret_KE", "omega_star",
+                     "weighted_loss"):
+            value = getattr(self, name)
+            if not (isinstance(value, Real) and isfinite(value)):
+                raise ValueError(f"{name} must be a finite real number, got {value!r}")
         if min(self.T, self.K, self.B) < 1:
             raise ValueError("T, K and B must be positive integers")
         if min(self.D, self.R, self.beta, self.gamma) <= 0:

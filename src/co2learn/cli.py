@@ -19,13 +19,16 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import MISSING, fields, replace
 
 import numpy as np
 
 from . import bounds as tb
 from .errors import BoundViolation, ConfigError, ConvergenceError, DataError
-from .harness import ExperimentConfig, emit_reports, run_experiment
+from .harness import ExperimentConfig, emit_reports, load_input_samples, run_experiment
 from .losses import LossSpec
+from .online import INIT_POLICIES
+from .pool import STRATEGIES
 from .streams import StreamSpec, condition_norms, dump_stream, generate, parse_libsvm
 
 
@@ -40,12 +43,13 @@ def _add_common(p: _Parser) -> None:
     p.add_argument("--config", help="JSON config file; flags override its fields")
     p.add_argument("--seed", type=int, help="single stream seed")
     p.add_argument("--seeds", help="comma-separated list of seeds")
-    p.add_argument("--g", type=int, help="number of intervals G")
-    p.add_argument("--b", type=int, help="samples per interval B")
+    # a dest below names the config key its flag overrides (--mode is translated)
+    p.add_argument("--g", dest="G", type=int, help="number of intervals G")
+    p.add_argument("--b", dest="B", type=int, help="samples per interval B")
     p.add_argument("--dim", type=int, help="feature dimension")
-    p.add_argument("--kmax", type=int, help="maximal number of maintained experts")
-    p.add_argument("--strategy", choices=["fifo", "weight"], help="eviction strategy")
-    p.add_argument("--init", choices=["cold", "warm"], help="online expert restart policy")
+    p.add_argument("--kmax", dest="k_max", type=int, help="maximal number of maintained experts")
+    p.add_argument("--strategy", choices=STRATEGIES, help="eviction strategy")
+    p.add_argument("--init", choices=INIT_POLICIES, help="online expert restart policy")
     p.add_argument("--drift-std", type=float, help="per-interval class-mean drift std")
     p.add_argument("--noise-std", type=float, help="per-interval sample noise std (libsvm mode)")
     p.add_argument("--gamma-floor", type=float, help="lower floor for the transfer weight gamma")
@@ -68,27 +72,25 @@ def _build_parser() -> _Parser:
     return parser
 
 
-_DEFAULTS = {
-    "stream": {"G": 15, "B": 200, "dim": 2, "seed": 0, "mode": "synthetic",
-               "drift_std": 0.3, "noise_std": 0.1, "D": 1.0},
-    "R": 1.0,
-    "k_max": 5,
-    "strategy": "weight",
-    "init": "cold",
-    "gamma_floor": 0.1,
-    "grad_map_tol": 1e-8,
-    "erm_tol": 1e-9,
-    "delta": 0.05,
-    "wstar_proxy": True,
-    "seeds": [0],
-    "input": None,
-    "out": "out",
-    "bounds": {"regret_KE": 0.0, "omega_star": 0.0, "weighted_loss": 0.0, "gamma": None},
-}
+# Config keys that differ from their ExperimentConfig field names.
+_FIELD_OF_KEY = {"k_max": "K_max", "init": "init_policy", "input": "input_path"}
+_KEY_OF_FIELD = {field: key for key, field in _FIELD_OF_KEY.items()}
+
+
+def _defaults() -> dict:
+    """The config file's defaults: StreamSpec's and ExperimentConfig's field
+    defaults, plus the keys only the CLI reads."""
+    cfg = {"stream": {f.name: f.default for f in fields(StreamSpec)}}
+    for f in fields(ExperimentConfig):
+        if f.default is not MISSING:
+            cfg[_KEY_OF_FIELD.get(f.name, f.name)] = f.default
+    cfg.update(seeds=[0], out="out", bounds={
+        "regret_KE": 0.0, "omega_star": 0.0, "weighted_loss": 0.0, "gamma": None})
+    return cfg
 
 
 def _load_config(args) -> dict:
-    cfg = json.loads(json.dumps(_DEFAULTS))  # deep copy
+    cfg = _defaults()
     if args.config:
         try:
             with open(args.config) as fh:
@@ -97,30 +99,27 @@ def _load_config(args) -> dict:
             raise ConfigError(f"cannot read config file: {exc}") from None
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file is not valid JSON: {exc}") from None
+        if not isinstance(user, dict):
+            raise ConfigError("config file must hold a JSON object")
         for key, value in user.items():
             if key not in cfg:
                 raise ConfigError(f"unknown config key {key!r}")
-            if isinstance(cfg[key], dict) and isinstance(value, dict):
+            if isinstance(cfg[key], dict):
+                if not isinstance(value, dict):
+                    raise ConfigError(f"{key} must be a JSON object, got {value!r}")
                 for k2, v2 in value.items():
                     if k2 not in cfg[key]:
                         raise ConfigError(f"unknown config key {key}.{k2}")
                     cfg[key][k2] = v2
             else:
                 cfg[key] = value
-    flag_map = {
-        "g": ("stream", "G"), "b": ("stream", "B"), "dim": ("stream", "dim"),
-        "drift_std": ("stream", "drift_std"), "noise_std": ("stream", "noise_std"),
-        "kmax": ("k_max",), "strategy": ("strategy",), "init": ("init",),
-        "gamma_floor": ("gamma_floor",), "input": ("input",), "out": ("out",),
-    }
-    for flag, dest in flag_map.items():
-        value = getattr(args, flag, None)
-        if value is not None:
-            if len(dest) == 2:
-                cfg[dest[0]][dest[1]] = value
-            else:
-                cfg[dest[0]] = value
-    if getattr(args, "mode", None) is not None:
+    flags = vars(args)
+    for section, keys in ((cfg["stream"], ("G", "B", "dim", "drift_std", "noise_std")),
+                          (cfg, ("k_max", "strategy", "init", "gamma_floor", "input", "out"))):
+        for key in keys:
+            if flags[key] is not None:
+                section[key] = flags[key]
+    if args.mode is not None:
         cfg["stream"]["mode"] = "libsvm_noised" if args.mode == "libsvm" else "synthetic"
     if args.seeds is not None:
         try:
@@ -129,56 +128,24 @@ def _load_config(args) -> dict:
             raise ConfigError(f"--seeds must be comma-separated integers, got {args.seeds!r}")
     elif args.seed is not None:
         cfg["seeds"] = [args.seed]
+    if not isinstance(cfg["out"], str):
+        raise ConfigError(f"out must be a directory path, got {cfg['out']!r}")
     return cfg
 
 
-def _stream_spec(cfg: dict, seed: int | None = None) -> StreamSpec:
-    s = dict(cfg["stream"])
-    if seed is not None:
-        s["seed"] = seed
-    try:
-        return StreamSpec(**s)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad stream settings: {exc}") from None
-
-
 def _experiment_config(cfg: dict) -> ExperimentConfig:
-    try:
-        return ExperimentConfig(
-            stream=_stream_spec(cfg, seed=cfg["seeds"][0]),
-            seeds=tuple(cfg["seeds"]),
-            R=cfg["R"],
-            K_max=cfg["k_max"],
-            strategy=cfg["strategy"],
-            init_policy=cfg["init"],
-            gamma_floor=cfg["gamma_floor"],
-            grad_map_tol=cfg["grad_map_tol"],
-            erm_tol=cfg["erm_tol"],
-            delta=cfg["delta"],
-            wstar_proxy=cfg["wstar_proxy"],
-            input_path=cfg["input"],
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-
-
-def _read_input_samples(cfg: dict, dim: int | None = "use-stream"):
-    if cfg["input"] is None:
-        raise ConfigError("--input is required for this command/mode")
-    if dim == "use-stream":
-        dim = cfg["stream"]["dim"]
-    try:
-        with open(cfg["input"]) as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise DataError(f"cannot read {cfg['input']}: {exc}") from None
-    return parse_libsvm(text, dim=dim)
+    """Every setting, checked once by the config dataclasses; the stream's
+    seed is the first of the run's seeds."""
+    settings = {_FIELD_OF_KEY.get(key, key): cfg[key] for key in cfg
+                if key not in ("stream", "out", "bounds")}
+    config = ExperimentConfig(stream=StreamSpec(**cfg["stream"]), **settings)
+    return replace(config, stream=replace(config.stream, seed=config.seeds[0]))
 
 
 def _cmd_generate(cfg: dict) -> int:
-    spec = _stream_spec(cfg, seed=cfg["seeds"][0])
-    samples = _read_input_samples(cfg) if spec.mode == "libsvm_noised" else None
-    intervals = generate(spec, samples)
+    config = _experiment_config(cfg)
+    spec = config.stream
+    intervals = generate(spec, load_input_samples(config))
     os.makedirs(cfg["out"], exist_ok=True)
     path = os.path.join(cfg["out"], "stream.csv")
     dump_stream(intervals, path)
@@ -204,23 +171,26 @@ def _cmd_run(cfg: dict) -> int:
 
 
 def _cmd_bounds(cfg: dict) -> int:
-    spec = _stream_spec(cfg, seed=cfg["seeds"][0])
-    loss_spec = LossSpec.create(D=spec.D, R=cfg["R"], dim=spec.dim)
+    config = _experiment_config(cfg)
+    spec = config.stream
+    loss_spec = LossSpec.create(D=spec.D, R=config.R, dim=spec.dim)
     if spec.mode == "libsvm_noised":
-        samples = _read_input_samples(cfg)
-        X = condition_norms(np.asarray([s.x for s in samples]), spec.D)
+        X = condition_norms(np.asarray([s.x for s in load_input_samples(config)]), spec.D)
     else:
         X = generate(spec)[-1].X
     extra = cfg["bounds"]
-    gamma = extra["gamma"] if extra.get("gamma") else cfg["gamma_floor"]
-    inputs = tb.BoundInputs(
-        T=spec.B, K=min(spec.G, cfg["k_max"]), B=spec.B,
-        D=spec.D, R=cfg["R"], beta=loss_spec.constants.beta,
-        gamma=gamma, delta=cfg["delta"],
-        regret_KE=extra["regret_KE"], omega_star=extra["omega_star"],
-        weighted_loss=extra["weighted_loss"],
-        eigenvalues=tb.estimate_eigenvalues(X),
-    )
+    gamma = extra["gamma"] if extra.get("gamma") else config.gamma_floor
+    try:  # the bounds block is the CLI's own; BoundInputs is where it is checked
+        inputs = tb.BoundInputs(
+            T=spec.B, K=min(spec.G, config.K_max), B=spec.B,
+            D=spec.D, R=config.R, beta=loss_spec.constants.beta,
+            gamma=gamma, delta=config.delta,
+            regret_KE=extra["regret_KE"], omega_star=extra["omega_star"],
+            weighted_loss=extra["weighted_loss"],
+            eigenvalues=tb.estimate_eigenvalues(X),
+        )
+    except ValueError as exc:
+        raise ConfigError(f"bad bounds settings: {exc}") from None
     report = tb.bound_report(inputs)
     os.makedirs(cfg["out"], exist_ok=True)
     path = os.path.join(cfg["out"], "bounds.json")
@@ -233,7 +203,10 @@ def _cmd_bounds(cfg: dict) -> int:
 
 
 def _cmd_parse_libsvm(cfg: dict, dim_flag: int | None) -> int:
-    samples = _read_input_samples(cfg, dim=dim_flag)
+    if cfg["input"] is None:
+        raise ConfigError("--input is required for this command")
+    with open(cfg["input"]) as fh:
+        samples = parse_libsvm(fh.read(), dim=dim_flag)
     dims = samples[0].x.shape[0] if samples else 0
     pos = sum(1 for s in samples if s.y == 1)
     print(f"{len(samples)} samples, dim {dims}, {pos} positive / {len(samples) - pos} negative")

@@ -5,6 +5,9 @@ The CLI maps these onto exit codes: ConfigError -> 1, data errors
 (the ERM oracle hit its iteration cap) -> 3.
 """
 
+import math
+from numbers import Real
+
 
 class ConfigError(ValueError):
     """Invalid experiment configuration (bad flag, missing field, bad JSON)."""
@@ -30,3 +33,21 @@ class ConvergenceError(RuntimeError):
 
 class BoundViolation(RuntimeError):
     """A measured quantity exceeded a bound that must hold on every run."""
+
+
+def check_int(name: str, value, minimum: int | None = None) -> None:
+    """Raise ConfigError unless ``value`` is an int (not a bool), at least
+    ``minimum`` when one is given."""
+    if (isinstance(value, bool) or not isinstance(value, int)
+            or (minimum is not None and value < minimum)):
+        bound = "" if minimum is None else f" >= {minimum}"
+        raise ConfigError(f"{name} must be an integer{bound}, got {value!r}")
+
+
+def check_real(name: str, value, positive: bool = False, below: float = math.inf) -> None:
+    """Raise ConfigError unless ``value`` is a real number (not a bool) that is
+    > 0 (``positive``) or >= 0, and < ``below``; NaN and infinities fail."""
+    if (isinstance(value, bool) or not isinstance(value, Real)
+            or not (value > 0 if positive else value >= 0) or not value < below):
+        bound = ("> 0" if positive else ">= 0") + ("" if below == math.inf else f" and < {below}")
+        raise ConfigError(f"{name} must be a finite number {bound}, got {value!r}")

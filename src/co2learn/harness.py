@@ -18,16 +18,15 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 import os
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from . import bounds as tb
-from .errors import BoundViolation, ConfigError, ConvergenceError
+from .errors import BoundViolation, ConfigError, ConvergenceError, check_int, check_real
 from .geometry import Sample
-from .losses import LossSpec, batch_losses, loss, grad_loss
+from .losses import LossSpec, batch_losses, batch_mean_grad
 from .offline import omega, projected_gradient
 from .online import INIT_POLICIES, init_online, ogd_step
 from .pool import STRATEGIES, ExpertPool
@@ -35,7 +34,7 @@ from .streams import StreamSpec, fresh_proxy_samples, generate, parse_libsvm
 
 # Not called here; kept importable because bench/tracing.py patches these names.
 from .geometry import project_to_ball  # noqa: F401
-from .losses import batch_mean_grad  # noqa: F401
+from .losses import grad_loss, loss  # noqa: F401
 
 _TOL_BOUND = 1e-6   # deterministic-bound slack
 _TOL_IDENT = 1e-9   # algebraic-identity slack
@@ -44,7 +43,8 @@ EARLY_T = 20        # step at which early cumulative losses are compared
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything a run depends on; two equal configs give identical reports."""
+    """Everything a run depends on; two equal configs give identical reports.
+    With StreamSpec, the one home of each setting's default and check."""
 
     stream: StreamSpec
     seeds: tuple[int, ...]
@@ -60,23 +60,25 @@ class ExperimentConfig:
     input_path: str | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
-        if len(self.seeds) == 0:
-            raise ConfigError("at least one seed is required")
-        if not (self.R > 0):
-            raise ConfigError("R must be positive")
-        if self.K_max < 2:
-            raise ConfigError("K_max must be >= 2")
-        if not (0 < self.delta < 1):
-            raise ConfigError("delta must lie in (0, 1)")
+        if not isinstance(self.seeds, (list, tuple)) or len(self.seeds) == 0:
+            raise ConfigError(f"seeds must be a non-empty list of integers, got {self.seeds!r}")
+        for seed in self.seeds:
+            check_int("each seed", seed)
+        object.__setattr__(self, "seeds", tuple(self.seeds))
+        check_real("R", self.R, positive=True)
+        check_int("K_max", self.K_max, minimum=2)
         if self.strategy not in STRATEGIES:
             raise ConfigError(f"strategy must be one of {STRATEGIES}, got {self.strategy!r}")
         if self.init_policy not in INIT_POLICIES:
             raise ConfigError(f"init must be one of {INIT_POLICIES}, got {self.init_policy!r}")
-        for name in ("grad_map_tol", "erm_tol"):
-            value = getattr(self, name)
-            if not (isinstance(value, (int, float)) and 0 < value < math.inf):
-                raise ConfigError(f"{name} must be a finite positive number, got {value!r}")
+        check_real("gamma_floor", self.gamma_floor)
+        check_real("grad_map_tol", self.grad_map_tol, positive=True)
+        check_real("erm_tol", self.erm_tol, positive=True)
+        check_real("delta", self.delta, positive=True, below=1.0)
+        if not isinstance(self.wstar_proxy, bool):
+            raise ConfigError(f"wstar_proxy must be true or false, got {self.wstar_proxy!r}")
+        if not (self.input_path is None or isinstance(self.input_path, str)):
+            raise ConfigError(f"input must be a file path, got {self.input_path!r}")
         if self.stream.mode == "libsvm_noised" and self.input_path is None:
             raise ConfigError("libsvm_noised mode needs input_path")
 
@@ -180,7 +182,8 @@ def erm_oracle(
     return w
 
 
-def _load_input_samples(config: ExperimentConfig):
+def load_input_samples(config: ExperimentConfig):
+    """The parsed LIBSVM input of a libsvm-mode config; None in synthetic mode."""
     if config.stream.mode != "libsvm_noised":
         return None
     with open(config.input_path) as fh:
@@ -190,7 +193,7 @@ def _load_input_samples(config: ExperimentConfig):
 def run_experiment(config: ExperimentConfig) -> RunReport:
     """Run every seed and assemble the report; see the module docstring."""
     spec = LossSpec.create(D=config.stream.D, R=config.R, dim=config.stream.dim)
-    input_samples = _load_input_samples(config)
+    input_samples = load_input_samples(config)
     runs = [
         _run_seed(config, spec, seed, input_samples)
         for seed in config.seeds
@@ -230,8 +233,10 @@ def _run_seed(config: ExperimentConfig, spec: LossSpec, seed: int, input_samples
             expert_losses[t] = rec.losses_per_expert
             weighted_losses[t] = float(rec.alpha_before @ rec.losses_per_expert)
             alphas[t] = rec.alpha_after
-            ogd_losses[t] = loss(baseline.w, s, spec)
-            baseline = ogd_step(baseline, grad_loss(baseline.w, s, spec))
+            # batch forms: process_labeled has already checked this row
+            ogd_losses[t] = float(batch_losses(baseline.w, s.x, s.y, spec))
+            baseline = ogd_step(baseline, batch_mean_grad(
+                baseline.w, buf.X[t:t + 1], buf.y[t:t + 1], spec))
 
         w_hat = erm_oracle(buf.X, buf.y, spec, tol=config.erm_tol)
         erm_losses = batch_losses(w_hat, buf.X, buf.y, spec)

@@ -22,30 +22,19 @@ from typing import Sequence
 
 import numpy as np
 
-_SIMPLEX_ATOL = 1e-12
-
 
 @dataclass(frozen=True)
 class MetaWeights:
-    """Probability vector over K experts plus the fixed step size nu."""
+    """Probability vector over K experts plus the fixed step size nu.
+
+    Unchecked: ``alpha`` is a float array of shape (K,) on the simplex and
+    ``nu`` finite and >= 0. :meth:`fresh` (which checks K and the horizon)
+    and :func:`update_weights` keep both.
+    """
 
     alpha: np.ndarray
     nu: float
     K: int
-
-    def __post_init__(self):
-        alpha = np.asarray(self.alpha, dtype=np.float64)
-        object.__setattr__(self, "alpha", alpha)
-        if self.K < 1:
-            raise ValueError(f"K must be >= 1, got {self.K}")
-        if alpha.shape != (self.K,):
-            raise ValueError(f"alpha must have length K={self.K}, got {alpha.shape}")
-        if np.any(alpha < 0):
-            raise ValueError("meta weights must be nonnegative")
-        if abs(float(alpha.sum()) - 1.0) > _SIMPLEX_ATOL:
-            raise ValueError(f"meta weights must sum to 1, got {alpha.sum()!r}")
-        if not (self.nu >= 0 and np.isfinite(self.nu)):
-            raise ValueError(f"nu must be a nonnegative real, got {self.nu}")
 
     @classmethod
     def fresh(cls, K: int, horizon: int) -> "MetaWeights":
@@ -74,20 +63,18 @@ def combine(weights: MetaWeights, experts: Sequence[np.ndarray]) -> np.ndarray:
     """Weighted average sum_k alpha[k] * experts[k].
 
     Stays in the hypothesis ball without projection: the ball is convex and
-    all experts are inside it.
+    all experts are inside it. Needs exactly K experts; numpy's matmul raises
+    ValueError on any other count.
     """
-    if len(experts) != weights.K:
-        raise ValueError(f"expected {weights.K} experts, got {len(experts)}")
     stacked = np.asarray(experts, dtype=np.float64)
     return weights.alpha @ stacked
 
 
 def update_weights(weights: MetaWeights, losses: np.ndarray) -> MetaWeights:
-    """One exponential-weighting step on a loss vector in [0, 1]^K."""
-    losses = np.asarray(losses, dtype=np.float64)
-    if losses.shape != (weights.K,):
-        raise ValueError(f"expected {weights.K} losses, got {losses.shape}")
-    if np.any(losses < -_SIMPLEX_ATOL) or np.any(losses > 1.0 + _SIMPLEX_ATOL):
-        raise ValueError("expert losses must lie in [0, 1]")
+    """One exponential-weighting step on a loss vector in [0, 1]^K.
+
+    Unchecked: ``losses`` is a float array of shape (K,) in [0, 1], as the
+    normalized loss always is on its domain; the regret bound needs that.
+    """
     scaled = weights.alpha * np.exp(-weights.nu * losses)
     return MetaWeights(alpha=scaled / scaled.sum(), nu=weights.nu, K=weights.K)

@@ -23,19 +23,16 @@ INIT_POLICIES = ("cold", "warm")
 
 @dataclass(frozen=True)
 class OnlineExpertState:
-    """OGD iterate w plus the 1-based step counter within the interval."""
+    """OGD iterate w plus the 1-based step counter within the interval.
+
+    Unchecked: ``w`` is a float array in the R-ball and ``t >= 1``.
+    :func:`init_online` checks the start point and :func:`ogd_step`
+    projects every later iterate.
+    """
 
     w: np.ndarray
     t: int
     constants: ProblemConstants
-
-    def __post_init__(self):
-        w = np.asarray(self.w, dtype=np.float64)
-        object.__setattr__(self, "w", w)
-        if self.t < 1:
-            raise ValueError(f"step counter must be >= 1, got {self.t}")
-        if float(np.linalg.norm(w)) > self.constants.R * (1.0 + 1e-9):
-            raise ValueError("online expert iterate left the hypothesis ball")
 
 
 def eta(t: int, constants: ProblemConstants) -> float:
@@ -46,10 +43,10 @@ def eta(t: int, constants: ProblemConstants) -> float:
 
 
 def ogd_step(state: OnlineExpertState, grad: np.ndarray) -> OnlineExpertState:
-    """Projected gradient step at the state's own iterate; advances t."""
-    grad = np.asarray(grad, dtype=np.float64)
-    if grad.shape != state.w.shape:
-        raise ValueError(f"gradient shape {grad.shape} does not match iterate {state.w.shape}")
+    """Projected gradient step at the state's own iterate; advances t.
+
+    Unchecked: ``grad`` is a finite float array shaped like ``state.w``.
+    """
     w_next = project_to_ball(state.w - eta(state.t, state.constants) * grad, state.constants.R)
     return OnlineExpertState(w=w_next, t=state.t + 1, constants=state.constants)
 

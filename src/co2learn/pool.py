@@ -30,14 +30,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import Sample, inner
-from .losses import LossSpec, batch_losses, batch_mean_loss, check_sample, grad_loss
+from .losses import LossSpec, batch_losses, batch_mean_grad, batch_mean_loss, check_sample
 from .meta import MetaWeights, combine, update_weights
 from .offline import Anchor, OfflineTrainResult, default_config, omega, train_offline
 from .online import INIT_POLICIES, init_online, ogd_step
 from .streams import IntervalBuffer
 
-# Not called here; kept importable because bench/tracing.py patches this name.
-from .losses import loss  # noqa: F401
+# Not called here; kept importable because bench/tracing.py patches these names.
+from .losses import grad_loss, loss  # noqa: F401
 
 STRATEGIES = ("fifo", "weight")
 
@@ -125,7 +125,8 @@ class ExpertPool:
         return combine(self.meta, self.expert_advice())
 
     def process_labeled(self, s: Sample) -> StepRecord:
-        """One pass of the per-sample loop; advances t."""
+        """One pass of the per-sample loop; advances t. The sample is
+        domain-checked here, once; nothing after re-checks it."""
         if self.t >= self.B:
             raise RuntimeError("online interval already holds B samples; rollover first")
         check_sample(s.x, s.y, self.spec)
@@ -135,7 +136,7 @@ class ExpertPool:
         loss_meta = float(batch_losses(w_t, s.x, s.y, self.spec))
         alpha_before = self.meta.alpha.copy()
         self.meta = update_weights(self.meta, losses)
-        grad = grad_loss(self.online.w, s, self.spec)
+        grad = batch_mean_grad(self.online.w, s.x[np.newaxis], np.array([s.y]), self.spec)
         self.online = ogd_step(self.online, grad)
         self.t += 1
         return StepRecord(

@@ -35,36 +35,37 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError, StreamFormatError
+from .errors import ConfigError, DataError, StreamFormatError, check_int, check_real
 from .geometry import Sample
 from .rng import CounterRng, substream
 
 PROXY_SUBSTREAM_OFFSET = 2**32
+STREAM_MODES = ("synthetic", "libsvm_noised")
 
 
 @dataclass(frozen=True)
 class StreamSpec:
     """Full description of a stream; two specs with equal fields generate
-    byte-identical data."""
+    byte-identical data. Defaults are the desk shape; fields are checked here."""
 
-    G: int
-    B: int
-    dim: int
-    seed: int
-    mode: str = "synthetic"  # or "libsvm_noised"
+    G: int = 15
+    B: int = 200
+    dim: int = 2
+    seed: int = 0
+    mode: str = "synthetic"
     drift_std: float = 0.3
     noise_std: float = 0.1
     D: float = 1.0
 
     def __post_init__(self):
-        if self.G < 1 or self.B < 1 or self.dim < 1:
-            raise ValueError("G, B and dim must all be >= 1")
-        if self.mode not in ("synthetic", "libsvm_noised"):
-            raise ValueError(f"unknown stream mode {self.mode!r}")
-        if self.drift_std < 0 or self.noise_std < 0:
-            raise ValueError("noise standard deviations must be nonnegative")
-        if not (self.D > 0):
-            raise ValueError("D must be positive")
+        for name in ("G", "B", "dim"):
+            check_int(name, getattr(self, name), minimum=1)
+        check_int("seed", self.seed)
+        if self.mode not in STREAM_MODES:
+            raise ConfigError(f"stream mode must be one of {STREAM_MODES}, got {self.mode!r}")
+        for name in ("drift_std", "noise_std"):
+            check_real(name, getattr(self, name))
+        check_real("D", self.D, positive=True)
 
 
 @dataclass(frozen=True)
@@ -155,6 +156,7 @@ def fresh_proxy_samples(spec: StreamSpec, interval: IntervalBuffer, n: int):
     return sample_from_means(interval.class_means, n, spec.D, rng)
 
 
+MAX_INFERRED_DIM = 2**16  # one dense row is then at most 512 KiB
 _FEATURE_RE = re.compile(r"^(\d+):([^\s:]+)$")
 
 
@@ -165,7 +167,8 @@ def parse_libsvm(text: str, dim: int | None = None) -> list[Sample]:
     1-based strictly increasing indices. Labels 1/+1 map to +1; 0 and -1 map
     to -1. Blank lines are skipped. Any other shape is an error naming the
     line. When ``dim`` is given, an index beyond it is an error; otherwise
-    the dimension is the largest index seen (at least 1).
+    the dimension is the largest index seen (at least 1), and an index above
+    ``MAX_INFERRED_DIM`` is an error: samples are stored dense.
     """
     parsed: list[tuple[int, list[tuple[int, float]]]] = []
     max_index = 0
@@ -191,10 +194,9 @@ def parse_libsvm(text: str, dim: int | None = None) -> list[Sample]:
             m = _FEATURE_RE.match(tok)
             if m is None:
                 raise StreamFormatError(f"malformed feature token {tok!r}", lineno)
-            idx = int(m.group(1))
             try:
-                val = float(m.group(2))
-            except ValueError:
+                idx, val = int(m.group(1)), float(m.group(2))
+            except ValueError:  # a bad value, or an index too long for int()
                 raise StreamFormatError(f"non-numeric value in {tok!r}", lineno) from None
             if not np.isfinite(val):
                 raise StreamFormatError(f"non-finite value in {tok!r}", lineno)
@@ -209,6 +211,9 @@ def parse_libsvm(text: str, dim: int | None = None) -> list[Sample]:
                 )
             if dim is not None and idx > dim:
                 raise StreamFormatError(f"feature index {idx} exceeds dim={dim}", lineno)
+            if dim is None and idx > MAX_INFERRED_DIM:
+                raise StreamFormatError(
+                    f"feature index {idx} exceeds the inferred-dim cap {MAX_INFERRED_DIM}", lineno)
             feats.append((idx, val))
             prev_index = idx
         parsed.append((y, feats))
@@ -287,6 +292,10 @@ def load_stream(path: str) -> list[IntervalBuffer]:
                 x = np.array([float(v) for v in parts[3:]])
             except ValueError:
                 raise StreamFormatError("non-numeric stream record", lineno) from None
+            if y not in (-1, 1):
+                raise StreamFormatError(f"label must be -1 or +1, got {y}", lineno)
+            if not np.all(np.isfinite(x)):
+                raise StreamFormatError("non-finite coordinate", lineno)
             if dim is None:
                 dim = x.size
             elif x.size != dim:

@@ -1,14 +1,27 @@
 import functools
 import json
+import re
+from pathlib import Path
 
 import pytest
 
 from co2learn import harness
-from co2learn.cli import main
+from co2learn.cli import _defaults, main
 
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+def assert_config_error(tmp_path, capsys, command, body):
+    """``command --config`` on ``body`` exits 1 with one ``config error:`` line."""
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(body))
+    rc = run_cli(command, "--config", str(cfg_path), "--out", str(tmp_path / "o"))
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "Traceback" not in err
+    assert err.startswith("config error:") and len(err.splitlines()) == 1
 
 
 class TestGenerate:
@@ -54,15 +67,23 @@ class TestRun:
         {"strategy": "bogus"},
         {"init": "random"},
         {"grad_map_tol": 0},
+        {"stream": {"G": 2.5, "B": 20}},
+        {"stream": {"G": 2, "B": 20, "dim": True}},
+        {"stream": {"G": 2, "B": 20, "D": 1e400}},
+        {"stream": {"G": 2, "B": 20, "drift_std": float("nan")}},
+        {"k_max": 2.5},
+        {"R": "1"},
+        {"delta": "x"},
+        {"seeds": 5},
+        {"seeds": []},
+        {"seeds": [True]},
+        {"gamma_floor": -1},
+        {"wstar_proxy": "no"},
+        {"erm_tol": True},
+        {"stream": 5},
     ])
     def test_bad_config_value_is_one_line_exit_1(self, tmp_path, capsys, body):
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps({"stream": {"G": 2, "B": 20}, **body}))
-        rc = run_cli("run", "--config", str(cfg_path), "--out", str(tmp_path / "o"))
-        err = capsys.readouterr().err
-        assert rc == 1
-        assert "Traceback" not in err
-        assert err.startswith("config error:") and len(err.splitlines()) == 1
+        assert_config_error(tmp_path, capsys, "run", {"stream": {"G": 2, "B": 20}, **body})
 
     def test_erm_convergence_failure_is_one_line_exit_3(self, tmp_path, capsys, monkeypatch):
         capped = functools.partial(harness.erm_oracle, max_iters=1)
@@ -84,6 +105,9 @@ class TestBounds:
         printed = json.loads(capsys.readouterr().out)
         assert printed == report
 
+    def test_bad_bounds_value_is_one_line_exit_1(self, tmp_path, capsys):
+        assert_config_error(tmp_path, capsys, "bounds", {"bounds": {"gamma": -1}})
+
 
 class TestParseLibsvm:
     def test_good_file(self, tmp_path, capsys):
@@ -92,10 +116,12 @@ class TestParseLibsvm:
         assert run_cli("parse-libsvm", "--input", str(path)) == 0
         assert "3 samples" in capsys.readouterr().out
 
-    def test_parse_error_is_exit_2(self, tmp_path):
+    def test_parse_error_is_exit_2(self, tmp_path, capsys):
         path = tmp_path / "bad.libsvm"
-        path.write_text("1 2:abc\n")
-        assert run_cli("parse-libsvm", "--input", str(path)) == 2
+        for text in ("1 2:abc\n", "1 100000000000000000000:1\n"):
+            path.write_text(text)
+            assert run_cli("parse-libsvm", "--input", str(path)) == 2
+            assert capsys.readouterr().err.startswith("data error: line 1:")
 
     def test_missing_file_is_exit_2(self):
         assert run_cli("parse-libsvm", "--input", "/definitely/not/here") == 2
@@ -131,3 +157,10 @@ class TestLibsvmPipeline:
 
     def test_bad_argument_is_exit_1(self):
         assert run_cli("run", "--strategy", "bogus") == 1
+
+
+def test_readme_config_block_is_the_defaults():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme[readme.index("### Config file"):]
+    block = re.search(r"```json\n(.*?)```", section, re.S).group(1)
+    assert json.loads(block) == _defaults()

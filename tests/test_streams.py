@@ -172,6 +172,9 @@ class TestParseLibsvm:
     def test_index_beyond_declared_dim(self):
         with pytest.raises(StreamFormatError, match="exceeds"):
             parse_libsvm("1 5:0.1\n", dim=3)
+        # no dim given: an index too large for a dense row
+        with pytest.raises(StreamFormatError, match="line 2: feature index .* exceeds"):
+            parse_libsvm("1 1:1\n1 100000000000000000000:1\n")
 
     def test_malformed_token(self):
         with pytest.raises(StreamFormatError):
@@ -242,7 +245,10 @@ class TestDumpLoad:
     def test_load_rejects_garbage(self, tmp_path):
         path = tmp_path / "bad.csv"
         for text, line in [("1,1,1,0.5,oops\n", 1),
-                           ("1,1,1,0.5,0.25\n1,2,-1,0.5\n", 2)]:  # ragged rows
+                           ("1,1,1,0.5,0.25\n1,2,-1,0.5\n", 2),  # ragged rows
+                           ("1,1,1,0.5,0.25\n1,2,1,nan,0.5\n", 2),
+                           ("1,1,1,inf,0.25\n", 1),
+                           ("1,1,1,0.5,0.25\n1,2,5,0.5,0.5\n", 2)]:  # label 5
             path.write_text(text)
             with pytest.raises(StreamFormatError, match=f"line {line}"):
                 load_stream(str(path))
