@@ -35,12 +35,15 @@ class BoundViolation(RuntimeError):
     """A measured quantity exceeded a bound that must hold on every run."""
 
 
-def check_int(name: str, value, minimum: int | None = None) -> None:
-    """Raise ConfigError unless ``value`` is an int (not a bool), at least
-    ``minimum`` when one is given."""
+def check_int(name: str, value, minimum: int | None = None,
+              maximum: int | None = None) -> None:
+    """Raise ConfigError unless ``value`` is an int (not a bool) within
+    ``[minimum, maximum]``, either end open when not given."""
     if (isinstance(value, bool) or not isinstance(value, int)
-            or (minimum is not None and value < minimum)):
+            or (minimum is not None and value < minimum)
+            or (maximum is not None and value > maximum)):
         bound = "" if minimum is None else f" >= {minimum}"
+        bound += "" if maximum is None else f" and <= {maximum}"
         raise ConfigError(f"{name} must be an integer{bound}, got {value!r}")
 
 

@@ -7,6 +7,7 @@ space: hypotheses live in the ball {w : ||w|| <= R}, features in the ball
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,20 +67,29 @@ class Sample:
 
 
 def project_to_ball(w: np.ndarray, R: float) -> np.ndarray:
-    """Euclidean projection of ``w`` onto the ball of radius ``R``.
+    """Euclidean projection of ``w`` onto the ball of radius ``R``, as a new
+    array.
 
-    Returns ``w`` unchanged when ||w|| <= R (up to 1 ulp-scale slack),
-    otherwise ``w * (R / ||w||)``. Idempotent and non-expansive.
+    Returns a copy of ``w`` when ||w|| <= R (up to 1 ulp-scale slack),
+    otherwise ``w * (R / ||w||)``. Idempotent and non-expansive. Rejects a
+    vector whose norm is not finite: a NaN or infinite entry, or finite
+    entries too large for the norm to be represented.
     """
     if not (R > 0):
         raise ValueError(f"R must be positive, got {R}")
-    w = np.asarray(w, dtype=np.float64)
-    if not np.all(np.isfinite(w)):
+    w = np.array(w, dtype=np.float64)
+    project_in_place(w, R)
+    return w
+
+
+def project_in_place(w: np.ndarray, R: float) -> None:
+    """:func:`project_to_ball` written into ``w``, a float array, with one
+    norm and no copy. Unchecked: ``R > 0``."""
+    norm = math.sqrt(w @ w)
+    if not math.isfinite(norm):
         raise ValueError("cannot project a non-finite vector")
-    norm = float(np.linalg.norm(w))
-    if norm <= R * (1.0 + _INSIDE_RTOL):
-        return w.copy()
-    return w * (R / norm)
+    if norm > R * (1.0 + _INSIDE_RTOL):
+        w *= R / norm
 
 
 def inner(w: np.ndarray, x: np.ndarray) -> float:

@@ -26,15 +26,16 @@ import numpy as np
 from . import bounds as tb
 from .errors import BoundViolation, ConfigError, ConvergenceError, check_int, check_real
 from .geometry import Sample
-from .losses import LossSpec, batch_losses, batch_mean_grad
+from .losses import LossSpec, batch_losses, margin_loss
 from .offline import omega, projected_gradient
-from .online import INIT_POLICIES, init_online, ogd_step
+from .online import INIT_POLICIES, init_online, ogd_update
 from .pool import STRATEGIES, ExpertPool
 from .streams import StreamSpec, fresh_proxy_samples, generate, parse_libsvm
 
 # Not called here; kept importable because bench/tracing.py patches these names.
 from .geometry import project_to_ball  # noqa: F401
-from .losses import grad_loss, loss  # noqa: F401
+from .losses import batch_mean_grad, grad_loss, loss  # noqa: F401
+from .online import ogd_step  # noqa: F401
 
 _TOL_BOUND = 1e-6   # deterministic-bound slack
 _TOL_IDENT = 1e-9   # algebraic-identity slack
@@ -210,6 +211,7 @@ def _run_seed(config: ExperimentConfig, spec: LossSpec, seed: int, input_samples
         gamma_floor=config.gamma_floor, grad_map_tol=config.grad_map_tol,
     )
     baseline = init_online("cold", spec.constants)
+    w_ogd, t_ogd = baseline.w, baseline.t  # stepped in place
 
     steps: list[StepRow] = []
     metrics: list[IntervalMetrics] = []
@@ -227,16 +229,17 @@ def _run_seed(config: ExperimentConfig, spec: LossSpec, seed: int, input_samples
         weighted_losses = np.empty(B)
         alphas = np.empty((B, K))
         for t in range(B):
-            s = Sample(x=buf.X[t], y=int(buf.y[t]))
-            rec = pool.process_labeled(s)
+            x, y = buf.X[t], int(buf.y[t])
+            rec = pool.process_labeled(Sample(x=x, y=y))
             co2_losses[t] = rec.loss_meta
             expert_losses[t] = rec.losses_per_expert
             weighted_losses[t] = float(rec.alpha_before @ rec.losses_per_expert)
             alphas[t] = rec.alpha_after
-            # batch forms: process_labeled has already checked this row
-            ogd_losses[t] = float(batch_losses(baseline.w, s.x, s.y, spec))
-            baseline = ogd_step(baseline, batch_mean_grad(
-                baseline.w, buf.X[t:t + 1], buf.y[t:t + 1], spec))
+            # process_labeled has already checked this sample
+            z = y * float(x @ w_ogd)
+            ogd_losses[t] = margin_loss(z, spec)
+            ogd_update(w_ogd, t_ogd, x, y, z, spec)
+            t_ogd += 1
 
         w_hat = erm_oracle(buf.X, buf.y, spec, tol=config.erm_tol)
         erm_losses = batch_losses(w_hat, buf.X, buf.y, spec)

@@ -19,6 +19,7 @@ smooth; clipping would not. The family obeys the self-bounding property
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,7 +76,7 @@ class LossSpec:
 
 def check_sample(x: np.ndarray, y: int, spec: LossSpec) -> None:
     """Reject a sample outside the loss's domain: ||x|| > D or y not +-1."""
-    nx = float(np.linalg.norm(x))
+    nx = math.sqrt(x @ x)
     if nx > spec.constants.D + _DOMAIN_ATOL:
         raise ValueError(f"||x||={nx} exceeds D={spec.constants.D}; condition the stream first")
     if y not in (-1, 1):
@@ -123,7 +124,22 @@ def batch_mean_loss(w: np.ndarray, X: np.ndarray, y: np.ndarray, spec: LossSpec)
 
 
 def batch_mean_grad(w: np.ndarray, X: np.ndarray, y: np.ndarray, spec: LossSpec) -> np.ndarray:
-    """Gradient of the batch mean loss at w."""
+    """Gradient of the batch mean loss at w: one gemv, no (n, dim) temporary."""
     z = y * (X @ w)
     coef = -y * sigmoid(-z) / spec.C
-    return (X * coef[:, None]).mean(axis=0)
+    return (coef @ X) / X.shape[0]
+
+
+# Scalar forms for the per-sample step, in ``math``: the same formulas as
+# ``softplus`` and ``sigmoid`` above, for one margin z = y <w, x>.
+
+def margin_loss(z: float, spec: LossSpec) -> float:
+    """The loss at margin z: softplus(-z) / C."""
+    return (max(-z, 0.0) + math.log1p(math.exp(-abs(z)))) / spec.C
+
+
+def margin_grad_coef(z: float, y: int, spec: LossSpec) -> float:
+    """The gradient at margin z is this coefficient times x: -y sigmoid(-z) / C."""
+    e = math.exp(-abs(z))
+    sig = e / (1.0 + e) if z >= 0 else 1.0 / (1.0 + e)
+    return -y * sig / spec.C

@@ -76,5 +76,13 @@ def update_weights(weights: MetaWeights, losses: np.ndarray) -> MetaWeights:
     Unchecked: ``losses`` is a float array of shape (K,) in [0, 1], as the
     normalized loss always is on its domain; the regret bound needs that.
     """
-    scaled = weights.alpha * np.exp(-weights.nu * losses)
-    return MetaWeights(alpha=scaled / scaled.sum(), nu=weights.nu, K=weights.K)
+    return MetaWeights(alpha=reweight(weights.alpha, weights.nu, losses),
+                       nu=weights.nu, K=weights.K)
+
+
+def reweight(alpha: np.ndarray, nu: float, losses: np.ndarray) -> np.ndarray:
+    """The exponential-weighting step on a bare weight vector: a new array
+    ``alpha * exp(-nu * losses)``, normalized. Same preconditions as
+    :func:`update_weights`."""
+    scaled = alpha * np.exp(-nu * losses)
+    return scaled / scaled.sum()

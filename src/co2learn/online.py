@@ -4,7 +4,9 @@ Step t applies
 
     w' = project_to_ball(w - eta_t * grad,  R),      eta_t = D / sqrt(beta t),
 
-where the gradient is always evaluated at the expert's own iterate. A new
+where the gradient is always evaluated at the expert's own iterate.
+``ogd_step`` takes any gradient and returns a new state; ``ogd_update``
+takes one sample and writes the step into the iterate it is given. A new
 interval starts the expert either cold (w = 0) or warm (inherit the previous
 interval's final iterate); see ``INIT_POLICIES``.
 """
@@ -16,7 +18,11 @@ from math import sqrt
 
 import numpy as np
 
-from .geometry import ProblemConstants, project_to_ball
+from .geometry import ProblemConstants, project_in_place
+from .losses import LossSpec, margin_grad_coef
+
+# Not called here; kept importable because bench/tracing.py patches this name.
+from .geometry import project_to_ball  # noqa: F401
 
 INIT_POLICIES = ("cold", "warm")
 
@@ -47,8 +53,26 @@ def ogd_step(state: OnlineExpertState, grad: np.ndarray) -> OnlineExpertState:
 
     Unchecked: ``grad`` is a finite float array shaped like ``state.w``.
     """
-    w_next = project_to_ball(state.w - eta(state.t, state.constants) * grad, state.constants.R)
-    return OnlineExpertState(w=w_next, t=state.t + 1, constants=state.constants)
+    w = np.array(state.w, dtype=np.float64)
+    _descend(w, state.t, grad, state.constants)
+    return OnlineExpertState(w=w, t=state.t + 1, constants=state.constants)
+
+
+def ogd_update(w: np.ndarray, t: int, x: np.ndarray, y: int, z: float,
+               spec: LossSpec) -> None:
+    """Step t of OGD on the sample (x, y), written into ``w``.
+
+    ``z`` is the sample's margin y <w, x> at ``w``, which the caller has
+    already computed for the loss. This is the one single-sample update: the
+    pool's online expert and the harness's whole-stream baseline both take
+    it. Unchecked: the sample is in the loss's domain.
+    """
+    _descend(w, t, margin_grad_coef(z, y, spec) * x, spec.constants)
+
+
+def _descend(w: np.ndarray, t: int, grad: np.ndarray, constants: ProblemConstants) -> None:
+    w -= eta(t, constants) * grad
+    project_in_place(w, constants.R)
 
 
 def init_online(

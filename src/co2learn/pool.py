@@ -4,11 +4,11 @@ A pool holds up to K_max - 1 offline experts (priority-ascending, so the
 highest-priority expert has the highest index) plus one online expert at
 index K, with K = min(G, K_max) and G the number of intervals seen so far.
 
-Each labeled sample runs, in order: collect the K expert advices, output
-their weighted average, score every expert and the average on the sample,
-update the meta weights with those scores, and only then send the gradient
-at the online expert's own iterate to the online expert. The output is
-committed before the loss is seen.
+Each labeled sample runs, in order: output the weighted average of the K
+experts, score every expert (one matvec and one softplus) and the average
+on the sample, update the meta weights with those scores, and only then
+take the online expert's OGD step with the gradient at its own iterate.
+The output is committed before the loss is seen.
 
 When the online interval completes (t = B) the pool rolls over: it builds
 the anchor from the final meta weights and the experts' empirical risks on
@@ -30,14 +30,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import Sample, inner
-from .losses import LossSpec, batch_losses, batch_mean_grad, batch_mean_loss, check_sample
-from .meta import MetaWeights, combine, update_weights
+from .losses import LossSpec, batch_mean_loss, check_sample, margin_loss, softplus
+from .meta import MetaWeights, reweight
 from .offline import Anchor, OfflineTrainResult, default_config, omega, train_offline
-from .online import INIT_POLICIES, init_online, ogd_step
+from .online import INIT_POLICIES, OnlineExpertState, init_online, ogd_update
 from .streams import IntervalBuffer
 
 # Not called here; kept importable because bench/tracing.py patches these names.
 from .losses import grad_loss, loss  # noqa: F401
+from .meta import combine, update_weights  # noqa: F401
+from .online import ogd_step  # noqa: F401
 
 STRATEGIES = ("fifo", "weight")
 
@@ -78,7 +80,16 @@ class RolloverRecord:
 
 
 class ExpertPool:
-    """One coupling run; mutate only from its owning sequence."""
+    """One coupling run; mutate only from its owning sequence.
+
+    The state is one (K, dim) float array of the experts, the offline ones
+    first in priority order and the online iterate last, plus the meta
+    weights ``alpha`` with their step size ``nu`` and two counters: ``t``,
+    the samples taken in this interval, and the online expert's OGD step.
+    A step writes the online row and the counters in place and replaces
+    ``alpha``; only ``rollover`` rebuilds the array. ``offline``, ``online``
+    and ``meta`` read that state (and set it, to inject one).
+    """
 
     def __init__(
         self,
@@ -107,42 +118,69 @@ class ExpertPool:
         self.grad_map_tol = grad_map_tol
         self.G = 1
         self.t = 0
-        self.offline: list[np.ndarray] = []
         # no previous interval to inherit from, so even a warm pool starts cold
-        self.online = init_online("cold", spec.constants)
+        start = init_online("cold", spec.constants)
+        self._experts = start.w[np.newaxis].copy()
+        self._ogd_t = start.t
         self.meta = MetaWeights.fresh(K=1, horizon=B)
 
     @property
     def K(self) -> int:
         return effective_K(self.G, self.K_max)
 
-    def expert_advice(self) -> list[np.ndarray]:
-        """Current advices w^1..w^{K-1}, w_t^K (online last)."""
-        return [w.copy() for w in self.offline] + [self.online.w.copy()]
+    @property
+    def offline(self) -> list[np.ndarray]:
+        """The offline experts w^1..w^{K-1}, lowest priority first."""
+        return list(self._experts[:-1])
+
+    @offline.setter
+    def offline(self, experts) -> None:
+        self._experts = np.array([*experts, self._experts[-1]], dtype=np.float64)
+
+    @property
+    def online(self) -> OnlineExpertState:
+        """A copy of the online expert's iterate and its OGD step counter."""
+        return OnlineExpertState(w=self._experts[-1].copy(), t=self._ogd_t,
+                                 constants=self.spec.constants)
+
+    @online.setter
+    def online(self, state: OnlineExpertState) -> None:
+        self._experts[-1] = state.w
+        self._ogd_t = state.t
+
+    @property
+    def meta(self) -> MetaWeights:
+        """The meta weights over the K experts and their step size."""
+        return MetaWeights(alpha=self._alpha, nu=self._nu, K=len(self._alpha))
+
+    @meta.setter
+    def meta(self, weights: MetaWeights) -> None:
+        self._alpha = np.array(weights.alpha, dtype=np.float64)
+        self._nu = weights.nu
 
     def current_output(self) -> np.ndarray:
         """The weighted-average hypothesis the pool would emit right now."""
-        return combine(self.meta, self.expert_advice())
+        return self._alpha @ self._experts
 
     def process_labeled(self, s: Sample) -> StepRecord:
         """One pass of the per-sample loop; advances t. The sample is
         domain-checked here, once; nothing after re-checks it."""
         if self.t >= self.B:
             raise RuntimeError("online interval already holds B samples; rollover first")
-        check_sample(s.x, s.y, self.spec)
-        advice = np.array(self.offline + [self.online.w])
-        w_t = combine(self.meta, advice)
-        losses = batch_losses(s.x, advice, s.y, self.spec)  # one row per expert
-        loss_meta = float(batch_losses(w_t, s.x, s.y, self.spec))
-        alpha_before = self.meta.alpha.copy()
-        self.meta = update_weights(self.meta, losses)
-        grad = batch_mean_grad(self.online.w, s.x[np.newaxis], np.array([s.y]), self.spec)
-        self.online = ogd_step(self.online, grad)
+        x, y, spec = s.x, s.y, self.spec
+        check_sample(x, y, spec)
+        experts, alpha = self._experts, self._alpha
+        w_t = alpha @ experts
+        z = y * (experts @ x)  # every expert's margin, the online one last
+        losses = softplus(-z) / spec.C
+        loss_meta = margin_loss(y * float(w_t @ x), spec)
+        self._alpha = reweight(alpha, self._nu, losses)
+        ogd_update(experts[-1], self._ogd_t, x, y, float(z[-1]), spec)
+        self._ogd_t += 1
         self.t += 1
         return StepRecord(
             g=self.G, t=self.t, w=w_t, loss_meta=loss_meta,
-            losses_per_expert=losses, alpha_before=alpha_before,
-            alpha_after=self.meta.alpha.copy(),
+            losses_per_expert=losses, alpha_before=alpha, alpha_after=self._alpha,
         )
 
     def predict_unlabeled(self, x: np.ndarray) -> int:
@@ -159,12 +197,11 @@ class ExpertPool:
             raise ValueError(f"completed interval must hold exactly B={self.B} samples")
 
         # Anchor from the final state: post-update weights, final iterates.
-        advice = self.expert_advice()
+        experts, alpha = self._experts, self._alpha
         risks = np.array([
-            batch_mean_loss(w_k, completed.X, completed.y, self.spec) for w_k in advice
+            batch_mean_loss(w_k, completed.X, completed.y, self.spec) for w_k in experts
         ])
-        anchor = Anchor(v=combine(self.meta, advice),
-                        weighted_loss=float(self.meta.alpha @ risks))
+        anchor = Anchor(v=alpha @ experts, weighted_loss=float(alpha @ risks))
         config = default_config(anchor, self.spec, self.gamma_floor, self.grad_map_tol)
         result = train_offline(completed, anchor, config, self.spec)
         omega_new = omega(result.w, anchor)
@@ -173,21 +210,22 @@ class ExpertPool:
         self.G += 1
         K_new = effective_K(self.G, self.K_max)
 
+        n_offline = len(experts) - 1
         if self.strategy == "fifo":
-            order = list(range(len(self.offline)))
+            order = list(range(n_offline))
         else:
             # surviving offline experts ranked by their final meta weights
-            order = list(np.argsort(self.meta.alpha[: len(self.offline)], kind="stable"))
-        candidates = [self.offline[i] for i in order] + [result.w]
+            order = list(np.argsort(alpha[:n_offline], kind="stable"))
+        candidates = [experts[i] for i in order] + [result.w]
         keep = K_new - 1
         evicted = None
         if len(candidates) > keep:
             evicted = candidates[0]  # lowest priority
             candidates = candidates[len(candidates) - keep:]
-        self.offline = candidates
+        start = init_online(self.init_policy, self.spec.constants, previous=experts[-1])
+        self._experts = np.array([*candidates, start.w], dtype=np.float64)
+        self._ogd_t = start.t
         self.meta = MetaWeights.fresh(K=K_new, horizon=self.B)
-        self.online = init_online(self.init_policy, self.spec.constants,
-                                  previous=self.online.w)
         self.t = 0
         return RolloverRecord(
             g_completed=g_completed, anchor=anchor, result=result,

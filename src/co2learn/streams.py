@@ -40,6 +40,7 @@ from .geometry import Sample
 from .rng import CounterRng, substream
 
 PROXY_SUBSTREAM_OFFSET = 2**32
+MAX_DIM = 2**16  # samples are stored dense; one row is then at most 512 KiB
 STREAM_MODES = ("synthetic", "libsvm_noised")
 
 
@@ -58,8 +59,9 @@ class StreamSpec:
     D: float = 1.0
 
     def __post_init__(self):
-        for name in ("G", "B", "dim"):
+        for name in ("G", "B"):
             check_int(name, getattr(self, name), minimum=1)
+        check_int("dim", self.dim, minimum=1, maximum=MAX_DIM)
         check_int("seed", self.seed)
         if self.mode not in STREAM_MODES:
             raise ConfigError(f"stream mode must be one of {STREAM_MODES}, got {self.mode!r}")
@@ -156,7 +158,6 @@ def fresh_proxy_samples(spec: StreamSpec, interval: IntervalBuffer, n: int):
     return sample_from_means(interval.class_means, n, spec.D, rng)
 
 
-MAX_INFERRED_DIM = 2**16  # one dense row is then at most 512 KiB
 _FEATURE_RE = re.compile(r"^(\d+):([^\s:]+)$")
 
 
@@ -166,10 +167,13 @@ def parse_libsvm(text: str, dim: int | None = None) -> list[Sample]:
     Grammar: one sample per line, ``<label> <index>:<value> ...`` with
     1-based strictly increasing indices. Labels 1/+1 map to +1; 0 and -1 map
     to -1. Blank lines are skipped. Any other shape is an error naming the
-    line. When ``dim`` is given, an index beyond it is an error; otherwise
+    line. When ``dim`` is given it must be an integer in [1, ``MAX_DIM``]
+    (ConfigError otherwise), and an index beyond it is an error; otherwise
     the dimension is the largest index seen (at least 1), and an index above
-    ``MAX_INFERRED_DIM`` is an error: samples are stored dense.
+    ``MAX_DIM`` is an error: samples are stored dense.
     """
+    if dim is not None:
+        check_int("dim", dim, minimum=1, maximum=MAX_DIM)
     parsed: list[tuple[int, list[tuple[int, float]]]] = []
     max_index = 0
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -211,9 +215,9 @@ def parse_libsvm(text: str, dim: int | None = None) -> list[Sample]:
                 )
             if dim is not None and idx > dim:
                 raise StreamFormatError(f"feature index {idx} exceeds dim={dim}", lineno)
-            if dim is None and idx > MAX_INFERRED_DIM:
+            if dim is None and idx > MAX_DIM:
                 raise StreamFormatError(
-                    f"feature index {idx} exceeds the inferred-dim cap {MAX_INFERRED_DIM}", lineno)
+                    f"feature index {idx} exceeds the dimension cap {MAX_DIM}", lineno)
             feats.append((idx, val))
             prev_index = idx
         parsed.append((y, feats))

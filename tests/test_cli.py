@@ -69,6 +69,7 @@ class TestRun:
         {"grad_map_tol": 0},
         {"stream": {"G": 2.5, "B": 20}},
         {"stream": {"G": 2, "B": 20, "dim": True}},
+        {"stream": {"G": 2, "B": 20, "dim": 100000000000000000000}},
         {"stream": {"G": 2, "B": 20, "D": 1e400}},
         {"stream": {"G": 2, "B": 20, "drift_std": float("nan")}},
         {"k_max": 2.5},
@@ -122,6 +123,14 @@ class TestParseLibsvm:
             path.write_text(text)
             assert run_cli("parse-libsvm", "--input", str(path)) == 2
             assert capsys.readouterr().err.startswith("data error: line 1:")
+
+    @pytest.mark.parametrize("dim", ["-3", "0"])
+    def test_bad_dim_is_one_line_exit_1(self, tmp_path, capsys, dim):
+        path = tmp_path / "data.libsvm"
+        path.write_text("1\n-1\n")
+        assert run_cli("parse-libsvm", "--input", str(path), "--dim", dim) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and len(err.splitlines()) == 1
 
     def test_missing_file_is_exit_2(self):
         assert run_cli("parse-libsvm", "--input", "/definitely/not/here") == 2

@@ -44,6 +44,9 @@ class TestProjectToBall:
             project_to_ball(np.array([np.nan, 1.0]), 1.0)
         with pytest.raises(ValueError):
             project_to_ball(np.array([np.inf, 1.0]), 1.0)
+        # finite entries whose norm overflows
+        with np.errstate(over="ignore"), pytest.raises(ValueError):
+            project_to_ball(np.array([1e200, 1e200]), 1.0)
 
     def test_rejects_bad_radius(self):
         with pytest.raises(ValueError):

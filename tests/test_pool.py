@@ -190,7 +190,7 @@ class TestRollover:
         stream = gen_synthetic(StreamSpec(G=2, B=B, dim=2, seed=60))
         pool = ExpertPool(spec=spec, B=B, K_max=3)
         run_interval(pool, stream[0])
-        advice = pool.expert_advice()
+        advice = pool.offline + [pool.online.w]
         alpha = pool.meta.alpha.copy()
         risks = [float(np.mean(batch_losses(w, stream[0].X, stream[0].y, spec))) for w in advice]
         roll = pool.rollover(stream[0])

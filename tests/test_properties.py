@@ -4,9 +4,10 @@ The step path trusts what it computes: ``update_weights`` does not re-check
 that its losses lie in [0, 1] or that the new weights are on the simplex,
 ``MetaWeights`` and ``OnlineExpertState`` do not validate themselves, and
 ``ogd_step`` does not re-check the iterate's ball. These tests show that the
-code keeps each of those invariants for every input in its domain, and that
-the two stream parsers, where outside text enters, fail only with the
-documented errors.
+code keeps each of those invariants for every input in its domain, that the
+pool's fused step and the gemv batch gradient equal the per-sample reference
+functions, that the loss is self-bounding, and that the two stream parsers,
+where outside text enters, fail only with the documented errors.
 """
 
 import math
@@ -16,10 +17,11 @@ from hypothesis import example, given, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from co2learn.errors import DataError
-from co2learn.geometry import project_to_ball
-from co2learn.losses import LossSpec
-from co2learn.meta import MetaWeights, update_weights
-from co2learn.online import init_online, ogd_step
+from co2learn.geometry import Sample, project_to_ball
+from co2learn.losses import LossSpec, batch_losses, batch_mean_grad, grad_loss, loss
+from co2learn.meta import MetaWeights, combine, update_weights
+from co2learn.online import OnlineExpertState, init_online, ogd_step
+from co2learn.pool import ExpertPool
 from co2learn.streams import load_stream, parse_libsvm
 
 
@@ -71,6 +73,81 @@ def test_projection_idempotent_and_non_expansive(pair, R):
     pu, pv = project_to_ball(u, R), project_to_ball(v, R)
     np.testing.assert_array_equal(project_to_ball(pu, R), pu)
     assert np.linalg.norm(pu - pv) <= np.linalg.norm(u - v) + 1e-9 * R
+
+
+def in_ball(draw, dim, radius, n=None):
+    """A point (or n points) of the closed ball of the given radius."""
+    shape = dim if n is None else (n, dim)
+    v = draw(arrays(np.float64, shape, elements=st.floats(-2 * radius, 2 * radius)))
+    return project_to_ball(v, radius) if n is None else np.array([project_to_ball(r, radius) for r in v])
+
+
+@st.composite
+def pool_states(draw):
+    """A spec, an arbitrary pool state and a sample in the loss's domain."""
+    dim, K = draw(st.integers(1, 30)), draw(st.integers(1, 8))
+    spec = LossSpec.create(D=draw(st.floats(0.1, 5.0)), R=draw(st.floats(0.1, 5.0)), dim=dim)
+    B = draw(st.integers(1, 400))
+    experts = in_ball(draw, dim, spec.constants.R, n=K)
+    raw = draw(arrays(np.float64, K, elements=st.floats(1e-3, 1.0)))
+    meta = MetaWeights(alpha=raw / raw.sum(), nu=draw(st.floats(0.0, 4.0)), K=K)
+    t_pool, t_ogd = draw(st.integers(0, B - 1)), draw(st.integers(1, 10 * B))
+    x = in_ball(draw, dim, spec.constants.D)
+    return spec, B, experts, meta, t_pool, t_ogd, Sample(x=x, y=draw(st.sampled_from([-1, 1])))
+
+
+@given(pool_states())
+def test_step_matches_the_reference_chain(state):
+    spec, B, experts, meta, t_pool, t_ogd, s = state
+    K = len(experts)
+    pool = ExpertPool(spec=spec, B=B, K_max=max(K, 2))
+    pool.offline = list(experts[:-1])
+    pool.online = OnlineExpertState(w=experts[-1].copy(), t=t_ogd, constants=spec.constants)
+    pool.G, pool.t, pool.meta = K, t_pool, meta
+
+    rec = pool.process_labeled(s)
+
+    losses = batch_losses(s.x, experts, s.y, spec)
+    w_t = combine(meta, list(experts))
+    after = update_weights(meta, losses)
+    online = ogd_step(OnlineExpertState(w=experts[-1], t=t_ogd, constants=spec.constants),
+                      grad_loss(experts[-1], s, spec))
+    np.testing.assert_allclose(rec.w, w_t, rtol=0, atol=1e-12)
+    assert abs(rec.loss_meta - float(batch_losses(w_t, s.x, s.y, spec))) <= 1e-12
+    np.testing.assert_allclose(rec.losses_per_expert, losses, rtol=0, atol=1e-12)
+    np.testing.assert_array_equal(rec.alpha_before, meta.alpha)
+    np.testing.assert_allclose(rec.alpha_after, after.alpha, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(pool.online.w, online.w, rtol=0, atol=1e-12)
+    assert pool.online.t == online.t and pool.t == t_pool + 1
+    for got, want in zip(pool.offline, experts[:-1]):
+        np.testing.assert_array_equal(got, want)
+
+
+@st.composite
+def batches(draw):
+    dim, n = draw(st.integers(1, 30)), draw(st.integers(1, 50))
+    spec = LossSpec.create(D=draw(st.floats(0.1, 5.0)), R=draw(st.floats(0.1, 5.0)), dim=dim)
+    X = in_ball(draw, dim, spec.constants.D, n=n)
+    y = np.array(draw(st.lists(st.sampled_from([-1, 1]), min_size=n, max_size=n)))
+    return spec, in_ball(draw, dim, spec.constants.R), X, y
+
+
+@given(batches())
+def test_batch_mean_grad_is_the_row_mean_of_grad_loss(batch):
+    spec, w, X, y = batch
+    rows = [grad_loss(w, Sample(x=x, y=int(label)), spec) for x, label in zip(X, y)]
+    np.testing.assert_allclose(batch_mean_grad(w, X, y, spec), np.mean(rows, axis=0),
+                               rtol=0, atol=1e-12)
+
+
+@given(batches())
+def test_gradient_is_self_bounding(batch):
+    spec, w, X, y = batch
+    beta = spec.constants.beta
+    for x, label in zip(X, y):
+        s = Sample(x=x, y=int(label))
+        g = grad_loss(w, s, spec)
+        assert float(g @ g) <= 4.0 * beta * loss(w, s, spec) * (1.0 + 1e-12)
 
 
 def records(head, fields, sep):
