@@ -6,6 +6,9 @@ walk between intervals, so no two intervals share a distribution. All
 features are conditioned into the unit ball after sampling.
 """
 
+import os
+import tempfile
+
 import numpy as np
 
 from co2learn import StreamSpec, dump_stream, gen_synthetic, load_stream
@@ -29,8 +32,10 @@ print("\nmean-drift magnitudes between consecutive intervals:")
 print("  " + "  ".join(f"{d:.3f}" for d in drift))
 
 # Streams round-trip through a plain CSV (g,t,y,x1,...,xdim) exactly.
-dump_stream(intervals, "/tmp/demo_stream.csv")
-back = load_stream("/tmp/demo_stream.csv")
+with tempfile.TemporaryDirectory() as tmp:
+    path = os.path.join(tmp, "stream.csv")
+    dump_stream(intervals, path)
+    back = load_stream(path)
 identical = all(np.array_equal(a.X, b.X) and np.array_equal(a.y, b.y)
                 for a, b in zip(intervals, back))
 print(f"\nCSV round-trip exact: {identical}")

@@ -45,6 +45,7 @@ print(f"\nworst coupled-regret slack against the closed-form bound: {worst:.3f} 
       f"(negative = bound satisfied)")
 
 # meta weights at the end of the final interval: how much mass the
-# meta-expert kept on the online expert (last entry) vs offline knowledge
-alphas = np.array([run.steps[-1].alpha[: run.intervals[-1].K] for run in report.runs])
+# meta-expert kept on the online expert (last entry) vs offline knowledge;
+# the last step's row holds them from column 4 on (see SeedRun)
+alphas = np.array([run.steps[-1, 4: 4 + run.intervals[-1].K] for run in report.runs])
 print(f"mean final weight on the online expert: {alphas[:, -1].mean():.3f}")

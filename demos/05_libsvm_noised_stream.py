@@ -5,6 +5,9 @@ blocks of B, and each block gets fresh class-conditional Gaussian noise so
 the blocks genuinely differ in distribution. A short coupled run follows.
 """
 
+import os
+import tempfile
+
 import numpy as np
 
 from co2learn import (
@@ -36,13 +39,14 @@ print(f"stream: {len(intervals)} intervals x {intervals[0].n} samples; "
 
 # the harness consumes the same stream via a config (it re-parses the file;
 # here we just hand it a temp copy)
-path = "/tmp/demo_libsvm.txt"
-with open(path, "w") as fh:
-    fh.write(text)
-config = ExperimentConfig(
-    stream=stream_spec, seeds=(5,), K_max=3, input_path=path, wstar_proxy=False
-)
-report = run_experiment(config)
+with tempfile.TemporaryDirectory() as tmp:
+    path = os.path.join(tmp, "demo.libsvm")
+    with open(path, "w") as fh:
+        fh.write(text)
+    config = ExperimentConfig(
+        stream=stream_spec, seeds=(5,), K_max=3, input_path=path, wstar_proxy=False
+    )
+    report = run_experiment(config)
 for m in report.runs[0].intervals:
     print(f"interval {m.g}: K={m.K} regret_co2={m.regret_co2:.3f} "
           f"regret_oe={m.regret_oe:.3f} (bound {m.co2_bound_worst:.2f})")

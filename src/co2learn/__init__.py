@@ -35,7 +35,6 @@ from .harness import (
     RunReport,
     emit_reports,
     erm_oracle,
-    parse_steps_csv,
     run_experiment,
 )
 from .losses import LossSpec, grad_loss, loss

@@ -28,6 +28,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .errors import DataError
+
 
 @dataclass(frozen=True)
 class BoundInputs:
@@ -156,7 +158,7 @@ def estimate_eigenvalues(X: np.ndarray) -> np.ndarray:
     non-increasing, with negative rounding noise clamped to zero."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] == 0:
-        raise ValueError("need a non-empty (n, dim) sample matrix")
+        raise DataError("need a non-empty (n, dim) sample matrix")
     moment = (X.T @ X) / X.shape[0]
     ev = np.linalg.eigvalsh(moment)[::-1]
     return np.maximum(ev, 0.0)

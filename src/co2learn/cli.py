@@ -180,14 +180,14 @@ def _cmd_bounds(cfg: dict) -> int:
         X = generate(spec)[-1].X
     extra = cfg["bounds"]
     gamma = extra["gamma"] if extra.get("gamma") else config.gamma_floor
+    eigenvalues = tb.estimate_eigenvalues(X)  # DataError on an empty input
     try:  # the bounds block is the CLI's own; BoundInputs is where it is checked
         inputs = tb.BoundInputs(
             T=spec.B, K=min(spec.G, config.K_max), B=spec.B,
             D=spec.D, R=config.R, beta=loss_spec.constants.beta,
             gamma=gamma, delta=config.delta,
             regret_KE=extra["regret_KE"], omega_star=extra["omega_star"],
-            weighted_loss=extra["weighted_loss"],
-            eigenvalues=tb.estimate_eigenvalues(X),
+            weighted_loss=extra["weighted_loss"], eigenvalues=eigenvalues,
         )
     except ValueError as exc:
         raise ConfigError(f"bad bounds settings: {exc}") from None

@@ -16,7 +16,6 @@ raises BoundViolation, which the CLI maps to exit code 3.
 
 from __future__ import annotations
 
-import csv
 import json
 import os
 from dataclasses import asdict, dataclass, field, replace
@@ -85,18 +84,6 @@ class ExperimentConfig:
 
 
 @dataclass(frozen=True)
-class StepRow:
-    seed: int
-    g: int
-    t: int
-    loss_co2: float
-    loss_ogd: float
-    regret_co2: float
-    regret_ogd: float
-    alpha: np.ndarray
-
-
-@dataclass(frozen=True)
 class IntervalMetrics:
     seed: int
     g: int
@@ -147,8 +134,14 @@ class RolloverMetrics:
 
 @dataclass(frozen=True)
 class SeedRun:
+    """One seed's records. ``steps`` is a ``(G*B, 4 + K_max)`` float64 table:
+    row ``(g-1)*B + (t-1)`` holds step t of interval g, in the columns
+    loss_co2, loss_ogd (the whole-stream OGD baseline's), regret_co2 and
+    regret_ogd (cumulative within the interval against its ERM comparator), and
+    alpha_1..alpha_Kmax (post-update meta weights, 0.0 past the live experts)."""
+
     seed: int
-    steps: list[StepRow]
+    steps: np.ndarray
     intervals: list[IntervalMetrics]
     rollovers: list[RolloverMetrics]
     bound_report: dict
@@ -213,7 +206,8 @@ def _run_seed(config: ExperimentConfig, spec: LossSpec, seed: int, input_samples
     baseline = init_online("cold", spec.constants)
     w_ogd, t_ogd = baseline.w, baseline.t  # stepped in place
 
-    steps: list[StepRow] = []
+    B = stream_spec.B
+    steps = np.zeros((stream_spec.G * B, 4 + config.K_max))
     metrics: list[IntervalMetrics] = []
     rollovers: list[RolloverMetrics] = []
     last_eigs = np.zeros(0)
@@ -222,12 +216,12 @@ def _run_seed(config: ExperimentConfig, spec: LossSpec, seed: int, input_samples
         g = buf.interval_index
         K = pool.K
         nu = pool.meta.nu
-        B = buf.n
+        rows = steps[(g - 1) * B: g * B]  # a view: filled in place
+        alphas = rows[:, 4: 4 + K]
         co2_losses = np.empty(B)
         ogd_losses = np.empty(B)
         expert_losses = np.empty((B, K))
         weighted_losses = np.empty(B)
-        alphas = np.empty((B, K))
         for t in range(B):
             x, y = buf.X[t], int(buf.y[t])
             rec = pool.process_labeled(Sample(x=x, y=y))
@@ -246,18 +240,20 @@ def _run_seed(config: ExperimentConfig, spec: LossSpec, seed: int, input_samples
         m = _interval_metrics(
             config, spec, seed, g, K, nu, B,
             co2_losses, ogd_losses, expert_losses, weighted_losses,
-            erm_losses, w_hat, stream_spec, buf,
+            erm_losses, stream_spec, buf,
         )
         metrics.append(m)
         _assert_interval_bounds(m)
-        steps.extend(_step_rows(seed, g, config.K_max, co2_losses, ogd_losses,
-                                erm_losses, alphas))
+        rows[:, 0] = co2_losses
+        rows[:, 1] = ogd_losses
+        rows[:, 2] = np.cumsum(co2_losses - erm_losses)
+        rows[:, 3] = np.cumsum(ogd_losses - erm_losses)
         last_eigs = tb.estimate_eigenvalues(buf.X)
 
         if g < stream_spec.G:
             roll = pool.rollover(buf)
             rollovers.append(_rollover_metrics(config, spec, seed, stream_spec, buf, roll))
-            _assert_rollover_bounds(config, rollovers[-1])
+            _assert_rollover_bounds(rollovers[-1])
 
     final = metrics[-1]
     last_roll = rollovers[-1] if rollovers else None
@@ -275,7 +271,7 @@ def _run_seed(config: ExperimentConfig, spec: LossSpec, seed: int, input_samples
 
 
 def _interval_metrics(config, spec, seed, g, K, nu, B, co2_losses, ogd_losses,
-                      expert_losses, weighted_losses, erm_losses, w_hat,
+                      expert_losses, weighted_losses, erm_losses,
                       stream_spec, buf) -> IntervalMetrics:
     cum_experts = expert_losses.sum(axis=0)
     best = float(cum_experts.min())
@@ -362,28 +358,12 @@ def _assert_interval_bounds(m: IntervalMetrics) -> None:
             raise BoundViolation(f"seed {m.seed} interval {m.g}: {msg}")
 
 
-def _assert_rollover_bounds(config: ExperimentConfig, r: RolloverMetrics) -> None:
+def _assert_rollover_bounds(r: RolloverMetrics) -> None:
     if r.omega_new > r.anchor_cap:
         raise BoundViolation(
             f"seed {r.seed} interval {r.g_completed}: anchor distance "
             f"{r.omega_new} exceeds {r.anchor_cap}"
         )
-
-
-def _step_rows(seed, g, K_max, co2_losses, ogd_losses, erm_losses, alphas) -> list[StepRow]:
-    cum_co2 = np.cumsum(co2_losses - erm_losses)
-    cum_ogd = np.cumsum(ogd_losses - erm_losses)
-    rows = []
-    for t in range(len(co2_losses)):
-        alpha = np.zeros(K_max)
-        alpha[: alphas.shape[1]] = alphas[t]
-        rows.append(StepRow(
-            seed=seed, g=g, t=t + 1,
-            loss_co2=float(co2_losses[t]), loss_ogd=float(ogd_losses[t]),
-            regret_co2=float(cum_co2[t]), regret_ogd=float(cum_ogd[t]),
-            alpha=alpha,
-        ))
-    return rows
 
 
 def _aggregate(runs: list[SeedRun]) -> dict:
@@ -419,20 +399,16 @@ def emit_reports(report: RunReport, out_dir: str) -> dict:
         "summary": os.path.join(out_dir, "summary.json"),
         "bounds": os.path.join(out_dir, "bounds.json"),
     }
-    K_max = report.config.K_max
+    B, K_max = report.config.stream.B, report.config.K_max
     header = ["seed", "g", "t", "loss_co2", "loss_ogd", "regret_co2", "regret_ogd"]
     header += [f"alpha_{k}" for k in range(1, K_max + 1)]
+    row_format = "%d,%d,%d" + ",%.17g" * (4 + K_max) + "\n"  # seed, g, t, then SeedRun.steps
     with open(paths["steps"], "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
+        fh.write(",".join(header) + "\n")
         for run in report.runs:
-            for row in run.steps:
-                writer.writerow(
-                    [row.seed, row.g, row.t]
-                    + [f"{v:.17g}" for v in
-                       (row.loss_co2, row.loss_ogd, row.regret_co2, row.regret_ogd)]
-                    + [f"{v:.17g}" for v in row.alpha]
-                )
+            for i, row in enumerate(run.steps.tolist()):
+                g, t = divmod(i, B)
+                fh.write(row_format % (run.seed, g + 1, t + 1, *row))
     summary = {
         "config": _config_dict(report.config),
         "aggregate": report.aggregate,
@@ -460,20 +436,3 @@ def _config_dict(config: ExperimentConfig) -> dict:
     d["seeds"] = list(config.seeds)
     return d
 
-
-def parse_steps_csv(path: str) -> list[StepRow]:
-    """Read steps.csv back into rows; trailing zero alphas are padding."""
-    rows = []
-    with open(path) as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        n_alpha = sum(1 for h in header if h.startswith("alpha_"))
-        for rec in reader:
-            alpha = np.array([float(v) for v in rec[7: 7 + n_alpha]])
-            rows.append(StepRow(
-                seed=int(rec[0]), g=int(rec[1]), t=int(rec[2]),
-                loss_co2=float(rec[3]), loss_ogd=float(rec[4]),
-                regret_co2=float(rec[5]), regret_ogd=float(rec[6]),
-                alpha=alpha,
-            ))
-    return rows

@@ -87,8 +87,8 @@ class CounterRng:
         n = len(arr)
         if n < 2:
             return arr
-        u = self.uniforms(n - 1)
-        for k, i in enumerate(range(n - 1, 0, -1)):
-            j = int(u[k] * (i + 1))
-            arr[i], arr[j] = arr[j], arr[i]
-        return arr
+        out = arr.tolist()  # swapping list items is cheaper than numpy scalars
+        for i, u in zip(range(n - 1, 0, -1), self.uniforms(n - 1).tolist()):
+            j = int(u * (i + 1))
+            out[i], out[j] = out[j], out[i]
+        return np.array(out, dtype=arr.dtype)

@@ -1,4 +1,4 @@
-"""Brute-force oracles shared by the tests.
+"""Brute-force oracles and reference implementations shared by the tests.
 
 The grid oracle enumerates the hypothesis ball at a fixed pitch and
 evaluates batch objectives directly from the loss formula, independent of
@@ -45,3 +45,18 @@ def grid_min_objective(
         objective = objective + 0.5 * gamma * np.einsum("ij,ij->i", d, d)
     best = int(np.argmin(objective))
     return float(objective[best]), grid[best]
+
+
+def reference_shuffle(rng, items: np.ndarray) -> np.ndarray:
+    """The Fisher-Yates of ``CounterRng.shuffle``'s contract, swapping numpy
+    elements in place: draw k of ``rng.uniforms(n - 1)`` picks
+    ``j = floor(u * (i + 1))`` for ``i = n - 1 - k``."""
+    arr = np.array(items)
+    n = len(arr)
+    if n < 2:
+        return arr
+    u = rng.uniforms(n - 1)
+    for k, i in enumerate(range(n - 1, 0, -1)):
+        j = int(u[k] * (i + 1))
+        arr[i], arr[j] = arr[j], arr[i]
+    return arr

@@ -164,6 +164,16 @@ class TestLibsvmPipeline:
         )
         assert rc == 2
 
+    @pytest.mark.parametrize("command", ["run", "generate", "bounds"])
+    def test_empty_input_is_one_line_exit_2(self, tmp_path, capsys, command):
+        data = tmp_path / "empty.libsvm"
+        data.write_text("")
+        rc = run_cli(command, "--mode", "libsvm", "--input", str(data), "--dim", "2",
+                     "--out", str(tmp_path / "o"))
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("data error:") and len(err.splitlines()) == 1
+
     def test_bad_argument_is_exit_1(self):
         assert run_cli("run", "--strategy", "bogus") == 1
 

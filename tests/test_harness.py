@@ -8,13 +8,19 @@ from co2learn.harness import (
     ExperimentConfig,
     emit_reports,
     erm_oracle,
-    parse_steps_csv,
     run_experiment,
 )
 from co2learn.losses import LossSpec, batch_mean_loss
 from co2learn.streams import StreamSpec, gen_synthetic
 
 from oracles import grid_min_objective
+
+# columns of SeedRun.steps; steps.csv puts seed, g, t in front of them
+LOSS_CO2, LOSS_OGD, REGRET_CO2, REGRET_OGD, ALPHA = 0, 1, 2, 3, 4
+
+
+def read_steps_csv(path):
+    return np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
 
 
 @pytest.fixture(scope="module")
@@ -77,25 +83,25 @@ class TestRunExperiment:
             stream=StreamSpec(G=1, B=80, dim=2, seed=3), seeds=(9,),
             K_max=2, wstar_proxy=False,
         )
-        report = run_experiment(config)
-        for row in report.runs[0].steps:
-            assert row.loss_co2 == row.loss_ogd
-            assert row.regret_co2 == row.regret_ogd
+        steps = run_experiment(config).runs[0].steps
+        np.testing.assert_array_equal(steps[:, LOSS_CO2], steps[:, LOSS_OGD])
+        np.testing.assert_array_equal(steps[:, REGRET_CO2], steps[:, REGRET_OGD])
 
     def test_regret_identity_recomputed_from_rows(self, small_report):
+        B = small_report.config.stream.B
         for run in small_report.runs:
             for m in run.intervals:
                 assert m.regret_me + m.regret_ke == pytest.approx(m.regret_co2, abs=1e-9)
                 # cumulative column at the interval's last row equals the
                 # interval regret computed from the summaries
-                last = [r for r in run.steps if r.g == m.g][-1]
-                assert last.regret_co2 == pytest.approx(m.regret_co2, abs=1e-9)
+                last = run.steps[m.g * B - 1]
+                assert last[REGRET_CO2] == pytest.approx(m.regret_co2, abs=1e-9)
 
     def test_baseline_consumes_identical_sequence(self, small_report):
         # first step of interval 1: baseline starts at w=0, same as the pool
         run = small_report.runs[0]
         first = run.steps[0]
-        assert first.loss_co2 == first.loss_ogd
+        assert first[LOSS_CO2] == first[LOSS_OGD]
 
     def test_bounds_hold_per_interval(self, small_report):
         for run in small_report.runs:
@@ -136,16 +142,17 @@ class TestRunExperiment:
         from co2learn.losses import batch_losses
 
         config = small_report.config
+        B = config.stream.B
         run = small_report.runs[0]
         stream = gen_synthetic(dc_replace(config.stream, seed=run.seed))
         for buf in stream:
             w_hat = erm_oracle(buf.X, buf.y, spec, tol=config.erm_tol)
             comparator = batch_losses(w_hat, buf.X, buf.y, spec)
-            rows = [r for r in run.steps if r.g == buf.interval_index]
-            prev = 0.0
-            for r, c in zip(rows, comparator):
-                assert r.regret_co2 - prev == pytest.approx(r.loss_co2 - c, abs=1e-12)
-                prev = r.regret_co2
+            g = buf.interval_index
+            rows = run.steps[(g - 1) * B: g * B]
+            increments = np.diff(rows[:, REGRET_CO2], prepend=0.0)
+            np.testing.assert_allclose(increments, rows[:, LOSS_CO2] - comparator,
+                                       rtol=0, atol=1e-12)
 
     def test_warm_init_policy_runs(self):
         config = ExperimentConfig(
@@ -159,7 +166,7 @@ class TestRunExperiment:
 class TestEmitReports:
     def test_files_and_row_counts(self, small_report, tmp_path):
         paths = emit_reports(small_report, str(tmp_path))
-        rows = parse_steps_csv(paths["steps"])
+        rows = read_steps_csv(paths["steps"])
         config = small_report.config
         assert len(rows) == len(config.seeds) * config.stream.G * config.stream.B
         with open(paths["steps"]) as fh:
@@ -175,16 +182,13 @@ class TestEmitReports:
 
     def test_roundtrip_exact(self, small_report, tmp_path):
         paths = emit_reports(small_report, str(tmp_path))
-        rows = parse_steps_csv(paths["steps"])
-        flat = [r for run in small_report.runs for r in run.steps]
-        assert len(rows) == len(flat)
-        for got, want in zip(rows, flat):
-            assert (got.seed, got.g, got.t) == (want.seed, want.g, want.t)
-            assert got.loss_co2 == want.loss_co2
-            assert got.loss_ogd == want.loss_ogd
-            assert got.regret_co2 == want.regret_co2
-            assert got.regret_ogd == want.regret_ogd
-            np.testing.assert_array_equal(got.alpha, want.alpha)
+        G, B = small_report.config.stream.G, small_report.config.stream.B
+        g, t = np.divmod(np.arange(G * B), B)
+        want = np.vstack([
+            np.column_stack([np.full(G * B, run.seed), g + 1, t + 1, run.steps])
+            for run in small_report.runs
+        ])
+        np.testing.assert_array_equal(read_steps_csv(paths["steps"]), want)
 
     def test_empty_rejected(self, small_report):
         empty = small_report.__class__(config=small_report.config, runs=[], aggregate={})
@@ -193,7 +197,9 @@ class TestEmitReports:
 
     def test_alpha_padding_is_zero_beyond_live_experts(self, small_report, tmp_path):
         paths = emit_reports(small_report, str(tmp_path))
-        rows = parse_steps_csv(paths["steps"])
-        g1 = [r for r in rows if r.g == 1 and r.seed == small_report.config.seeds[0]]
-        assert all(np.all(r.alpha[1:] == 0.0) for r in g1)  # K=1 in interval 1
-        assert all(r.alpha[0] == 1.0 for r in g1)
+        rows = read_steps_csv(paths["steps"])
+        g1 = rows[(rows[:, 1] == 1) & (rows[:, 0] == small_report.config.seeds[0])]
+        alpha = g1[:, 3 + ALPHA:]
+        assert len(g1) == small_report.config.stream.B
+        assert np.all(alpha[:, 1:] == 0.0)  # K=1 in interval 1
+        assert np.all(alpha[:, 0] == 1.0)

@@ -7,22 +7,35 @@ that its losses lie in [0, 1] or that the new weights are on the simplex,
 code keeps each of those invariants for every input in its domain, that the
 pool's fused step and the gemv batch gradient equal the per-sample reference
 functions, that the loss is self-bounding, and that the two stream parsers,
-where outside text enters, fail only with the documented errors.
+where outside text enters, fail only with the documented errors. The last
+group holds the generator's contract (see ``co2learn.rng`` and the substream
+layout in ``co2learn.streams``) for any seed and request sizes.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from co2learn.errors import DataError
 from co2learn.geometry import Sample, project_to_ball
+from co2learn.harness import ExperimentConfig, run_experiment
 from co2learn.losses import LossSpec, batch_losses, batch_mean_grad, grad_loss, loss
 from co2learn.meta import MetaWeights, combine, update_weights
 from co2learn.online import OnlineExpertState, init_online, ogd_step
 from co2learn.pool import ExpertPool
-from co2learn.streams import load_stream, parse_libsvm
+from co2learn.rng import CounterRng, substream
+from co2learn.streams import (
+    StreamSpec,
+    gen_synthetic,
+    load_stream,
+    parse_libsvm,
+    sample_from_means,
+)
+
+from oracles import reference_shuffle
 
 
 def vectors(dim, bound):
@@ -193,3 +206,60 @@ def test_load_stream_returns_intervals_or_a_data_error(tmp_path_factory, text):
         return
     for buf in intervals:
         assert np.all(np.isin(buf.y, (-1, 1))) and np.all(np.isfinite(buf.X))
+
+
+SEEDS = st.integers(0, 2**64 - 1)
+
+
+@given(SEEDS, st.integers(0, 300), st.integers(0, 300))
+def test_draws_do_not_depend_on_how_requests_are_split(seed, n, m):
+    for draw in ("raw", "uniforms"):
+        parts = CounterRng(seed)
+        split = np.concatenate([getattr(parts, draw)(n), getattr(parts, draw)(m)])
+        np.testing.assert_array_equal(split, getattr(CounterRng(seed), draw)(n + m))
+
+
+@given(SEEDS, st.integers(0, 500), st.sampled_from([np.int64, np.float64]))
+def test_shuffle_matches_the_reference_loop(seed, n, dtype):
+    items = (np.arange(n) * 3 - 7).astype(dtype)
+    rng, ref = CounterRng(seed), CounterRng(seed)
+    got, want = rng.shuffle(items), reference_shuffle(ref, items)
+    assert got.dtype == want.dtype
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(rng.raw(2), ref.raw(2))  # as many draws consumed
+
+
+@st.composite
+def small_streams(draw):
+    return StreamSpec(G=draw(st.integers(1, 3)), B=draw(st.integers(1, 30)),
+                      dim=draw(st.integers(1, 4)), seed=draw(st.integers(0, 2**63)),
+                      drift_std=draw(st.floats(0.0, 1.0)))
+
+
+@given(small_streams(), st.integers(1, 3))
+def test_a_longer_stream_keeps_its_first_intervals(spec, extra):
+    longer = gen_synthetic(replace(spec, G=spec.G + extra))
+    for a, b in zip(gen_synthetic(spec), longer):
+        assert a.interval_index == b.interval_index
+        for name in ("X", "y", "class_means"):
+            np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+
+
+@settings(max_examples=15)
+@given(small_streams())
+def test_proxy_draws_never_move_the_interval_samples(spec):
+    for buf in gen_synthetic(spec):
+        # interval g's samples come from substream g alone, the proxy's from
+        # substream 2**32 + g
+        X, y = sample_from_means(buf.class_means, spec.B, spec.D,
+                                 substream(spec.seed, buf.interval_index))
+        np.testing.assert_array_equal(buf.X, X)
+        np.testing.assert_array_equal(buf.y, y)
+    # and a run that fits the proxy every interval sees the same samples
+    config = ExperimentConfig(stream=spec, seeds=(spec.seed,), wstar_proxy=False)
+    plain = run_experiment(config).runs[0]
+    proxied = run_experiment(replace(config, wstar_proxy=True)).runs[0]
+    np.testing.assert_array_equal(proxied.steps, plain.steps)
+    for a, b in zip(proxied.intervals, plain.intervals):
+        assert a.regret_co2_vs_wstar is not None
+        assert replace(a, regret_co2_vs_wstar=None, regret_ogd_vs_wstar=None) == b
