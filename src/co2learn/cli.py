@@ -21,15 +21,13 @@ import os
 import sys
 from dataclasses import MISSING, fields, replace
 
-import numpy as np
-
 from . import bounds as tb
 from .errors import BoundViolation, ConfigError, ConvergenceError, DataError
 from .harness import ExperimentConfig, emit_reports, load_input_samples, run_experiment
 from .losses import LossSpec
 from .online import INIT_POLICIES
 from .pool import STRATEGIES
-from .streams import StreamSpec, condition_norms, dump_stream, generate, parse_libsvm
+from .streams import StreamSpec, dump_stream, generate, parse_libsvm
 
 
 class _Parser(argparse.ArgumentParser):
@@ -174,13 +172,10 @@ def _cmd_bounds(cfg: dict) -> int:
     config = _experiment_config(cfg)
     spec = config.stream
     loss_spec = LossSpec.create(D=spec.D, R=config.R, dim=spec.dim)
-    if spec.mode == "libsvm_noised":
-        X = condition_norms(np.asarray([s.x for s in load_input_samples(config)]), spec.D)
-    else:
-        X = generate(spec)[-1].X
+    X = generate(spec, load_input_samples(config))[-1].X  # the final interval, as in run
     extra = cfg["bounds"]
     gamma = extra["gamma"] if extra.get("gamma") else config.gamma_floor
-    eigenvalues = tb.estimate_eigenvalues(X)  # DataError on an empty input
+    eigenvalues = tb.estimate_eigenvalues(X)
     try:  # the bounds block is the CLI's own; BoundInputs is where it is checked
         inputs = tb.BoundInputs(
             T=spec.B, K=min(spec.G, config.K_max), B=spec.B,

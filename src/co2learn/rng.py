@@ -27,58 +27,112 @@ Derived values, in documented order:
 
 This pins the byte-level content of every generated stream to (seed, draw
 order) alone, independent of numpy's own RNG machinery.
+
+Draws are produced in fixed-size blocks of ``_BLOCK`` raw draws, written in
+place into the result through scratch buffers of at most that size, so a
+large draw holds little more than its result. Every value is a function of
+its own counter, so no value depends on the block size or on where the
+block boundaries fall.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+_GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
-_MASK = np.uint64(0xFFFFFFFFFFFFFFFF)
+_MASK = 0xFFFFFFFFFFFFFFFF
+_SHIFTS = {n: np.uint64(n) for n in (11, 27, 30, 31)}
 
 _U53 = 2.0**-53
+# k * _NEG_U53 is -(k * 2**-53) and k * _TWO_PI_U53 is (2 pi) * (k * 2**-53),
+# bit for bit: scaling by a power of two is exact.
+_NEG_U53 = -_U53
+_TWO_PI_U53 = 2.0 * np.pi * _U53
+
+_BLOCK = 2**14  # raw draws per block (even); a normals block's scratch is 448 KiB
+_RAMP = np.arange(_BLOCK, dtype=np.uint64) * np.uint64(_GOLDEN)  # k * gamma mod 2**64
 
 
-def _mix64(z: np.ndarray) -> np.ndarray:
-    z = (z ^ (z >> np.uint64(30))) * _MIX1
-    z = (z ^ (z >> np.uint64(27))) * _MIX2
-    return z ^ (z >> np.uint64(31))
+def _mix64(z: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """The SplitMix64 finalizer, in place on uint64 ``z``; ``t`` is scratch
+    of the same shape. Returns ``z``."""
+    for shift, mul in ((30, _MIX1), (27, _MIX2)):
+        np.right_shift(z, _SHIFTS[shift], out=t)
+        z ^= t
+        z *= mul
+    np.right_shift(z, _SHIFTS[31], out=t)
+    z ^= t
+    return z
 
 
 def substream(seed: int, index: int) -> "CounterRng":
     """Independent substream ``seed XOR index`` (the per-interval scheme)."""
-    return CounterRng((int(seed) ^ int(index)) & 0xFFFFFFFFFFFFFFFF)
+    return CounterRng((int(seed) ^ int(index)) & _MASK)
 
 
 class CounterRng:
     """SplitMix64 counter generator; see the module docstring for the contract."""
 
     def __init__(self, seed: int):
-        self._seed = np.uint64(int(seed) & 0xFFFFFFFFFFFFFFFF)
+        self._seed = int(seed) & _MASK
         self._count = 0  # raw draws consumed so far
+
+    def _take(self, n: int) -> int:
+        """Consume ``n`` raw draws; return the counter of the first."""
+        self._count += n
+        return self._count - n + 1
+
+    def _fill(self, z: np.ndarray, t: np.ndarray, i: int) -> np.ndarray:
+        """Raw draws ``i, i + 1, ...`` into ``z`` (at most ``_BLOCK`` long),
+        in place; ``t`` is scratch at least as long."""
+        np.add(_RAMP[: len(z)], (self._seed + i * _GOLDEN) & _MASK, out=z)
+        return _mix64(z, t[: len(z)])
 
     def raw(self, n: int) -> np.ndarray:
         """Next ``n`` raw uint64 outputs."""
-        idx = np.arange(self._count + 1, self._count + n + 1, dtype=np.uint64)
-        self._count += n
-        with np.errstate(over="ignore"):
-            return _mix64((self._seed + idx * _GOLDEN) & _MASK)
+        first = self._take(n)
+        out = np.empty(n, dtype=np.uint64)
+        t = np.empty(min(_BLOCK, n), dtype=np.uint64)
+        for lo in range(0, n, _BLOCK):
+            self._fill(out[lo: lo + _BLOCK], t, first + lo)
+        return out
 
     def uniforms(self, n: int) -> np.ndarray:
         """``n`` uniforms in [0, 1)."""
-        return (self.raw(n) >> np.uint64(11)).astype(np.float64) * _U53
+        z = self.raw(n)
+        z >>= _SHIFTS[11]
+        return z * _U53
 
     def normals(self, n: int) -> np.ndarray:
-        """``n`` standard normals via Box-Muller on consecutive uniform pairs."""
+        """``n`` standard normals via Box-Muller on consecutive uniform pairs.
+
+        Each block's u_a and u_b halves are converted into contiguous
+        scratch, so the logarithm, square root and trigonometric functions
+        run on contiguous arrays; only the products are written into the
+        strided halves of the result."""
         m = (n + 1) // 2
-        u = self.uniforms(2 * m)
-        r = np.sqrt(-2.0 * np.log1p(-u[0::2]))
-        theta = 2.0 * np.pi * u[1::2]
+        first = self._take(2 * m)
         out = np.empty(2 * m)
-        out[0::2] = r * np.cos(theta)
-        out[1::2] = r * np.sin(theta)
+        size = min(_BLOCK, 2 * m)
+        z, t = np.empty(size, dtype=np.uint64), np.empty(size, dtype=np.uint64)
+        r, theta, trig = np.empty(size // 2), np.empty(size // 2), np.empty(size // 2)
+        for lo in range(0, 2 * m, _BLOCK):
+            k = min(_BLOCK, 2 * m - lo)
+            if k < size:  # the last, short block
+                z, r, theta, trig = z[:k], r[: k // 2], theta[: k // 2], trig[: k // 2]
+            self._fill(z, t, first + lo)
+            z >>= _SHIFTS[11]
+            np.multiply(z[0::2], _NEG_U53, out=r)
+            np.log1p(r, out=r)
+            r *= -2.0
+            np.sqrt(r, out=r)
+            np.multiply(z[1::2], _TWO_PI_U53, out=theta)
+            np.cos(theta, out=trig)
+            np.multiply(r, trig, out=out[lo: lo + k: 2])
+            np.sin(theta, out=trig)
+            np.multiply(r, trig, out=out[lo + 1: lo + k: 2])
         return out[:n]
 
     def shuffle(self, items: np.ndarray) -> np.ndarray:

@@ -102,14 +102,26 @@ class IntervalBuffer:
         return [Sample(x=self.X[i], y=int(self.y[i])) for i in range(self.n)]
 
 
+_ROW_BLOCK_VALUES = 2**14  # conditioning works on row blocks of about this many values
+
+
 def condition_norms(X: np.ndarray, D: float) -> np.ndarray:
-    """Rescale every row with ||x|| > D onto the sphere of radius D."""
+    """Rescale every row with ||x|| > D onto the sphere of radius D (a copy)."""
+    return _condition_in_place(np.array(X, dtype=np.float64), D)
+
+
+def _condition_in_place(X: np.ndarray, D: float) -> np.ndarray:
+    """``condition_norms`` on a float64 array it may overwrite, one block of
+    rows at a time, so its temporaries stay block-sized. Returns ``X``."""
     if not (D > 0):
         raise ValueError("D must be positive")
-    X = np.asarray(X, dtype=np.float64)
-    norms = np.linalg.norm(X, axis=-1, keepdims=True)
-    scale = np.where(norms > D, D / np.where(norms == 0, 1.0, norms), 1.0)
-    return X * scale
+    rows = np.atleast_2d(X)  # a view: writes land in X
+    step = max(1, _ROW_BLOCK_VALUES // max(1, rows.shape[-1]))
+    for lo in range(0, len(rows), step):
+        block = rows[lo: lo + step]
+        norms = np.linalg.norm(block, axis=-1, keepdims=True)
+        block *= np.where(norms > D, D / np.where(norms == 0, 1.0, norms), 1.0)
+    return X
 
 
 def _balanced_labels(B: int, rng: CounterRng) -> np.ndarray:
@@ -124,9 +136,11 @@ def sample_from_means(class_means: np.ndarray, n: int, D: float, rng: CounterRng
     the fresh-proxy draw so both see the same distribution."""
     dim = class_means.shape[1]
     y = _balanced_labels(n, rng)
-    noise = rng.normals(n * dim).reshape(n, dim)
-    X = np.where((y == 1)[:, None], class_means[0], class_means[1]) + noise
-    return condition_norms(X, D), y
+    X = rng.normals(n * dim).reshape(n, dim)  # the noise; means are added in place
+    pos = (y == 1)[:, None]
+    np.add(X, class_means[0], out=X, where=pos)
+    np.add(X, class_means[1], out=X, where=~pos)
+    return _condition_in_place(X, D), y
 
 
 def gen_synthetic(spec: StreamSpec) -> list[IntervalBuffer]:
@@ -257,7 +271,7 @@ def make_multidist(samples: list[Sample], spec: StreamSpec) -> list[IntervalBuff
         mean_neg = spec.noise_std * rng.normals(spec.dim)
         noise = spec.noise_std * rng.normals(spec.B * spec.dim).reshape(spec.B, spec.dim)
         X = X + noise + np.where((y == 1)[:, None], mean_pos, mean_neg)
-        intervals.append(IntervalBuffer(X=condition_norms(X, spec.D), y=y, interval_index=g))
+        intervals.append(IntervalBuffer(X=_condition_in_place(X, spec.D), y=y, interval_index=g))
     return intervals
 
 

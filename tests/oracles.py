@@ -60,3 +60,30 @@ def reference_shuffle(rng, items: np.ndarray) -> np.ndarray:
         j = int(u[k] * (i + 1))
         arr[i], arr[j] = arr[j], arr[i]
     return arr
+
+
+def reference_normals(rng, n: int) -> np.ndarray:
+    """``CounterRng.normals``'s Box-Muller contract over the whole request at
+    once: uniform pair k of ``rng.uniforms(2 * ceil(n / 2))`` gives normals
+    2k (cosine) and 2k + 1 (sine); an odd request drops the last sine."""
+    m = (n + 1) // 2
+    u = rng.uniforms(2 * m)
+    r = np.sqrt(-2.0 * np.log1p(-u[0::2]))
+    theta = 2.0 * np.pi * u[1::2]
+    out = np.empty(2 * m)
+    out[0::2] = r * np.cos(theta)
+    out[1::2] = r * np.sin(theta)
+    return out[:n]
+
+
+def reference_raw(seed: int, first: int, n: int) -> np.ndarray:
+    """Raw draws ``first .. first + n - 1`` of SplitMix64 seeded ``seed``, one
+    at a time in Python integers: ``mix64(seed + i * 0x9E3779B97F4A7C15)``."""
+    mask = 0xFFFFFFFFFFFFFFFF
+    out = []
+    for i in range(first, first + n):
+        z = (seed + i * 0x9E3779B97F4A7C15) & mask
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        out.append(z ^ (z >> 31))
+    return np.array(out, dtype=np.uint64)

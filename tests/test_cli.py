@@ -174,6 +174,25 @@ class TestLibsvmPipeline:
         assert rc == 2
         assert err.startswith("data error:") and len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("mode", ["libsvm", "synthetic"])
+    def test_bounds_and_run_use_the_same_eigenvalues(self, tmp_path, capsys, mode):
+        """Both estimate them on the final interval's samples, noised in libsvm
+        mode; synthetic mode runs at the default stream shape."""
+        argv = ["--seed", "3"]
+        if mode == "libsvm":
+            data = tmp_path / "toy.libsvm"
+            data.write_text("".join(f"{1 if i % 2 else -1} 1:{0.9 * (i % 5 - 2):.1f} "
+                                    f"2:{0.3 * (i % 3):.1f} 3:{0.05 * (i % 7):.2f}\n"
+                                    for i in range(200)))
+            argv += ["--mode", "libsvm", "--input", str(data), "--dim", "3",
+                     "--g", "4", "--b", "40"]
+        assert run_cli("run", *argv, "--out", str(tmp_path / "run")) == 0
+        assert run_cli("bounds", *argv, "--out", str(tmp_path / "bounds")) == 0
+        capsys.readouterr()
+        ran = json.loads((tmp_path / "run" / "bounds.json").read_text())["3"]
+        alone = json.loads((tmp_path / "bounds" / "bounds.json").read_text())
+        assert alone["inputs"]["eigenvalues"] == ran["inputs"]["eigenvalues"]
+
     def test_bad_argument_is_exit_1(self):
         assert run_cli("run", "--strategy", "bogus") == 1
 

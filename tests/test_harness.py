@@ -11,9 +11,10 @@ from co2learn.harness import (
     run_experiment,
 )
 from co2learn.losses import LossSpec, batch_mean_loss
+from co2learn.rng import _BLOCK, CounterRng
 from co2learn.streams import StreamSpec, gen_synthetic
 
-from oracles import grid_min_objective
+from oracles import grid_min_objective, reference_normals
 
 # columns of SeedRun.steps; steps.csv puts seed, g, t in front of them
 LOSS_CO2, LOSS_OGD, REGRET_CO2, REGRET_OGD, ALPHA = 0, 1, 2, 3, 4
@@ -203,3 +204,17 @@ class TestEmitReports:
         assert len(g1) == small_report.config.stream.B
         assert np.all(alpha[:, 1:] == 0.0)  # K=1 in interval 1
         assert np.all(alpha[:, 0] == 1.0)
+
+
+def test_reports_do_not_depend_on_the_draw_blocks(tmp_path, monkeypatch):
+    """At dim 60 each interval draw spans two blocks and each proxy draw
+    eleven; the reports equal those of whole-array draws byte for byte."""
+    stream = StreamSpec(G=3, B=300, dim=60, seed=5)
+    assert stream.B * stream.dim > _BLOCK
+    config = ExperimentConfig(stream=stream, seeds=(5, 6))
+    blocked = emit_reports(run_experiment(config), str(tmp_path / "blocked"))
+    monkeypatch.setattr(CounterRng, "normals", reference_normals)
+    whole = emit_reports(run_experiment(config), str(tmp_path / "whole"))
+    for name in ("steps", "summary", "bounds"):
+        with open(blocked[name], "rb") as a, open(whole[name], "rb") as b:
+            assert a.read() == b.read(), name

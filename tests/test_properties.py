@@ -26,7 +26,7 @@ from co2learn.losses import LossSpec, batch_losses, batch_mean_grad, grad_loss, 
 from co2learn.meta import MetaWeights, combine, update_weights
 from co2learn.online import OnlineExpertState, init_online, ogd_step
 from co2learn.pool import ExpertPool
-from co2learn.rng import CounterRng, substream
+from co2learn.rng import _BLOCK, CounterRng, substream
 from co2learn.streams import (
     StreamSpec,
     gen_synthetic,
@@ -35,7 +35,7 @@ from co2learn.streams import (
     sample_from_means,
 )
 
-from oracles import reference_shuffle
+from oracles import reference_normals, reference_raw, reference_shuffle
 
 
 def vectors(dim, bound):
@@ -227,6 +227,36 @@ def test_shuffle_matches_the_reference_loop(seed, n, dtype):
     assert got.dtype == want.dtype
     np.testing.assert_array_equal(got, want)
     np.testing.assert_array_equal(rng.raw(2), ref.raw(2))  # as many draws consumed
+
+
+# Draws are made _BLOCK raw values (so _BLOCK normals) at a time: request
+# sizes near and across block boundaries, and small ones of either parity.
+DRAW_COUNTS = st.one_of(
+    st.integers(0, 40),
+    st.builds(lambda k, d: k * _BLOCK + d, st.integers(1, 3), st.integers(-1, 1)),
+)
+
+
+@example(seed=1, prior=0, n=0)
+@example(seed=1, prior=0, n=1)
+@example(seed=1, prior=1, n=_BLOCK - 1)
+@example(seed=1, prior=_BLOCK + 1, n=3 * _BLOCK + 1)
+@given(SEEDS, DRAW_COUNTS, DRAW_COUNTS)
+def test_normals_match_the_whole_array_reference(seed, prior, n):
+    rng, ref = CounterRng(seed), CounterRng(seed)
+    for count in (prior, n):
+        got, want = rng.normals(count), reference_normals(ref, count)
+        assert got.shape == (count,)
+        assert got.tobytes() == want.tobytes()
+    np.testing.assert_array_equal(rng.raw(1), ref.raw(1))  # as many draws consumed
+
+
+@settings(max_examples=8)
+@given(SEEDS, DRAW_COUNTS, DRAW_COUNTS)
+def test_raw_draws_match_the_python_integer_reference(seed, prior, n):
+    rng = CounterRng(seed)
+    rng.raw(prior)
+    np.testing.assert_array_equal(rng.raw(n), reference_raw(seed, prior + 1, n))
 
 
 @st.composite

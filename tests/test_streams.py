@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from co2learn.errors import DataError, StreamFormatError
 from co2learn.geometry import Sample
-from co2learn.rng import CounterRng, substream
+from co2learn.rng import _BLOCK, CounterRng, substream
 from co2learn.streams import (
     IntervalBuffer,
     StreamSpec,
@@ -133,6 +135,43 @@ class TestConditionNorms:
 
     def test_zero_vector_stays(self):
         np.testing.assert_array_equal(condition_norms(np.zeros((1, 2)), 1.0), np.zeros((1, 2)))
+
+    @pytest.mark.parametrize("dim", [1, 3, 200, 40_000])
+    def test_row_blocks_match_the_whole_array_formula(self, dim):
+        rows = 100_000 // dim + 3  # several row blocks, the last one short
+        X = 0.2 * CounterRng(dim).normals(rows * dim).reshape(rows, dim)
+        before = X.copy()
+        norms = np.linalg.norm(X, axis=-1, keepdims=True)
+        want = X * np.where(norms > 1.0, 1.0 / np.where(norms == 0, 1.0, norms), 1.0)
+        assert condition_norms(X, 1.0).tobytes() == want.tobytes()
+        np.testing.assert_array_equal(X, before)  # the input is not touched
+
+
+def _peak_bytes(draw):
+    """tracemalloc's peak during ``draw()``, and what ``draw`` returned."""
+    tracemalloc.start()
+    try:
+        result = draw()
+        return tracemalloc.get_traced_memory()[1], result
+    finally:
+        tracemalloc.stop()
+
+
+class TestDrawMemory:
+    """A draw holds its result plus block-sized scratch, not full-size
+    temporaries (whole-array draws peaked at about 3.5 times the result)."""
+
+    def test_normals_peak_is_the_result_plus_block_scratch(self):
+        peak, z = _peak_bytes(lambda: CounterRng(1).normals(1_000_000))
+        scratch = 5 * 8 * _BLOCK  # at most five block-sized buffers of 8-byte values
+        assert peak <= 1.1 * (z.nbytes + scratch)
+
+    def test_proxy_draw_peak_is_about_one_result(self):
+        spec = StreamSpec(G=1, B=100, dim=200, seed=3)
+        buf = gen_synthetic(spec)[0]
+        peak, (X, y) = _peak_bytes(lambda: fresh_proxy_samples(spec, buf, 5_000))
+        assert X.shape == (5_000, 200)
+        assert peak <= 2.2 * (X.nbytes + y.nbytes)
 
 
 class TestParseLibsvm:
