@@ -54,7 +54,7 @@ class BoundInputs:
         for name in ("D", "R", "beta", "gamma", "delta", "regret_KE", "omega_star",
                      "weighted_loss"):
             value = getattr(self, name)
-            if not (isinstance(value, Real) and isfinite(value)):
+            if isinstance(value, bool) or not (isinstance(value, Real) and isfinite(value)):
                 raise ValueError(f"{name} must be a finite real number, got {value!r}")
         if min(self.T, self.K, self.B) < 1:
             raise ValueError("T, K and B must be positive integers")

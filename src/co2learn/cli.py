@@ -174,7 +174,7 @@ def _cmd_bounds(cfg: dict) -> int:
     loss_spec = LossSpec.create(D=spec.D, R=config.R, dim=spec.dim)
     X = generate(spec, load_input_samples(config))[-1].X  # the final interval, as in run
     extra = cfg["bounds"]
-    gamma = extra["gamma"] if extra.get("gamma") else config.gamma_floor
+    gamma = config.gamma_floor if extra["gamma"] is None else extra["gamma"]
     eigenvalues = tb.estimate_eigenvalues(X)
     try:  # the bounds block is the CLI's own; BoundInputs is where it is checked
         inputs = tb.BoundInputs(

@@ -44,7 +44,7 @@ class ProblemConstants:
             raise ValueError(f"dim must be a positive integer, got {self.dim}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Sample:
     """One labeled stream element: feature vector x and label y in {-1, +1}.
 
@@ -59,7 +59,7 @@ class Sample:
         x = np.asarray(self.x, dtype=np.float64)
         if x.ndim != 1:
             raise ValueError("sample features must be a 1-d vector")
-        if not np.all(np.isfinite(x)):
+        if not np.isfinite(x).all():
             raise ValueError("sample features must be finite")
         object.__setattr__(self, "x", x)
         if self.y not in (-1, 1):

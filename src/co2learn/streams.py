@@ -30,8 +30,9 @@ Libsvm mode: per interval, dim normals for the +1 noise mean, dim for the
 
 from __future__ import annotations
 
-import re
+from array import array
 from dataclasses import dataclass, field
+from math import isfinite
 
 import numpy as np
 
@@ -99,7 +100,7 @@ class IntervalBuffer:
 
     @property
     def samples(self) -> list[Sample]:
-        return [Sample(x=self.X[i], y=int(self.y[i])) for i in range(self.n)]
+        return [Sample(x=x, y=y) for x, y in zip(self.X, self.y.tolist())]
 
 
 _ROW_BLOCK_VALUES = 2**14  # conditioning works on row blocks of about this many values
@@ -172,9 +173,6 @@ def fresh_proxy_samples(spec: StreamSpec, interval: IntervalBuffer, n: int):
     return sample_from_means(interval.class_means, n, spec.D, rng)
 
 
-_FEATURE_RE = re.compile(r"^(\d+):([^\s:]+)$")
-
-
 def parse_libsvm(text: str, dim: int | None = None) -> list[Sample]:
     """Parse LIBSVM sparse text into dense samples (no norm conditioning).
 
@@ -185,66 +183,70 @@ def parse_libsvm(text: str, dim: int | None = None) -> list[Sample]:
     (ConfigError otherwise), and an index beyond it is an error; otherwise
     the dimension is the largest index seen (at least 1), and an index above
     ``MAX_DIM`` is an error: samples are stored dense.
+
+    One pass over the tokens into typed buffers, then one dense
+    ``(n, dim)`` float64 array; each returned ``Sample.x`` is a row view of it.
     """
     if dim is not None:
         check_int("dim", dim, minimum=1, maximum=MAX_DIM)
-    parsed: list[tuple[int, list[tuple[int, float]]]] = []
+    cap = MAX_DIM if dim is None else dim
+    labels = array("b")
+    nnz = array("q")  # features per row
+    cols = array("q")  # 0-based
+    vals = array("d")
+    add_col, add_val = cols.append, vals.append
     max_index = 0
     for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line:
-            continue
         tokens = line.split()
+        if not tokens:
+            continue
         label_tok = tokens[0]
         try:
             label_val = float(label_tok)
         except ValueError:
             raise StreamFormatError(f"non-numeric label {label_tok!r}", lineno) from None
-        if label_val in (1.0,):
-            y = 1
-        elif label_val in (0.0, -1.0):
-            y = -1
+        if label_val == 1.0:
+            labels.append(1)
+        elif label_val == 0.0 or label_val == -1.0:
+            labels.append(-1)
         else:
             raise StreamFormatError(f"label {label_tok!r} is not one of +1/1/0/-1", lineno)
-        feats: list[tuple[int, float]] = []
         prev_index = 0
         for tok in tokens[1:]:
-            m = _FEATURE_RE.match(tok)
-            if m is None:
+            index_tok, colon, value_tok = tok.partition(":")
+            if not (colon and index_tok.isdecimal() and value_tok and ":" not in value_tok):
                 raise StreamFormatError(f"malformed feature token {tok!r}", lineno)
             try:
-                idx, val = int(m.group(1)), float(m.group(2))
+                idx, val = int(index_tok), float(value_tok)
             except ValueError:  # a bad value, or an index too long for int()
                 raise StreamFormatError(f"non-numeric value in {tok!r}", lineno) from None
-            if not np.isfinite(val):
+            if not isfinite(val):
                 raise StreamFormatError(f"non-finite value in {tok!r}", lineno)
-            if idx < 1:
-                raise StreamFormatError(f"feature index must be >= 1, got {idx}", lineno)
-            if idx == prev_index:
-                raise StreamFormatError(f"duplicate feature index {idx}", lineno)
-            if idx < prev_index:
+            if idx <= prev_index:
+                if idx < 1:
+                    raise StreamFormatError(f"feature index must be >= 1, got {idx}", lineno)
+                if idx == prev_index:
+                    raise StreamFormatError(f"duplicate feature index {idx}", lineno)
                 raise StreamFormatError(
                     f"feature indices must be strictly increasing, got {idx} after {prev_index}",
                     lineno,
                 )
-            if dim is not None and idx > dim:
-                raise StreamFormatError(f"feature index {idx} exceeds dim={dim}", lineno)
-            if dim is None and idx > MAX_DIM:
+            if idx > cap:
+                if dim is not None:
+                    raise StreamFormatError(f"feature index {idx} exceeds dim={dim}", lineno)
                 raise StreamFormatError(
                     f"feature index {idx} exceeds the dimension cap {MAX_DIM}", lineno)
-            feats.append((idx, val))
+            add_col(idx - 1)
+            add_val(val)
             prev_index = idx
-        parsed.append((y, feats))
-        if feats:
-            max_index = max(max_index, feats[-1][0])
-    out_dim = dim if dim is not None else max(max_index, 1)
-    samples = []
-    for y, feats in parsed:
-        x = np.zeros(out_dim)
-        for idx, val in feats:
-            x[idx - 1] = val
-        samples.append(Sample(x=x, y=y))
-    return samples
+        nnz.append(len(tokens) - 1)
+        if prev_index > max_index:
+            max_index = prev_index
+    n = len(labels)
+    X = np.zeros((n, dim if dim is not None else max(max_index, 1)))
+    rows = np.repeat(np.arange(n), np.frombuffer(nnz, dtype=np.int64))
+    X[rows, np.frombuffer(cols, dtype=np.int64)] = np.frombuffer(vals)
+    return [Sample(x=x, y=y) for x, y in zip(X, labels.tolist())]
 
 
 def make_multidist(samples: list[Sample], spec: StreamSpec) -> list[IntervalBuffer]:

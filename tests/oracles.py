@@ -9,8 +9,14 @@ matches logaddexp(0, -z) to the last bit and is much faster on big grids.
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 from scipy.special import log_expit
+
+from co2learn.errors import StreamFormatError, check_int
+from co2learn.geometry import Sample
+from co2learn.streams import MAX_DIM
 
 _GRID_CACHE: dict[tuple[float, float], np.ndarray] = {}
 
@@ -87,3 +93,70 @@ def reference_raw(seed: int, first: int, n: int) -> np.ndarray:
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
         out.append(z ^ (z >> 31))
     return np.array(out, dtype=np.uint64)
+
+
+_FEATURE_RE = re.compile(r"^(\d+):([^\s:]+)$")
+
+
+def reference_parse_libsvm(text: str, dim: int | None = None) -> list[Sample]:
+    """``parse_libsvm``'s grammar, checks and messages, one regex match, one
+    tuple and one dense vector per token and row, each row its own array."""
+    if dim is not None:
+        check_int("dim", dim, minimum=1, maximum=MAX_DIM)
+    parsed: list[tuple[int, list[tuple[int, float]]]] = []
+    max_index = 0
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        tokens = line.split()
+        label_tok = tokens[0]
+        try:
+            label_val = float(label_tok)
+        except ValueError:
+            raise StreamFormatError(f"non-numeric label {label_tok!r}", lineno) from None
+        if label_val in (1.0,):
+            y = 1
+        elif label_val in (0.0, -1.0):
+            y = -1
+        else:
+            raise StreamFormatError(f"label {label_tok!r} is not one of +1/1/0/-1", lineno)
+        feats: list[tuple[int, float]] = []
+        prev_index = 0
+        for tok in tokens[1:]:
+            m = _FEATURE_RE.match(tok)
+            if m is None:
+                raise StreamFormatError(f"malformed feature token {tok!r}", lineno)
+            try:
+                idx, val = int(m.group(1)), float(m.group(2))
+            except ValueError:  # a bad value, or an index too long for int()
+                raise StreamFormatError(f"non-numeric value in {tok!r}", lineno) from None
+            if not np.isfinite(val):
+                raise StreamFormatError(f"non-finite value in {tok!r}", lineno)
+            if idx < 1:
+                raise StreamFormatError(f"feature index must be >= 1, got {idx}", lineno)
+            if idx == prev_index:
+                raise StreamFormatError(f"duplicate feature index {idx}", lineno)
+            if idx < prev_index:
+                raise StreamFormatError(
+                    f"feature indices must be strictly increasing, got {idx} after {prev_index}",
+                    lineno,
+                )
+            if dim is not None and idx > dim:
+                raise StreamFormatError(f"feature index {idx} exceeds dim={dim}", lineno)
+            if dim is None and idx > MAX_DIM:
+                raise StreamFormatError(
+                    f"feature index {idx} exceeds the dimension cap {MAX_DIM}", lineno)
+            feats.append((idx, val))
+            prev_index = idx
+        parsed.append((y, feats))
+        if feats:
+            max_index = max(max_index, feats[-1][0])
+    out_dim = dim if dim is not None else max(max_index, 1)
+    samples = []
+    for y, feats in parsed:
+        x = np.zeros(out_dim)
+        for idx, val in feats:
+            x[idx - 1] = val
+        samples.append(Sample(x=x, y=y))
+    return samples

@@ -1,9 +1,11 @@
 """The program names and state that the benchmark under ``bench/`` relies on.
 
 ``bench/tracing.py`` puts timers on module globals and methods by name, and
-``bench/workloads.py`` drives the pool directly and reads its state between
-calls. These tests run both against the current code, so a rename or a
-change of the pool's public state fails here rather than in a benchmark run.
+``bench/workloads.py`` drives the pool directly, reads its state between
+calls, and reads ``.x``/``.y`` of the parsed LIBSVM samples. These tests run
+both against the current code, so a rename, a change of the pool's public
+state or of the parse's return value fails here rather than in a benchmark
+run.
 """
 
 import sys
@@ -67,3 +69,11 @@ def test_pool_pass_gives_what_the_benchmark_reads_and_checks(bench):
     intervals = [(b.X, b.y) for b, _ in stream]
     assert checks.check_pool_log(log, intervals, queries, workloads.QUERIES_PER_STEP,
                                  k_max) == []
+
+
+def test_online_inputs_parse_to_the_matrix_that_was_written(bench, tmp_path):
+    _, workloads, _ = bench
+    workload = workloads.make("online", 1, str(tmp_path))
+    workload.setup()
+    assert len(workload.parsed) == workload.shape.G * workload.shape.B + workload.shape.B
+    assert workload.check() == []

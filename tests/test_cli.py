@@ -107,7 +107,9 @@ class TestBounds:
         assert printed == report
 
     def test_bad_bounds_value_is_one_line_exit_1(self, tmp_path, capsys):
-        assert_config_error(tmp_path, capsys, "bounds", {"bounds": {"gamma": -1}})
+        # booleans are not numbers, and a gamma of 0 is a bad value, not an unset one
+        for bounds in ({"gamma": -1}, {"gamma": True, "regret_KE": False}, {"gamma": 0}):
+            assert_config_error(tmp_path, capsys, "bounds", {"bounds": bounds})
 
 
 class TestParseLibsvm:

@@ -7,7 +7,8 @@ that its losses lie in [0, 1] or that the new weights are on the simplex,
 code keeps each of those invariants for every input in its domain, that the
 pool's fused step and the gemv batch gradient equal the per-sample reference
 functions, that the loss is self-bounding, and that the two stream parsers,
-where outside text enters, fail only with the documented errors. The last
+where outside text enters, fail only with the documented errors; the LIBSVM
+parse gives the rows or the error of the per-token reference parser. The last
 group holds the generator's contract (see ``co2learn.rng`` and the substream
 layout in ``co2learn.streams``) for any seed and request sizes.
 """
@@ -35,7 +36,12 @@ from co2learn.streams import (
     sample_from_means,
 )
 
-from oracles import reference_normals, reference_raw, reference_shuffle
+from oracles import (
+    reference_normals,
+    reference_parse_libsvm,
+    reference_raw,
+    reference_shuffle,
+)
 
 
 def vectors(dim, bound):
@@ -194,6 +200,32 @@ def test_parse_libsvm_returns_samples_or_a_data_error(text, dim):
     for s in samples:
         assert s.y in (-1, 1)
         assert s.x.shape == samples[0].x.shape and np.all(np.isfinite(s.x))
+
+
+def _outcome(parse, text, dim):
+    """What a parse gives: the rows as (x bytes, y), or the error's type and message."""
+    try:
+        return [(s.x.tobytes(), s.y) for s in parse(text, dim=dim)]
+    except DataError as exc:
+        return type(exc), str(exc)
+
+
+@given(LIBSVM_TEXT, st.none() | st.integers(1, 50))
+@example("x 1:0.5", None)  # non-numeric label
+@example("1 1:0.5\n2 1:0.5", None)  # label outside +1/1/0/-1
+@example("1 1:1:1", None)  # malformed token
+@example("1 \u00b2:1", None)  # a digit that is not decimal: malformed
+@example("1 1:x", None)  # non-numeric value
+@example("1 3:1e400", None)  # non-finite value
+@example("1 0:1", None)  # index < 1
+@example("1 2:1 2:1", None)  # duplicate index
+@example("1 2:1 1:1", None)  # decreasing index
+@example("1 3:1", 2)  # index > dim
+@example("1 70000:1", None)  # index > MAX_DIM
+@example("1 " + "9" * 5000 + ":1", None)  # index too long for int()
+@example("+1 1:0.5 3:-0.25\n\n-1\x0c 0 \u0663:2\u2028 1.0 2:1e-3\r\n-0.0", None)
+def test_parse_libsvm_matches_the_reference_parser(text, dim):
+    assert _outcome(parse_libsvm, text, dim) == _outcome(reference_parse_libsvm, text, dim)
 
 
 @given(STREAM_TEXT)

@@ -174,6 +174,24 @@ class TestDrawMemory:
         assert peak <= 2.2 * (X.nbytes + y.nbytes)
 
 
+class TestParseMemory:
+    """The parse holds its tokens in typed buffers and writes one dense array;
+    a Python tuple per token and a small array per row peaked at about 3.5
+    times the text plus the result."""
+
+    def test_peak_is_within_twice_the_text_and_result(self):
+        rng = np.random.default_rng(4)
+        n, dim, nnz = 10_000, 20, 8
+        cols = np.sort(rng.random((n, dim)).argsort(axis=1)[:, :nnz], axis=1) + 1
+        vals = rng.normal(size=(n, nnz))
+        text = "".join(" ".join(["+1" if i % 3 else "-1"]
+                                + [f"{j}:{v!r}" for j, v in zip(c, row)]) + "\n"
+                       for i, (c, row) in enumerate(zip(cols.tolist(), vals.tolist())))
+        peak, samples = _peak_bytes(lambda: parse_libsvm(text, dim=dim))
+        assert len(samples) == n and samples[0].x.shape == (dim,)
+        assert peak <= 2.0 * (len(text) + n * dim * 8)
+
+
 class TestParseLibsvm:
     def test_basic_line(self):
         samples = parse_libsvm("+1 1:0.5 3:-0.25\n", dim=3)
