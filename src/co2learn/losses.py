@@ -32,9 +32,14 @@ _DOMAIN_ATOL = 1e-9
 
 
 def softplus(z):
-    """log(1 + exp(z)), stable for any magnitude."""
+    """log(1 + exp(z)), stable for any magnitude; a new array."""
     z = np.asarray(z, dtype=np.float64)
-    return np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
+    out = np.abs(z, np.empty(z.shape))  # an array even for a 0-d z
+    np.negative(out, out)
+    np.exp(out, out)
+    np.log1p(out, out)
+    out += np.maximum(z, 0.0)
+    return out
 
 
 def sigmoid(z):

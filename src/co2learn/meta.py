@@ -84,5 +84,8 @@ def reweight(alpha: np.ndarray, nu: float, losses: np.ndarray) -> np.ndarray:
     """The exponential-weighting step on a bare weight vector: a new array
     ``alpha * exp(-nu * losses)``, normalized. Same preconditions as
     :func:`update_weights`."""
-    scaled = alpha * np.exp(-nu * losses)
-    return scaled / scaled.sum()
+    scaled = losses * -nu
+    np.exp(scaled, scaled)
+    scaled *= alpha
+    scaled /= scaled.sum()
+    return scaled

@@ -54,7 +54,7 @@ def ogd_step(state: OnlineExpertState, grad: np.ndarray) -> OnlineExpertState:
     Unchecked: ``grad`` is a finite float array shaped like ``state.w``.
     """
     w = np.array(state.w, dtype=np.float64)
-    _descend(w, state.t, grad, state.constants)
+    _descend(w, state.t, np.array(grad, dtype=np.float64), state.constants)
     return OnlineExpertState(w=w, t=state.t + 1, constants=state.constants)
 
 
@@ -67,11 +67,13 @@ def ogd_update(w: np.ndarray, t: int, x: np.ndarray, y: int, z: float,
     pool's online expert and the harness's whole-stream baseline both take
     it. Unchecked: the sample is in the loss's domain.
     """
-    _descend(w, t, margin_grad_coef(z, y, spec) * x, spec.constants)
+    _descend(w, t, x * margin_grad_coef(z, y, spec), spec.constants)
 
 
 def _descend(w: np.ndarray, t: int, grad: np.ndarray, constants: ProblemConstants) -> None:
-    w -= eta(t, constants) * grad
+    """w <- project(w - eta_t grad); ``grad`` is a scratch array, scaled in place."""
+    grad *= eta(t, constants)
+    w -= grad
     project_in_place(w, constants.R)
 
 

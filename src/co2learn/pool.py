@@ -4,11 +4,15 @@ A pool holds up to K_max - 1 offline experts (priority-ascending, so the
 highest-priority expert has the highest index) plus one online expert at
 index K, with K = min(G, K_max) and G the number of intervals seen so far.
 
-Each labeled sample runs, in order: output the weighted average of the K
-experts, score every expert (one matvec and one softplus) and the average
-on the sample, update the meta weights with those scores, and only then
-take the online expert's OGD step with the gradient at its own iterate.
-The output is committed before the loss is seen.
+The pool keeps its output, the weighted average ``w = alpha @ A`` of the
+K experts, as state: it changes only when a labeled step or a rollover
+changes ``alpha`` or ``A``, so each of them computes it once at its end,
+and a prediction in between is one dot product. Each labeled sample runs,
+in order: take the output carried over from the previous step as ``w_t``,
+score every expert (one matvec and one softplus) and ``w_t`` on the
+sample, update the meta weights with those scores, take the online
+expert's OGD step with the gradient at its own iterate, and only then
+compute the next output. ``w_t`` was fixed before the loss was seen.
 
 When the online interval completes (t = B) the pool rolls over: it builds
 the anchor from the final meta weights and the experts' empirical risks on
@@ -26,10 +30,11 @@ priority. Priorities only shape the initial weights, not any guarantee.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import Sample, inner
+from .geometry import Sample
 from .losses import LossSpec, batch_mean_loss, check_sample, margin_loss, softplus
 from .meta import MetaWeights, reweight
 from .offline import Anchor, OfflineTrainResult, default_config, omega, train_offline
@@ -53,9 +58,11 @@ def effective_K(G: int, K_max: int) -> int:
     return min(G, K_max)
 
 
-@dataclass(frozen=True)
-class StepRecord:
-    """Everything observable about one labeled step."""
+class StepRecord(NamedTuple):
+    """Everything observable about one labeled step: ``w`` is the output
+    ``w_t`` the step was scored with, ``alpha_before`` and ``alpha_after``
+    the meta weights around it. A tuple, so building one per step is cheap;
+    the arrays are the step's own and no later step writes into them."""
 
     g: int
     t: int
@@ -82,13 +89,15 @@ class RolloverRecord:
 class ExpertPool:
     """One coupling run; mutate only from its owning sequence.
 
-    The state is one (K, dim) float array of the experts, the offline ones
-    first in priority order and the online iterate last, plus the meta
-    weights ``alpha`` with their step size ``nu`` and two counters: ``t``,
-    the samples taken in this interval, and the online expert's OGD step.
-    A step writes the online row and the counters in place and replaces
-    ``alpha``; only ``rollover`` rebuilds the array. ``offline``, ``online``
-    and ``meta`` read that state (and set it, to inject one).
+    The state is one (K, dim) float array ``A`` of the experts, the
+    offline ones first in priority order and the online iterate last, the
+    meta weights ``alpha`` with their step size ``nu``, two counters (``t``,
+    the samples taken in this interval, and the online expert's OGD step),
+    and the output ``w = alpha @ A``. A step writes the online row and the
+    counters in place, replaces ``alpha`` and then ``w``; only ``rollover``
+    rebuilds the array. ``offline``, ``online`` and ``meta`` read that state
+    (and set it, to inject one); setting any of them drops ``w``, and the
+    next read recomputes it from whatever was set.
     """
 
     def __init__(
@@ -136,6 +145,7 @@ class ExpertPool:
     @offline.setter
     def offline(self, experts) -> None:
         self._experts = np.array([*experts, self._experts[-1]], dtype=np.float64)
+        self._w = None
 
     @property
     def online(self) -> OnlineExpertState:
@@ -147,6 +157,7 @@ class ExpertPool:
     def online(self, state: OnlineExpertState) -> None:
         self._experts[-1] = state.w
         self._ogd_t = state.t
+        self._w = None
 
     @property
     def meta(self) -> MetaWeights:
@@ -157,10 +168,17 @@ class ExpertPool:
     def meta(self, weights: MetaWeights) -> None:
         self._alpha = np.array(weights.alpha, dtype=np.float64)
         self._nu = weights.nu
+        self._w = None
+
+    def _output(self) -> np.ndarray:
+        """The output ``alpha @ A``, computed only if a setter dropped it."""
+        if self._w is None:
+            self._w = self._alpha @ self._experts
+        return self._w
 
     def current_output(self) -> np.ndarray:
-        """The weighted-average hypothesis the pool would emit right now."""
-        return self._alpha @ self._experts
+        """A copy of the weighted-average hypothesis the pool emits now."""
+        return self._output().copy()
 
     def process_labeled(self, s: Sample) -> StepRecord:
         """One pass of the per-sample loop; advances t. The sample is
@@ -169,25 +187,33 @@ class ExpertPool:
             raise RuntimeError("online interval already holds B samples; rollover first")
         x, y, spec = s.x, s.y, self.spec
         check_sample(x, y, spec)
-        experts, alpha = self._experts, self._alpha
-        w_t = alpha @ experts
-        z = y * (experts @ x)  # every expert's margin, the online one last
-        losses = softplus(-z) / spec.C
+        experts, alpha, w_t = self._experts, self._alpha, self._w
+        if w_t is None:
+            w_t = self._output()
+        neg_z = experts @ x  # -y <w_k, x> for every expert, the online one last
+        if y == 1:
+            np.negative(neg_z, neg_z)
+        losses = softplus(neg_z)
+        losses /= spec.C
         loss_meta = margin_loss(y * float(w_t @ x), spec)
         self._alpha = reweight(alpha, self._nu, losses)
-        ogd_update(experts[-1], self._ogd_t, x, y, float(z[-1]), spec)
+        ogd_update(experts[-1], self._ogd_t, x, y, -float(neg_z[-1]), spec)
         self._ogd_t += 1
         self.t += 1
-        return StepRecord(
-            g=self.G, t=self.t, w=w_t, loss_meta=loss_meta,
-            losses_per_expert=losses, alpha_before=alpha, alpha_after=self._alpha,
-        )
+        self._w = self._alpha @ experts
+        return StepRecord(self.G, self.t, w_t, loss_meta, losses, alpha, self._alpha)
 
     def predict_unlabeled(self, x: np.ndarray) -> int:
-        """Sign of <w_t, x> with the current output; +1 on ties. Free: does
-        not consume a labeled slot."""
-        value = inner(self.current_output(), x)
-        return 1 if value >= 0 else -1
+        """Sign of <w, x> with the current output; +1 on ties. Free: does
+        not consume a labeled slot. Raises ValueError on a dimension
+        mismatch."""
+        w = self._w
+        if w is None:
+            w = self._output()
+        x = np.asarray(x, dtype=np.float64)
+        if x.shape != w.shape:
+            raise ValueError(f"dimension mismatch: {w.shape} vs {x.shape}")
+        return 1 if np.dot(w, x) >= 0 else -1
 
     def rollover(self, completed: IntervalBuffer) -> RolloverRecord:
         """Close the online interval: train, evict, reindex, reinitialize."""
@@ -226,6 +252,7 @@ class ExpertPool:
         self._experts = np.array([*candidates, start.w], dtype=np.float64)
         self._ogd_t = start.t
         self.meta = MetaWeights.fresh(K=K_new, horizon=self.B)
+        self._w = self._alpha @ self._experts
         self.t = 0
         return RolloverRecord(
             g_completed=g_completed, anchor=anchor, result=result,

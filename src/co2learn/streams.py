@@ -260,14 +260,15 @@ def make_multidist(samples: list[Sample], spec: StreamSpec) -> list[IntervalBuff
         )
     if any(s.x.shape != (spec.dim,) for s in samples):
         raise DataError(f"all samples must have dim={spec.dim}")
-    order = substream(spec.seed, 0).shuffle(np.arange(len(samples)))[:need]
-    X_all = np.asarray([samples[i].x for i in order])
-    y_all = np.asarray([samples[i].y for i in order], dtype=np.int64)
+    n = len(samples)
+    order = substream(spec.seed, 0).shuffle(np.arange(n))[:need]
+    # all rows in one array, gathered per interval: no second (n, dim) copy
+    X_in = np.concatenate([s.x for s in samples]).reshape(n, spec.dim)
+    y_in = np.fromiter((s.y for s in samples), dtype=np.int64, count=n)
     intervals = []
     for g in range(1, spec.G + 1):
-        lo = (g - 1) * spec.B
-        X = X_all[lo: lo + spec.B].copy()
-        y = y_all[lo: lo + spec.B]
+        rows = order[(g - 1) * spec.B: g * spec.B]
+        X, y = X_in[rows], y_in[rows]
         rng = substream(spec.seed, g)
         mean_pos = spec.noise_std * rng.normals(spec.dim)
         mean_neg = spec.noise_std * rng.normals(spec.dim)

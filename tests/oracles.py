@@ -16,7 +16,8 @@ from scipy.special import log_expit
 
 from co2learn.errors import StreamFormatError, check_int
 from co2learn.geometry import Sample
-from co2learn.streams import MAX_DIM
+from co2learn.rng import substream
+from co2learn.streams import MAX_DIM, condition_norms
 
 _GRID_CACHE: dict[tuple[float, float], np.ndarray] = {}
 
@@ -93,6 +94,26 @@ def reference_raw(seed: int, first: int, n: int) -> np.ndarray:
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
         out.append(z ^ (z >> 31))
     return np.array(out, dtype=np.uint64)
+
+
+def reference_make_multidist(samples: list[Sample], spec) -> list[tuple[np.ndarray, np.ndarray]]:
+    """``make_multidist``'s intervals as ``(X, y)`` pairs, with the shuffled
+    rows and labels gathered one sample at a time."""
+    need = spec.G * spec.B
+    order = substream(spec.seed, 0).shuffle(np.arange(len(samples)))[:need]
+    X_all = np.asarray([samples[i].x for i in order])
+    y_all = np.asarray([samples[i].y for i in order], dtype=np.int64)
+    intervals = []
+    for g in range(1, spec.G + 1):
+        lo = (g - 1) * spec.B
+        X, y = X_all[lo: lo + spec.B], y_all[lo: lo + spec.B]
+        rng = substream(spec.seed, g)
+        mean_pos = spec.noise_std * rng.normals(spec.dim)
+        mean_neg = spec.noise_std * rng.normals(spec.dim)
+        noise = spec.noise_std * rng.normals(spec.B * spec.dim).reshape(spec.B, spec.dim)
+        X = X + noise + np.where((y == 1)[:, None], mean_pos, mean_neg)
+        intervals.append((condition_norms(X, spec.D), y))
+    return intervals
 
 
 _FEATURE_RE = re.compile(r"^(\d+):([^\s:]+)$")

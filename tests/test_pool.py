@@ -108,6 +108,25 @@ class TestPredictUnlabeled:
         assert pool.predict_unlabeled(np.array([-2.0, 0.0])) == -1
         assert pool.predict_unlabeled(np.array([0.0, 3.0])) == 1  # orthogonal -> +1
 
+    def test_accepts_a_list(self, spec):
+        pool = ExpertPool(spec=spec, B=10, K_max=5)
+        pool.online = OnlineExpertState(w=np.array([1.0, -1.0]), t=1, constants=spec.constants)
+        assert pool.predict_unlabeled([0.2, 0.5]) == -1
+        assert pool.predict_unlabeled([1, 0]) == 1
+
+    @pytest.mark.parametrize("x", [np.zeros(3), np.zeros(1), np.zeros((2, 1)), [0.1, 0.2, 0.3]])
+    def test_dimension_mismatch_raises(self, spec, x):
+        pool = ExpertPool(spec=spec, B=10, K_max=5)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            pool.predict_unlabeled(x)
+
+    def test_current_output_is_a_copy(self, spec):
+        pool = ExpertPool(spec=spec, B=10, K_max=5)
+        pool.online = OnlineExpertState(w=np.array([1.0, 0.0]), t=1, constants=spec.constants)
+        pool.current_output()[:] = -1.0
+        np.testing.assert_array_equal(pool.current_output(), [1.0, 0.0])
+        assert pool.predict_unlabeled(np.array([1.0, 0.0])) == 1
+
     def test_does_not_consume_labeled_slot(self, spec):
         pool = ExpertPool(spec=spec, B=10, K_max=5)
         before = pool.t

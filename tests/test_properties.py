@@ -17,6 +17,7 @@ import math
 from dataclasses import replace
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -25,10 +26,11 @@ from co2learn.geometry import Sample, project_to_ball
 from co2learn.harness import ExperimentConfig, run_experiment
 from co2learn.losses import LossSpec, batch_losses, batch_mean_grad, grad_loss, loss
 from co2learn.meta import MetaWeights, combine, update_weights
-from co2learn.online import OnlineExpertState, init_online, ogd_step
-from co2learn.pool import ExpertPool
+from co2learn.online import INIT_POLICIES, OnlineExpertState, init_online, ogd_step
+from co2learn.pool import STRATEGIES, ExpertPool
 from co2learn.rng import _BLOCK, CounterRng, substream
 from co2learn.streams import (
+    IntervalBuffer,
     StreamSpec,
     gen_synthetic,
     load_stream,
@@ -140,6 +142,66 @@ def test_step_matches_the_reference_chain(state):
     assert pool.online.t == online.t and pool.t == t_pool + 1
     for got, want in zip(pool.offline, experts[:-1]):
         np.testing.assert_array_equal(got, want)
+
+
+def coherent_output(pool):
+    """The pool's output recomputed from the state it reports, or None if
+    that state has a different number of experts and weights; in that case
+    ``current_output`` must raise too."""
+    try:
+        want = pool.meta.alpha @ np.vstack(pool.offline + [pool.online.w])
+    except ValueError:
+        with pytest.raises(ValueError):
+            pool.current_output()
+        return None
+    assert pool.current_output().tobytes() == want.tobytes()
+    return want
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_kept_output_is_alpha_times_experts_after_every_call(data):
+    draw = data.draw
+    dim, K_max, B = draw(st.integers(1, 6)), draw(st.integers(2, 4)), draw(st.integers(1, 3))
+    spec = LossSpec.create(D=draw(st.floats(0.1, 3.0)), R=draw(st.floats(0.1, 3.0)), dim=dim)
+    pool = ExpertPool(spec=spec, B=B, K_max=K_max, strategy=draw(st.sampled_from(STRATEGIES)),
+                      init_policy=draw(st.sampled_from(INIT_POLICIES)))
+    taken = []  # the samples of the current interval
+    want = coherent_output(pool)
+    for op in draw(st.lists(st.sampled_from(("inject", "step", "predict")), max_size=30)):
+        if op == "inject":
+            K = draw(st.integers(1, K_max))
+            experts = in_ball(draw, dim, spec.constants.R, n=K)
+            raw = draw(arrays(np.float64, K, elements=st.floats(1e-3, 1.0)))
+            values = {
+                "offline": list(experts[:-1]),
+                "online": OnlineExpertState(w=experts[-1].copy(), t=draw(st.integers(1, 50)),
+                                            constants=spec.constants),
+                "meta": MetaWeights(alpha=raw / raw.sum(), nu=draw(st.floats(0.0, 4.0)), K=K),
+            }
+            for name in draw(st.permutations(list(values))):
+                setattr(pool, name, values[name])
+                want = coherent_output(pool)
+            pool.G, pool.t, taken = K, 0, []
+        elif op == "step" and pool.t == B:
+            X = np.array([s.x for s in taken])
+            y = np.array([s.y for s in taken])
+            pool.rollover(IntervalBuffer(X=X, y=y, interval_index=pool.G))
+            taken = []
+            want = coherent_output(pool)
+        elif op == "step":
+            s = Sample(x=in_ball(draw, dim, spec.constants.D), y=draw(st.sampled_from([-1, 1])))
+            rec = pool.process_labeled(s)
+            assert rec.w.tobytes() == want.tobytes()
+            taken.append(s)
+            want = coherent_output(pool)
+        else:
+            q = draw(vectors(dim, 3.0))
+            if draw(st.booleans()):
+                q = q.tolist()
+            value = float(np.dot(want, q))
+            assert pool.predict_unlabeled(q) == (1 if value >= 0 else -1)
+            assert coherent_output(pool).tobytes() == want.tobytes()
 
 
 @st.composite

@@ -18,6 +18,8 @@ from co2learn.streams import (
     parse_libsvm,
 )
 
+from oracles import reference_make_multidist
+
 
 class TestCounterRng:
     def test_deterministic(self):
@@ -261,6 +263,27 @@ class TestMakeMultidist:
         a, b = make_multidist(samples, spec), make_multidist(samples, spec)
         for ia, ib in zip(a, b):
             np.testing.assert_array_equal(ia.X, ib.X)
+
+    def test_intervals_equal_the_per_row_gather(self):
+        # rows from one array and separate ones, more samples than G*B
+        samples = self._samples(230, dim=7, seed=5)
+        samples += [Sample(x=0.2 * np.ones(7), y=-1), Sample(x=np.arange(7) / 20.0, y=1)]
+        spec = StreamSpec(G=4, B=50, dim=7, seed=26, mode="libsvm_noised")
+        got = make_multidist(samples, spec)
+        want = reference_make_multidist(samples, spec)
+        assert len(got) == len(want) == 4
+        for buf, (X, y) in zip(got, want):
+            assert buf.X.tobytes() == X.tobytes() and buf.y.tobytes() == y.tobytes()
+
+    @pytest.mark.parametrize("dims", [(7, 6), (6, 8)])
+    def test_rejects_a_row_of_another_dim(self, dims):
+        # 19 + 21 entries would reshape into two rows of 20
+        samples = self._samples(40, dim=7)
+        samples[3] = Sample(x=np.zeros(dims[0]), y=1)
+        samples[4] = Sample(x=np.zeros(dims[1]), y=1)
+        spec = StreamSpec(G=2, B=20, dim=7, seed=27, mode="libsvm_noised")
+        with pytest.raises(DataError, match="dim=7"):
+            make_multidist(samples, spec)
 
     def test_insufficient_samples_error_names_requirement(self):
         samples = self._samples(10)
