@@ -277,7 +277,7 @@ class TestMakeMultidist:
 
     @pytest.mark.parametrize("dims", [(7, 6), (6, 8)])
     def test_rejects_a_row_of_another_dim(self, dims):
-        # 19 + 21 entries would reshape into two rows of 20
+        # 6 + 8 entries would reshape into two rows of 7
         samples = self._samples(40, dim=7)
         samples[3] = Sample(x=np.zeros(dims[0]), y=1)
         samples[4] = Sample(x=np.zeros(dims[1]), y=1)
