@@ -33,7 +33,7 @@ spec = LossSpec.create(D=stream.D, R=1.0, dim=stream.dim)
 final = run.intervals[-1]
 inputs = BoundInputs(
     T=final.T, K=final.K, B=stream.B,
-    D=stream.D, R=1.0, beta=spec.constants.beta,
+    D=stream.D, R=1.0, beta=spec.beta,
     gamma=run.rollovers[-1].gamma, delta=0.05,
     regret_KE=5.0, omega_star=0.0, weighted_loss=0.4,
     eigenvalues=estimate_eigenvalues(gen_synthetic(stream)[-1].X),

@@ -29,7 +29,7 @@ from .errors import (
     DataError,
     StreamFormatError,
 )
-from .geometry import ProblemConstants, Sample, inner, project_to_ball
+from .geometry import Sample, project_to_ball
 from .harness import (
     ExperimentConfig,
     RunReport,
@@ -41,7 +41,6 @@ from .losses import LossSpec, grad_loss, loss
 from .meta import MetaWeights, combine, init_weights, step_size_nu, update_weights
 from .offline import (
     Anchor,
-    OfflineTrainConfig,
     OfflineTrainResult,
     gamma_lower_bound,
     omega,

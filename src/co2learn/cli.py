@@ -179,7 +179,7 @@ def _cmd_bounds(cfg: dict) -> int:
     try:  # the bounds block is the CLI's own; BoundInputs is where it is checked
         inputs = tb.BoundInputs(
             T=spec.B, K=min(spec.G, config.K_max), B=spec.B,
-            D=spec.D, R=config.R, beta=loss_spec.constants.beta,
+            D=spec.D, R=config.R, beta=loss_spec.beta,
             gamma=gamma, delta=config.delta,
             regret_KE=extra["regret_KE"], omega_star=extra["omega_star"],
             weighted_loss=extra["weighted_loss"], eigenvalues=eigenvalues,

@@ -18,32 +18,6 @@ import numpy as np
 _INSIDE_RTOL = 1e-12
 
 
-@dataclass(frozen=True)
-class ProblemConstants:
-    """Global problem constants.
-
-    D     feature-norm bound, ||x|| <= D
-    R     hypothesis-norm bound, ||w|| <= R
-    beta  smoothness constant of the loss in w
-    dim   ambient dimension
-    """
-
-    D: float
-    R: float
-    beta: float
-    dim: int
-
-    def __post_init__(self):
-        if not (self.D > 0 and np.isfinite(self.D)):
-            raise ValueError(f"D must be a positive real, got {self.D}")
-        if not (self.R > 0 and np.isfinite(self.R)):
-            raise ValueError(f"R must be a positive real, got {self.R}")
-        if not (self.beta > 0 and np.isfinite(self.beta)):
-            raise ValueError(f"beta must be a positive real, got {self.beta}")
-        if int(self.dim) != self.dim or self.dim < 1:
-            raise ValueError(f"dim must be a positive integer, got {self.dim}")
-
-
 @dataclass(frozen=True, slots=True)
 class Sample:
     """One labeled stream element: feature vector x and label y in {-1, +1}.
@@ -91,11 +65,3 @@ def project_in_place(w: np.ndarray, R: float) -> None:
     if norm > R * (1.0 + _INSIDE_RTOL):
         w *= R / norm
 
-
-def inner(w: np.ndarray, x: np.ndarray) -> float:
-    """Standard inner product <w, x>; rejects mismatched dimensions."""
-    w = np.asarray(w, dtype=np.float64)
-    x = np.asarray(x, dtype=np.float64)
-    if w.shape != x.shape:
-        raise ValueError(f"dimension mismatch: {w.shape} vs {x.shape}")
-    return float(np.dot(w, x))

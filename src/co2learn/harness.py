@@ -72,7 +72,7 @@ class ExperimentConfig:
         if self.init_policy not in INIT_POLICIES:
             raise ConfigError(f"init must be one of {INIT_POLICIES}, got {self.init_policy!r}")
         check_real("gamma_floor", self.gamma_floor)
-        check_real("grad_map_tol", self.grad_map_tol, positive=True)
+        check_real("grad_map_tol", self.grad_map_tol, positive=True, below=1.0)
         check_real("erm_tol", self.erm_tol, positive=True)
         check_real("delta", self.delta, positive=True, below=1.0)
         if not isinstance(self.wstar_proxy, bool):
@@ -203,7 +203,7 @@ def _run_seed(config: ExperimentConfig, spec: LossSpec, seed: int, input_samples
         strategy=config.strategy, init_policy=config.init_policy,
         gamma_floor=config.gamma_floor, grad_map_tol=config.grad_map_tol,
     )
-    baseline = init_online("cold", spec.constants)
+    baseline = init_online("cold", spec)
     w_ogd, t_ogd = baseline.w, baseline.t  # stepped in place
 
     B = stream_spec.B
@@ -259,7 +259,7 @@ def _run_seed(config: ExperimentConfig, spec: LossSpec, seed: int, input_samples
     last_roll = rollovers[-1] if rollovers else None
     report_inputs = tb.BoundInputs(
         T=final.T, K=final.K, B=stream_spec.B,
-        D=spec.constants.D, R=spec.constants.R, beta=spec.constants.beta,
+        D=spec.D, R=spec.R, beta=spec.beta,
         gamma=last_roll.gamma if last_roll else config.gamma_floor,
         delta=config.delta, regret_KE=final.regret_ke,
         omega_star=(last_roll.omega_star or 0.0) if last_roll else 0.0,
@@ -285,8 +285,8 @@ def _interval_metrics(config, spec, seed, g, K, nu, B, co2_losses, ogd_losses,
     regret_ke = best - erm_cum
     regret_oe = cum_online - erm_cum
     regret_ogd = cum_ogd - erm_cum
-    k_rhs = tb.k_condition(B, spec.constants.D, spec.constants.beta, regret_ke)
-    general, worst = tb.co2_regret_bounds(B, K, spec.constants.D, spec.constants.beta, regret_ke)
+    k_rhs = tb.k_condition(B, spec.D, spec.beta, regret_ke)
+    general, worst = tb.co2_regret_bounds(B, K, spec.D, spec.beta, regret_ke)
 
     early = min(EARLY_T, B)
     vs_wstar = (None, None)
@@ -308,7 +308,7 @@ def _interval_metrics(config, spec, seed, g, K, nu, B, co2_losses, ogd_losses,
         early_cum_online=float(expert_losses[:early, -1].sum()),
         early_cum_ogd=float(ogd_losses[:early].sum()),
         meta_bound=tb.meta_regret_bound(B, K),
-        ogd_bound=tb.ogd_regret_bound(B, spec.constants.D, spec.constants.beta),
+        ogd_bound=tb.ogd_regret_bound(B, spec.D, spec.beta),
         co2_bound_general=general, co2_bound_worst=worst,
         k_condition_rhs=k_rhs, k_condition_holds=bool(K <= k_rhs),
         regret_co2_vs_wstar=vs_wstar[0], regret_ogd_vs_wstar=vs_wstar[1],
@@ -324,7 +324,7 @@ def _rollover_metrics(config, spec, seed, stream_spec, buf, roll) -> RolloverMet
         omega_star = omega(w_star, roll.anchor)
         gap_measured = float(np.linalg.norm(roll.result.w - w_star))
         gap_bound = tb.transfer_gap_bound(
-            omega_star, spec.constants.beta,
+            omega_star, spec.beta,
             roll.result.gamma, roll.anchor.weighted_loss,
         )
         gap_holds = bool(gap_measured <= gap_bound + 0.05)

@@ -20,11 +20,11 @@ smooth; clipping would not. The family obeys the self-bounding property
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import ProblemConstants, Sample
+from .geometry import Sample
 
 # Absolute slack on the norm-bound domain checks; callers must project first,
 # this only forgives float rounding from projection itself.
@@ -51,47 +51,56 @@ def sigmoid(z):
 
 @dataclass(frozen=True)
 class LossSpec:
-    """Loss family instance: normalizer C and the problem constants.
+    """Loss family instance: the bounds and the constants derived from them.
 
-    Invariants: C = log(1 + exp(D*R)) and constants.beta = D^2 / (4*C),
-    both to 1e-12 relative. Build via :meth:`create`.
+    D     feature-norm bound, ||x|| <= D
+    R     hypothesis-norm bound, ||w|| <= R
+    dim   ambient dimension
+    C     normalizer log(1 + exp(D R))
+    beta  smoothness constant D^2 / (4 C) of the loss in w
+
+    C and beta are computed once, when the spec is built, and never supplied.
     """
 
-    C: float
-    constants: ProblemConstants
+    D: float
+    R: float
+    dim: int
+    C: float = field(init=False)
+    beta: float = field(init=False)
 
     def __post_init__(self):
-        D, R = self.constants.D, self.constants.R
-        c_expected = float(softplus(D * R))
-        if abs(self.C - c_expected) > 1e-12 * c_expected:
-            raise ValueError(f"C={self.C} inconsistent with log(1+exp(D*R))={c_expected}")
-        beta_expected = D * D / (4.0 * self.C)
-        if abs(self.constants.beta - beta_expected) > 1e-12 * beta_expected:
-            raise ValueError(
-                f"beta={self.constants.beta} inconsistent with D^2/(4C)={beta_expected}"
-            )
+        if not (self.D > 0 and math.isfinite(self.D)):
+            raise ValueError(f"D must be a positive real, got {self.D}")
+        if not (self.R > 0 and math.isfinite(self.R)):
+            raise ValueError(f"R must be a positive real, got {self.R}")
+        if int(self.dim) != self.dim or self.dim < 1:
+            raise ValueError(f"dim must be a positive integer, got {self.dim}")
+        C = float(softplus(self.D * self.R))
+        beta = self.D * self.D / (4.0 * C)
+        if not (beta > 0 and math.isfinite(beta)):
+            raise ValueError(f"beta = D^2/(4C) must be a positive real, got {beta}")
+        object.__setattr__(self, "C", C)
+        object.__setattr__(self, "beta", beta)
 
     @classmethod
     def create(cls, D: float, R: float, dim: int) -> "LossSpec":
-        """Build the spec for given bounds; beta is derived, never user-supplied."""
-        C = float(softplus(D * R))
-        beta = D * D / (4.0 * C)
-        return cls(C=C, constants=ProblemConstants(D=D, R=R, beta=beta, dim=dim))
+        """Build the spec for given bounds."""
+        return cls(D=D, R=R, dim=dim)
 
 
 def check_sample(x: np.ndarray, y: int, spec: LossSpec) -> None:
     """Reject a sample outside the loss's domain: ||x|| > D or y not +-1."""
     nx = math.sqrt(x @ x)
-    if nx > spec.constants.D + _DOMAIN_ATOL:
-        raise ValueError(f"||x||={nx} exceeds D={spec.constants.D}; condition the stream first")
+    if nx > spec.D + _DOMAIN_ATOL:
+        raise ValueError(f"||x||={nx} exceeds D={spec.D}; condition the stream first")
     if y not in (-1, 1):
         raise ValueError(f"label must be -1 or +1, got {y}")
 
 
 def _check_domain(w: np.ndarray, s: Sample, spec: LossSpec) -> None:
     nw = float(np.linalg.norm(w))
-    if nw > spec.constants.R + _DOMAIN_ATOL:
-        raise ValueError(f"||w||={nw} exceeds R={spec.constants.R}; project first")
+    if nw > spec.R + _DOMAIN_ATOL:
+        raise ValueError(f"||w||={nw} exceeds R={spec.R}; project first")
     check_sample(s.x, s.y, spec)
 
 

@@ -34,12 +34,16 @@ class MetaWeights:
 
     alpha: np.ndarray
     nu: float
-    K: int
+
+    @property
+    def K(self) -> int:
+        """The number of experts, ``len(alpha)``."""
+        return len(self.alpha)
 
     @classmethod
     def fresh(cls, K: int, horizon: int) -> "MetaWeights":
         """Priority-ascending initial weights with nu set from the horizon."""
-        return cls(alpha=init_weights(K), nu=step_size_nu(K, horizon), K=K)
+        return cls(alpha=init_weights(K), nu=step_size_nu(K, horizon))
 
 
 def init_weights(K: int) -> np.ndarray:
@@ -76,8 +80,7 @@ def update_weights(weights: MetaWeights, losses: np.ndarray) -> MetaWeights:
     Unchecked: ``losses`` is a float array of shape (K,) in [0, 1], as the
     normalized loss always is on its domain; the regret bound needs that.
     """
-    return MetaWeights(alpha=reweight(weights.alpha, weights.nu, losses),
-                       nu=weights.nu, K=weights.K)
+    return MetaWeights(alpha=reweight(weights.alpha, weights.nu, losses), nu=weights.nu)
 
 
 def reweight(alpha: np.ndarray, nu: float, losses: np.ndarray) -> np.ndarray:

@@ -29,8 +29,6 @@ from .geometry import project_to_ball
 from .losses import LossSpec, batch_mean_grad, batch_mean_loss
 from .streams import IntervalBuffer
 
-_GAMMA_ATOL = 1e-12
-
 
 @dataclass(frozen=True)
 class Anchor:
@@ -44,21 +42,6 @@ class Anchor:
         object.__setattr__(self, "v", v)
         if not (0.0 <= self.weighted_loss <= 1.0 + 1e-12):
             raise ValueError(f"weighted loss must lie in [0, 1], got {self.weighted_loss}")
-
-
-@dataclass(frozen=True)
-class OfflineTrainConfig:
-    gamma: float
-    max_iters: int
-    grad_map_tol: float
-
-    def __post_init__(self):
-        if not (self.gamma > 0):
-            raise ValueError("gamma must be positive")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
-        if not (self.grad_map_tol > 0):
-            raise ValueError("grad_map_tol must be positive")
 
 
 @dataclass(frozen=True)
@@ -88,20 +71,6 @@ def gamma_lower_bound(anchor: Anchor, R: float) -> float:
     return anchor.weighted_loss / (4.0 * R * R)
 
 
-def default_config(
-    anchor: Anchor,
-    spec: LossSpec,
-    gamma_floor: float = 0.1,
-    grad_map_tol: float = 1e-8,
-) -> OfflineTrainConfig:
-    """gamma = max(lower bound, floor); iteration cap sized for the linear
-    rate of the (beta+gamma)-smooth, gamma-strongly-convex objective."""
-    gamma = max(gamma_lower_bound(anchor, spec.constants.R), gamma_floor)
-    kappa = (spec.constants.beta + gamma) / gamma
-    max_iters = 50 * ceil(kappa * log(1.0 / grad_map_tol))
-    return OfflineTrainConfig(gamma=gamma, max_iters=max_iters, grad_map_tol=grad_map_tol)
-
-
 def projected_gradient(
     X: np.ndarray,
     y: np.ndarray,
@@ -123,8 +92,8 @@ def projected_gradient(
     if X.shape[0] == 0:
         raise ValueError("cannot minimize over an empty sample set")
     v = np.zeros(X.shape[1]) if anchor is None else anchor
-    R = spec.constants.R
-    step = 1.0 / (spec.constants.beta + gamma)
+    R = spec.R
+    step = 1.0 / (spec.beta + gamma)
     w = v.copy()
     grad_map_norm = np.inf
     for it in range(max_iters):
@@ -140,28 +109,32 @@ def projected_gradient(
 def train_offline(
     interval: IntervalBuffer,
     anchor: Anchor,
-    config: OfflineTrainConfig,
     spec: LossSpec,
+    gamma_floor: float,
+    grad_map_tol: float,
 ) -> OfflineTrainResult:
     """Approximately minimize the regularized interval objective.
 
+    gamma = max(lower bound, ``gamma_floor``); the iteration cap
+    50 ceil(kappa log(1 / ``grad_map_tol``)) is sized for the linear rate of
+    the (beta + gamma)-smooth, gamma-strongly-convex objective, with
+    kappa = (beta + gamma) / gamma. Unchecked: ``gamma_floor`` is finite and
+    >= 0 and ``0 < grad_map_tol < 1``; the pool checks both when it is built.
     Starts at the anchor (feasible) and never increases the objective, so the
     returned point always scores at least as well as the anchor itself.
     """
-    floor = gamma_lower_bound(anchor, spec.constants.R)
-    if config.gamma < floor - _GAMMA_ATOL:
-        raise ValueError(
-            f"gamma={config.gamma} is below the admissible floor {floor}"
-        )
-    if float(np.linalg.norm(anchor.v)) > spec.constants.R * (1.0 + 1e-9):
+    if float(np.linalg.norm(anchor.v)) > spec.R * (1.0 + 1e-9):
         raise ValueError("anchor lies outside the hypothesis ball")
+    gamma = max(gamma_lower_bound(anchor, spec.R), gamma_floor)
+    kappa = (spec.beta + gamma) / gamma
+    max_iters = 50 * ceil(kappa * log(1.0 / grad_map_tol))
     w, grad_map_norm, iterations, converged = projected_gradient(
-        interval.X, interval.y, spec, gamma=config.gamma, anchor=anchor.v,
-        tol=config.grad_map_tol, max_iters=config.max_iters,
+        interval.X, interval.y, spec, gamma=gamma, anchor=anchor.v,
+        tol=grad_map_tol, max_iters=max_iters,
     )
     return OfflineTrainResult(
         w=w, grad_map_norm=grad_map_norm, iterations=iterations,
-        converged=converged, gamma=config.gamma,
+        converged=converged, gamma=gamma,
     )
 
 

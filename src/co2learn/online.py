@@ -18,7 +18,7 @@ from math import sqrt
 
 import numpy as np
 
-from .geometry import ProblemConstants, project_in_place
+from .geometry import project_in_place
 from .losses import LossSpec, margin_grad_coef
 
 # Not called here; kept importable because bench/tracing.py patches this name.
@@ -38,24 +38,23 @@ class OnlineExpertState:
 
     w: np.ndarray
     t: int
-    constants: ProblemConstants
 
 
-def eta(t: int, constants: ProblemConstants) -> float:
+def eta(t: int, spec: LossSpec) -> float:
     """Step size D / sqrt(beta t), strictly decreasing in t."""
     if t < 1:
         raise ValueError(f"t must be >= 1, got {t}")
-    return constants.D / sqrt(constants.beta * t)
+    return spec.D / sqrt(spec.beta * t)
 
 
-def ogd_step(state: OnlineExpertState, grad: np.ndarray) -> OnlineExpertState:
+def ogd_step(state: OnlineExpertState, grad: np.ndarray, spec: LossSpec) -> OnlineExpertState:
     """Projected gradient step at the state's own iterate; advances t.
 
     Unchecked: ``grad`` is a finite float array shaped like ``state.w``.
     """
     w = np.array(state.w, dtype=np.float64)
-    _descend(w, state.t, np.array(grad, dtype=np.float64), state.constants)
-    return OnlineExpertState(w=w, t=state.t + 1, constants=state.constants)
+    _descend(w, state.t, np.array(grad, dtype=np.float64), spec)
+    return OnlineExpertState(w=w, t=state.t + 1)
 
 
 def ogd_update(w: np.ndarray, t: int, x: np.ndarray, y: int, z: float,
@@ -67,19 +66,19 @@ def ogd_update(w: np.ndarray, t: int, x: np.ndarray, y: int, z: float,
     pool's online expert and the harness's whole-stream baseline both take
     it. Unchecked: the sample is in the loss's domain.
     """
-    _descend(w, t, x * margin_grad_coef(z, y, spec), spec.constants)
+    _descend(w, t, x * margin_grad_coef(z, y, spec), spec)
 
 
-def _descend(w: np.ndarray, t: int, grad: np.ndarray, constants: ProblemConstants) -> None:
+def _descend(w: np.ndarray, t: int, grad: np.ndarray, spec: LossSpec) -> None:
     """w <- project(w - eta_t grad); ``grad`` is a scratch array, scaled in place."""
-    grad *= eta(t, constants)
+    grad *= eta(t, spec)
     w -= grad
-    project_in_place(w, constants.R)
+    project_in_place(w, spec.R)
 
 
 def init_online(
     policy: str,
-    constants: ProblemConstants,
+    spec: LossSpec,
     previous: np.ndarray | None = None,
 ) -> OnlineExpertState:
     """Fresh expert for a new interval.
@@ -89,13 +88,13 @@ def init_online(
     warm    inherit the given previous iterate, which must be in the ball
     """
     if policy == "cold":
-        w = np.zeros(constants.dim)
+        w = np.zeros(spec.dim)
     elif policy == "warm":
         if previous is None:
             raise ValueError("warm start requires the previous interval's iterate")
         w = np.asarray(previous, dtype=np.float64)
-        if float(np.linalg.norm(w)) > constants.R * (1.0 + 1e-9):
+        if float(np.linalg.norm(w)) > spec.R * (1.0 + 1e-9):
             raise ValueError("warm-start iterate lies outside the hypothesis ball")
     else:
         raise ValueError(f"unknown init policy {policy!r}")
-    return OnlineExpertState(w=w, t=1, constants=constants)
+    return OnlineExpertState(w=w, t=1)

@@ -29,15 +29,17 @@ priority. Priorities only shape the initial weights, not any guarantee.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
+from .errors import check_real
 from .geometry import Sample
 from .losses import LossSpec, batch_mean_loss, check_sample, margin_loss, softplus
 from .meta import MetaWeights, reweight
-from .offline import Anchor, OfflineTrainResult, default_config, omega, train_offline
+from .offline import Anchor, OfflineTrainResult, omega, train_offline
 from .online import INIT_POLICIES, OnlineExpertState, init_online, ogd_update
 from .streams import IntervalBuffer
 
@@ -118,6 +120,8 @@ class ExpertPool:
             raise ValueError(f"strategy must be one of {STRATEGIES}, got {strategy!r}")
         if init_policy not in INIT_POLICIES:
             raise ValueError(f"init_policy must be one of {INIT_POLICIES}, got {init_policy!r}")
+        check_real("gamma_floor", gamma_floor)
+        check_real("grad_map_tol", grad_map_tol, positive=True, below=1.0)
         self.spec = spec
         self.B = B
         self.K_max = K_max
@@ -128,7 +132,7 @@ class ExpertPool:
         self.G = 1
         self.t = 0
         # no previous interval to inherit from, so even a warm pool starts cold
-        start = init_online("cold", spec.constants)
+        start = init_online("cold", spec)
         self._experts = start.w[np.newaxis].copy()
         self._ogd_t = start.t
         self.meta = MetaWeights.fresh(K=1, horizon=B)
@@ -150,8 +154,7 @@ class ExpertPool:
     @property
     def online(self) -> OnlineExpertState:
         """A copy of the online expert's iterate and its OGD step counter."""
-        return OnlineExpertState(w=self._experts[-1].copy(), t=self._ogd_t,
-                                 constants=self.spec.constants)
+        return OnlineExpertState(w=self._experts[-1].copy(), t=self._ogd_t)
 
     @online.setter
     def online(self, state: OnlineExpertState) -> None:
@@ -162,7 +165,7 @@ class ExpertPool:
     @property
     def meta(self) -> MetaWeights:
         """The meta weights over the K experts and their step size."""
-        return MetaWeights(alpha=self._alpha, nu=self._nu, K=len(self._alpha))
+        return MetaWeights(alpha=self._alpha, nu=self._nu)
 
     @meta.setter
     def meta(self, weights: MetaWeights) -> None:
@@ -206,14 +209,18 @@ class ExpertPool:
     def predict_unlabeled(self, x: np.ndarray) -> int:
         """Sign of <w, x> with the current output; +1 on ties. Free: does
         not consume a labeled slot. Raises ValueError on a dimension
-        mismatch."""
+        mismatch or when <w, x> is not finite (a NaN or infinite entry in
+        ``x``, or entries too large for the product)."""
         w = self._w
         if w is None:
             w = self._output()
         x = np.asarray(x, dtype=np.float64)
         if x.shape != w.shape:
             raise ValueError(f"dimension mismatch: {w.shape} vs {x.shape}")
-        return 1 if np.dot(w, x) >= 0 else -1
+        dot = np.dot(w, x)
+        if not math.isfinite(dot):
+            raise ValueError(f"the query's score <w, x> is not finite: {dot}")
+        return 1 if dot >= 0 else -1
 
     def rollover(self, completed: IntervalBuffer) -> RolloverRecord:
         """Close the online interval: train, evict, reindex, reinitialize."""
@@ -228,8 +235,7 @@ class ExpertPool:
             batch_mean_loss(w_k, completed.X, completed.y, self.spec) for w_k in experts
         ])
         anchor = Anchor(v=alpha @ experts, weighted_loss=float(alpha @ risks))
-        config = default_config(anchor, self.spec, self.gamma_floor, self.grad_map_tol)
-        result = train_offline(completed, anchor, config, self.spec)
+        result = train_offline(completed, anchor, self.spec, self.gamma_floor, self.grad_map_tol)
         omega_new = omega(result.w, anchor)
 
         g_completed = self.G
@@ -248,7 +254,7 @@ class ExpertPool:
         if len(candidates) > keep:
             evicted = candidates[0]  # lowest priority
             candidates = candidates[len(candidates) - keep:]
-        start = init_online(self.init_policy, self.spec.constants, previous=experts[-1])
+        start = init_online(self.init_policy, self.spec, previous=experts[-1])
         self._experts = np.array([*candidates, start.w], dtype=np.float64)
         self._ogd_t = start.t
         self.meta = MetaWeights.fresh(K=K_new, horizon=self.B)

@@ -22,7 +22,7 @@ from co2learn.geometry import Sample
 from co2learn.harness import ExperimentConfig, emit_reports, erm_oracle, run_experiment
 from co2learn.losses import LossSpec, batch_mean_loss, grad_loss, loss
 from co2learn.meta import MetaWeights, update_weights
-from co2learn.offline import Anchor, OfflineTrainConfig, gamma_lower_bound, objective, omega, train_offline
+from co2learn.offline import Anchor, gamma_lower_bound, objective, omega, train_offline
 from co2learn.online import init_online, ogd_step
 from co2learn.pool import ExpertPool
 from co2learn.streams import IntervalBuffer, StreamSpec, gen_synthetic
@@ -114,7 +114,7 @@ def test_criterion_02_ogd_regret_bound(desk_report):
 
 
 def test_criterion_03_coupled_regret_bounds_and_identity(desk_report, spec):
-    beta = spec.constants.beta
+    beta = spec.beta
     worst_general = worst_worst = worst_ident = -np.inf
     for m in all_intervals(desk_report):
         general, worst_case = co2_regret_bounds(m.T, m.K, 1.0, beta, m.regret_ke)
@@ -145,7 +145,7 @@ def test_criterion_04_anchor_distance_cap(desk_report):
 def test_criterion_05_self_bounding_gradients(spec):
     rng = np.random.default_rng(99)
     n = 10_000
-    beta = spec.constants.beta
+    beta = spec.beta
     w = rng.normal(size=(n, DIM))
     w *= (rng.uniform(0, 1, n) ** 0.5 / np.linalg.norm(w, axis=1))[:, None]
     x = rng.normal(size=(n, DIM))
@@ -211,9 +211,10 @@ def test_criterion_07_solvers_match_grid_search(spec):
         v *= rng.uniform(0, 1) / np.linalg.norm(v)
         wl = float(rng.uniform(0.2, 0.8))
         anchor = Anchor(v=v, weighted_loss=wl)
+        # a floor above the lower bound, so the floor is the gamma trained with
         gamma = gamma_lower_bound(anchor, 1.0) + float(rng.uniform(0.05, 1.0))
-        cfg = OfflineTrainConfig(gamma=gamma, max_iters=50_000, grad_map_tol=1e-10)
-        res = train_offline(buf, anchor, cfg, spec)
+        res = train_offline(buf, anchor, spec, gamma, 1e-10)
+        assert res.gamma == gamma
         grid_best, _ = grid_min_objective(X, y, spec.C, gamma=gamma, anchor=v)
         gap = objective(res.w, buf, anchor, gamma, spec) - grid_best
         worst = max(worst, gap)
@@ -272,12 +273,12 @@ def test_criterion_11_byte_identical_reports(tmp_path):
 def test_criterion_12_single_expert_equals_bare_ogd(spec):
     buf = gen_synthetic(StreamSpec(G=1, B=B, dim=DIM, seed=12))[0]
     pool = ExpertPool(spec=spec, B=B, K_max=K_MAX)
-    ogd = init_online("cold", spec.constants)
+    ogd = init_online("cold", spec)
     worst = 0.0
     for i in range(buf.n):
         s = Sample(x=buf.X[i], y=int(buf.y[i]))
         rec = pool.process_labeled(s)
         worst = max(worst, float(np.max(np.abs(rec.w - ogd.w))))
-        ogd = ogd_step(ogd, grad_loss(ogd.w, s, spec))
+        ogd = ogd_step(ogd, grad_loss(ogd.w, s, spec), spec)
     _verdict(12, "single-expert pool reproduces bare OGD exactly",
              worst <= 1e-12, f"max coordinate difference {worst:.1e}")

@@ -5,7 +5,10 @@
 calls, and reads ``.x``/``.y`` of the parsed LIBSVM samples. These tests run
 both against the current code, so a rename, a change of the pool's public
 state or of the parse's return value fails here rather than in a benchmark
-run.
+run. The last test runs the deterministic checks of ``bench/selftest.py``:
+tiny workloads pass their checks, the checks catch corrupted outputs, and a
+traced round's counts repeat, match the harness's call pattern and come off.
+The self-test's wall-clock and subprocess checks stay out of this suite.
 """
 
 import sys
@@ -77,3 +80,34 @@ def test_online_inputs_parse_to_the_matrix_that_was_written(bench, tmp_path):
     workload.setup()
     assert len(workload.parsed) == workload.shape.G * workload.shape.B + workload.shape.B
     assert workload.check() == []
+
+
+@pytest.fixture(scope="module")
+def selftest_module():
+    saved = list(sys.path)
+    try:
+        sys.path.insert(0, str(BENCH))
+        import selftest  # puts src/ and bench/ on sys.path itself
+        yield selftest
+    finally:
+        sys.path[:] = saved
+
+
+@pytest.fixture
+def selftest(selftest_module, monkeypatch, tmp_path):
+    """The self-test, writing its tiny shapes into a copy of the workload
+    table and its outputs under tmp_path."""
+    workloads = selftest_module.workloads
+    monkeypatch.setattr(workloads, "SHAPES", dict(workloads.SHAPES))
+    monkeypatch.setattr(selftest_module, "OUT", str(tmp_path))
+    return selftest_module
+
+
+@pytest.mark.parametrize("check", [
+    "test_workloads_pass_their_checks",
+    "test_checks_catch_corrupted_reports",
+    "test_checks_catch_corrupted_pool_outputs",
+    "test_trace_counts_repeat_and_timers_come_off",
+])
+def test_selftest_check(selftest, check):
+    getattr(selftest, check)()

@@ -82,6 +82,7 @@ class TestRun:
         {"wstar_proxy": "no"},
         {"erm_tol": True},
         {"stream": 5},
+        {"grad_map_tol": 1.0},  # the offline trainer's iteration cap would be 0
     ])
     def test_bad_config_value_is_one_line_exit_1(self, tmp_path, capsys, body):
         assert_config_error(tmp_path, capsys, "run", {"stream": {"G": 2, "B": 20}, **body})

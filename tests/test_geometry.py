@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from co2learn.geometry import ProblemConstants, Sample, inner, project_to_ball
+from co2learn.geometry import Sample, project_to_ball
 
 
 class TestProjectToBall:
@@ -53,36 +53,7 @@ class TestProjectToBall:
             project_to_ball(np.ones(2), 0.0)
 
 
-class TestInner:
-    def test_orthogonal(self):
-        assert inner(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 0.0
-
-    def test_hand_value(self):
-        w = np.array([0.6, 0.8])
-        assert inner(w, w) == pytest.approx(1.0, abs=1e-15)
-
-    def test_zero_vector(self):
-        assert inner(np.zeros(3), np.array([2.0, -1.0, 5.0])) == 0.0
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            inner(np.ones(2), np.ones(3))
-
-    def test_cauchy_schwarz(self):
-        rng = np.random.default_rng(7)
-        for _ in range(500):
-            w, x = rng.normal(size=(2, 4)) * 3
-            assert abs(inner(w, x)) <= np.linalg.norm(w) * np.linalg.norm(x) + 1e-12
-
-
 class TestTypes:
-    def test_constants_validation(self):
-        ProblemConstants(D=1.0, R=2.0, beta=0.5, dim=3)
-        for bad in [dict(D=0), dict(R=-1), dict(beta=0), dict(dim=0)]:
-            kwargs = dict(D=1.0, R=1.0, beta=1.0, dim=2) | bad
-            with pytest.raises(ValueError):
-                ProblemConstants(**kwargs)
-
     def test_sample_validation(self):
         s = Sample(x=np.array([0.1, 0.2]), y=-1)
         assert s.x.dtype == np.float64

@@ -24,11 +24,10 @@ def spec():
 def random_pairs(spec, n, seed=0):
     """Random in-ball hypotheses and in-ball samples."""
     rng = np.random.default_rng(seed)
-    c = spec.constants
-    w = rng.normal(size=(n, c.dim))
-    w *= (c.R * rng.uniform(0, 1, n) ** 0.5 / np.linalg.norm(w, axis=1))[:, None]
-    x = rng.normal(size=(n, c.dim))
-    x *= (c.D * rng.uniform(0, 1, n) ** 0.5 / np.linalg.norm(x, axis=1))[:, None]
+    w = rng.normal(size=(n, spec.dim))
+    w *= (spec.R * rng.uniform(0, 1, n) ** 0.5 / np.linalg.norm(w, axis=1))[:, None]
+    x = rng.normal(size=(n, spec.dim))
+    x *= (spec.D * rng.uniform(0, 1, n) ** 0.5 / np.linalg.norm(x, axis=1))[:, None]
     y = rng.choice([-1, 1], n)
     return w, x, y
 
@@ -37,11 +36,27 @@ class TestSpec:
     def test_normalizer_and_beta(self, spec):
         C = math.log(1 + math.e)
         assert spec.C == pytest.approx(C, rel=1e-12)
-        assert spec.constants.beta == pytest.approx(1.0 / (4 * C), rel=1e-12)
+        assert spec.beta == pytest.approx(1.0 / (4 * C), rel=1e-12)
 
-    def test_inconsistent_spec_rejected(self, spec):
-        with pytest.raises(ValueError):
-            LossSpec(C=spec.C * 1.01, constants=spec.constants)
+    def test_inconsistent_spec_rejected(self):
+        # C and beta are derived from D and R, never supplied
+        for derived in [dict(C=2.0), dict(beta=0.5)]:
+            with pytest.raises(TypeError):
+                LossSpec(D=1.0, R=1.0, dim=2, **derived)
+
+    def test_bad_bounds_rejected(self):
+        LossSpec.create(D=1.0, R=2.0, dim=3)
+        for bad in [
+            dict(D=0.0),
+            dict(R=-1.0),
+            dict(R=float("nan")),
+            dict(D=1e200),  # D^2 overflows, so beta is infinite
+            dict(D=1e-200, R=1e-200),  # D^2 underflows, so beta is 0
+            dict(dim=0),
+            dict(dim=2.5),
+        ]:
+            with pytest.raises(ValueError):
+                LossSpec.create(**(dict(D=1.0, R=1.0, dim=2) | bad))
 
 
 class TestLoss:
@@ -116,7 +131,7 @@ class TestGrad:
 
     def test_self_bounding(self, spec):
         w, x, y = random_pairs(spec, 2000, seed=13)
-        beta = spec.constants.beta
+        beta = spec.beta
         for wi, xi, yi in zip(w, x, y):
             s = Sample(x=xi, y=int(yi))
             gn2 = float(np.dot(grad_loss(wi, s, spec), grad_loss(wi, s, spec)))
@@ -126,7 +141,7 @@ class TestGrad:
     def test_smoothness_probe(self, spec):
         w, x, y = random_pairs(spec, 300, seed=14)
         w2, _, _ = random_pairs(spec, 300, seed=15)
-        beta = spec.constants.beta
+        beta = spec.beta
         for wi, wj, xi, yi in zip(w, w2, x, y):
             s = Sample(x=xi, y=int(yi))
             diff = np.linalg.norm(grad_loss(wi, s, spec) - grad_loss(wj, s, spec))

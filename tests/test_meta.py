@@ -55,7 +55,7 @@ class TestCombine:
         np.testing.assert_array_equal(combine(mw, [w]), w)
 
     def test_even_mix(self):
-        mw = MetaWeights(alpha=np.array([0.5, 0.5]), nu=0.1, K=2)
+        mw = MetaWeights(alpha=np.array([0.5, 0.5]), nu=0.1)
         out = combine(mw, [np.array([1.0, 0.0]), np.array([0.0, 1.0])])
         np.testing.assert_allclose(out, [0.5, 0.5], rtol=1e-15)
 
@@ -85,13 +85,13 @@ class TestUpdateWeights:
         np.testing.assert_allclose(out.alpha, mw.alpha, rtol=1e-15)
 
     def test_hand_value(self):
-        mw = MetaWeights(alpha=np.array([0.5, 0.5]), nu=1.0, K=2)
+        mw = MetaWeights(alpha=np.array([0.5, 0.5]), nu=1.0)
         out = update_weights(mw, np.array([0.0, 1.0]))
         e1 = math.exp(-1)
         np.testing.assert_allclose(out.alpha, [1 / (1 + e1), e1 / (1 + e1)], rtol=1e-14)
 
     def test_zero_nu_is_noop(self):
-        mw = MetaWeights(alpha=np.array([0.3, 0.7]), nu=0.0, K=2)
+        mw = MetaWeights(alpha=np.array([0.3, 0.7]), nu=0.0)
         out = update_weights(mw, np.array([0.0, 1.0]))
         np.testing.assert_allclose(out.alpha, mw.alpha, rtol=1e-15)
 
@@ -106,7 +106,7 @@ class TestUpdateWeights:
     def test_order_response(self):
         rng = np.random.default_rng(4)
         for _ in range(50):
-            mw = MetaWeights(alpha=rng.dirichlet(np.ones(3)), nu=0.5, K=3)
+            mw = MetaWeights(alpha=rng.dirichlet(np.ones(3)), nu=0.5)
             losses = np.array([0.1, 0.9, 0.5])
             out = update_weights(mw, losses)
             # expert 0 beat expert 1, so their weight ratio must rise

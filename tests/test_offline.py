@@ -4,8 +4,6 @@ import pytest
 from co2learn.losses import LossSpec, batch_mean_loss
 from co2learn.offline import (
     Anchor,
-    OfflineTrainConfig,
-    default_config,
     gamma_lower_bound,
     objective,
     omega,
@@ -59,27 +57,25 @@ class TestGammaRule:
             Anchor(v=np.zeros(2), weighted_loss=1.0), 0.5
         ) == pytest.approx(1.0, rel=1e-15)
 
-    def test_default_config_respects_floor(self, spec):
+    def test_trainer_gamma_respects_floor(self, spec):
+        buf = small_interval(seed=5)
         a = Anchor(v=np.zeros(2), weighted_loss=0.9)
-        cfg = default_config(a, spec, gamma_floor=0.1)
-        assert cfg.gamma == pytest.approx(max(0.9 / 4, 0.1))
+        assert train_offline(buf, a, spec, 0.1, 1e-8).gamma == pytest.approx(max(0.9 / 4, 0.1))
         low = Anchor(v=np.zeros(2), weighted_loss=0.0)
-        assert default_config(low, spec, gamma_floor=0.1).gamma == 0.1
+        assert train_offline(buf, low, spec, 0.1, 1e-8).gamma == 0.1
 
 
 class TestTrainOffline:
     def test_huge_gamma_pins_to_anchor(self, spec):
         buf = small_interval(seed=2, B=6)
         a = Anchor(v=np.array([0.1, 0.2]), weighted_loss=0.5)
-        cfg = OfflineTrainConfig(gamma=1e6, max_iters=10000, grad_map_tol=1e-8)
-        res = train_offline(buf, a, cfg, spec)
+        res = train_offline(buf, a, spec, 1e6, 1e-8)
         assert np.linalg.norm(res.w - a.v) <= 1e-3
 
     def test_matches_grid_search(self, spec):
         buf = small_interval(seed=3, B=4)
         a = Anchor(v=np.array([-0.2, 0.3]), weighted_loss=0.4)
-        cfg = OfflineTrainConfig(gamma=1.0, max_iters=20000, grad_map_tol=1e-10)
-        res = train_offline(buf, a, cfg, spec)
+        res = train_offline(buf, a, spec, 1.0, 1e-10)
         _, grid_best = grid_min_objective(
             buf.X, buf.y, spec.C, gamma=1.0, anchor=a.v
         )
@@ -88,33 +84,29 @@ class TestTrainOffline:
     def test_monotone_descent_from_anchor(self, spec):
         buf = small_interval(seed=4, B=8)
         a = Anchor(v=np.array([0.4, -0.5]), weighted_loss=0.6)
-        cfg = default_config(a, spec)
-        res = train_offline(buf, a, cfg, spec)
-        assert objective(res.w, buf, a, cfg.gamma, spec) <= objective(
-            a.v, buf, a, cfg.gamma, spec
+        res = train_offline(buf, a, spec, 0.1, 1e-8)
+        assert objective(res.w, buf, a, res.gamma, spec) <= objective(
+            a.v, buf, a, res.gamma, spec
         ) + 1e-15
 
     def test_gamma_below_floor_rejected(self, spec):
+        # a gamma_floor below the admissible bound WL / (4 R^2) is never trained with
         buf = small_interval(seed=5)
-        a = Anchor(v=np.zeros(2), weighted_loss=0.8)  # floor 0.2
-        cfg = OfflineTrainConfig(gamma=0.1, max_iters=100, grad_map_tol=1e-8)
-        with pytest.raises(ValueError):
-            train_offline(buf, a, cfg, spec)
+        a = Anchor(v=np.zeros(2), weighted_loss=0.8)  # bound 0.2
+        assert train_offline(buf, a, spec, 0.1, 1e-8).gamma == 0.2
 
     def test_empty_interval_rejected(self, spec):
         empty = IntervalBuffer(X=np.zeros((0, 2)), y=np.zeros(0), interval_index=1)
         a = Anchor(v=np.zeros(2), weighted_loss=0.0)
-        cfg = OfflineTrainConfig(gamma=0.5, max_iters=100, grad_map_tol=1e-8)
         with pytest.raises(ValueError):
-            train_offline(empty, a, cfg, spec)
+            train_offline(empty, a, spec, 0.5, 1e-8)
 
     def test_solver_certificate(self, spec):
         buf = small_interval(seed=6, B=50)
         a = Anchor(v=np.array([0.0, 0.1]), weighted_loss=0.55)
-        cfg = default_config(a, spec)
-        res = train_offline(buf, a, cfg, spec)
+        res = train_offline(buf, a, spec, 0.1, 1e-8)
         assert res.converged
-        assert res.grad_map_norm <= cfg.grad_map_tol
+        assert res.grad_map_norm <= 1e-8
         assert np.linalg.norm(res.w) <= 1.0 + 1e-12
 
     def test_anchor_distance_inequality(self, spec):
@@ -124,9 +116,8 @@ class TestTrainOffline:
             v = np.array([0.3, -0.2])
             wl = float(batch_mean_loss(v, buf.X, buf.y, spec))
             a = Anchor(v=v, weighted_loss=wl)
-            cfg = default_config(a, spec)
-            res = train_offline(buf, a, cfg, spec)
-            assert omega(res.w, a) <= wl / cfg.gamma + 10 * cfg.grad_map_tol
+            res = train_offline(buf, a, spec, 0.1, 1e-8)
+            assert omega(res.w, a) <= wl / res.gamma + 10 * 1e-8
 
 
 class TestObjectiveShape:

@@ -41,13 +41,13 @@ class TestSingleExpertDegeneracy:
     def test_pool_equals_bare_ogd(self, spec):
         buf = make_interval(seed=31, B=120)
         pool = ExpertPool(spec=spec, B=120, K_max=5)
-        ogd = init_online("cold", spec.constants)
+        ogd = init_online("cold", spec)
         for i in range(buf.n):
             s = Sample(x=buf.X[i], y=int(buf.y[i]))
             rec = pool.process_labeled(s)
             np.testing.assert_array_equal(rec.w, ogd.w)
             assert rec.alpha_after[0] == 1.0
-            ogd = ogd_step(ogd, grad_loss(ogd.w, s, spec))
+            ogd = ogd_step(ogd, grad_loss(ogd.w, s, spec), spec)
 
 
 class TestScriptedStep:
@@ -60,7 +60,7 @@ class TestScriptedStep:
         pool.offline = [w_off.copy()]
         pool.G = 2
         pool.meta = MetaWeights.fresh(2, B)
-        pool.online = OnlineExpertState(w=w_on.copy(), t=3, constants=spec.constants)
+        pool.online = OnlineExpertState(w=w_on.copy(), t=3)
         s = Sample(x=np.array([0.6, -0.5]), y=1)
 
         rec = pool.process_labeled(s)
@@ -75,7 +75,7 @@ class TestScriptedStep:
         alpha_next = scaled / scaled.sum()
         sig = 1 / (1 + math.exp(np.dot(w_on, s.x)))
         grad = -sig / spec.C * s.x
-        step = 1.0 / math.sqrt(spec.constants.beta * 3)
+        step = 1.0 / math.sqrt(spec.beta * 3)
         w_on_next = w_on - step * grad
         if np.linalg.norm(w_on_next) > 1:
             w_on_next = w_on_next / np.linalg.norm(w_on_next)
@@ -94,7 +94,7 @@ class TestScriptedStep:
         pool.offline = [w.copy(), w.copy()]
         pool.G = 3
         pool.meta = MetaWeights.fresh(3, B)
-        pool.online = OnlineExpertState(w=w.copy(), t=1, constants=spec.constants)
+        pool.online = OnlineExpertState(w=w.copy(), t=1)
         rec = pool.process_labeled(Sample(x=np.array([0.5, 0.5]), y=-1))
         np.testing.assert_allclose(rec.w, w, rtol=1e-14)
         np.testing.assert_allclose(rec.alpha_after, rec.alpha_before, rtol=1e-14)
@@ -103,14 +103,14 @@ class TestScriptedStep:
 class TestPredictUnlabeled:
     def test_signs_and_tiebreak(self, spec):
         pool = ExpertPool(spec=spec, B=10, K_max=5)
-        pool.online = OnlineExpertState(w=np.array([1.0, 0.0]), t=1, constants=spec.constants)
+        pool.online = OnlineExpertState(w=np.array([1.0, 0.0]), t=1)
         assert pool.predict_unlabeled(np.array([2.0, 0.0])) == 1
         assert pool.predict_unlabeled(np.array([-2.0, 0.0])) == -1
         assert pool.predict_unlabeled(np.array([0.0, 3.0])) == 1  # orthogonal -> +1
 
     def test_accepts_a_list(self, spec):
         pool = ExpertPool(spec=spec, B=10, K_max=5)
-        pool.online = OnlineExpertState(w=np.array([1.0, -1.0]), t=1, constants=spec.constants)
+        pool.online = OnlineExpertState(w=np.array([1.0, -1.0]), t=1)
         assert pool.predict_unlabeled([0.2, 0.5]) == -1
         assert pool.predict_unlabeled([1, 0]) == 1
 
@@ -120,9 +120,22 @@ class TestPredictUnlabeled:
         with pytest.raises(ValueError, match="dimension mismatch"):
             pool.predict_unlabeled(x)
 
+    @pytest.mark.parametrize("x", [
+        [np.nan, 0.0], [np.inf, 0.0], [0.0, -np.inf], [np.inf, -np.inf],
+        [1.7e308, 1.7e308],  # finite entries whose score overflows
+    ])
+    def test_non_finite_score_raises(self, spec, x):
+        pool = ExpertPool(spec=spec, B=10, K_max=5)
+        with pytest.raises(ValueError, match="not finite"):
+            pool.predict_unlabeled(np.array([np.nan, 0.0]))  # against the zero output
+        pool.online = OnlineExpertState(w=np.array([0.6, 0.8]), t=1)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(ValueError, match="not finite"):
+            pool.predict_unlabeled(np.array(x))
+
     def test_current_output_is_a_copy(self, spec):
         pool = ExpertPool(spec=spec, B=10, K_max=5)
-        pool.online = OnlineExpertState(w=np.array([1.0, 0.0]), t=1, constants=spec.constants)
+        pool.online = OnlineExpertState(w=np.array([1.0, 0.0]), t=1)
         pool.current_output()[:] = -1.0
         np.testing.assert_array_equal(pool.current_output(), [1.0, 0.0])
         assert pool.predict_unlabeled(np.array([1.0, 0.0])) == 1
@@ -142,6 +155,19 @@ class TestLifecycleGuards:
             pool.process_labeled(Sample(x=buf.X[i], y=int(buf.y[i])))
         with pytest.raises(RuntimeError):
             pool.process_labeled(Sample(x=buf.X[0], y=int(buf.y[0])))
+
+    @pytest.mark.parametrize("setting", [
+        dict(grad_map_tol=0.0),
+        dict(grad_map_tol=-1.0),
+        dict(grad_map_tol=float("nan")),
+        dict(grad_map_tol=1.0),  # the offline trainer's iteration cap would be 0
+        dict(gamma_floor=float("inf")),
+        dict(gamma_floor=-1.0),
+        dict(gamma_floor=float("nan")),
+    ])
+    def test_bad_solver_settings_rejected_when_built(self, spec, setting):
+        with pytest.raises(ValueError, match=next(iter(setting))):
+            ExpertPool(spec=spec, B=5, K_max=3, **setting)
 
     def test_rollover_needs_full_interval(self, spec):
         buf = make_interval(seed=34, B=5)

@@ -10,7 +10,8 @@ functions, that the loss is self-bounding, and that the two stream parsers,
 where outside text enters, fail only with the documented errors; the LIBSVM
 parse gives the rows or the error of the per-token reference parser. The last
 group holds the generator's contract (see ``co2learn.rng`` and the substream
-layout in ``co2learn.streams``) for any seed and request sizes.
+layout in ``co2learn.streams``) for any seed and request sizes, and the last
+test holds the per-interval guarantees over arbitrary small runs.
 """
 
 import math
@@ -74,16 +75,16 @@ def ogd_runs(draw):
     dim = draw(st.integers(1, 5))
     spec = LossSpec.create(D=draw(st.floats(0.1, 10.0)), R=draw(st.floats(0.1, 10.0)), dim=dim)
     grads = draw(st.lists(vectors(dim, 1e100), min_size=1, max_size=30))
-    return spec.constants, grads
+    return spec, grads
 
 
 @given(ogd_runs())
 def test_ogd_iterate_stays_in_ball_for_any_gradient(run):
-    constants, grads = run
-    state = init_online("cold", constants)
+    spec, grads = run
+    state = init_online("cold", spec)
     for grad in grads:
-        state = ogd_step(state, grad)
-        assert np.linalg.norm(state.w) <= constants.R * (1.0 + 1e-12)
+        state = ogd_step(state, grad, spec)
+        assert np.linalg.norm(state.w) <= spec.R * (1.0 + 1e-12)
     assert state.t == len(grads) + 1
 
 
@@ -109,11 +110,11 @@ def pool_states(draw):
     dim, K = draw(st.integers(1, 30)), draw(st.integers(1, 8))
     spec = LossSpec.create(D=draw(st.floats(0.1, 5.0)), R=draw(st.floats(0.1, 5.0)), dim=dim)
     B = draw(st.integers(1, 400))
-    experts = in_ball(draw, dim, spec.constants.R, n=K)
+    experts = in_ball(draw, dim, spec.R, n=K)
     raw = draw(arrays(np.float64, K, elements=st.floats(1e-3, 1.0)))
-    meta = MetaWeights(alpha=raw / raw.sum(), nu=draw(st.floats(0.0, 4.0)), K=K)
+    meta = MetaWeights(alpha=raw / raw.sum(), nu=draw(st.floats(0.0, 4.0)))
     t_pool, t_ogd = draw(st.integers(0, B - 1)), draw(st.integers(1, 10 * B))
-    x = in_ball(draw, dim, spec.constants.D)
+    x = in_ball(draw, dim, spec.D)
     return spec, B, experts, meta, t_pool, t_ogd, Sample(x=x, y=draw(st.sampled_from([-1, 1])))
 
 
@@ -123,7 +124,7 @@ def test_step_matches_the_reference_chain(state):
     K = len(experts)
     pool = ExpertPool(spec=spec, B=B, K_max=max(K, 2))
     pool.offline = list(experts[:-1])
-    pool.online = OnlineExpertState(w=experts[-1].copy(), t=t_ogd, constants=spec.constants)
+    pool.online = OnlineExpertState(w=experts[-1].copy(), t=t_ogd)
     pool.G, pool.t, pool.meta = K, t_pool, meta
 
     rec = pool.process_labeled(s)
@@ -131,8 +132,8 @@ def test_step_matches_the_reference_chain(state):
     losses = batch_losses(s.x, experts, s.y, spec)
     w_t = combine(meta, list(experts))
     after = update_weights(meta, losses)
-    online = ogd_step(OnlineExpertState(w=experts[-1], t=t_ogd, constants=spec.constants),
-                      grad_loss(experts[-1], s, spec))
+    online = ogd_step(OnlineExpertState(w=experts[-1], t=t_ogd),
+                      grad_loss(experts[-1], s, spec), spec)
     np.testing.assert_allclose(rec.w, w_t, rtol=0, atol=1e-12)
     assert abs(rec.loss_meta - float(batch_losses(w_t, s.x, s.y, spec))) <= 1e-12
     np.testing.assert_allclose(rec.losses_per_expert, losses, rtol=0, atol=1e-12)
@@ -171,13 +172,12 @@ def test_kept_output_is_alpha_times_experts_after_every_call(data):
     for op in draw(st.lists(st.sampled_from(("inject", "step", "predict")), max_size=30)):
         if op == "inject":
             K = draw(st.integers(1, K_max))
-            experts = in_ball(draw, dim, spec.constants.R, n=K)
+            experts = in_ball(draw, dim, spec.R, n=K)
             raw = draw(arrays(np.float64, K, elements=st.floats(1e-3, 1.0)))
             values = {
                 "offline": list(experts[:-1]),
-                "online": OnlineExpertState(w=experts[-1].copy(), t=draw(st.integers(1, 50)),
-                                            constants=spec.constants),
-                "meta": MetaWeights(alpha=raw / raw.sum(), nu=draw(st.floats(0.0, 4.0)), K=K),
+                "online": OnlineExpertState(w=experts[-1].copy(), t=draw(st.integers(1, 50))),
+                "meta": MetaWeights(alpha=raw / raw.sum(), nu=draw(st.floats(0.0, 4.0))),
             }
             for name in draw(st.permutations(list(values))):
                 setattr(pool, name, values[name])
@@ -190,7 +190,7 @@ def test_kept_output_is_alpha_times_experts_after_every_call(data):
             taken = []
             want = coherent_output(pool)
         elif op == "step":
-            s = Sample(x=in_ball(draw, dim, spec.constants.D), y=draw(st.sampled_from([-1, 1])))
+            s = Sample(x=in_ball(draw, dim, spec.D), y=draw(st.sampled_from([-1, 1])))
             rec = pool.process_labeled(s)
             assert rec.w.tobytes() == want.tobytes()
             taken.append(s)
@@ -208,9 +208,9 @@ def test_kept_output_is_alpha_times_experts_after_every_call(data):
 def batches(draw):
     dim, n = draw(st.integers(1, 30)), draw(st.integers(1, 50))
     spec = LossSpec.create(D=draw(st.floats(0.1, 5.0)), R=draw(st.floats(0.1, 5.0)), dim=dim)
-    X = in_ball(draw, dim, spec.constants.D, n=n)
+    X = in_ball(draw, dim, spec.D, n=n)
     y = np.array(draw(st.lists(st.sampled_from([-1, 1]), min_size=n, max_size=n)))
-    return spec, in_ball(draw, dim, spec.constants.R), X, y
+    return spec, in_ball(draw, dim, spec.R), X, y
 
 
 @given(batches())
@@ -224,7 +224,7 @@ def test_batch_mean_grad_is_the_row_mean_of_grad_loss(batch):
 @given(batches())
 def test_gradient_is_self_bounding(batch):
     spec, w, X, y = batch
-    beta = spec.constants.beta
+    beta = spec.beta
     for x, label in zip(X, y):
         s = Sample(x=x, y=int(label))
         g = grad_loss(w, s, spec)
@@ -387,3 +387,23 @@ def test_proxy_draws_never_move_the_interval_samples(spec):
     for a, b in zip(proxied.intervals, plain.intervals):
         assert a.regret_co2_vs_wstar is not None
         assert replace(a, regret_co2_vs_wstar=None, regret_ogd_vs_wstar=None) == b
+
+
+@given(G=st.integers(2, 4), B=st.integers(4, 40), dim=st.integers(1, 6),
+       K_max=st.integers(2, 4), strategy=st.sampled_from(STRATEGIES),
+       init_policy=st.sampled_from(INIT_POLICIES), drift=st.floats(0.0, 2.0),
+       seed=st.integers(0, 2**32 - 1), wstar_proxy=st.booleans())
+def test_every_interval_keeps_its_guarantees(G, B, dim, K_max, strategy, init_policy,
+                                             drift, seed, wstar_proxy):
+    config = ExperimentConfig(
+        stream=StreamSpec(G=G, B=B, dim=dim, seed=seed, drift_std=drift), seeds=(seed,),
+        K_max=K_max, strategy=strategy, init_policy=init_policy, wstar_proxy=wstar_proxy)
+    run = run_experiment(config).runs[0]  # raises BoundViolation on any failed bound
+    assert [m.g for m in run.intervals] == list(range(1, G + 1))
+    for m in run.intervals:
+        assert abs(m.regret_co2 - (m.regret_me + m.regret_ke)) <= 1e-9
+        alphas = run.steps[(m.g - 1) * B:m.g * B, 4:]  # post-update weights, row per step
+        live, past_k = alphas[:, :m.K], alphas[:, m.K:]
+        assert np.all(live >= 0.0)
+        np.testing.assert_allclose(live.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+        assert np.all(past_k == 0.0)
