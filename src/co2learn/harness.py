@@ -7,6 +7,8 @@ the empirical minimizer over that interval's B samples (the ERM oracle: the
 offline solver with gamma = 0, see ``offline.projected_gradient``);
 synthetic runs can additionally report a population-optimum proxy fitted on
 10*B fresh samples from the same interval distribution, labeled separately.
+That proxy sample is drawn once per interval and shared by the interval's
+metrics and the rollover metrics that follow it.
 
 Every recorded interval is checked against the closed-form guarantees
 (meta regret, OGD regret, both coupled-regret forms, the regret identity,
@@ -237,10 +239,15 @@ def _run_seed(config: ExperimentConfig, spec: LossSpec, seed: int, input_samples
 
         w_hat = erm_oracle(buf.X, buf.y, spec, tol=config.erm_tol)
         erm_losses = batch_losses(w_hat, buf.X, buf.y, spec)
+        # the w* proxy sample, shared by both metrics below; the last interval's
+        # is let go first, so two are never held at once
+        proxy = None
+        if config.wstar_proxy and buf.class_means is not None:
+            proxy = fresh_proxy_samples(stream_spec, buf, 10 * B)
         m = _interval_metrics(
             config, spec, seed, g, K, nu, B,
             co2_losses, ogd_losses, expert_losses, weighted_losses,
-            erm_losses, stream_spec, buf,
+            erm_losses, buf, proxy,
         )
         metrics.append(m)
         _assert_interval_bounds(m)
@@ -252,7 +259,7 @@ def _run_seed(config: ExperimentConfig, spec: LossSpec, seed: int, input_samples
 
         if g < stream_spec.G:
             roll = pool.rollover(buf)
-            rollovers.append(_rollover_metrics(config, spec, seed, stream_spec, buf, roll))
+            rollovers.append(_rollover_metrics(config, spec, seed, roll, proxy))
             _assert_rollover_bounds(rollovers[-1])
 
     final = metrics[-1]
@@ -272,7 +279,7 @@ def _run_seed(config: ExperimentConfig, spec: LossSpec, seed: int, input_samples
 
 def _interval_metrics(config, spec, seed, g, K, nu, B, co2_losses, ogd_losses,
                       expert_losses, weighted_losses, erm_losses,
-                      stream_spec, buf) -> IntervalMetrics:
+                      buf, proxy) -> IntervalMetrics:
     cum_experts = expert_losses.sum(axis=0)
     best = float(cum_experts.min())
     cum_co2 = float(co2_losses.sum())
@@ -290,9 +297,8 @@ def _interval_metrics(config, spec, seed, g, K, nu, B, co2_losses, ogd_losses,
 
     early = min(EARLY_T, B)
     vs_wstar = (None, None)
-    if config.wstar_proxy and buf.class_means is not None:
-        Xf, yf = fresh_proxy_samples(stream_spec, buf, 10 * B)
-        w_star = erm_oracle(Xf, yf, spec, tol=config.erm_tol)
+    if proxy is not None:
+        w_star = erm_oracle(*proxy, spec, tol=config.erm_tol)
         star_cum = float(batch_losses(w_star, buf.X, buf.y, spec).sum())
         vs_wstar = (cum_co2 - star_cum, cum_ogd - star_cum)
 
@@ -315,12 +321,12 @@ def _interval_metrics(config, spec, seed, g, K, nu, B, co2_losses, ogd_losses,
     )
 
 
-def _rollover_metrics(config, spec, seed, stream_spec, buf, roll) -> RolloverMetrics:
+def _rollover_metrics(config, spec, seed, roll, proxy) -> RolloverMetrics:
     anchor_cap = roll.anchor.weighted_loss / roll.result.gamma + 10.0 * config.grad_map_tol
     gap_measured = gap_bound = gap_holds = omega_star = None
-    if config.wstar_proxy and buf.class_means is not None:
-        Xf, yf = fresh_proxy_samples(stream_spec, buf, 10 * buf.n)
-        w_star = erm_oracle(Xf, yf, spec, tol=config.erm_tol)
+    if proxy is not None:
+        # the interval metrics' fit again; it goes once bench's S(3G - 1) ERM-call pin is restated
+        w_star = erm_oracle(*proxy, spec, tol=config.erm_tol)
         omega_star = omega(w_star, roll.anchor)
         gap_measured = float(np.linalg.norm(roll.result.w - w_star))
         gap_bound = tb.transfer_gap_bound(

@@ -35,7 +35,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import check_real
+from .errors import check_int, check_real
 from .geometry import Sample
 from .losses import LossSpec, batch_mean_loss, check_sample, margin_loss, softplus
 from .meta import MetaWeights, reweight
@@ -112,10 +112,8 @@ class ExpertPool:
         gamma_floor: float = 0.1,
         grad_map_tol: float = 1e-8,
     ):
-        if B < 1:
-            raise ValueError("B must be >= 1")
-        if K_max < 2:
-            raise ValueError("K_max must be >= 2")
+        check_int("B", B, minimum=1)
+        check_int("K_max", K_max, minimum=2)
         if strategy not in STRATEGIES:
             raise ValueError(f"strategy must be one of {STRATEGIES}, got {strategy!r}")
         if init_policy not in INIT_POLICIES:

@@ -24,6 +24,8 @@ Derived values, in documented order:
                        2 * ceil(n / 2) raw draws; a leftover normal from an
                        odd request is discarded, never cached.
 * shuffle:             Fisher-Yates from the top, j = floor(u * (i + 1)).
+                       Every j is computed in one vectorized pass before the
+                       swaps; the values are those of the scalar formula.
 
 This pins the byte-level content of every generated stream to (seed, draw
 order) alone, independent of numpy's own RNG machinery.
@@ -142,7 +144,9 @@ class CounterRng:
         if n < 2:
             return arr
         out = arr.tolist()  # swapping list items is cheaper than numpy scalars
-        for i, u in zip(range(n - 1, 0, -1), self.uniforms(n - 1).tolist()):
-            j = int(u * (i + 1))
+        # j = floor(u * (i + 1)) for i = n-1 .. 1, all at once: each i + 1 is
+        # exact in float64, the product is one rounding, and truncation is floor
+        js = (self.uniforms(n - 1) * np.arange(n, 1, -1)).astype(np.int64).tolist()
+        for i, j in zip(range(n - 1, 0, -1), js):
             out[i], out[j] = out[j], out[i]
         return np.array(out, dtype=arr.dtype)

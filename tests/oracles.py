@@ -1,8 +1,10 @@
 """Brute-force oracles and reference implementations shared by the tests.
 
-The grid oracle enumerates the hypothesis ball at a fixed pitch and
-evaluates batch objectives directly from the loss formula, independent of
-any solver code path it is used to check. softplus(-z) is computed as
+The grid oracle minimizes over the hypothesis ball's points at a fixed pitch,
+evaluating batch objectives directly from the loss formula, independent of
+any solver code path it is used to check; a Lipschitz branch and bound skips
+the blocks of points that cannot hold the minimum, and the full enumeration
+stays as its reference. softplus(-z) is computed as
 -log_expit(z) (scipy's compiled kernel for the same expression), which
 matches logaddexp(0, -z) to the last bit and is much faster on big grids.
 """
@@ -33,6 +35,59 @@ def ball_grid(R: float = 1.0, pitch: float = 1e-3) -> np.ndarray:
     return _GRID_CACHE[key]
 
 
+def grid_objective(points, X, y, C, gamma=0.0, anchor=None) -> np.ndarray:
+    """Mean normalized-logistic loss (+ optional quadratic pull toward
+    ``anchor``) at each row of ``points``."""
+    Z = (points @ X.T) * y  # (points, samples)
+    objective = -log_expit(Z).sum(axis=1) / (len(X) * C)
+    if gamma:
+        d = points - anchor
+        objective = objective + 0.5 * gamma * np.einsum("ij,ij->i", d, d)
+    return objective
+
+
+def grid_min_objective_exhaustive(
+    X: np.ndarray,
+    y: np.ndarray,
+    C: float,
+    R: float = 1.0,
+    pitch: float = 1e-3,
+    gamma: float = 0.0,
+    anchor: np.ndarray | None = None,
+) -> tuple[float, np.ndarray]:
+    """``grid_min_objective`` by evaluating every point of the ball grid."""
+    grid = ball_grid(R, pitch)
+    objective = grid_objective(grid, X, y, C, gamma, anchor)
+    best = int(np.argmin(objective))
+    return float(objective[best]), grid[best]
+
+
+_BLOCK_SIDE = 16  # grid pitches per block edge
+_BLOCKS_CACHE: dict[tuple[float, float], tuple] = {}
+
+
+def grid_blocks(R: float = 1.0, pitch: float = 1e-3):
+    """The ball grid cut into square blocks of ``_BLOCK_SIDE`` pitches:
+    ``(points, starts, centres, radii)``, with the points sorted by block,
+    block b being ``points[starts[b]: starts[b + 1]]``, its centre the mean of
+    its points (inside the ball, which is convex) and its radius the largest
+    distance from that centre to one of them."""
+    key = (R, pitch)
+    if key not in _BLOCKS_CACHE:
+        grid = ball_grid(R, pitch)
+        cell = np.rint((grid + R) / pitch).astype(np.int64) // _BLOCK_SIDE
+        block = cell[:, 0] * (int(cell.max()) + 1) + cell[:, 1]
+        order = np.argsort(block, kind="stable")
+        points, block = grid[order], block[order]
+        starts = np.flatnonzero(np.r_[True, block[1:] != block[:-1]])
+        counts = np.diff(np.r_[starts, len(points)])
+        centres = np.add.reduceat(points, starts) / counts[:, None]
+        dist = np.linalg.norm(points - np.repeat(centres, counts, axis=0), axis=1)
+        radii = np.maximum.reduceat(dist, starts)
+        _BLOCKS_CACHE[key] = (points, np.r_[starts, len(points)], centres, radii)
+    return _BLOCKS_CACHE[key]
+
+
 def grid_min_objective(
     X: np.ndarray,
     y: np.ndarray,
@@ -43,15 +98,29 @@ def grid_min_objective(
     anchor: np.ndarray | None = None,
 ) -> tuple[float, np.ndarray]:
     """Minimum of mean normalized-logistic loss (+ optional quadratic pull
-    toward ``anchor``) over the ball grid; returns (value, argmin point)."""
-    grid = ball_grid(R, pitch)
-    Z = (grid @ X.T) * y  # (points, samples)
-    objective = -log_expit(Z).sum(axis=1) / (len(X) * C)
+    toward ``anchor``) over the ball grid; returns (value, argmin point).
+
+    Lipschitz branch and bound (Piyavskii 1972; Shubert 1972) over
+    ``grid_blocks``: on the ball the objective's gradient norm is at most
+    L = max|x| / C + gamma (R + |anchor|), so no point of a block is below
+    f(centre) - L * radius. Blocks are visited in increasing order of that
+    bound, and every point is evaluated in each block whose bound is not
+    above the best value found; the rest cannot hold the grid minimum."""
+    points, starts, centres, radii = grid_blocks(R, pitch)
+    L = float(np.linalg.norm(X, axis=1).max()) / C
     if gamma:
-        d = grid - anchor
-        objective = objective + 0.5 * gamma * np.einsum("ij,ij->i", d, d)
-    best = int(np.argmin(objective))
-    return float(objective[best]), grid[best]
+        L += gamma * (R + float(np.linalg.norm(anchor)))
+    lower = grid_objective(centres, X, y, C, gamma, anchor) - L * radii
+    best, best_point = np.inf, None
+    for b in np.argsort(lower, kind="stable"):
+        if lower[b] > best:
+            break
+        block = points[starts[b]: starts[b + 1]]
+        objective = grid_objective(block, X, y, C, gamma, anchor)
+        k = int(np.argmin(objective))
+        if objective[k] < best:
+            best, best_point = float(objective[k]), block[k]
+    return best, best_point
 
 
 def reference_shuffle(rng, items: np.ndarray) -> np.ndarray:

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from co2learn import harness
 from co2learn.errors import ConfigError
 from co2learn.harness import (
     ExperimentConfig,
@@ -11,8 +12,10 @@ from co2learn.harness import (
     run_experiment,
 )
 from co2learn.losses import LossSpec, batch_mean_loss
+from co2learn.offline import omega
+from co2learn.pool import ExpertPool
 from co2learn.rng import _BLOCK, CounterRng
-from co2learn.streams import StreamSpec, gen_synthetic
+from co2learn.streams import StreamSpec, fresh_proxy_samples, gen_synthetic
 
 from oracles import grid_min_objective, reference_normals
 
@@ -218,3 +221,67 @@ def test_reports_do_not_depend_on_the_draw_blocks(tmp_path, monkeypatch):
     for name in ("steps", "summary", "bounds"):
         with open(blocked[name], "rb") as a, open(whole[name], "rb") as b:
             assert a.read() == b.read(), name
+
+
+class TestWstarProxyDraws:
+    """The 10*B proxy sample is drawn once per interval and shared by the
+    interval's metrics and its rollover's; the fit count is unchanged."""
+
+    @staticmethod
+    def counted(monkeypatch):
+        counts = {"draws": 0, "fits": 0}
+
+        def wrap(name, key):
+            original = getattr(harness, name)
+
+            def counting(*args, **kwargs):
+                counts[key] += 1
+                return original(*args, **kwargs)
+            monkeypatch.setattr(harness, name, counting)
+        wrap("fresh_proxy_samples", "draws")
+        wrap("erm_oracle", "fits")
+        return counts
+
+    def test_one_draw_per_interval(self, monkeypatch):
+        G, seeds = 4, (3, 4)
+        counts = self.counted(monkeypatch)
+        run_experiment(ExperimentConfig(stream=StreamSpec(G=G, B=30, dim=2), seeds=seeds))
+        assert counts == {"draws": len(seeds) * G, "fits": len(seeds) * (3 * G - 1)}
+
+    def test_no_draw_without_the_proxy(self, monkeypatch):
+        counts = self.counted(monkeypatch)
+        config = ExperimentConfig(stream=StreamSpec(G=3, B=30, dim=2), seeds=(1,),
+                                  wstar_proxy=False)
+        run_experiment(config)
+        assert counts == {"draws": 0, "fits": 3}
+
+    def test_no_draw_in_libsvm_mode(self, monkeypatch, tmp_path):
+        rng = np.random.default_rng(9)
+        lines = [f"{rng.choice([-1, 1])} 1:{a:.6f} 2:{b:.6f}"
+                 for a, b in rng.uniform(-1, 1, size=(120, 2))]
+        path = tmp_path / "data.libsvm"
+        path.write_text("\n".join(lines) + "\n")
+        counts = self.counted(monkeypatch)
+        stream = StreamSpec(G=3, B=30, dim=2, mode="libsvm_noised")
+        run_experiment(ExperimentConfig(stream=stream, seeds=(1,), input_path=str(path)))
+        assert counts == {"draws": 0, "fits": 3}
+
+    def test_each_rollover_uses_its_own_intervals_draw(self, monkeypatch, spec):
+        rolls = []
+        original = ExpertPool.rollover
+
+        def recording(pool, completed):
+            rolls.append(original(pool, completed))
+            return rolls[-1]
+        monkeypatch.setattr(ExpertPool, "rollover", recording)
+        stream = StreamSpec(G=4, B=30, dim=2, seed=8)
+        config = ExperimentConfig(stream=stream, seeds=(8,))
+        rollovers = run_experiment(config).runs[0].rollovers
+        g = 2
+        roll, metrics = rolls[g - 1], rollovers[g - 1]
+        assert roll.g_completed == metrics.g_completed == g
+        interval = gen_synthetic(stream)[g - 1]
+        Xf, yf = fresh_proxy_samples(stream, interval, 10 * stream.B)
+        w_star = erm_oracle(Xf, yf, spec, tol=config.erm_tol)
+        assert metrics.omega_star == omega(w_star, roll.anchor)
+        assert metrics.gap_measured == float(np.linalg.norm(roll.result.w - w_star))

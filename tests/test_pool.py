@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from co2learn.errors import ConfigError
 from co2learn.geometry import Sample
 from co2learn.losses import LossSpec, batch_losses, grad_loss
 from co2learn.meta import MetaWeights
@@ -168,6 +169,14 @@ class TestLifecycleGuards:
     def test_bad_solver_settings_rejected_when_built(self, spec, setting):
         with pytest.raises(ValueError, match=next(iter(setting))):
             ExpertPool(spec=spec, B=5, K_max=3, **setting)
+
+    @pytest.mark.parametrize("name", ["B", "K_max"])
+    @pytest.mark.parametrize("value", [2.5, True, 0])
+    def test_non_integer_or_small_sizes_rejected_when_built(self, spec, name, value):
+        # B=2.5 would take three samples and then never reach a rollover
+        sizes = {"B": 5, "K_max": 3, name: value}
+        with pytest.raises(ConfigError, match=f"{name} must be an integer"):
+            ExpertPool(spec=spec, **sizes)
 
     def test_rollover_needs_full_interval(self, spec):
         buf = make_interval(seed=34, B=5)

@@ -323,6 +323,20 @@ def test_shuffle_matches_the_reference_loop(seed, n, dtype):
     np.testing.assert_array_equal(rng.raw(2), ref.raw(2))  # as many draws consumed
 
 
+# The property above stops at 500 items; the proxy draws shuffle 10*B labels
+# (2,000 at the desk shape, 20,000 at dim 200, B 2000).
+@pytest.mark.parametrize("n", [2_000, 20_000])
+@pytest.mark.parametrize("kind", ["labels", "arange"])
+def test_shuffle_matches_the_reference_loop_at_proxy_sizes(n, kind):
+    items = (np.where(np.arange(n) % 2 == 0, 1, -1).astype(np.int64)
+             if kind == "labels" else np.arange(n))
+    rng, ref = CounterRng(n + 1), CounterRng(n + 1)
+    got, want = rng.shuffle(items), reference_shuffle(ref, items)
+    assert got.dtype == want.dtype == np.int64
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(rng.raw(2), ref.raw(2))  # as many draws consumed
+
+
 # Draws are made _BLOCK raw values (so _BLOCK normals) at a time: request
 # sizes near and across block boundaries, and small ones of either parity.
 DRAW_COUNTS = st.one_of(
