@@ -8,14 +8,12 @@ rollover, and moment eigenvalues estimated from the final interval.
 import json
 
 from co2learn import (
-    BoundInputs,
     ExperimentConfig,
     StreamSpec,
     bound_report,
     estimate_eigenvalues,
     run_experiment,
 )
-from co2learn.losses import LossSpec
 from co2learn.streams import gen_synthetic
 
 stream = StreamSpec(G=8, B=120, dim=2, seed=3)
@@ -29,14 +27,10 @@ print(json.dumps(run.bound_report, indent=2))
 
 # the same calculators can be driven by hand; here with a pessimistic
 # regret_KE to see the K-condition tighten
-spec = LossSpec.create(D=stream.D, R=1.0, dim=stream.dim)
 final = run.intervals[-1]
-inputs = BoundInputs(
-    T=final.T, K=final.K, B=stream.B,
-    D=stream.D, R=1.0, beta=spec.beta,
-    gamma=run.rollovers[-1].gamma, delta=0.05,
-    regret_KE=5.0, omega_star=0.0, weighted_loss=0.4,
-    eigenvalues=estimate_eigenvalues(gen_synthetic(stream)[-1].X),
+inputs = config.bound_inputs(
+    estimate_eigenvalues(gen_synthetic(stream)[-1].X),
+    gamma=run.rollovers[-1].gamma, regret_KE=5.0, weighted_loss=0.4,
 )
 pessimistic = bound_report(inputs)
 print("\nwith regret_KE forced to 5.0:")

@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DataError
+from .errors import ConfigError, DataError, check_int, check_real
 
 
 @dataclass(frozen=True)
@@ -51,27 +51,25 @@ class BoundInputs:
     def __post_init__(self):
         ev = np.asarray(self.eigenvalues, dtype=np.float64)
         object.__setattr__(self, "eigenvalues", ev)
-        for name in ("D", "R", "beta", "gamma", "delta", "regret_KE", "omega_star",
-                     "weighted_loss"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not (isinstance(value, Real) and isfinite(value)):
-                raise ValueError(f"{name} must be a finite real number, got {value!r}")
-        if min(self.T, self.K, self.B) < 1:
-            raise ValueError("T, K and B must be positive integers")
-        if min(self.D, self.R, self.beta, self.gamma) <= 0:
-            raise ValueError("D, R, beta and gamma must be positive")
-        if not (0.0 < self.delta < 1.0):
-            raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
-        if self.omega_star < 0:
-            raise ValueError("omega_star must be nonnegative")
-        if not (0.0 <= self.weighted_loss <= 1.0):
-            raise ValueError("weighted_loss must lie in [0, 1]")
+        for name in ("T", "K", "B"):
+            check_int(name, getattr(self, name), minimum=1)
+        for name in ("D", "R", "beta", "gamma"):
+            check_real(name, getattr(self, name), positive=True)
+        check_real("delta", self.delta, positive=True, below=1.0)
+        check_real("omega_star", self.omega_star)
+        check_real("weighted_loss", self.weighted_loss)
+        if self.weighted_loss > 1.0:
+            raise ConfigError(f"weighted_loss must be <= 1, got {self.weighted_loss!r}")
+        regret = self.regret_KE  # the one input that may be negative
+        if isinstance(regret, bool) or not (isinstance(regret, Real) and isfinite(regret)):
+            raise ConfigError(f"regret_KE must be a finite number, got {regret!r}")
         _check_nonincreasing(ev)
 
 
 def _check_nonincreasing(ev: np.ndarray) -> None:
-    if ev.size and (np.any(ev < 0) or np.any(np.diff(ev) > 1e-12)):
-        raise ValueError("eigenvalues must be nonnegative and non-increasing")
+    if ev.size and not (np.all(np.isfinite(ev)) and np.all(ev >= 0)
+                        and np.all(np.diff(ev) <= 1e-12)):
+        raise ConfigError("eigenvalues must be finite, nonnegative and non-increasing")
 
 
 class CoupledRegretBounds(NamedTuple):

@@ -24,7 +24,6 @@ from dataclasses import MISSING, fields, replace
 from . import bounds as tb
 from .errors import BoundViolation, ConfigError, ConvergenceError, DataError
 from .harness import ExperimentConfig, emit_reports, load_input_samples, run_experiment
-from .losses import LossSpec
 from .online import INIT_POLICIES
 from .pool import STRATEGIES
 from .streams import StreamSpec, dump_stream, generate, parse_libsvm
@@ -170,22 +169,8 @@ def _cmd_run(cfg: dict) -> int:
 
 def _cmd_bounds(cfg: dict) -> int:
     config = _experiment_config(cfg)
-    spec = config.stream
-    loss_spec = LossSpec.create(D=spec.D, R=config.R, dim=spec.dim)
-    X = generate(spec, load_input_samples(config))[-1].X  # the final interval, as in run
-    extra = cfg["bounds"]
-    gamma = config.gamma_floor if extra["gamma"] is None else extra["gamma"]
-    eigenvalues = tb.estimate_eigenvalues(X)
-    try:  # the bounds block is the CLI's own; BoundInputs is where it is checked
-        inputs = tb.BoundInputs(
-            T=spec.B, K=min(spec.G, config.K_max), B=spec.B,
-            D=spec.D, R=config.R, beta=loss_spec.beta,
-            gamma=gamma, delta=config.delta,
-            regret_KE=extra["regret_KE"], omega_star=extra["omega_star"],
-            weighted_loss=extra["weighted_loss"], eigenvalues=eigenvalues,
-        )
-    except ValueError as exc:
-        raise ConfigError(f"bad bounds settings: {exc}") from None
+    X = generate(config.stream, load_input_samples(config))[-1].X  # the final interval, as in run
+    inputs = config.bound_inputs(tb.estimate_eigenvalues(X), **cfg["bounds"])
     report = tb.bound_report(inputs)
     os.makedirs(cfg["out"], exist_ok=True)
     path = os.path.join(cfg["out"], "bounds.json")

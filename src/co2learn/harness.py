@@ -29,8 +29,8 @@ from .errors import BoundViolation, ConfigError, ConvergenceError, check_int, ch
 from .geometry import Sample
 from .losses import LossSpec, batch_losses, margin_loss
 from .offline import omega, projected_gradient
-from .online import INIT_POLICIES, init_online, ogd_update
-from .pool import STRATEGIES, ExpertPool
+from .online import init_online, ogd_update
+from .pool import ExpertPool, check_settings
 from .streams import StreamSpec, fresh_proxy_samples, generate, parse_libsvm
 
 # Not called here; kept importable because bench/tracing.py patches these names.
@@ -46,7 +46,12 @@ EARLY_T = 20        # step at which early cumulative losses are compared
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Everything a run depends on; two equal configs give identical reports.
-    With StreamSpec, the one home of each setting's default and check."""
+    With StreamSpec, the one home of each setting's default and check.
+
+    A run's derived settings are built here, once: ``loss_spec`` (not a field,
+    so ``asdict`` gives the settings alone) is the LossSpec of ``stream.D``,
+    ``R`` and ``stream.dim``, and ``bound_inputs`` assembles the calculators'
+    inputs. The pool settings are checked by ``pool.check_settings``."""
 
     stream: StreamSpec
     seeds: tuple[int, ...]
@@ -66,15 +71,13 @@ class ExperimentConfig:
             raise ConfigError(f"seeds must be a non-empty list of integers, got {self.seeds!r}")
         for seed in self.seeds:
             check_int("each seed", seed)
+        if len(set(self.seeds)) != len(self.seeds):
+            raise ConfigError(f"seeds must be distinct, got {list(self.seeds)}")
         object.__setattr__(self, "seeds", tuple(self.seeds))
-        check_real("R", self.R, positive=True)
-        check_int("K_max", self.K_max, minimum=2)
-        if self.strategy not in STRATEGIES:
-            raise ConfigError(f"strategy must be one of {STRATEGIES}, got {self.strategy!r}")
-        if self.init_policy not in INIT_POLICIES:
-            raise ConfigError(f"init must be one of {INIT_POLICIES}, got {self.init_policy!r}")
-        check_real("gamma_floor", self.gamma_floor)
-        check_real("grad_map_tol", self.grad_map_tol, positive=True, below=1.0)
+        object.__setattr__(self, "loss_spec",
+                           LossSpec(D=self.stream.D, R=self.R, dim=self.stream.dim))
+        check_settings(self.stream.B, self.K_max, self.strategy, self.init_policy,
+                       self.gamma_floor, self.grad_map_tol)
         check_real("erm_tol", self.erm_tol, positive=True)
         check_real("delta", self.delta, positive=True, below=1.0)
         if not isinstance(self.wstar_proxy, bool):
@@ -83,6 +86,20 @@ class ExperimentConfig:
             raise ConfigError(f"input must be a file path, got {self.input_path!r}")
         if self.stream.mode == "libsvm_noised" and self.input_path is None:
             raise ConfigError("libsvm_noised mode needs input_path")
+
+    def bound_inputs(self, eigenvalues, gamma: float | None = None, regret_KE: float = 0.0,
+                     omega_star: float = 0.0, weighted_loss: float = 0.0) -> tb.BoundInputs:
+        """The calculators' inputs for one interval of this run: T = B,
+        K = min(G, K_max), and the given measurements; ``gamma`` defaults to
+        ``gamma_floor``."""
+        spec, stream = self.loss_spec, self.stream
+        return tb.BoundInputs(
+            T=stream.B, K=min(stream.G, self.K_max), B=stream.B,
+            D=spec.D, R=spec.R, beta=spec.beta,
+            gamma=self.gamma_floor if gamma is None else gamma, delta=self.delta,
+            regret_KE=regret_KE, omega_star=omega_star, weighted_loss=weighted_loss,
+            eigenvalues=eigenvalues,
+        )
 
 
 @dataclass(frozen=True)
@@ -188,16 +205,13 @@ def load_input_samples(config: ExperimentConfig):
 
 def run_experiment(config: ExperimentConfig) -> RunReport:
     """Run every seed and assemble the report; see the module docstring."""
-    spec = LossSpec.create(D=config.stream.D, R=config.R, dim=config.stream.dim)
     input_samples = load_input_samples(config)
-    runs = [
-        _run_seed(config, spec, seed, input_samples)
-        for seed in config.seeds
-    ]
+    runs = [_run_seed(config, seed, input_samples) for seed in config.seeds]
     return RunReport(config=config, runs=runs, aggregate=_aggregate(runs))
 
 
-def _run_seed(config: ExperimentConfig, spec: LossSpec, seed: int, input_samples) -> SeedRun:
+def _run_seed(config: ExperimentConfig, seed: int, input_samples) -> SeedRun:
+    spec = config.loss_spec
     stream_spec = replace(config.stream, seed=seed)
     intervals = generate(stream_spec, input_samples)
     pool = ExpertPool(
@@ -262,16 +276,12 @@ def _run_seed(config: ExperimentConfig, spec: LossSpec, seed: int, input_samples
             rollovers.append(_rollover_metrics(config, spec, seed, roll, proxy))
             _assert_rollover_bounds(rollovers[-1])
 
-    final = metrics[-1]
     last_roll = rollovers[-1] if rollovers else None
-    report_inputs = tb.BoundInputs(
-        T=final.T, K=final.K, B=stream_spec.B,
-        D=spec.D, R=spec.R, beta=spec.beta,
-        gamma=last_roll.gamma if last_roll else config.gamma_floor,
-        delta=config.delta, regret_KE=final.regret_ke,
+    report_inputs = config.bound_inputs(
+        last_eigs, regret_KE=metrics[-1].regret_ke,
+        gamma=last_roll.gamma if last_roll else None,
         omega_star=(last_roll.omega_star or 0.0) if last_roll else 0.0,
         weighted_loss=last_roll.weighted_loss if last_roll else 0.0,
-        eigenvalues=last_eigs,
     )
     return SeedRun(seed=seed, steps=steps, intervals=metrics,
                    rollovers=rollovers, bound_report=tb.bound_report(report_inputs))
@@ -416,7 +426,7 @@ def emit_reports(report: RunReport, out_dir: str) -> dict:
                 g, t = divmod(i, B)
                 fh.write(row_format % (run.seed, g + 1, t + 1, *row))
     summary = {
-        "config": _config_dict(report.config),
+        "config": asdict(report.config),
         "aggregate": report.aggregate,
         "per_seed": [
             {
@@ -434,11 +444,3 @@ def emit_reports(report: RunReport, out_dir: str) -> dict:
         json.dump({str(run.seed): run.bound_report for run in report.runs}, fh, indent=2)
         fh.write("\n")
     return paths
-
-
-def _config_dict(config: ExperimentConfig) -> dict:
-    d = asdict(config)
-    d["stream"] = asdict(config.stream)
-    d["seeds"] = list(config.seeds)
-    return d
-

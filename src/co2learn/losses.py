@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import ConfigError, check_int, check_real
 from .geometry import Sample
 
 # Absolute slack on the norm-bound domain checks; callers must project first,
@@ -69,16 +70,14 @@ class LossSpec:
     beta: float = field(init=False)
 
     def __post_init__(self):
-        if not (self.D > 0 and math.isfinite(self.D)):
-            raise ValueError(f"D must be a positive real, got {self.D}")
-        if not (self.R > 0 and math.isfinite(self.R)):
-            raise ValueError(f"R must be a positive real, got {self.R}")
-        if int(self.dim) != self.dim or self.dim < 1:
-            raise ValueError(f"dim must be a positive integer, got {self.dim}")
+        check_real("D", self.D, positive=True)
+        check_real("R", self.R, positive=True)
+        check_int("dim", self.dim, minimum=1)
         C = float(softplus(self.D * self.R))
         beta = self.D * self.D / (4.0 * C)
-        if not (beta > 0 and math.isfinite(beta)):
-            raise ValueError(f"beta = D^2/(4C) must be a positive real, got {beta}")
+        if not (beta > 0 and math.isfinite(beta)):  # D^2 or D R over- or underflowed
+            raise ConfigError(f"beta = D^2/(4C) must be a finite number > 0, got {beta} "
+                              f"from D={self.D}, R={self.R}")
         object.__setattr__(self, "C", C)
         object.__setattr__(self, "beta", beta)
 

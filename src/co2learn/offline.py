@@ -119,7 +119,8 @@ def train_offline(
     50 ceil(kappa log(1 / ``grad_map_tol``)) is sized for the linear rate of
     the (beta + gamma)-smooth, gamma-strongly-convex objective, with
     kappa = (beta + gamma) / gamma. Unchecked: ``gamma_floor`` is finite and
-    >= 0 and ``0 < grad_map_tol < 1``; the pool checks both when it is built.
+    > 0 (so gamma > 0 even when WL = 0) and ``0 < grad_map_tol < 1``;
+    ``pool.check_settings`` checks both when a pool is built.
     Starts at the anchor (feasible) and never increases the objective, so the
     returned point always scores at least as well as the anchor itself.
     """

@@ -30,12 +30,12 @@ priority. Priorities only shape the initial weights, not any guarantee.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import check_int, check_real
+from .errors import ConfigError, check_int, check_real
 from .geometry import Sample
 from .losses import LossSpec, batch_mean_loss, check_sample, margin_loss, softplus
 from .meta import MetaWeights, reweight
@@ -49,6 +49,20 @@ from .meta import combine, update_weights  # noqa: F401
 from .online import ogd_step  # noqa: F401
 
 STRATEGIES = ("fifo", "weight")
+
+
+def check_settings(B, K_max, strategy, init_policy, gamma_floor, grad_map_tol) -> None:
+    """Raise ConfigError unless these are settings a pool accepts. The
+    transfer weight gamma >= ``gamma_floor`` must be > 0: the trainer's rate
+    and the transfer-gap bound divide by it."""
+    check_int("B", B, minimum=1)
+    check_int("K_max", K_max, minimum=2)
+    if strategy not in STRATEGIES:
+        raise ConfigError(f"strategy must be one of {STRATEGIES}, got {strategy!r}")
+    if init_policy not in INIT_POLICIES:
+        raise ConfigError(f"init_policy must be one of {INIT_POLICIES}, got {init_policy!r}")
+    check_real("gamma_floor", gamma_floor, positive=True)
+    check_real("grad_map_tol", grad_map_tol, positive=True, below=1.0)
 
 
 def effective_K(G: int, K_max: int) -> int:
@@ -85,7 +99,6 @@ class RolloverRecord:
     omega_new: float
     evicted: np.ndarray | None
     K: int
-    order: list[int] = field(default_factory=list)
 
 
 class ExpertPool:
@@ -112,14 +125,7 @@ class ExpertPool:
         gamma_floor: float = 0.1,
         grad_map_tol: float = 1e-8,
     ):
-        check_int("B", B, minimum=1)
-        check_int("K_max", K_max, minimum=2)
-        if strategy not in STRATEGIES:
-            raise ValueError(f"strategy must be one of {STRATEGIES}, got {strategy!r}")
-        if init_policy not in INIT_POLICIES:
-            raise ValueError(f"init_policy must be one of {INIT_POLICIES}, got {init_policy!r}")
-        check_real("gamma_floor", gamma_floor)
-        check_real("grad_map_tol", grad_map_tol, positive=True, below=1.0)
+        check_settings(B, K_max, strategy, init_policy, gamma_floor, grad_map_tol)
         self.spec = spec
         self.B = B
         self.K_max = K_max
@@ -260,5 +266,5 @@ class ExpertPool:
         self.t = 0
         return RolloverRecord(
             g_completed=g_completed, anchor=anchor, result=result,
-            omega_new=omega_new, evicted=evicted, K=K_new, order=order,
+            omega_new=omega_new, evicted=evicted, K=K_new,
         )

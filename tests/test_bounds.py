@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from co2learn import ConfigError
 from co2learn.bounds import (
     BoundInputs,
     bound_report,
@@ -119,6 +120,25 @@ def make_inputs(**overrides):
     )
     base.update(overrides)
     return BoundInputs(**base)
+
+
+class TestBoundInputs:
+    @pytest.mark.parametrize("bad", [
+        dict(T=2.5),
+        dict(K=True),
+        dict(B=0),
+        dict(gamma=0.0),
+        dict(regret_KE=float("inf")),
+        dict(weighted_loss=1.5),
+        dict(eigenvalues=np.array([1.0, float("nan")])),
+        dict(eigenvalues=np.array([float("nan"), 0.0])),
+    ])
+    def test_bad_input_rejected(self, bad):
+        with pytest.raises(ConfigError):
+            make_inputs(**bad)
+
+    def test_negative_regret_accepted(self):
+        assert make_inputs(regret_KE=-3.0).regret_KE == -3.0
 
 
 class TestExcessRiskBound:

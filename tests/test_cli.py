@@ -24,6 +24,34 @@ def assert_config_error(tmp_path, capsys, command, body):
     assert err.startswith("config error:") and len(err.splitlines()) == 1
 
 
+# Each fails every command that builds the full config: run, generate and bounds.
+BAD_CONFIG_BODIES = [
+    {"strategy": "bogus"},
+    {"init": "random"},
+    {"grad_map_tol": 0},
+    {"stream": {"G": 2.5, "B": 20}},
+    {"stream": {"G": 2, "B": 20, "dim": True}},
+    {"stream": {"G": 2, "B": 20, "dim": 100000000000000000000}},
+    {"stream": {"G": 2, "B": 20, "D": 1e400}},
+    {"stream": {"G": 2, "B": 20, "drift_std": float("nan")}},
+    {"k_max": 2.5},
+    {"R": "1"},
+    {"delta": "x"},
+    {"seeds": 5},
+    {"seeds": []},
+    {"seeds": [True]},
+    {"gamma_floor": -1},
+    {"wstar_proxy": "no"},
+    {"erm_tol": True},
+    {"stream": 5},
+    {"grad_map_tol": 1.0},  # the offline trainer's iteration cap would be 0
+    {"stream": {"G": 2, "B": 20, "D": 1e200}},  # D^2 overflows, so beta is infinite
+    {"stream": {"G": 2, "B": 20, "D": 1e-200}, "R": 1e-200},  # D^2 underflows: beta is 0
+    {"gamma_floor": 0},  # gamma = 0 when WL = 0; the theory needs gamma > 0
+    {"seeds": [1, 1]},  # bounds.json is keyed by seed
+]
+
+
 class TestGenerate:
     def test_deterministic_bytes(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -63,29 +91,14 @@ class TestRun:
         cfg_path.write_text(json.dumps({"nope": 1}))
         assert run_cli("run", "--config", str(cfg_path)) == 1
 
-    @pytest.mark.parametrize("body", [
-        {"strategy": "bogus"},
-        {"init": "random"},
-        {"grad_map_tol": 0},
-        {"stream": {"G": 2.5, "B": 20}},
-        {"stream": {"G": 2, "B": 20, "dim": True}},
-        {"stream": {"G": 2, "B": 20, "dim": 100000000000000000000}},
-        {"stream": {"G": 2, "B": 20, "D": 1e400}},
-        {"stream": {"G": 2, "B": 20, "drift_std": float("nan")}},
-        {"k_max": 2.5},
-        {"R": "1"},
-        {"delta": "x"},
-        {"seeds": 5},
-        {"seeds": []},
-        {"seeds": [True]},
-        {"gamma_floor": -1},
-        {"wstar_proxy": "no"},
-        {"erm_tol": True},
-        {"stream": 5},
-        {"grad_map_tol": 1.0},  # the offline trainer's iteration cap would be 0
+    @pytest.mark.parametrize("command,body", [
+        # ids: body<i> for run, <command>-body<i> for the other two
+        pytest.param(command, body, id=("" if command == "run" else f"{command}-") + f"body{i}")
+        for command in ("run", "generate", "bounds")
+        for i, body in enumerate(BAD_CONFIG_BODIES)
     ])
-    def test_bad_config_value_is_one_line_exit_1(self, tmp_path, capsys, body):
-        assert_config_error(tmp_path, capsys, "run", {"stream": {"G": 2, "B": 20}, **body})
+    def test_bad_config_value_is_one_line_exit_1(self, tmp_path, capsys, command, body):
+        assert_config_error(tmp_path, capsys, command, {"stream": {"G": 2, "B": 20}, **body})
 
     def test_erm_convergence_failure_is_one_line_exit_3(self, tmp_path, capsys, monkeypatch):
         capped = functools.partial(harness.erm_oracle, max_iters=1)

@@ -54,6 +54,8 @@ class TestSpec:
             dict(D=1e-200, R=1e-200),  # D^2 underflows, so beta is 0
             dict(dim=0),
             dict(dim=2.5),
+            dict(dim=2.0),
+            dict(dim=True),
         ]:
             with pytest.raises(ValueError):
                 LossSpec.create(**(dict(D=1.0, R=1.0, dim=2) | bad))

@@ -165,6 +165,7 @@ class TestLifecycleGuards:
         dict(gamma_floor=float("inf")),
         dict(gamma_floor=-1.0),
         dict(gamma_floor=float("nan")),
+        dict(gamma_floor=0.0),  # gamma would be 0 on an anchor with WL = 0
     ])
     def test_bad_solver_settings_rejected_when_built(self, spec, setting):
         with pytest.raises(ValueError, match=next(iter(setting))):
