@@ -38,8 +38,9 @@ class _Parser(argparse.ArgumentParser):
 
 def _add_common(p: _Parser) -> None:
     p.add_argument("--config", help="JSON config file; flags override its fields")
-    p.add_argument("--seed", type=int, help="single stream seed")
-    p.add_argument("--seeds", help="comma-separated list of seeds")
+    seeds = p.add_mutually_exclusive_group()
+    seeds.add_argument("--seed", type=int, help="single stream seed")
+    seeds.add_argument("--seeds", help="comma-separated list of seeds")
     # a dest below names the config key its flag overrides (--mode is translated)
     p.add_argument("--g", dest="G", type=int, help="number of intervals G")
     p.add_argument("--b", dest="B", type=int, help="samples per interval B")
@@ -169,9 +170,12 @@ def _cmd_run(cfg: dict) -> int:
 
 def _cmd_bounds(cfg: dict) -> int:
     config = _experiment_config(cfg)
+    try:  # the bounds block, checked before any stream is generated
+        inputs = config.bound_inputs((), **cfg["bounds"])
+    except ConfigError as exc:  # every other input was checked with the config
+        raise ConfigError(f"bounds.{exc}") from None
     X = generate(config.stream, load_input_samples(config))[-1].X  # the final interval, as in run
-    inputs = config.bound_inputs(tb.estimate_eigenvalues(X), **cfg["bounds"])
-    report = tb.bound_report(inputs)
+    report = tb.bound_report(replace(inputs, eigenvalues=tb.estimate_eigenvalues(X)))
     os.makedirs(cfg["out"], exist_ok=True)
     path = os.path.join(cfg["out"], "bounds.json")
     with open(path, "w") as fh:

@@ -8,7 +8,7 @@ space: hypotheses live in the ball {w : ||w|| <= R}, features in the ball
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -18,26 +18,15 @@ import numpy as np
 _INSIDE_RTOL = 1e-12
 
 
-@dataclass(frozen=True, slots=True)
-class Sample:
+class Sample(NamedTuple):
     """One labeled stream element: feature vector x and label y in {-1, +1}.
 
-    The feature-norm bound ||x|| <= D is enforced where samples are created
-    (stream conditioning), not here; a Sample does not know D.
+    An unchecked pair: the learner checks it where it takes it, in
+    ``losses.check_sample`` (shape (dim,), ||x|| <= D, y = +-1).
     """
 
     x: np.ndarray
     y: int
-
-    def __post_init__(self):
-        x = np.asarray(self.x, dtype=np.float64)
-        if x.ndim != 1:
-            raise ValueError("sample features must be a 1-d vector")
-        if not np.isfinite(x).all():
-            raise ValueError("sample features must be finite")
-        object.__setattr__(self, "x", x)
-        if self.y not in (-1, 1):
-            raise ValueError(f"label must be -1 or +1, got {self.y}")
 
 
 def project_to_ball(w: np.ndarray, R: float) -> np.ndarray:

@@ -226,21 +226,18 @@ def _run_seed(config: ExperimentConfig, seed: int, input_samples) -> SeedRun:
     steps = np.zeros((stream_spec.G * B, 4 + config.K_max))
     metrics: list[IntervalMetrics] = []
     rollovers: list[RolloverMetrics] = []
-    last_eigs = np.zeros(0)
 
     for buf in intervals:
         g = buf.interval_index
         K = pool.K
         nu = pool.meta.nu
-        rows = steps[(g - 1) * B: g * B]  # a view: filled in place
-        alphas = rows[:, 4: 4 + K]
-        co2_losses = np.empty(B)
-        ogd_losses = np.empty(B)
+        rows = steps[(g - 1) * B: g * B]  # views, filled in place
+        co2_losses, ogd_losses, alphas = rows[:, 0], rows[:, 1], rows[:, 4: 4 + K]
         expert_losses = np.empty((B, K))
         weighted_losses = np.empty(B)
         for t in range(B):
             x, y = buf.X[t], int(buf.y[t])
-            rec = pool.process_labeled(Sample(x=x, y=y))
+            rec = pool.process_labeled(Sample(x, y))
             co2_losses[t] = rec.loss_meta
             expert_losses[t] = rec.losses_per_expert
             weighted_losses[t] = float(rec.alpha_before @ rec.losses_per_expert)
@@ -265,11 +262,8 @@ def _run_seed(config: ExperimentConfig, seed: int, input_samples) -> SeedRun:
         )
         metrics.append(m)
         _assert_interval_bounds(m)
-        rows[:, 0] = co2_losses
-        rows[:, 1] = ogd_losses
         rows[:, 2] = np.cumsum(co2_losses - erm_losses)
         rows[:, 3] = np.cumsum(ogd_losses - erm_losses)
-        last_eigs = tb.estimate_eigenvalues(buf.X)
 
         if g < stream_spec.G:
             roll = pool.rollover(buf)
@@ -278,7 +272,7 @@ def _run_seed(config: ExperimentConfig, seed: int, input_samples) -> SeedRun:
 
     last_roll = rollovers[-1] if rollovers else None
     report_inputs = config.bound_inputs(
-        last_eigs, regret_KE=metrics[-1].regret_ke,
+        tb.estimate_eigenvalues(intervals[-1].X), regret_KE=metrics[-1].regret_ke,
         gamma=last_roll.gamma if last_roll else None,
         omega_star=(last_roll.omega_star or 0.0) if last_roll else 0.0,
         weighted_loss=last_roll.weighted_loss if last_roll else 0.0,

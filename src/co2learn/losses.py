@@ -87,34 +87,41 @@ class LossSpec:
         return cls(D=D, R=R, dim=dim)
 
 
-def check_sample(x: np.ndarray, y: int, spec: LossSpec) -> None:
-    """Reject a sample outside the loss's domain: ||x|| > D or y not +-1."""
-    nx = math.sqrt(x @ x)
-    if nx > spec.D + _DOMAIN_ATOL:
-        raise ValueError(f"||x||={nx} exceeds D={spec.D}; condition the stream first")
+def check_sample(x, y: int, spec: LossSpec) -> np.ndarray:
+    """The learner's one sample rule: ``x`` has shape (dim,) and ||x|| <= D,
+    which also makes it finite, and ``y`` is -1 or +1. Returns ``x`` as a
+    float64 array; raises a one-line ValueError otherwise."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape != (spec.dim,):
+        raise ValueError(f"sample x must have shape ({spec.dim},), got {x.shape}")
+    nx = math.sqrt(np.vdot(x, x))  # vdot: an overflow gives inf, not a warning
+    if not nx <= spec.D + _DOMAIN_ATOL:  # so NaN, inf and overflow fail here too
+        raise ValueError(f"||x||={nx} is not <= D={spec.D}; condition the stream first")
     if y not in (-1, 1):
         raise ValueError(f"label must be -1 or +1, got {y}")
+    return x
 
 
-def _check_domain(w: np.ndarray, s: Sample, spec: LossSpec) -> None:
+def _check_domain(w: np.ndarray, s: Sample, spec: LossSpec) -> np.ndarray:
+    """Check ``w`` against the R-ball and ``s`` by the sample rule; return its x."""
     nw = float(np.linalg.norm(w))
-    if nw > spec.R + _DOMAIN_ATOL:
-        raise ValueError(f"||w||={nw} exceeds R={spec.R}; project first")
-    check_sample(s.x, s.y, spec)
+    if not nw <= spec.R + _DOMAIN_ATOL:
+        raise ValueError(f"||w||={nw} is not <= R={spec.R}; project first")
+    return check_sample(s.x, s.y, spec)
 
 
 def loss(w: np.ndarray, s: Sample, spec: LossSpec) -> float:
     """Loss of hypothesis ``w`` on sample ``s``; value in [0, 1]."""
     w = np.asarray(w, dtype=np.float64)
-    _check_domain(w, s, spec)
-    return float(batch_losses(w, s.x, s.y, spec))
+    x = _check_domain(w, s, spec)
+    return float(batch_losses(w, x, s.y, spec))
 
 
 def grad_loss(w: np.ndarray, s: Sample, spec: LossSpec) -> np.ndarray:
     """Gradient of the loss in w; norm at most D/C <= 2 sqrt(beta)."""
     w = np.asarray(w, dtype=np.float64)
-    _check_domain(w, s, spec)
-    return batch_mean_grad(w, s.x[np.newaxis], np.array([s.y]), spec)
+    x = _check_domain(w, s, spec)
+    return batch_mean_grad(w, x[np.newaxis], np.array([s.y]), spec)
 
 
 # The batch forms below are the one implementation of each formula. They skip

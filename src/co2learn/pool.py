@@ -188,12 +188,13 @@ class ExpertPool:
         return self._output().copy()
 
     def process_labeled(self, s: Sample) -> StepRecord:
-        """One pass of the per-sample loop; advances t. The sample is
-        domain-checked here, once; nothing after re-checks it."""
+        """One pass of the per-sample loop; advances t. The sample is checked
+        here, once, by ``check_sample``, before any state changes; nothing
+        after re-checks it."""
         if self.t >= self.B:
             raise RuntimeError("online interval already holds B samples; rollover first")
-        x, y, spec = s.x, s.y, self.spec
-        check_sample(x, y, spec)
+        y, spec = s.y, self.spec
+        x = check_sample(s.x, y, spec)
         experts, alpha, w_t = self._experts, self._alpha, self._w
         if w_t is None:
             w_t = self._output()
@@ -227,11 +228,16 @@ class ExpertPool:
         return 1 if dot >= 0 else -1
 
     def rollover(self, completed: IntervalBuffer) -> RolloverRecord:
-        """Close the online interval: train, evict, reindex, reinitialize."""
+        """Close the online interval: train, evict, reindex, reinitialize.
+        The completed interval is checked first, before any state changes:
+        B samples, and its longest row (or a non-finite one) by the sample
+        rule, so every row has shape (dim,) and ||x|| <= D."""
         if self.t != self.B:
             raise RuntimeError(f"rollover needs t = B = {self.B}, have t = {self.t}")
         if completed.n != self.B:
             raise ValueError(f"completed interval must hold exactly B={self.B} samples")
+        i = np.einsum("ij,ij->i", completed.X, completed.X).argmax()  # a NaN row wins too
+        check_sample(completed.X[i], completed.y[i], self.spec)
 
         # Anchor from the final state: post-update weights, final iterates.
         experts, alpha = self._experts, self._alpha

@@ -258,7 +258,7 @@ def make_multidist(samples: list[Sample], spec: StreamSpec) -> list[IntervalBuff
         raise DataError(
             f"need at least G*B = {need} samples for G={spec.G}, B={spec.B}; got {len(samples)}"
         )
-    if any(s.x.shape != (spec.dim,) for s in samples):
+    if any(np.shape(s.x) != (spec.dim,) for s in samples):
         raise DataError(f"all samples must have dim={spec.dim}")
     n = len(samples)
     order = substream(spec.seed, 0).shuffle(np.arange(n))[:need]

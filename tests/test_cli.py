@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from co2learn import harness
+from co2learn import cli, harness
 from co2learn.cli import _defaults, main
 
 
@@ -14,7 +14,8 @@ def run_cli(*argv):
 
 
 def assert_config_error(tmp_path, capsys, command, body):
-    """``command --config`` on ``body`` exits 1 with one ``config error:`` line."""
+    """``command --config`` on ``body`` exits 1 with one ``config error:`` line,
+    which it returns."""
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(body))
     rc = run_cli(command, "--config", str(cfg_path), "--out", str(tmp_path / "o"))
@@ -22,6 +23,7 @@ def assert_config_error(tmp_path, capsys, command, body):
     assert rc == 1
     assert "Traceback" not in err
     assert err.startswith("config error:") and len(err.splitlines()) == 1
+    return err
 
 
 # Each fails every command that builds the full config: run, generate and bounds.
@@ -100,6 +102,14 @@ class TestRun:
     def test_bad_config_value_is_one_line_exit_1(self, tmp_path, capsys, command, body):
         assert_config_error(tmp_path, capsys, command, {"stream": {"G": 2, "B": 20}, **body})
 
+    @pytest.mark.parametrize("command", ["run", "generate", "bounds"])
+    def test_seed_and_seeds_together_is_one_line_exit_1(self, tmp_path, capsys, command):
+        rc = run_cli(command, "--seed", "1", "--seeds", "2,3", "--g", "2", "--b", "20",
+                     "--out", str(tmp_path / "o"))
+        err = capsys.readouterr().err
+        assert rc == 1 and not (tmp_path / "o").exists()
+        assert err.startswith("config error:") and "--seed" in err and len(err.splitlines()) == 1
+
     def test_erm_convergence_failure_is_one_line_exit_3(self, tmp_path, capsys, monkeypatch):
         capped = functools.partial(harness.erm_oracle, max_iters=1)
         monkeypatch.setattr(harness, "erm_oracle", capped)
@@ -124,6 +134,18 @@ class TestBounds:
         # booleans are not numbers, and a gamma of 0 is a bad value, not an unset one
         for bounds in ({"gamma": -1}, {"gamma": True, "regret_KE": False}, {"gamma": 0}):
             assert_config_error(tmp_path, capsys, "bounds", {"bounds": bounds})
+
+    @pytest.mark.parametrize("key,value", [
+        ("gamma", 0), ("regret_KE", float("inf")), ("omega_star", -1), ("weighted_loss", 1.5),
+    ])
+    def test_bad_bounds_block_fails_before_any_stream_is_generated(
+            self, tmp_path, capsys, monkeypatch, key, value):
+        calls = []
+        monkeypatch.setattr(cli, "generate", lambda *a: calls.append(a))
+        body = {"bounds": {key: value}, "stream": {"G": 3, "B": 20000, "dim": 100}}
+        err = assert_config_error(tmp_path, capsys, "bounds", body)
+        assert err.startswith(f"config error: bounds.{key} ")
+        assert calls == []
 
 
 class TestParseLibsvm:

@@ -9,6 +9,7 @@ from co2learn.losses import (
     batch_losses,
     batch_mean_grad,
     batch_mean_loss,
+    check_sample,
     grad_loss,
     loss,
     sigmoid,
@@ -59,6 +60,47 @@ class TestSpec:
         ]:
             with pytest.raises(ValueError):
                 LossSpec.create(**(dict(D=1.0, R=1.0, dim=2) | bad))
+
+
+# Samples outside the loss's domain, each rejected by the one sample rule.
+BAD_SAMPLES = {
+    "nan": ([np.nan, 0.0], 1),
+    "inf": ([0.0, -np.inf], 1),
+    "overflow": ([1e200, 1e200], 1),  # finite entries whose squared norm is inf
+    "norm_7": ([7.0, 0.0], -1),
+    "dim_3": ([0.1, 0.1, 0.1], 1),
+    "row": ([[0.1, 0.1]], 1),
+    "scalar": (0.1, 1),
+    "label_0": ([0.0, 0.0], 0),
+    "label_2": ([0.0, 0.0], 2),
+}
+
+
+class TestCheckSample:
+    def test_returns_x_as_a_float_vector(self, spec):
+        x = np.array([0.6, -0.8])
+        assert check_sample(x, -1, spec) is x
+        out = check_sample([0, 1], 1, spec)
+        assert out.dtype == np.float64 and out.shape == (2,)
+
+    @pytest.mark.parametrize("x,y", BAD_SAMPLES.values(), ids=BAD_SAMPLES.keys())
+    def test_rejected_with_one_line(self, spec, x, y):
+        with pytest.raises(ValueError) as exc:
+            check_sample(x, y, spec)
+        assert "\n" not in str(exc.value)
+
+    @pytest.mark.parametrize("x,y", [BAD_SAMPLES["nan"], BAD_SAMPLES["label_0"]],
+                             ids=["nan", "label_0"])
+    def test_loss_and_grad_loss_reject(self, spec, x, y):
+        with pytest.raises(ValueError):
+            loss(np.zeros(2), Sample(x=x, y=y), spec)
+        with pytest.raises(ValueError):
+            grad_loss(np.zeros(2), Sample(x=x, y=y), spec)
+
+    def test_norm_slack_is_absolute(self, spec):
+        check_sample([1.0 + 5e-10, 0.0], 1, spec)
+        with pytest.raises(ValueError, match="is not <= D"):
+            check_sample([1.0 + 2e-9, 0.0], 1, spec)
 
 
 class TestLoss:

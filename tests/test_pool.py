@@ -9,7 +9,7 @@ from co2learn.losses import LossSpec, batch_losses, grad_loss
 from co2learn.meta import MetaWeights
 from co2learn.online import OnlineExpertState, init_online, ogd_step
 from co2learn.pool import ExpertPool, effective_K
-from co2learn.streams import StreamSpec, gen_synthetic
+from co2learn.streams import IntervalBuffer, StreamSpec, gen_synthetic
 
 
 @pytest.fixture(scope="module")
@@ -179,6 +179,23 @@ class TestLifecycleGuards:
         with pytest.raises(ConfigError, match=f"{name} must be an integer"):
             ExpertPool(spec=spec, **sizes)
 
+    @pytest.mark.parametrize("x,y", [
+        ([0.1, 0.2, 0.3], 1), ([[0.1, 0.2]], 1), ([np.nan, 0.0], 1), ([np.inf, 0.0], -1),
+        ([7.0, 0.0], 1), ([0.1, 0.2], 0),
+    ], ids=["dim_3", "row", "nan", "inf", "norm_7", "label_0"])
+    def test_bad_sample_rejected_with_one_line_and_no_state_change(self, spec, x, y):
+        buf = make_interval(seed=35, B=5)
+        pool = ExpertPool(spec=spec, B=5, K_max=3)
+        pool.process_labeled(Sample(buf.X[0], int(buf.y[0])))
+        t, alpha, w, output = pool.t, pool.meta.alpha.copy(), pool.online, pool.current_output()
+        with pytest.raises(ValueError) as exc:
+            pool.process_labeled(Sample(x, y))
+        assert "\n" not in str(exc.value)
+        assert pool.t == t and pool.online.t == w.t
+        np.testing.assert_array_equal(pool.meta.alpha, alpha)
+        np.testing.assert_array_equal(pool.online.w, w.w)
+        np.testing.assert_array_equal(pool.current_output(), output)
+
     def test_rollover_needs_full_interval(self, spec):
         buf = make_interval(seed=34, B=5)
         pool = ExpertPool(spec=spec, B=5, K_max=3)
@@ -253,6 +270,35 @@ class TestRollover:
         np.testing.assert_allclose(
             roll.anchor.v, sum(a * w for a, w in zip(alpha, advice)), rtol=1e-14
         )
+
+    @pytest.mark.parametrize("bad", ["norm_7", "nan", "dim_3", "rows"])
+    def test_completed_interval_outside_the_domain_rejected_first(self, spec, bad):
+        B = 20
+        stream = gen_synthetic(StreamSpec(G=2, B=B, dim=2, seed=62))
+        pool = ExpertPool(spec=spec, B=B, K_max=3)
+        run_interval(pool, stream[0])
+        pool.rollover(stream[0])
+        run_interval(pool, stream[1])
+        X, y = stream[1].X.copy(), stream[1].y
+        if bad == "norm_7":
+            X[3] = [7.0, 0.0]
+        elif bad == "nan":
+            X[3, 1] = np.nan
+        elif bad == "dim_3":
+            X = np.hstack([X, np.zeros((B, 1))])
+        else:
+            X, y = X[1:], y[1:]
+        before = (pool.G, pool.t, np.vstack(pool.offline), pool.online, pool.meta.alpha.copy())
+        with pytest.raises(ValueError, match="must have shape|is not <= D|exactly B") as exc:
+            pool.rollover(IntervalBuffer(X=X, y=y, interval_index=2))
+        assert "\n" not in str(exc.value)
+        G, t, offline, online, alpha = before
+        assert (pool.G, pool.t, pool.online.t) == (G, t, online.t)
+        np.testing.assert_array_equal(np.vstack(pool.offline), offline)
+        np.testing.assert_array_equal(pool.online.w, online.w)
+        np.testing.assert_array_equal(pool.meta.alpha, alpha)
+        pool.rollover(stream[1])  # the interval as it was still rolls over
+        assert pool.G == G + 1
 
     def test_warm_policy_inherits_final_iterate(self, spec):
         B = 30

@@ -6,7 +6,9 @@ that its losses lie in [0, 1] or that the new weights are on the simplex,
 ``ogd_step`` does not re-check the iterate's ball. These tests show that the
 code keeps each of those invariants for every input in its domain, that the
 pool's fused step and the gemv batch gradient equal the per-sample reference
-functions, that the loss is self-bounding, and that the two stream parsers,
+functions, that ``check_sample`` accepts exactly the samples in the loss's
+domain and a rejected step leaves the pool as it was, that the loss is
+self-bounding, and that the two stream parsers,
 where outside text enters, fail only with the documented errors; the LIBSVM
 parse gives the rows or the error of the per-token reference parser. The last
 group holds the generator's contract (see ``co2learn.rng`` and the substream
@@ -19,13 +21,15 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from co2learn.errors import DataError
 from co2learn.geometry import Sample, project_to_ball
 from co2learn.harness import ExperimentConfig, run_experiment
-from co2learn.losses import LossSpec, batch_losses, batch_mean_grad, grad_loss, loss
+from co2learn.losses import (
+    LossSpec, batch_losses, batch_mean_grad, check_sample, grad_loss, loss,
+)
 from co2learn.meta import MetaWeights, combine, update_weights
 from co2learn.online import INIT_POLICIES, OnlineExpertState, init_online, ogd_step
 from co2learn.pool import STRATEGIES, ExpertPool
@@ -143,6 +147,59 @@ def test_step_matches_the_reference_chain(state):
     assert pool.online.t == online.t and pool.t == t_pool + 1
     for got, want in zip(pool.offline, experts[:-1]):
         np.testing.assert_array_equal(got, want)
+
+
+@st.composite
+def candidate_samples(draw):
+    """A spec and a labeled candidate that may break any part of the sample
+    rule: its shape, a non-finite entry, its norm or its label."""
+    dim = draw(st.integers(1, 5))
+    spec = LossSpec.create(D=draw(st.floats(0.1, 5.0)), R=1.0, dim=dim)
+    shape = draw(st.sampled_from([(dim,), (dim,), (dim,), (dim + 1,), (1, dim), ()]))
+    scale = draw(st.sampled_from([spec.D / math.sqrt(dim), 2 * spec.D, 1e200]))
+    x = draw(arrays(np.float64, shape, elements=st.floats(-scale, scale)))
+    bad = draw(st.sampled_from([None, None, np.nan, np.inf, -np.inf]))
+    if bad is not None and x.size:
+        x.flat[draw(st.integers(0, x.size - 1))] = bad
+    return spec, x, draw(st.sampled_from([-1, 1, -1, 1, 0, 2, -2]))
+
+
+@given(candidate_samples(), st.integers(0, 3))
+def test_check_sample_is_the_domain_rule_and_a_rejected_step_changes_nothing(candidate, steps):
+    spec, x, y = candidate
+    in_rule = x.shape == (spec.dim,) and bool(np.isfinite(x).all())
+    if in_rule:
+        norm = math.hypot(*x.tolist())  # exact to an ulp, and never overflows
+        assume(abs(norm - (spec.D + 1e-9)) > 1e-12 * spec.D)  # clear of the boundary
+        in_rule = norm <= spec.D + 1e-9 and y in (-1, 1)
+    try:
+        check_sample(x, y, spec)
+        accepted = True
+    except ValueError:
+        accepted = False
+    assert accepted == in_rule
+
+    # a two-expert pool part-way through an interval
+    pool = ExpertPool(spec=spec, B=8, K_max=3)
+    pool.offline = [np.full(spec.dim, 0.5 / math.sqrt(spec.dim))]
+    pool.G, pool.meta = 2, MetaWeights.fresh(2, 8)
+    x_ok = np.full(spec.dim, 0.5 * spec.D / math.sqrt(spec.dim))
+    for k in range(steps):
+        pool.process_labeled(Sample(x_ok, (-1) ** k))
+    before = (pool.t, pool.meta.alpha.copy(), np.vstack(pool.offline), pool.online,
+              pool.current_output())
+    if accepted:
+        pool.process_labeled(Sample(x, y))
+        assert pool.t == steps + 1
+        return
+    with pytest.raises(ValueError):
+        pool.process_labeled(Sample(x, y))
+    t, alpha, offline, online, output = before
+    assert pool.t == t and pool.online.t == online.t
+    np.testing.assert_array_equal(pool.meta.alpha, alpha)
+    np.testing.assert_array_equal(np.vstack(pool.offline), offline)
+    np.testing.assert_array_equal(pool.online.w, online.w)
+    np.testing.assert_array_equal(pool.current_output(), output)
 
 
 def coherent_output(pool):
