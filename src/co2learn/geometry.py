@@ -48,7 +48,7 @@ def project_to_ball(w: np.ndarray, R: float) -> np.ndarray:
 def project_in_place(w: np.ndarray, R: float) -> None:
     """:func:`project_to_ball` written into ``w``, a float array, with one
     norm and no copy. Unchecked: ``R > 0``."""
-    norm = math.sqrt(w @ w)
+    norm = math.sqrt(w.dot(w))
     if not math.isfinite(norm):
         raise ValueError("cannot project a non-finite vector")
     if norm > R * (1.0 + _INSIDE_RTOL):

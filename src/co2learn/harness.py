@@ -240,10 +240,10 @@ def _run_seed(config: ExperimentConfig, seed: int, input_samples) -> SeedRun:
             rec = pool.process_labeled(Sample(x, y))
             co2_losses[t] = rec.loss_meta
             expert_losses[t] = rec.losses_per_expert
-            weighted_losses[t] = float(rec.alpha_before @ rec.losses_per_expert)
+            weighted_losses[t] = float(rec.alpha_before.dot(rec.losses_per_expert))
             alphas[t] = rec.alpha_after
             # process_labeled has already checked this sample
-            z = y * float(x @ w_ogd)
+            z = y * float(x.dot(w_ogd))
             ogd_losses[t] = margin_loss(z, spec)
             ogd_update(w_ogd, t_ogd, x, y, z, spec)
             t_ogd += 1

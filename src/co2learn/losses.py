@@ -43,13 +43,6 @@ def softplus(z):
     return out
 
 
-def sigmoid(z):
-    """1 / (1 + exp(-z)), stable for any magnitude."""
-    z = np.asarray(z, dtype=np.float64)
-    ez = np.exp(-np.abs(z))
-    return np.where(z >= 0, 1.0 / (1.0 + ez), ez / (1.0 + ez))
-
-
 @dataclass(frozen=True)
 class LossSpec:
     """Loss family instance: the bounds and the constants derived from them.
@@ -89,16 +82,17 @@ class LossSpec:
 
 def check_sample(x, y: int, spec: LossSpec) -> np.ndarray:
     """The learner's one sample rule: ``x`` has shape (dim,) and ||x|| <= D,
-    which also makes it finite, and ``y`` is -1 or +1. Returns ``x`` as a
-    float64 array; raises a one-line ValueError otherwise."""
+    which also makes it finite, and ``y`` is an int or numpy integer (not a
+    bool) equal to -1 or +1. Returns ``x`` as a float64 array; raises a
+    one-line ValueError otherwise."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (spec.dim,):
         raise ValueError(f"sample x must have shape ({spec.dim},), got {x.shape}")
     nx = math.sqrt(np.vdot(x, x))  # vdot: an overflow gives inf, not a warning
     if not nx <= spec.D + _DOMAIN_ATOL:  # so NaN, inf and overflow fail here too
         raise ValueError(f"||x||={nx} is not <= D={spec.D}; condition the stream first")
-    if y not in (-1, 1):
-        raise ValueError(f"label must be -1 or +1, got {y}")
+    if not (type(y) is int or isinstance(y, np.integer)) or y not in (-1, 1):
+        raise ValueError(f"label must be the integer -1 or +1, got {y!r}")
     return x
 
 
@@ -143,15 +137,35 @@ def batch_mean_loss(w: np.ndarray, X: np.ndarray, y: np.ndarray, spec: LossSpec)
     return float(np.mean(batch_losses(w, X, y, spec)))
 
 
+def batch_mean_losses(W: np.ndarray, X: np.ndarray, y: np.ndarray, spec: LossSpec) -> np.ndarray:
+    """``batch_mean_loss`` of each row of W, bit for bit: one softplus pass over
+    the (K, n) table of -y <w_k, x> and a row mean (the 1-D mean's pairwise sum)."""
+    neg_z = np.empty((len(W), X.shape[0]))
+    for w_k, row in zip(W, neg_z):
+        X.dot(w_k, out=row)
+    neg_z *= -y
+    losses = softplus(neg_z)
+    losses /= spec.C
+    return losses.mean(axis=1)
+
+
 def batch_mean_grad(w: np.ndarray, X: np.ndarray, y: np.ndarray, spec: LossSpec) -> np.ndarray:
-    """Gradient of the batch mean loss at w: one gemv, no (n, dim) temporary."""
-    z = y * (X @ w)
-    coef = -y * sigmoid(-z) / spec.C
-    return (coef @ X) / X.shape[0]
+    """Gradient of the batch mean loss at w: one gemv, no (n, dim) temporary.
+    Row coefficient -y sigmoid(-z) / C at margin z = y <w, x>, with the stable
+    sigmoid(-z) = (1 if z <= 0 else e) / (1 + e), e = exp(-|z|)."""
+    z = X.dot(w)
+    z *= y
+    ez = np.abs(z)
+    np.negative(ez, ez)
+    np.exp(ez, ez)
+    coef = np.where(z <= 0, 1.0, ez) / (1.0 + ez)
+    coef /= -spec.C
+    coef *= y
+    return coef.dot(X) / X.shape[0]
 
 
 # Scalar forms for the per-sample step, in ``math``: the same formulas as
-# ``softplus`` and ``sigmoid`` above, for one margin z = y <w, x>.
+# ``softplus`` and ``batch_mean_grad`` above, for one margin z = y <w, x>.
 
 def margin_loss(z: float, spec: LossSpec) -> float:
     """The loss at margin z: softplus(-z) / C."""

@@ -16,12 +16,15 @@ monotonically and converges linearly; it stops when the projected-gradient
 mapping norm reaches ``grad_map_tol``, and ``train_offline`` reports the
 certificate either way. With gamma = 0 and no anchor the same routine is the
 harness's ERM oracle, which raises ConvergenceError instead of reporting.
+
+The labels are cast to float64 once per solve, not once per iteration; they
+are +-1, so every product with them is exact and the iterates are the same.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import ceil, log
+from math import ceil, log, sqrt
 
 import numpy as np
 
@@ -92,14 +95,19 @@ def projected_gradient(
     if X.shape[0] == 0:
         raise ValueError("cannot minimize over an empty sample set")
     v = np.zeros(X.shape[1]) if anchor is None else anchor
+    y = np.asarray(y, dtype=np.float64)
     R = spec.R
     step = 1.0 / (spec.beta + gamma)
     w = v.copy()
     grad_map_norm = np.inf
     for it in range(max_iters):
-        grad = batch_mean_grad(w, X, y, spec) + gamma * (w - v)
-        w_next = project_to_ball(w - step * grad, R)
-        grad_map_norm = float(np.linalg.norm(w - w_next)) / step
+        grad = batch_mean_grad(w, X, y, spec)
+        if gamma:
+            grad += gamma * (w - v)
+        grad *= step
+        w_next = project_to_ball(np.subtract(w, grad, out=grad), R)
+        d = w - w_next
+        grad_map_norm = sqrt(d.dot(d)) / step
         if grad_map_norm <= tol:
             return w, grad_map_norm, it, True
         w = w_next
@@ -124,7 +132,7 @@ def train_offline(
     Starts at the anchor (feasible) and never increases the objective, so the
     returned point always scores at least as well as the anchor itself.
     """
-    if float(np.linalg.norm(anchor.v)) > spec.R * (1.0 + 1e-9):
+    if sqrt(anchor.v.dot(anchor.v)) > spec.R * (1.0 + 1e-9):
         raise ValueError("anchor lies outside the hypothesis ball")
     gamma = max(gamma_lower_bound(anchor, spec.R), gamma_floor)
     kappa = (spec.beta + gamma) / gamma

@@ -93,7 +93,7 @@ def init_online(
         if previous is None:
             raise ValueError("warm start requires the previous interval's iterate")
         w = np.asarray(previous, dtype=np.float64)
-        if float(np.linalg.norm(w)) > spec.R * (1.0 + 1e-9):
+        if sqrt(w.dot(w)) > spec.R * (1.0 + 1e-9):
             raise ValueError("warm-start iterate lies outside the hypothesis ball")
     else:
         raise ValueError(f"unknown init policy {policy!r}")

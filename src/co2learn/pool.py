@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import ConfigError, check_int, check_real
 from .geometry import Sample
-from .losses import LossSpec, batch_mean_loss, check_sample, margin_loss, softplus
+from .losses import LossSpec, batch_mean_losses, check_sample, margin_loss, softplus
 from .meta import MetaWeights, reweight
 from .offline import Anchor, OfflineTrainResult, omega, train_offline
 from .online import INIT_POLICIES, OnlineExpertState, init_online, ogd_update
@@ -180,7 +180,7 @@ class ExpertPool:
     def _output(self) -> np.ndarray:
         """The output ``alpha @ A``, computed only if a setter dropped it."""
         if self._w is None:
-            self._w = self._alpha @ self._experts
+            self._w = self._alpha.dot(self._experts)
         return self._w
 
     def current_output(self) -> np.ndarray:
@@ -198,17 +198,17 @@ class ExpertPool:
         experts, alpha, w_t = self._experts, self._alpha, self._w
         if w_t is None:
             w_t = self._output()
-        neg_z = experts @ x  # -y <w_k, x> for every expert, the online one last
+        neg_z = experts.dot(x)  # -y <w_k, x> for every expert, the online one last
         if y == 1:
             np.negative(neg_z, neg_z)
         losses = softplus(neg_z)
         losses /= spec.C
-        loss_meta = margin_loss(y * float(w_t @ x), spec)
+        loss_meta = margin_loss(y * float(w_t.dot(x)), spec)
         self._alpha = reweight(alpha, self._nu, losses)
         ogd_update(experts[-1], self._ogd_t, x, y, -float(neg_z[-1]), spec)
         self._ogd_t += 1
         self.t += 1
-        self._w = self._alpha @ experts
+        self._w = self._alpha.dot(experts)
         return StepRecord(self.G, self.t, w_t, loss_meta, losses, alpha, self._alpha)
 
     def predict_unlabeled(self, x: np.ndarray) -> int:
@@ -222,7 +222,7 @@ class ExpertPool:
         x = np.asarray(x, dtype=np.float64)
         if x.shape != w.shape:
             raise ValueError(f"dimension mismatch: {w.shape} vs {x.shape}")
-        dot = np.dot(w, x)
+        dot = w.dot(x)
         if not math.isfinite(dot):
             raise ValueError(f"the query's score <w, x> is not finite: {dot}")
         return 1 if dot >= 0 else -1
@@ -241,10 +241,8 @@ class ExpertPool:
 
         # Anchor from the final state: post-update weights, final iterates.
         experts, alpha = self._experts, self._alpha
-        risks = np.array([
-            batch_mean_loss(w_k, completed.X, completed.y, self.spec) for w_k in experts
-        ])
-        anchor = Anchor(v=alpha @ experts, weighted_loss=float(alpha @ risks))
+        risks = batch_mean_losses(experts, completed.X, completed.y, self.spec)
+        anchor = Anchor(v=alpha.dot(experts), weighted_loss=float(alpha.dot(risks)))
         result = train_offline(completed, anchor, self.spec, self.gamma_floor, self.grad_map_tol)
         omega_new = omega(result.w, anchor)
 
@@ -268,7 +266,7 @@ class ExpertPool:
         self._experts = np.array([*candidates, start.w], dtype=np.float64)
         self._ogd_t = start.t
         self.meta = MetaWeights.fresh(K=K_new, horizon=self.B)
-        self._w = self._alpha @ self._experts
+        self._w = self._alpha.dot(self._experts)
         self.t = 0
         return RolloverRecord(
             g_completed=g_completed, anchor=anchor, result=result,

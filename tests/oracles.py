@@ -11,13 +11,15 @@ matches logaddexp(0, -z) to the last bit and is much faster on big grids.
 
 from __future__ import annotations
 
+import math
 import re
 
 import numpy as np
 from scipy.special import log_expit
 
 from co2learn.errors import StreamFormatError, check_int
-from co2learn.geometry import Sample
+from co2learn.geometry import _INSIDE_RTOL, Sample
+from co2learn.losses import batch_mean_loss
 from co2learn.rng import substream
 from co2learn.streams import MAX_DIM, condition_norms
 
@@ -121,6 +123,47 @@ def grid_min_objective(
         if objective[k] < best:
             best, best_point = float(objective[k]), block[k]
     return best, best_point
+
+
+def reference_sigmoid(z):
+    """1 / (1 + exp(-z)), stable for any magnitude: a separate branch per sign."""
+    z = np.asarray(z, dtype=np.float64)
+    ez = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0 / (1.0 + ez), ez / (1.0 + ez))
+
+
+def reference_batch_mean_grad(w, X, y, spec) -> np.ndarray:
+    """The batch gradient as three whole-array expressions, ``@`` products and
+    the labels in whatever dtype they come in."""
+    z = y * (X @ w)
+    coef = -y * reference_sigmoid(-z) / spec.C
+    return (coef @ X) / X.shape[0]
+
+
+def reference_projected_gradient(X, y, spec, *, gamma=0.0, anchor=None, tol, max_iters):
+    """``offline.projected_gradient``'s contract as a plain loop: the labels
+    as given, the gamma term always added, a new array for every step, and
+    the certificate from ``np.linalg.norm``."""
+    v = np.zeros(X.shape[1]) if anchor is None else anchor
+    step = 1.0 / (spec.beta + gamma)
+    w = v.copy()
+    grad_map_norm = np.inf
+    for it in range(max_iters):
+        grad = reference_batch_mean_grad(w, X, y, spec) + gamma * (w - v)
+        w_next = w - step * grad
+        norm = math.sqrt(w_next @ w_next)
+        if norm > spec.R * (1.0 + _INSIDE_RTOL):
+            w_next *= spec.R / norm
+        grad_map_norm = float(np.linalg.norm(w - w_next)) / step
+        if grad_map_norm <= tol:
+            return w, grad_map_norm, it, True
+        w = w_next
+    return w, grad_map_norm, max_iters, False
+
+
+def reference_expert_risks(experts, X, y, spec) -> np.ndarray:
+    """Each expert's empirical risk on (X, y), one ``batch_mean_loss`` each."""
+    return np.array([batch_mean_loss(w_k, X, y, spec) for w_k in experts])
 
 
 def reference_shuffle(rng, items: np.ndarray) -> np.ndarray:

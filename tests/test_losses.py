@@ -12,9 +12,9 @@ from co2learn.losses import (
     check_sample,
     grad_loss,
     loss,
-    sigmoid,
     softplus,
 )
+from co2learn.pool import ExpertPool
 
 
 @pytest.fixture(scope="module")
@@ -73,6 +73,11 @@ BAD_SAMPLES = {
     "scalar": (0.1, 1),
     "label_0": ([0.0, 0.0], 0),
     "label_2": ([0.0, 0.0], 2),
+    # +-1 in value but not an integer label
+    "label_True": ([0.0, 0.0], True),
+    "label_False": ([0.0, 0.0], False),
+    "label_float": ([0.0, 0.0], 1.0),
+    "label_np_float": ([0.0, 0.0], np.float64(1.0)),
 }
 
 
@@ -96,6 +101,24 @@ class TestCheckSample:
             loss(np.zeros(2), Sample(x=x, y=y), spec)
         with pytest.raises(ValueError):
             grad_loss(np.zeros(2), Sample(x=x, y=y), spec)
+
+    @pytest.mark.parametrize("y", [1, -1, np.int64(1), np.int32(-1), np.int8(1)])
+    def test_integer_labels_accepted(self, spec, y):
+        check_sample([0.6, -0.8], y, spec)
+
+    def test_bool_label_rejected_by_the_pool_without_a_state_change(self, spec):
+        pool = ExpertPool(spec=spec, B=4, K_max=2)
+        pool.process_labeled(Sample(np.array([0.3, 0.4]), 1))
+        before = (pool.t, pool.meta.alpha.copy(), pool.online.w, pool.online.t,
+                  pool.current_output())
+        with pytest.raises(ValueError, match="label must be") as exc:
+            pool.process_labeled(Sample(np.array([0.3, 0.4]), True))
+        assert "\n" not in str(exc.value)
+        t, alpha, w_online, t_online, output = before
+        assert pool.t == t and pool.online.t == t_online
+        np.testing.assert_array_equal(pool.meta.alpha, alpha)
+        np.testing.assert_array_equal(pool.online.w, w_online)
+        np.testing.assert_array_equal(pool.current_output(), output)
 
     def test_norm_slack_is_absolute(self, spec):
         check_sample([1.0 + 5e-10, 0.0], 1, spec)
@@ -233,6 +256,16 @@ class TestBatchHelpers:
     def test_sigmoid_softplus_stability(self):
         z = np.array([-800.0, -30.0, 0.0, 30.0, 800.0])
         assert np.all(np.isfinite(softplus(z)))
-        assert np.all(np.isfinite(sigmoid(z)))
         assert softplus(np.array([800.0]))[0] == pytest.approx(800.0)
-        assert sigmoid(np.array([0.0]))[0] == 0.5
+        # margins y <w, x> = +-800: the gradient's coefficient -y sigmoid(-z) / C
+        # reaches its limits, 0 at z = +800 and -y / C at z = -800
+        spec = LossSpec.create(D=1.0, R=1000.0, dim=2)
+        w, x = np.array([800.0, 0.0]), np.array([[1.0, 0.0]])
+        at_plus = batch_mean_grad(w, x, np.array([1]), spec)
+        at_minus = batch_mean_grad(w, x, np.array([-1]), spec)
+        both = batch_mean_grad(w, np.repeat(x, 2, axis=0), np.array([1, -1]), spec)
+        assert np.all(np.isfinite(np.concatenate([at_plus, at_minus, both])))
+        np.testing.assert_array_equal(at_plus, [0.0, 0.0])
+        np.testing.assert_array_equal(at_minus, [1.0 / spec.C, 0.0])
+        np.testing.assert_array_equal(both, [0.5 / spec.C, 0.0])
+        assert batch_mean_grad(-w, x, np.array([1]), spec)[0] == -1.0 / spec.C

@@ -6,10 +6,11 @@ that its losses lie in [0, 1] or that the new weights are on the simplex,
 ``ogd_step`` does not re-check the iterate's ball. These tests show that the
 code keeps each of those invariants for every input in its domain, that the
 pool's fused step and the gemv batch gradient equal the per-sample reference
-functions, that ``check_sample`` accepts exactly the samples in the loss's
-domain and a rejected step leaves the pool as it was, that the loss is
-self-bounding, and that the two stream parsers,
-where outside text enters, fail only with the documented errors; the LIBSVM
+functions, that the fused batch gradient, the solver loop and the rollover's
+expert risks equal their plain references bit for bit, that ``check_sample``
+accepts exactly the samples in the loss's domain and a rejected step leaves
+the pool as it was, that the loss is self-bounding, and that the two stream
+parsers, where outside text enters, fail only with the documented errors; the LIBSVM
 parse gives the rows or the error of the per-token reference parser. The last
 group holds the generator's contract (see ``co2learn.rng`` and the substream
 layout in ``co2learn.streams``) for any seed and request sizes, and the last
@@ -28,9 +29,10 @@ from co2learn.errors import DataError
 from co2learn.geometry import Sample, project_to_ball
 from co2learn.harness import ExperimentConfig, run_experiment
 from co2learn.losses import (
-    LossSpec, batch_losses, batch_mean_grad, check_sample, grad_loss, loss,
+    LossSpec, batch_losses, batch_mean_grad, batch_mean_losses, check_sample, grad_loss, loss,
 )
 from co2learn.meta import MetaWeights, combine, update_weights
+from co2learn.offline import projected_gradient
 from co2learn.online import INIT_POLICIES, OnlineExpertState, init_online, ogd_step
 from co2learn.pool import STRATEGIES, ExpertPool
 from co2learn.rng import _BLOCK, CounterRng, substream
@@ -44,7 +46,10 @@ from co2learn.streams import (
 )
 
 from oracles import (
+    reference_batch_mean_grad,
+    reference_expert_risks,
     reference_normals,
+    reference_projected_gradient,
     reference_parse_libsvm,
     reference_raw,
     reference_shuffle,
@@ -161,23 +166,30 @@ def candidate_samples(draw):
     bad = draw(st.sampled_from([None, None, np.nan, np.inf, -np.inf]))
     if bad is not None and x.size:
         x.flat[draw(st.integers(0, x.size - 1))] = bad
-    return spec, x, draw(st.sampled_from([-1, 1, -1, 1, 0, 2, -2]))
+    return spec, x, draw(st.sampled_from([-1, 1, -1, 1, 0, 2, -2, np.int64(-1), np.int32(1),
+                                          True, False, 1.0, np.float64(-1.0)]))
+
+
+def accepts(x, y, spec) -> bool:
+    try:
+        check_sample(x, y, spec)
+    except ValueError:
+        return False
+    return True
 
 
 @given(candidate_samples(), st.integers(0, 3))
 def test_check_sample_is_the_domain_rule_and_a_rejected_step_changes_nothing(candidate, steps):
     spec, x, y = candidate
+    label_ok = isinstance(y, (int, np.integer)) and not isinstance(y, bool) and y in (-1, 1)
     in_rule = x.shape == (spec.dim,) and bool(np.isfinite(x).all())
     if in_rule:
         norm = math.hypot(*x.tolist())  # exact to an ulp, and never overflows
         assume(abs(norm - (spec.D + 1e-9)) > 1e-12 * spec.D)  # clear of the boundary
-        in_rule = norm <= spec.D + 1e-9 and y in (-1, 1)
-    try:
-        check_sample(x, y, spec)
-        accepted = True
-    except ValueError:
-        accepted = False
+        in_rule = norm <= spec.D + 1e-9 and label_ok
+    accepted = accepts(x, y, spec)
     assert accepted == in_rule
+    assert accepts(np.zeros(spec.dim), y, spec) == label_ok  # the label rule on its own
 
     # a two-expert pool part-way through an interval
     pool = ExpertPool(spec=spec, B=8, K_max=3)
@@ -276,6 +288,78 @@ def test_batch_mean_grad_is_the_row_mean_of_grad_loss(batch):
     rows = [grad_loss(w, Sample(x=x, y=int(label)), spec) for x, label in zip(X, y)]
     np.testing.assert_allclose(batch_mean_grad(w, X, y, spec), np.mean(rows, axis=0),
                                rtol=0, atol=1e-12)
+
+
+@st.composite
+def sphere_batches(draw, max_n=300, max_dim=8):
+    """Rows on the D-sphere (or, for some batches, half of them inside the
+    ball), int64 labels, and a numpy generator for hypotheses on the
+    R-sphere (see ``sphere_point``). D R reaches 1,600, so the margins cover
+    both tails of the sigmoid, where exp(-|z|) underflows, and its middle."""
+    n, dim = draw(st.integers(1, max_n)), draw(st.integers(1, max_dim))
+    spec = LossSpec.create(D=draw(st.floats(0.1, 40.0)), R=draw(st.floats(0.1, 40.0)), dim=dim)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = rng.normal(size=(n, dim))
+    X *= (spec.D / np.linalg.norm(X, axis=1))[:, None]
+    if draw(st.booleans()):
+        X[: n // 2] *= rng.random((n // 2, 1))
+    return spec, X, rng.choice(np.array([-1, 1]), n), rng
+
+
+def sphere_point(draw, spec, X, rng):
+    """A hypothesis on the R-sphere, along a row of X (margin +-D R there) or
+    at random; or the origin, where every margin is a signed zero."""
+    kind = draw(st.sampled_from(["row", "random", "origin"]))
+    if kind == "origin":
+        return np.zeros(spec.dim)
+    u = X[draw(st.integers(0, len(X) - 1))] if kind == "row" else rng.normal(size=spec.dim)
+    return u * (draw(st.sampled_from([-1.0, 1.0])) * spec.R / np.linalg.norm(u))
+
+
+@given(sphere_batches(), st.sampled_from([np.int64, np.float64]), st.data())
+def test_batch_mean_grad_equals_the_reference_bit_for_bit(batch, dtype, data):
+    spec, X, y, rng = batch
+    w = sphere_point(data.draw, spec, X, rng)
+    got = batch_mean_grad(w, X, y.astype(dtype), spec)
+    want = reference_batch_mean_grad(w, X, y, spec)
+    assert np.array_equal(got, want) and got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(sphere_batches(max_n=60, max_dim=5), st.sampled_from([np.int64, np.float64]),
+       st.just(0.0) | st.floats(1e-3, 2.0), st.booleans(),
+       st.sampled_from([1e-3, 1e-6, 1e-9]), st.integers(1, 300), st.data())
+def test_projected_gradient_equals_the_reference_loop(batch, dtype, gamma, anchored, tol,
+                                                      max_iters, data):
+    spec, X, y, rng = batch
+    anchor = None
+    if anchored or gamma > 0:
+        anchor = 0.9 * sphere_point(data.draw, spec, X, rng)
+    kwargs = dict(gamma=gamma, anchor=anchor, tol=tol, max_iters=max_iters)
+    w, *rest = projected_gradient(X, y.astype(dtype), spec, **kwargs)
+    w_ref, *rest_ref = reference_projected_gradient(X, y, spec, **kwargs)
+    assert np.array_equal(w, w_ref) and w.tobytes() == w_ref.tobytes()
+    assert rest == rest_ref
+
+
+@settings(max_examples=60, deadline=None)
+@given(sphere_batches(max_n=120), st.integers(1, 6), st.data())
+def test_rollover_risks_equal_the_per_expert_mean_losses(batch, K, data):
+    spec, X, y, rng = batch
+    experts = np.array([data.draw(st.sampled_from([1.0, 0.5])) * sphere_point(data.draw, spec, X, rng)
+                        for _ in range(K)])
+    want = reference_expert_risks(experts, X, y, spec)
+    assert np.array_equal(batch_mean_losses(experts, X, y, spec), want)
+
+    # the pool's anchor carries the same risks of its K experts
+    pool = ExpertPool(spec=spec, B=len(X), K_max=max(K, 2))
+    pool.offline = list(experts[:-1])
+    pool.online = OnlineExpertState(w=experts[-1].copy(), t=1)
+    raw = data.draw(arrays(np.float64, K, elements=st.floats(1e-3, 1.0)))
+    alpha = raw / raw.sum()
+    pool.G, pool.t, pool.meta = K, len(X), MetaWeights(alpha=alpha, nu=1.0)
+    rec = pool.rollover(IntervalBuffer(X=X, y=y, interval_index=K))
+    assert rec.anchor.weighted_loss == float(alpha.dot(want))
 
 
 @given(batches())
