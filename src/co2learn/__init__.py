@@ -46,8 +46,8 @@ from .offline import (
     omega,
     train_offline,
 )
-from .online import OnlineExpertState, eta, init_online, ogd_step
-from .pool import ExpertPool, RolloverRecord, StepRecord, effective_K
+from .online import OnlineExpertState, eta, ogd_step
+from .pool import ExpertPool, RolloverRecord, StepRecord
 from .rng import CounterRng, substream
 from .streams import (
     IntervalBuffer,

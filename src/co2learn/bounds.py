@@ -21,7 +21,7 @@ eigenvalues lambda_i):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from math import exp, isfinite, log, sqrt, e as _E
 from numbers import Real
 from typing import NamedTuple
@@ -165,15 +165,10 @@ def estimate_eigenvalues(X: np.ndarray) -> np.ndarray:
 def bound_report(inputs: BoundInputs) -> dict:
     """All calculator values keyed by name, with the inputs echoed."""
     general, worst = co2_regret_bounds(inputs.T, inputs.K, inputs.D, inputs.beta, inputs.regret_KE)
+    echo = {f.name: getattr(inputs, f.name) for f in fields(inputs)}  # bounds.json's key order
+    echo["eigenvalues"] = [float(v) for v in inputs.eigenvalues]
     return {
-        "inputs": {
-            "T": inputs.T, "K": inputs.K, "B": inputs.B,
-            "D": inputs.D, "R": inputs.R, "beta": inputs.beta,
-            "gamma": inputs.gamma, "delta": inputs.delta,
-            "regret_KE": inputs.regret_KE, "omega_star": inputs.omega_star,
-            "weighted_loss": inputs.weighted_loss,
-            "eigenvalues": [float(v) for v in inputs.eigenvalues],
-        },
+        "inputs": echo,
         "meta_regret_bound": meta_regret_bound(inputs.T, inputs.K),
         "ogd_regret_bound": ogd_regret_bound(inputs.T, inputs.D, inputs.beta),
         "co2_regret_bound_general": general,

@@ -9,8 +9,9 @@ Subcommands:
     parse-libsvm  validate a LIBSVM file and print a short summary
 
 A JSON config file (--config) may supply everything; explicit flags
-override it. Exit codes: 0 success, 1 config error, 2 data/parse error,
-3 bound or invariant violation, or an ERM solve that hit its iteration cap.
+override it. Exit codes: 0 success, 1 config error or a run too large for
+memory, 2 data/parse error, 3 bound or invariant violation, or an ERM solve
+that hit its iteration cap.
 """
 
 from __future__ import annotations
@@ -24,8 +25,7 @@ from dataclasses import MISSING, fields, replace
 from . import bounds as tb
 from .errors import BoundViolation, ConfigError, ConvergenceError, DataError
 from .harness import ExperimentConfig, emit_reports, load_input_samples, run_experiment
-from .online import INIT_POLICIES
-from .pool import STRATEGIES
+from .pool import INIT_POLICIES, STRATEGIES
 from .streams import StreamSpec, dump_stream, generate, parse_libsvm
 
 
@@ -225,6 +225,9 @@ def main(argv: list[str] | None = None) -> int:
     except ConvergenceError as exc:
         print(f"convergence error: {exc}", file=sys.stderr)
         return 3
+    except MemoryError as exc:
+        print(f"memory error: {exc or 'out of memory'}; lower --b, --g or --dim", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

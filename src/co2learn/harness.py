@@ -29,7 +29,7 @@ from .errors import BoundViolation, ConfigError, ConvergenceError, check_int, ch
 from .geometry import Sample
 from .losses import LossSpec, batch_losses, margin_loss
 from .offline import omega, projected_gradient
-from .online import init_online, ogd_update
+from .online import ogd_update
 from .pool import ExpertPool, check_settings
 from .streams import StreamSpec, fresh_proxy_samples, generate, parse_libsvm
 
@@ -219,8 +219,7 @@ def _run_seed(config: ExperimentConfig, seed: int, input_samples) -> SeedRun:
         strategy=config.strategy, init_policy=config.init_policy,
         gamma_floor=config.gamma_floor, grad_map_tol=config.grad_map_tol,
     )
-    baseline = init_online("cold", spec)
-    w_ogd, t_ogd = baseline.w, baseline.t  # stepped in place
+    w_ogd = np.zeros(spec.dim)  # the whole-stream baseline, stepped in place
 
     B = stream_spec.B
     steps = np.zeros((stream_spec.G * B, 4 + config.K_max))
@@ -245,8 +244,7 @@ def _run_seed(config: ExperimentConfig, seed: int, input_samples) -> SeedRun:
             # process_labeled has already checked this sample
             z = y * float(x.dot(w_ogd))
             ogd_losses[t] = margin_loss(z, spec)
-            ogd_update(w_ogd, t_ogd, x, y, z, spec)
-            t_ogd += 1
+            ogd_update(w_ogd, (g - 1) * B + t + 1, x, y, z, spec)
 
         w_hat = erm_oracle(buf.X, buf.y, spec, tol=config.erm_tol)
         erm_losses = batch_losses(w_hat, buf.X, buf.y, spec)
@@ -377,18 +375,17 @@ def _assert_rollover_bounds(r: RolloverMetrics) -> None:
 
 
 def _aggregate(runs: list[SeedRun]) -> dict:
-    finals = [r.intervals[-1] for r in runs]
-    n = len(finals)
+    finals = [r.intervals[-1] for r in runs]  # ExperimentConfig requires a seed
     early_vs_scratch = [m.early_cum_co2 <= m.early_cum_online for m in finals]
     end_vs_scratch = [m.regret_co2 <= m.regret_oe for m in finals]
     end_vs_stream = [m.regret_co2 <= m.regret_ogd for m in finals]
     return {
         "seeds": [r.seed for r in runs],
-        "final_interval": finals[0].g if n else None,
+        "final_interval": finals[0].g,
         "mean_final_regret_co2": float(np.mean([m.regret_co2 for m in finals])),
         "mean_final_regret_ogd": float(np.mean([m.regret_ogd for m in finals])),
         "mean_final_regret_oe": float(np.mean([m.regret_oe for m in finals])),
-        "early_t": finals[0].early_t if n else None,
+        "early_t": finals[0].early_t,
         "early_win_fraction_vs_scratch_ogd": float(np.mean(early_vs_scratch)),
         "end_win_fraction_vs_scratch_ogd": float(np.mean(end_vs_scratch)),
         "end_win_fraction_vs_stream_ogd": float(np.mean(end_vs_stream)),

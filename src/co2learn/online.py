@@ -6,9 +6,9 @@ Step t applies
 
 where the gradient is always evaluated at the expert's own iterate.
 ``ogd_step`` takes any gradient and returns a new state; ``ogd_update``
-takes one sample and writes the step into the iterate it is given. A new
-interval starts the expert either cold (w = 0) or warm (inherit the previous
-interval's final iterate); see ``INIT_POLICIES``.
+takes one sample and writes the step into the iterate it is given. Each new
+interval restarts the expert at step 1; ``pool.ExpertPool.rollover`` does
+that, cold (w = 0) or warm (from the previous interval's final iterate).
 """
 
 from __future__ import annotations
@@ -24,16 +24,13 @@ from .losses import LossSpec, margin_grad_coef
 # Not called here; kept importable because bench/tracing.py patches this name.
 from .geometry import project_to_ball  # noqa: F401
 
-INIT_POLICIES = ("cold", "warm")
-
 
 @dataclass(frozen=True)
 class OnlineExpertState:
     """OGD iterate w plus the 1-based step counter within the interval.
 
     Unchecked: ``w`` is a float array in the R-ball and ``t >= 1``.
-    :func:`init_online` checks the start point and :func:`ogd_step`
-    projects every later iterate.
+    :func:`ogd_step` projects every iterate after the start point.
     """
 
     w: np.ndarray
@@ -74,27 +71,3 @@ def _descend(w: np.ndarray, t: int, grad: np.ndarray, spec: LossSpec) -> None:
     grad *= eta(t, spec)
     w -= grad
     project_in_place(w, spec.R)
-
-
-def init_online(
-    policy: str,
-    spec: LossSpec,
-    previous: np.ndarray | None = None,
-) -> OnlineExpertState:
-    """Fresh expert for a new interval.
-
-    cold    w = 0 (deterministic, reproducible; the regret analysis does not
-            depend on the start point)
-    warm    inherit the given previous iterate, which must be in the ball
-    """
-    if policy == "cold":
-        w = np.zeros(spec.dim)
-    elif policy == "warm":
-        if previous is None:
-            raise ValueError("warm start requires the previous interval's iterate")
-        w = np.asarray(previous, dtype=np.float64)
-        if sqrt(w.dot(w)) > spec.R * (1.0 + 1e-9):
-            raise ValueError("warm-start iterate lies outside the hypothesis ball")
-    else:
-        raise ValueError(f"unknown init policy {policy!r}")
-    return OnlineExpertState(w=w, t=1)

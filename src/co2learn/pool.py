@@ -19,7 +19,7 @@ the anchor from the final meta weights and the experts' empirical risks on
 the completed interval, trains a new offline expert against that anchor,
 evicts the lowest-priority offline expert if the pool is full, reorders
 survivors by priority, reinitializes the meta weights for the new K, and
-restarts the online expert.
+restarts the online expert, at zero (cold) or at its final iterate (warm).
 
 Eviction strategies: ``fifo`` keeps insertion order (oldest = lowest
 priority); ``weight`` orders the surviving offline experts by their final
@@ -40,7 +40,7 @@ from .geometry import Sample
 from .losses import LossSpec, batch_mean_losses, check_sample, margin_loss, softplus
 from .meta import MetaWeights, reweight
 from .offline import Anchor, OfflineTrainResult, omega, train_offline
-from .online import INIT_POLICIES, OnlineExpertState, init_online, ogd_update
+from .online import OnlineExpertState, ogd_update
 from .streams import IntervalBuffer
 
 # Not called here; kept importable because bench/tracing.py patches these names.
@@ -49,6 +49,7 @@ from .meta import combine, update_weights  # noqa: F401
 from .online import ogd_step  # noqa: F401
 
 STRATEGIES = ("fifo", "weight")
+INIT_POLICIES = ("cold", "warm")  # how rollover restarts the online expert
 
 
 def check_settings(B, K_max, strategy, init_policy, gamma_floor, grad_map_tol) -> None:
@@ -63,15 +64,6 @@ def check_settings(B, K_max, strategy, init_policy, gamma_floor, grad_map_tol) -
         raise ConfigError(f"init_policy must be one of {INIT_POLICIES}, got {init_policy!r}")
     check_real("gamma_floor", gamma_floor, positive=True)
     check_real("grad_map_tol", grad_map_tol, positive=True, below=1.0)
-
-
-def effective_K(G: int, K_max: int) -> int:
-    """Number of live experts: min(G, K_max)."""
-    if G < 1:
-        raise ValueError(f"G must be >= 1, got {G}")
-    if K_max < 2:
-        raise ValueError(f"K_max must be >= 2, got {K_max}")
-    return min(G, K_max)
 
 
 class StepRecord(NamedTuple):
@@ -106,10 +98,11 @@ class ExpertPool:
 
     The state is one (K, dim) float array ``A`` of the experts, the
     offline ones first in priority order and the online iterate last, the
-    meta weights ``alpha`` with their step size ``nu``, two counters (``t``,
-    the samples taken in this interval, and the online expert's OGD step),
-    and the output ``w = alpha @ A``. A step writes the online row and the
-    counters in place, replaces ``alpha`` and then ``w``; only ``rollover``
+    meta weights ``alpha`` with their step size ``nu``, the count ``t`` of
+    samples taken in this interval, the interval index ``G``, and the
+    output ``w = alpha @ A``. The online expert restarts with each interval,
+    so its next OGD step is ``t + 1``. A step writes the online row and
+    ``t`` in place, replaces ``alpha`` and then ``w``; only ``rollover``
     rebuilds the array. ``offline``, ``online`` and ``meta`` read that state
     (and set it, to inject one); setting any of them drops ``w``, and the
     next read recomputes it from whatever was set.
@@ -136,14 +129,13 @@ class ExpertPool:
         self.G = 1
         self.t = 0
         # no previous interval to inherit from, so even a warm pool starts cold
-        start = init_online("cold", spec)
-        self._experts = start.w[np.newaxis].copy()
-        self._ogd_t = start.t
+        self._experts = np.zeros((1, spec.dim))
         self.meta = MetaWeights.fresh(K=1, horizon=B)
 
     @property
     def K(self) -> int:
-        return effective_K(self.G, self.K_max)
+        """Number of live experts: min(G, K_max)."""
+        return min(self.G, self.K_max)
 
     @property
     def offline(self) -> list[np.ndarray]:
@@ -157,13 +149,14 @@ class ExpertPool:
 
     @property
     def online(self) -> OnlineExpertState:
-        """A copy of the online expert's iterate and its OGD step counter."""
-        return OnlineExpertState(w=self._experts[-1].copy(), t=self._ogd_t)
+        """A copy of the online expert's iterate and its next OGD step, t + 1;
+        setting it also sets t to ``state.t - 1``."""
+        return OnlineExpertState(w=self._experts[-1].copy(), t=self.t + 1)
 
     @online.setter
     def online(self, state: OnlineExpertState) -> None:
         self._experts[-1] = state.w
-        self._ogd_t = state.t
+        self.t = state.t - 1
         self._w = None
 
     @property
@@ -205,9 +198,8 @@ class ExpertPool:
         losses /= spec.C
         loss_meta = margin_loss(y * float(w_t.dot(x)), spec)
         self._alpha = reweight(alpha, self._nu, losses)
-        ogd_update(experts[-1], self._ogd_t, x, y, -float(neg_z[-1]), spec)
-        self._ogd_t += 1
         self.t += 1
+        ogd_update(experts[-1], self.t, x, y, -float(neg_z[-1]), spec)
         self._w = self._alpha.dot(experts)
         return StepRecord(self.G, self.t, w_t, loss_meta, losses, alpha, self._alpha)
 
@@ -248,27 +240,18 @@ class ExpertPool:
 
         g_completed = self.G
         self.G += 1
-        K_new = effective_K(self.G, self.K_max)
+        K_new = self.K
 
+        # rank the offline experts, lowest priority first; the new one ranks highest
         n_offline = len(experts) - 1
-        if self.strategy == "fifo":
-            order = list(range(n_offline))
-        else:
-            # surviving offline experts ranked by their final meta weights
-            order = list(np.argsort(alpha[:n_offline], kind="stable"))
-        candidates = [experts[i] for i in order] + [result.w]
-        keep = K_new - 1
-        evicted = None
-        if len(candidates) > keep:
-            evicted = candidates[0]  # lowest priority
-            candidates = candidates[len(candidates) - keep:]
-        start = init_online(self.init_policy, self.spec, previous=experts[-1])
-        self._experts = np.array([*candidates, start.w], dtype=np.float64)
-        self._ogd_t = start.t
+        order = (np.arange(n_offline) if self.strategy == "fifo"
+                 else np.argsort(alpha[:n_offline], kind="stable"))
+        n_evict = max(0, n_offline + 2 - K_new)  # 1 once the pool is full, else 0
+        evicted = experts[order[0]] if n_evict else None
+        restart = experts[-1] if self.init_policy == "warm" else np.zeros(self.spec.dim)
+        self._experts = np.concatenate((experts[order[n_evict:]], [result.w, restart]))
         self.meta = MetaWeights.fresh(K=K_new, horizon=self.B)
         self._w = self._alpha.dot(self._experts)
         self.t = 0
-        return RolloverRecord(
-            g_completed=g_completed, anchor=anchor, result=result,
-            omega_new=omega_new, evicted=evicted, K=K_new,
-        )
+        return RolloverRecord(g_completed=g_completed, anchor=anchor, result=result,
+                              omega_new=omega_new, evicted=evicted, K=K_new)

@@ -86,13 +86,15 @@ class IntervalBuffer:
 
     def __post_init__(self):
         X = np.asarray(self.X, dtype=np.float64)
-        y = np.asarray(self.y, dtype=np.int64)
-        object.__setattr__(self, "X", X)
-        object.__setattr__(self, "y", y)
+        y = np.asarray(self.y)
         if X.ndim != 2 or y.shape != (X.shape[0],):
             raise ValueError("interval buffer needs X of shape (B, dim) and y of shape (B,)")
-        if not np.all(np.isin(y, (-1, 1))):
-            raise ValueError("labels must be -1 or +1")
+        items = () if isinstance(self.y, np.ndarray) else self.y  # numpy casts [True, -1] to ints
+        if (any(isinstance(v, (bool, np.bool_)) for v in items)
+                or y.dtype.kind not in "iuf" or not np.isin(y, (-1, 1)).all()):
+            raise ValueError("every label must be the number -1 or +1, and not a bool")
+        object.__setattr__(self, "X", X)
+        object.__setattr__(self, "y", y.astype(np.int64, copy=False))
 
     @property
     def n(self) -> int:
@@ -297,7 +299,9 @@ def dump_stream(intervals: list[IntervalBuffer], path: str) -> None:
 
 
 def load_stream(path: str) -> list[IntervalBuffer]:
-    """Read a dump_stream file back; exact float round-trip."""
+    """Read a dump_stream file back; exact float round-trip. Records keep the
+    order dump_stream writes: ``g >= 1`` and ``t`` the next step 1, 2, ... of
+    interval g; anything else is a StreamFormatError naming the line."""
     per_g: dict[int, list[tuple[int, np.ndarray]]] = {}
     dim = None
     with open(path) as fh:
@@ -313,6 +317,11 @@ def load_stream(path: str) -> list[IntervalBuffer]:
                 x = np.array([float(v) for v in parts[3:]])
             except ValueError:
                 raise StreamFormatError("non-numeric stream record", lineno) from None
+            if g < 1:
+                raise StreamFormatError(f"interval index must be >= 1, got {g}", lineno)
+            records = per_g.setdefault(g, [])
+            if t != len(records) + 1:
+                raise StreamFormatError(f"interval {g} needs t={len(records) + 1}, got {t}", lineno)
             if y not in (-1, 1):
                 raise StreamFormatError(f"label must be -1 or +1, got {y}", lineno)
             if not np.all(np.isfinite(x)):
@@ -322,7 +331,7 @@ def load_stream(path: str) -> list[IntervalBuffer]:
             elif x.size != dim:
                 raise StreamFormatError(
                     f"record has {x.size} coordinates, earlier records have {dim}", lineno)
-            per_g.setdefault(g, []).append((y, x))
+            records.append((y, x))
     intervals = []
     for g in sorted(per_g):
         ys, xs = zip(*per_g[g])

@@ -23,7 +23,7 @@ from co2learn.harness import ExperimentConfig, emit_reports, erm_oracle, run_exp
 from co2learn.losses import LossSpec, batch_mean_loss, grad_loss, loss
 from co2learn.meta import MetaWeights, update_weights
 from co2learn.offline import Anchor, gamma_lower_bound, objective, omega, train_offline
-from co2learn.online import init_online, ogd_step
+from co2learn.online import OnlineExpertState, ogd_step
 from co2learn.pool import ExpertPool
 from co2learn.streams import IntervalBuffer, StreamSpec, gen_synthetic
 
@@ -273,7 +273,7 @@ def test_criterion_11_byte_identical_reports(tmp_path):
 def test_criterion_12_single_expert_equals_bare_ogd(spec):
     buf = gen_synthetic(StreamSpec(G=1, B=B, dim=DIM, seed=12))[0]
     pool = ExpertPool(spec=spec, B=B, K_max=K_MAX)
-    ogd = init_online("cold", spec)
+    ogd = OnlineExpertState(w=np.zeros(spec.dim), t=1)
     worst = 0.0
     for i in range(buf.n):
         s = Sample(x=buf.X[i], y=int(buf.y[i]))

@@ -119,6 +119,18 @@ class TestRun:
         assert rc == 3
         assert err.startswith("convergence error:") and len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("exc", [MemoryError(), MemoryError("Unable to allocate 7.45 GiB")],
+                             ids=["bare", "with_size"])
+    def test_out_of_memory_is_one_line_exit_1(self, tmp_path, capsys, monkeypatch, exc):
+        def oversized(config):
+            raise exc
+        monkeypatch.setattr(cli, "run_experiment", oversized)
+        rc = run_cli("run", "--seeds", "1", "--g", "2", "--b", "1000000000",
+                     "--out", str(tmp_path / "o"))
+        err = capsys.readouterr().err
+        assert rc == 1 and not (tmp_path / "o").exists()
+        assert err.startswith("memory error:") and len(err.splitlines()) == 1
+
 
 class TestBounds:
     def test_report_json(self, tmp_path, capsys):

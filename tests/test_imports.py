@@ -1,0 +1,58 @@
+"""Import hygiene of ``src/co2learn``, read from the source with ``ast``.
+
+Every name a module imports is used in that module. The one exception is an
+import marked ``# noqa: F401``: a name kept importable only because
+``bench/tracing.py`` puts a timer on it, so each such name must be patched
+there, on that module. ``__init__.py`` is left out: its imports are the
+package's public names.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+MODULES = sorted(p for p in (ROOT / "src" / "co2learn").glob("*.py") if p.name != "__init__.py")
+
+
+def imports(tree: ast.Module, lines: list[str]):
+    """(bound name, line, marked noqa: F401) for every top-level import."""
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            marked = any("# noqa: F401" in line for line in lines[node.lineno - 1: node.end_lineno])
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                yield name, node.lineno, marked
+
+
+def used_names(tree: ast.Module) -> set[str]:
+    return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+
+
+def tracing_sites() -> set[tuple[str, str]]:
+    """(module variable, attribute) of every ``(owner, "attr", ...)`` site."""
+    tree = ast.parse((ROOT / "bench" / "tracing.py").read_text())
+    return {
+        (node.elts[0].id, node.elts[1].value)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Tuple) and len(node.elts) >= 2
+        and isinstance(node.elts[0], ast.Name) and isinstance(node.elts[1], ast.Constant)
+    }
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_every_import_is_used_or_patched_by_the_benchmark(path):
+    source = path.read_text()
+    tree = ast.parse(source)
+    used, sites = used_names(tree), tracing_sites()
+    for name, line, marked in imports(tree, source.splitlines()):
+        where = f"{path.name}:{line} imports {name}"
+        if marked:
+            assert name not in used, f"{where}, which is used: drop its noqa marker"
+            assert (path.stem, name) in sites, \
+                f"{where} for bench/tracing.py, which patches no {path.stem}.{name}"
+        else:
+            assert name in used, f"{where} and never uses it"

@@ -6,7 +6,7 @@ import pytest
 from co2learn.geometry import Sample
 from co2learn.harness import erm_oracle
 from co2learn.losses import LossSpec, batch_losses, grad_loss
-from co2learn.online import OnlineExpertState, eta, init_online, ogd_step
+from co2learn.online import OnlineExpertState, eta, ogd_step
 from co2learn.streams import StreamSpec, gen_synthetic
 
 UNIT = LossSpec.create(D=1.0, R=1.0, dim=2)
@@ -53,42 +53,17 @@ class TestOgdStep:
 
     def test_ball_containment_along_run(self):
         rng = np.random.default_rng(0)
-        state = init_online("cold", UNIT)
+        state = OnlineExpertState(w=np.zeros(2), t=1)
         for _ in range(300):
             state = ogd_step(state, rng.normal(size=2), UNIT)
             assert np.linalg.norm(state.w) <= 1.0 + 1e-12
-
-
-class TestInitOnline:
-    def test_cold(self):
-        state = init_online("cold", UNIT)
-        np.testing.assert_array_equal(state.w, np.zeros(2))
-        assert state.t == 1
-
-    def test_warm(self):
-        prev = np.array([0.3, 0.4])
-        state = init_online("warm", UNIT, previous=prev)
-        np.testing.assert_array_equal(state.w, prev)
-        assert state.t == 1
-
-    def test_warm_requires_previous(self):
-        with pytest.raises(ValueError):
-            init_online("warm", UNIT)
-
-    def test_warm_rejects_out_of_ball(self):
-        with pytest.raises(ValueError):
-            init_online("warm", UNIT, previous=np.array([1.2, 0.9]))
-
-    def test_unknown_policy(self):
-        with pytest.raises(ValueError):
-            init_online("hot", UNIT)
 
 
 class TestOgdRegretBound:
     def test_regret_within_bound_on_stream_interval(self):
         spec = LossSpec.create(D=1.0, R=1.0, dim=2)
         buf = gen_synthetic(StreamSpec(G=1, B=150, dim=2, seed=99))[0]
-        state = init_online("cold", spec)
+        state = OnlineExpertState(w=np.zeros(spec.dim), t=1)
         total = 0.0
         for i in range(buf.n):
             s = Sample(x=buf.X[i], y=int(buf.y[i]))

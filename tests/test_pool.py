@@ -7,8 +7,8 @@ from co2learn.errors import ConfigError
 from co2learn.geometry import Sample
 from co2learn.losses import LossSpec, batch_losses, grad_loss
 from co2learn.meta import MetaWeights
-from co2learn.online import OnlineExpertState, init_online, ogd_step
-from co2learn.pool import ExpertPool, effective_K
+from co2learn.online import OnlineExpertState, ogd_step
+from co2learn.pool import ExpertPool
 from co2learn.streams import IntervalBuffer, StreamSpec, gen_synthetic
 
 
@@ -21,28 +21,11 @@ def make_interval(seed, B):
     return gen_synthetic(StreamSpec(G=1, B=B, dim=2, seed=seed))[0]
 
 
-class TestEffectiveK:
-    def test_single_interval(self):
-        assert effective_K(1, 5) == 1
-
-    def test_at_capacity(self):
-        assert effective_K(5, 5) == 5
-
-    def test_saturation(self):
-        assert effective_K(100, 5) == 5
-
-    def test_rejects_bad_inputs(self):
-        with pytest.raises(ValueError):
-            effective_K(0, 5)
-        with pytest.raises(ValueError):
-            effective_K(3, 1)
-
-
 class TestSingleExpertDegeneracy:
     def test_pool_equals_bare_ogd(self, spec):
         buf = make_interval(seed=31, B=120)
         pool = ExpertPool(spec=spec, B=120, K_max=5)
-        ogd = init_online("cold", spec)
+        ogd = OnlineExpertState(w=np.zeros(spec.dim), t=1)
         for i in range(buf.n):
             s = Sample(x=buf.X[i], y=int(buf.y[i]))
             rec = pool.process_labeled(s)
@@ -238,21 +221,44 @@ class TestRollover:
         # newest expert has the highest index
         np.testing.assert_array_equal(pool.offline[-1], roll.result.w)
 
-    def test_weight_strategy_orders_by_final_weights(self, spec):
-        pool, _, stream = self._grown_pool(spec, "weight", G=4, K_max=4)
-        run_interval(pool, stream[-1])
-        alpha = pool.meta.alpha.copy()
-        offline_before = [w.copy() for w in pool.offline]
-        roll = pool.rollover(stream[-1])
-        order = np.argsort(alpha[: len(offline_before)], kind="stable")
-        expected = [offline_before[i] for i in order] + [roll.result.w]
-        expected = expected[len(expected) - (roll.K - 1):]
-        for got, want in zip(pool.offline, expected):
-            np.testing.assert_array_equal(got, want)
+    @pytest.mark.parametrize("init_policy", ["cold", "warm"])
+    @pytest.mark.parametrize("strategy", ["fifo", "weight"])
+    def test_rollover_ranks_evicts_and_restarts(self, spec, strategy, init_policy):
+        B, K_max = 40, 4
+        # the last rollover evicts, and by weight it also reorders the survivors
+        stream = gen_synthetic(StreamSpec(G=4, B=B, dim=2, seed=52))
+        pool = ExpertPool(spec=spec, B=B, K_max=K_max, strategy=strategy,
+                          init_policy=init_policy)
+        reordered = evictions = 0
+        for buf in stream:
+            for x, y in zip(buf.X, buf.y.tolist()):
+                pool.process_labeled(Sample(x, y))
+                assert pool.online.t == pool.t + 1
+            offline = [w.copy() for w in pool.offline]
+            alpha, online = pool.meta.alpha.copy(), pool.online.w.copy()
+            roll = pool.rollover(buf)
+
+            order = np.arange(len(offline))
+            if strategy == "weight":
+                order = np.argsort(alpha[:len(offline)], kind="stable")
+                reordered += not np.array_equal(order, np.arange(len(offline)))
+            ranked = [offline[i] for i in order]
+            if len(offline) == K_max - 1:  # full: the lowest priority goes
+                np.testing.assert_array_equal(roll.evicted, ranked[0])
+                ranked = ranked[1:]
+                evictions += 1
+            else:
+                assert roll.evicted is None
+            np.testing.assert_array_equal(np.vstack(pool.offline),
+                                          np.vstack([*ranked, roll.result.w]))
+            restart = online if init_policy == "warm" else np.zeros(2)
+            np.testing.assert_array_equal(pool.online.w, restart)
+            assert pool.online.t == 1 and pool.t == 0
+        assert evictions == 1 and reordered == (strategy == "weight")
 
     def test_meta_reset_and_k_accounting(self, spec):
         pool, rolls, _ = self._grown_pool(spec, "weight", G=5, K_max=3)
-        assert pool.meta.K == effective_K(pool.G, pool.K_max) == pool.K
+        assert pool.meta.K == min(pool.G, pool.K_max) == pool.K
         assert pool.t == 0
         assert len(pool.offline) == pool.K - 1
         np.testing.assert_allclose(pool.meta.alpha.sum(), 1.0, atol=1e-12)

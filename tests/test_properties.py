@@ -33,8 +33,8 @@ from co2learn.losses import (
 )
 from co2learn.meta import MetaWeights, combine, update_weights
 from co2learn.offline import projected_gradient
-from co2learn.online import INIT_POLICIES, OnlineExpertState, init_online, ogd_step
-from co2learn.pool import STRATEGIES, ExpertPool
+from co2learn.online import OnlineExpertState, ogd_step
+from co2learn.pool import INIT_POLICIES, STRATEGIES, ExpertPool
 from co2learn.rng import _BLOCK, CounterRng, substream
 from co2learn.streams import (
     IntervalBuffer,
@@ -90,7 +90,7 @@ def ogd_runs(draw):
 @given(ogd_runs())
 def test_ogd_iterate_stays_in_ball_for_any_gradient(run):
     spec, grads = run
-    state = init_online("cold", spec)
+    state = OnlineExpertState(w=np.zeros(spec.dim), t=1)
     for grad in grads:
         state = ogd_step(state, grad, spec)
         assert np.linalg.norm(state.w) <= spec.R * (1.0 + 1e-12)
@@ -115,33 +115,35 @@ def in_ball(draw, dim, radius, n=None):
 
 @st.composite
 def pool_states(draw):
-    """A spec, an arbitrary pool state and a sample in the loss's domain."""
+    """A spec, a pool state and a sample in the loss's domain. The state is
+    arbitrary but reachable: after t_pool steps, the online expert's next
+    OGD step is t_pool + 1."""
     dim, K = draw(st.integers(1, 30)), draw(st.integers(1, 8))
     spec = LossSpec.create(D=draw(st.floats(0.1, 5.0)), R=draw(st.floats(0.1, 5.0)), dim=dim)
     B = draw(st.integers(1, 400))
     experts = in_ball(draw, dim, spec.R, n=K)
     raw = draw(arrays(np.float64, K, elements=st.floats(1e-3, 1.0)))
     meta = MetaWeights(alpha=raw / raw.sum(), nu=draw(st.floats(0.0, 4.0)))
-    t_pool, t_ogd = draw(st.integers(0, B - 1)), draw(st.integers(1, 10 * B))
+    t_pool = draw(st.integers(0, B - 1))
     x = in_ball(draw, dim, spec.D)
-    return spec, B, experts, meta, t_pool, t_ogd, Sample(x=x, y=draw(st.sampled_from([-1, 1])))
+    return spec, B, experts, meta, t_pool, Sample(x=x, y=draw(st.sampled_from([-1, 1])))
 
 
 @given(pool_states())
 def test_step_matches_the_reference_chain(state):
-    spec, B, experts, meta, t_pool, t_ogd, s = state
+    spec, B, experts, meta, t_pool, s = state
     K = len(experts)
     pool = ExpertPool(spec=spec, B=B, K_max=max(K, 2))
     pool.offline = list(experts[:-1])
-    pool.online = OnlineExpertState(w=experts[-1].copy(), t=t_ogd)
-    pool.G, pool.t, pool.meta = K, t_pool, meta
+    pool.online = OnlineExpertState(w=experts[-1].copy(), t=t_pool + 1)
+    pool.G, pool.meta = K, meta
 
     rec = pool.process_labeled(s)
 
     losses = batch_losses(s.x, experts, s.y, spec)
     w_t = combine(meta, list(experts))
     after = update_weights(meta, losses)
-    online = ogd_step(OnlineExpertState(w=experts[-1], t=t_ogd),
+    online = ogd_step(OnlineExpertState(w=experts[-1], t=t_pool + 1),
                       grad_loss(experts[-1], s, spec), spec)
     np.testing.assert_allclose(rec.w, w_t, rtol=0, atol=1e-12)
     assert abs(rec.loss_meta - float(batch_losses(w_t, s.x, s.y, spec))) <= 1e-12

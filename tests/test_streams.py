@@ -328,10 +328,22 @@ class TestDumpLoad:
                            ("1,1,1,0.5,0.25\n1,2,-1,0.5\n", 2),  # ragged rows
                            ("1,1,1,0.5,0.25\n1,2,1,nan,0.5\n", 2),
                            ("1,1,1,inf,0.25\n", 1),
-                           ("1,1,1,0.5,0.25\n1,2,5,0.5,0.5\n", 2)]:  # label 5
+                           ("1,1,1,0.5,0.25\n1,2,5,0.5,0.5\n", 2),  # label 5
+                           ("0,1,1,0.5\n", 1),  # interval index 0
+                           ("1,5,1,0.5\n1,5,-1,0.5\n0,9,1,0.5\n", 1),  # t = 5 opens interval 1
+                           ("1,1,1,0.5\n1,1,-1,0.5\n", 2),  # t repeated
+                           ("1,1,1,0.5\n2,1,1,0.5\n1,2,1,0.5\n2,3,1,0.5\n", 4)]:  # t skipped
             path.write_text(text)
-            with pytest.raises(StreamFormatError, match=f"line {line}"):
+            with pytest.raises(StreamFormatError, match=f"^line {line}: "):
                 load_stream(str(path))
+
+    def test_load_takes_steps_of_interleaved_intervals_in_order(self, tmp_path):
+        path = tmp_path / "stream.csv"
+        path.write_text("2,1,1,0.5\n1,1,-1,0.25\n2,2,-1,0.75\n")
+        back = load_stream(str(path))
+        assert [b.interval_index for b in back] == [1, 2]
+        np.testing.assert_array_equal(back[1].X, [[0.5], [0.75]])
+        np.testing.assert_array_equal(back[1].y, [1, -1])
 
 
 class TestIntervalBuffer:
@@ -344,3 +356,22 @@ class TestIntervalBuffer:
     def test_label_validation(self):
         with pytest.raises(ValueError):
             IntervalBuffer(X=np.zeros((1, 2)), y=np.array([2]), interval_index=1)
+
+    @pytest.mark.parametrize("y", [
+        [1.7, -1.2], [1, -1.2], [True, -1], [np.True_, -1], np.array([True, False]),
+        [np.nan, 1], [1 + 0j, 1], ["1", "-1"],
+    ], ids=["floats", "one_float", "bool", "numpy_bool", "bool_array", "nan", "complex",
+            "strings"])
+    def test_label_other_than_minus_one_or_one_rejected_before_the_cast(self, y):
+        with pytest.raises(ValueError, match="label must be the number -1 or \\+1") as exc:
+            IntervalBuffer(X=np.zeros((2, 2)), y=y, interval_index=1)
+        assert "\n" not in str(exc.value)
+
+    @pytest.mark.parametrize("y", [
+        [1, -1], (1, -1), [1.0, -1.0], np.array([1, -1], dtype=np.int8),
+        np.array([1.0, -1.0], dtype=np.float32),
+    ], ids=["ints", "tuple", "whole_floats", "int8", "float32"])
+    def test_labels_equal_to_minus_one_or_one_accepted_as_int64(self, y):
+        buf = IntervalBuffer(X=np.zeros((2, 2)), y=y, interval_index=1)
+        assert buf.y.dtype == np.int64
+        np.testing.assert_array_equal(buf.y, [1, -1])
