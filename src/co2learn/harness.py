@@ -29,7 +29,7 @@ from .errors import BoundViolation, ConfigError, ConvergenceError, check_int, ch
 from .geometry import Sample
 from .losses import LossSpec, batch_losses, margin_loss
 from .offline import omega, projected_gradient
-from .online import ogd_update
+from .online import eta, ogd_update
 from .pool import ExpertPool, check_settings
 from .streams import StreamSpec, fresh_proxy_samples, generate, parse_libsvm
 
@@ -51,7 +51,10 @@ class ExperimentConfig:
     A run's derived settings are built here, once: ``loss_spec`` (not a field,
     so ``asdict`` gives the settings alone) is the LossSpec of ``stream.D``,
     ``R`` and ``stream.dim``, and ``bound_inputs`` assembles the calculators'
-    inputs. The pool settings are checked by ``pool.check_settings``."""
+    inputs. The pool settings are checked by ``pool.check_settings``. R must
+    be <= ``stream.D``: the asserted OGD bound ``6 D sqrt(T beta)`` is
+    Zinkevich's ``(2 R^2 / D + 4 D) sqrt(T beta)`` at R = D, and below it
+    only for R <= D."""
 
     stream: StreamSpec
     seeds: tuple[int, ...]
@@ -76,6 +79,9 @@ class ExperimentConfig:
         object.__setattr__(self, "seeds", tuple(self.seeds))
         object.__setattr__(self, "loss_spec",
                            LossSpec(D=self.stream.D, R=self.R, dim=self.stream.dim))
+        if self.R > self.stream.D:
+            raise ConfigError(f"R must be <= D, got R={self.R}, D={self.stream.D}: the "
+                              f"asserted OGD regret bound 6 D sqrt(T beta) needs R <= D")
         check_settings(self.stream.B, self.K_max, self.strategy, self.init_policy,
                        self.gamma_floor, self.grad_map_tol)
         check_real("erm_tol", self.erm_tol, positive=True)
@@ -244,7 +250,7 @@ def _run_seed(config: ExperimentConfig, seed: int, input_samples) -> SeedRun:
             # process_labeled has already checked this sample
             z = y * float(x.dot(w_ogd))
             ogd_losses[t] = margin_loss(z, spec)
-            ogd_update(w_ogd, (g - 1) * B + t + 1, x, y, z, spec)
+            ogd_update(w_ogd, eta((g - 1) * B + t + 1, spec), x, y, z, spec)
 
         w_hat = erm_oracle(buf.X, buf.y, spec, tol=config.erm_tol)
         erm_losses = batch_losses(w_hat, buf.X, buf.y, spec)

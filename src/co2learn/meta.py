@@ -90,5 +90,5 @@ def reweight(alpha: np.ndarray, nu: float, losses: np.ndarray) -> np.ndarray:
     scaled = losses * -nu
     np.exp(scaled, scaled)
     scaled *= alpha
-    scaled /= scaled.sum()
+    scaled /= np.add.reduce(scaled)  # ndarray.sum's own reduction, without its wrapper
     return scaled

@@ -6,9 +6,10 @@ Step t applies
 
 where the gradient is always evaluated at the expert's own iterate.
 ``ogd_step`` takes any gradient and returns a new state; ``ogd_update``
-takes one sample and writes the step into the iterate it is given. Each new
-interval restarts the expert at step 1; ``pool.ExpertPool.rollover`` does
-that, cold (w = 0) or warm (from the previous interval's final iterate).
+takes one sample and the step size ``eta(t)`` and writes the step into the
+iterate it is given. Each new interval restarts the expert at step 1;
+``pool.ExpertPool.rollover`` does that, cold (w = 0) or warm (from the
+previous interval's final iterate).
 """
 
 from __future__ import annotations
@@ -50,24 +51,26 @@ def ogd_step(state: OnlineExpertState, grad: np.ndarray, spec: LossSpec) -> Onli
     Unchecked: ``grad`` is a finite float array shaped like ``state.w``.
     """
     w = np.array(state.w, dtype=np.float64)
-    _descend(w, state.t, np.array(grad, dtype=np.float64), spec)
+    _descend(w, eta(state.t, spec), np.array(grad, dtype=np.float64), spec)
     return OnlineExpertState(w=w, t=state.t + 1)
 
 
-def ogd_update(w: np.ndarray, t: int, x: np.ndarray, y: int, z: float,
+def ogd_update(w: np.ndarray, eta_t: float, x: np.ndarray, y: int, z: float,
                spec: LossSpec) -> None:
-    """Step t of OGD on the sample (x, y), written into ``w``.
+    """One OGD step of size ``eta_t`` on the sample (x, y), written into ``w``.
 
-    ``z`` is the sample's margin y <w, x> at ``w``, which the caller has
-    already computed for the loss. This is the one single-sample update: the
-    pool's online expert and the harness's whole-stream baseline both take
-    it. Unchecked: the sample is in the loss's domain.
+    ``eta_t`` is ``eta(t, spec)`` of the step's index t, and ``z`` the
+    sample's margin y <w, x> at ``w``; the caller has computed both already,
+    the step size before changing any state, so that a bad t raises while
+    nothing has moved. This is the one single-sample update: the pool's
+    online expert and the harness's whole-stream baseline both take it.
+    Unchecked: the sample is in the loss's domain.
     """
-    _descend(w, t, x * margin_grad_coef(z, y, spec), spec)
+    _descend(w, eta_t, x * margin_grad_coef(z, y, spec), spec)
 
 
-def _descend(w: np.ndarray, t: int, grad: np.ndarray, spec: LossSpec) -> None:
+def _descend(w: np.ndarray, eta_t: float, grad: np.ndarray, spec: LossSpec) -> None:
     """w <- project(w - eta_t grad); ``grad`` is a scratch array, scaled in place."""
-    grad *= eta(t, spec)
+    grad *= eta_t
     w -= grad
     project_in_place(w, spec.R)

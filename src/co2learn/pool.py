@@ -8,11 +8,13 @@ The pool keeps its output, the weighted average ``w = alpha @ A`` of the
 K experts, as state: it changes only when a labeled step or a rollover
 changes ``alpha`` or ``A``, so each of them computes it once at its end,
 and a prediction in between is one dot product. Each labeled sample runs,
-in order: take the output carried over from the previous step as ``w_t``,
-score every expert (one matvec and one softplus) and ``w_t`` on the
-sample, update the meta weights with those scores, take the online
-expert's OGD step with the gradient at its own iterate, and only then
-compute the next output. ``w_t`` was fixed before the loss was seen.
+in order: check the sample and compute the OGD step size, either of which
+can raise; take the output carried over from the previous step as
+``w_t``; score every expert (one matvec and one ``logaddexp``, the
+K-vector form of ``losses.softplus``) and ``w_t`` on the sample; take the
+online expert's OGD step with the gradient at its own iterate; and only
+then write the new meta weights, ``t`` and the next output. ``w_t`` was
+fixed before the loss was seen.
 
 When the online interval completes (t = B) the pool rolls over: it builds
 the anchor from the final meta weights and the experts' empirical risks on
@@ -37,10 +39,10 @@ import numpy as np
 
 from .errors import ConfigError, check_int, check_real
 from .geometry import Sample
-from .losses import LossSpec, batch_mean_losses, check_sample, margin_loss, softplus
+from .losses import LossSpec, batch_mean_losses, check_sample, margin_loss
 from .meta import MetaWeights, reweight
 from .offline import Anchor, OfflineTrainResult, omega, train_offline
-from .online import OnlineExpertState, ogd_update
+from .online import OnlineExpertState, eta, ogd_update
 from .streams import IntervalBuffer
 
 # Not called here; kept importable because bench/tracing.py patches these names.
@@ -182,26 +184,32 @@ class ExpertPool:
 
     def process_labeled(self, s: Sample) -> StepRecord:
         """One pass of the per-sample loop; advances t. The sample is checked
-        here, once, by ``check_sample``, before any state changes; nothing
-        after re-checks it."""
+        here, once, by ``check_sample``, and the OGD step size ``eta(t + 1)``
+        is computed, both before any state changes; nothing after re-checks
+        the sample. So a bad sample or step index leaves the pool as it was."""
         if self.t >= self.B:
             raise RuntimeError("online interval already holds B samples; rollover first")
         y, spec = s.y, self.spec
         x = check_sample(s.x, y, spec)
+        t = self.t + 1
+        eta_t = eta(t, spec)
         experts, alpha, w_t = self._experts, self._alpha, self._w
         if w_t is None:
             w_t = self._output()
         neg_z = experts.dot(x)  # -y <w_k, x> for every expert, the online one last
         if y == 1:
             np.negative(neg_z, neg_z)
-        losses = softplus(neg_z)
+        z_online = -float(neg_z[-1])
+        # softplus's K-vector form, as margin_loss is its scalar form: one ufunc
+        # call, where softplus's six pay off only on the batch paths' long arrays
+        losses = np.logaddexp(0.0, neg_z, out=neg_z)
         losses /= spec.C
         loss_meta = margin_loss(y * float(w_t.dot(x)), spec)
-        self._alpha = reweight(alpha, self._nu, losses)
-        self.t += 1
-        ogd_update(experts[-1], self.t, x, y, -float(neg_z[-1]), spec)
-        self._w = self._alpha.dot(experts)
-        return StepRecord(self.G, self.t, w_t, loss_meta, losses, alpha, self._alpha)
+        ogd_update(experts[-1], eta_t, x, y, z_online, spec)
+        self._alpha = alpha_next = reweight(alpha, self._nu, losses)
+        self.t = t
+        self._w = alpha_next.dot(experts)
+        return StepRecord(self.G, t, w_t, loss_meta, losses, alpha, alpha_next)
 
     def predict_unlabeled(self, x: np.ndarray) -> int:
         """Sign of <w, x> with the current output; +1 on ties. Free: does

@@ -300,15 +300,18 @@ def dump_stream(intervals: list[IntervalBuffer], path: str) -> None:
 
 def load_stream(path: str) -> list[IntervalBuffer]:
     """Read a dump_stream file back; exact float round-trip. Records keep the
-    order dump_stream writes: ``g >= 1`` and ``t`` the next step 1, 2, ... of
-    interval g; anything else is a StreamFormatError naming the line."""
-    per_g: dict[int, list[tuple[int, np.ndarray]]] = {}
-    dim = None
+    order dump_stream writes: intervals g = 1, 2, ... in turn, each with the
+    steps t = 1, 2, ... and as many of them as the first interval; anything
+    else is a StreamFormatError naming the line."""
+    intervals: list[tuple[list[int], list[np.ndarray]]] = []
+    dim = B = None  # B: the first interval's length, known once the second opens
+    last = 0  # the last record's line
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
+            last = lineno
             parts = line.split(",")
             if len(parts) < 4:
                 raise StreamFormatError("stream record needs g,t,y and coordinates", lineno)
@@ -317,11 +320,16 @@ def load_stream(path: str) -> list[IntervalBuffer]:
                 x = np.array([float(v) for v in parts[3:]])
             except ValueError:
                 raise StreamFormatError("non-numeric stream record", lineno) from None
-            if g < 1:
-                raise StreamFormatError(f"interval index must be >= 1, got {g}", lineno)
-            records = per_g.setdefault(g, [])
-            if t != len(records) + 1:
-                raise StreamFormatError(f"interval {g} needs t={len(records) + 1}, got {t}", lineno)
+            if g == len(intervals) + 1:  # the record opens the next interval
+                if intervals:
+                    B = _check_length(intervals, B, lineno)
+                intervals.append(([], []))
+            elif g != len(intervals) or g < 1:
+                raise StreamFormatError(
+                    f"interval {g} is out of order: intervals run 1, 2, ... in turn", lineno)
+            ys, xs = intervals[-1]
+            if t != len(ys) + 1:
+                raise StreamFormatError(f"interval {g} needs t={len(ys) + 1}, got {t}", lineno)
             if y not in (-1, 1):
                 raise StreamFormatError(f"label must be -1 or +1, got {y}", lineno)
             if not np.all(np.isfinite(x)):
@@ -331,11 +339,18 @@ def load_stream(path: str) -> list[IntervalBuffer]:
             elif x.size != dim:
                 raise StreamFormatError(
                     f"record has {x.size} coordinates, earlier records have {dim}", lineno)
-            records.append((y, x))
-    intervals = []
-    for g in sorted(per_g):
-        ys, xs = zip(*per_g[g])
-        intervals.append(
-            IntervalBuffer(X=np.vstack(xs), y=np.array(ys, dtype=np.int64), interval_index=g)
-        )
-    return intervals
+            ys.append(y)
+            xs.append(x)
+    if len(intervals) > 1:
+        _check_length(intervals, B, last)
+    return [IntervalBuffer(X=np.vstack(xs), y=np.array(ys, dtype=np.int64), interval_index=g)
+            for g, (ys, xs) in enumerate(intervals, start=1)]
+
+
+def _check_length(intervals, B: int | None, lineno: int) -> int:
+    """The first interval's length; raise unless the last interval has it."""
+    n = len(intervals[-1][0])
+    if B is not None and n != B:
+        raise StreamFormatError(
+            f"interval {len(intervals)} holds {n} samples, but the first holds {B}", lineno)
+    return n

@@ -51,6 +51,7 @@ BAD_CONFIG_BODIES = [
     {"stream": {"G": 2, "B": 20, "D": 1e-200}, "R": 1e-200},  # D^2 underflows: beta is 0
     {"gamma_floor": 0},  # gamma = 0 when WL = 0; the theory needs gamma > 0
     {"seeds": [1, 1]},  # bounds.json is keyed by seed
+    {"stream": {"D": 0.1, "G": 4}, "seeds": [0]},  # R = 1 > D: the OGD bound needs R <= D
 ]
 
 

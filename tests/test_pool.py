@@ -179,6 +179,23 @@ class TestLifecycleGuards:
         np.testing.assert_array_equal(pool.online.w, w.w)
         np.testing.assert_array_equal(pool.current_output(), output)
 
+    def test_bad_step_index_raises_with_no_state_change(self, spec):
+        # an injected online state at step 0 has no OGD step size: eta(0) raises
+        # before the weights, t, the experts or the output move
+        pool = ExpertPool(spec=spec, B=5, K_max=3)
+        pool.offline = [np.array([0.3, 0.0])]
+        pool.G = 2
+        pool.meta = MetaWeights.fresh(2, 5)
+        pool.online = OnlineExpertState(w=np.array([0.0, 0.2]), t=0)
+        t, output = pool.t, pool.current_output()
+        with pytest.raises(ValueError, match="t must be >= 1, got 0"):
+            pool.process_labeled(Sample(np.array([0.6, -0.5]), 1))
+        assert t == -1 and pool.t == t
+        np.testing.assert_array_equal(pool.meta.alpha, [0.25, 0.75])
+        np.testing.assert_array_equal(np.vstack(pool.offline), [[0.3, 0.0]])
+        np.testing.assert_array_equal(pool.online.w, [0.0, 0.2])
+        np.testing.assert_array_equal(pool.current_output(), output)
+
     def test_rollover_needs_full_interval(self, spec):
         buf = make_interval(seed=34, B=5)
         pool = ExpertPool(spec=spec, B=5, K_max=3)

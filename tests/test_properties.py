@@ -549,12 +549,16 @@ def test_proxy_draws_never_move_the_interval_samples(spec):
 @given(G=st.integers(2, 4), B=st.integers(4, 40), dim=st.integers(1, 6),
        K_max=st.integers(2, 4), strategy=st.sampled_from(STRATEGIES),
        init_policy=st.sampled_from(INIT_POLICIES), drift=st.floats(0.0, 2.0),
-       seed=st.integers(0, 2**32 - 1), wstar_proxy=st.booleans())
+       seed=st.integers(0, 2**32 - 1), wstar_proxy=st.booleans(),
+       D=st.floats(0.1, 10.0), R_share=st.floats(0.01, 1.0))
 def test_every_interval_keeps_its_guarantees(G, B, dim, K_max, strategy, init_policy,
-                                             drift, seed, wstar_proxy):
+                                             drift, seed, wstar_proxy, D, R_share):
+    # R <= D, which the config requires, and D R <= 10, below the products at
+    # which an ERM solve on a separable interval can run out of iterations
+    R = R_share * min(D, 10.0 / D)
     config = ExperimentConfig(
-        stream=StreamSpec(G=G, B=B, dim=dim, seed=seed, drift_std=drift), seeds=(seed,),
-        K_max=K_max, strategy=strategy, init_policy=init_policy, wstar_proxy=wstar_proxy)
+        stream=StreamSpec(G=G, B=B, dim=dim, seed=seed, drift_std=drift, D=D), seeds=(seed,),
+        R=R, K_max=K_max, strategy=strategy, init_policy=init_policy, wstar_proxy=wstar_proxy)
     run = run_experiment(config).runs[0]  # raises BoundViolation on any failed bound
     assert [m.g for m in run.intervals] == list(range(1, G + 1))
     for m in run.intervals:

@@ -332,18 +332,27 @@ class TestDumpLoad:
                            ("0,1,1,0.5\n", 1),  # interval index 0
                            ("1,5,1,0.5\n1,5,-1,0.5\n0,9,1,0.5\n", 1),  # t = 5 opens interval 1
                            ("1,1,1,0.5\n1,1,-1,0.5\n", 2),  # t repeated
-                           ("1,1,1,0.5\n2,1,1,0.5\n1,2,1,0.5\n2,3,1,0.5\n", 4)]:  # t skipped
+                           ("1,1,1,0.5\n1,2,1,0.5\n2,1,1,0.5\n2,3,1,0.5\n", 4)]:  # t skipped
             path.write_text(text)
             with pytest.raises(StreamFormatError, match=f"^line {line}: "):
                 load_stream(str(path))
 
-    def test_load_takes_steps_of_interleaved_intervals_in_order(self, tmp_path):
+    @pytest.mark.parametrize("text,line,message", [
+        ("1,1,1,0.5\n1,2,-1,0.5\n3,1,1,0.25\n", 3, "interval 3 is out of order"),  # gap
+        ("2,1,1,0.5\n1,1,-1,0.25\n2,2,-1,0.75\n", 1, "interval 2 is out of order"),  # no 1 first
+        ("1,1,1,0.5\n2,1,1,0.5\n1,2,1,0.5\n", 3, "interval 1 is out of order"),  # step back
+        ("1,1,1,0.5\n1,2,1,0.5\n2,1,1,0.5\n3,1,1,0.5\n", 4,
+         "interval 2 holds 1 samples, but the first holds 2"),
+        ("1,1,1,0.5\n1,2,1,0.5\n2,1,1,0.5\n\n", 3,  # the last interval is short
+         "interval 2 holds 1 samples, but the first holds 2"),
+        ("1,1,1,0.5\n2,1,1,0.5\n2,2,1,0.5\n3,1,1,0.5\n", 4,
+         "interval 2 holds 2 samples, but the first holds 1"),
+    ], ids=["gap", "interleaved", "step_back", "short", "short_last", "long"])
+    def test_load_rejects_misordered_or_unequal_intervals(self, tmp_path, text, line, message):
         path = tmp_path / "stream.csv"
-        path.write_text("2,1,1,0.5\n1,1,-1,0.25\n2,2,-1,0.75\n")
-        back = load_stream(str(path))
-        assert [b.interval_index for b in back] == [1, 2]
-        np.testing.assert_array_equal(back[1].X, [[0.5], [0.75]])
-        np.testing.assert_array_equal(back[1].y, [1, -1])
+        path.write_text(text)
+        with pytest.raises(StreamFormatError, match=f"^line {line}: {message}"):
+            load_stream(str(path))
 
 
 class TestIntervalBuffer:
