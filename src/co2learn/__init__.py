@@ -55,7 +55,6 @@ from .streams import (
     condition_norms,
     dump_stream,
     gen_synthetic,
-    load_stream,
     make_multidist,
     parse_libsvm,
 )

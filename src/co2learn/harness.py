@@ -31,7 +31,7 @@ from .losses import LossSpec, batch_losses, margin_loss
 from .offline import omega, projected_gradient
 from .online import eta, ogd_update
 from .pool import ExpertPool, check_settings
-from .streams import StreamSpec, fresh_proxy_samples, generate, parse_libsvm
+from .streams import IntervalBuffer, StreamSpec, fresh_proxy_samples, generate, parse_libsvm
 
 # Not called here; kept importable because bench/tracing.py patches these names.
 from .geometry import project_to_ball  # noqa: F401
@@ -212,14 +212,17 @@ def load_input_samples(config: ExperimentConfig):
 def run_experiment(config: ExperimentConfig) -> RunReport:
     """Run every seed and assemble the report; see the module docstring."""
     input_samples = load_input_samples(config)
-    runs = [_run_seed(config, seed, input_samples) for seed in config.seeds]
+    # one seed's stream at a time, so two are never held at once
+    runs = [_run_seed(config, seed, generate(replace(config.stream, seed=seed), input_samples))
+            for seed in config.seeds]
     return RunReport(config=config, runs=runs, aggregate=_aggregate(runs))
 
 
-def _run_seed(config: ExperimentConfig, seed: int, input_samples) -> SeedRun:
+def _run_seed(config: ExperimentConfig, seed: int, intervals: list[IntervalBuffer]) -> SeedRun:
+    """One seed's run over its stream: ``config.stream.G`` intervals of
+    ``config.stream.B`` rows of dimension ``config.stream.dim`` in the D-ball."""
     spec = config.loss_spec
-    stream_spec = replace(config.stream, seed=seed)
-    intervals = generate(stream_spec, input_samples)
+    stream_spec = replace(config.stream, seed=seed)  # the proxy's substreams
     pool = ExpertPool(
         spec=spec, B=stream_spec.B, K_max=config.K_max,
         strategy=config.strategy, init_policy=config.init_policy,

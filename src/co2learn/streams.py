@@ -122,7 +122,13 @@ def _condition_in_place(X: np.ndarray, D: float) -> np.ndarray:
     step = max(1, _ROW_BLOCK_VALUES // max(1, rows.shape[-1]))
     for lo in range(0, len(rows), step):
         block = rows[lo: lo + step]
-        norms = np.linalg.norm(block, axis=-1, keepdims=True)
+        with np.errstate(over="ignore"):  # a finite row past about 1e154: mended below
+            norms = np.linalg.norm(block, axis=-1, keepdims=True)
+        huge = np.isinf(norms[:, 0])
+        if huge.any():  # scale by the largest |entry| first, so the norm is finite
+            big = block[huge] / np.abs(block[huge]).max(axis=-1, keepdims=True)
+            block[huge] = big * (D / np.linalg.norm(big, axis=-1, keepdims=True))
+            norms[huge] = D  # done: the factor below is 1
         block *= np.where(norms > D, D / np.where(norms == 0, 1.0, norms), 1.0)
     return X
 
@@ -158,9 +164,13 @@ def gen_synthetic(spec: StreamSpec) -> list[IntervalBuffer]:
     intervals = []
     for g in range(1, spec.G + 1):
         if g > 1:
-            mu_pos = mu_pos + spec.drift_std * mean_rng.normals(spec.dim)
-            mu_neg = mu_neg + spec.drift_std * mean_rng.normals(spec.dim)
+            with np.errstate(over="ignore"):  # reported below
+                mu_pos = mu_pos + spec.drift_std * mean_rng.normals(spec.dim)
+                mu_neg = mu_neg + spec.drift_std * mean_rng.normals(spec.dim)
         means = np.vstack([mu_pos, mu_neg])
+        if not np.isfinite(means).all():
+            raise ConfigError(f"drift_std={spec.drift_std} walks a class mean out of the "
+                              f"float range at interval {g}")
         X, y = sample_from_means(means, spec.B, spec.D, substream(spec.seed, g))
         intervals.append(IntervalBuffer(X=X, y=y, interval_index=g, class_means=means))
     return intervals
@@ -272,10 +282,14 @@ def make_multidist(samples: list[Sample], spec: StreamSpec) -> list[IntervalBuff
         rows = order[(g - 1) * spec.B: g * spec.B]
         X, y = X_in[rows], y_in[rows]
         rng = substream(spec.seed, g)
-        mean_pos = spec.noise_std * rng.normals(spec.dim)
-        mean_neg = spec.noise_std * rng.normals(spec.dim)
-        noise = spec.noise_std * rng.normals(spec.B * spec.dim).reshape(spec.B, spec.dim)
-        X = X + noise + np.where((y == 1)[:, None], mean_pos, mean_neg)
+        with np.errstate(over="ignore", invalid="ignore"):  # reported below
+            mean_pos = spec.noise_std * rng.normals(spec.dim)
+            mean_neg = spec.noise_std * rng.normals(spec.dim)
+            noise = spec.noise_std * rng.normals(spec.B * spec.dim).reshape(spec.B, spec.dim)
+            X = X + noise + np.where((y == 1)[:, None], mean_pos, mean_neg)
+        if not np.isfinite(X).all():
+            raise ConfigError(f"noise_std={spec.noise_std} noises a row of interval {g} out "
+                              f"of the float range")
         intervals.append(IntervalBuffer(X=_condition_in_place(X, spec.D), y=y, interval_index=g))
     return intervals
 
@@ -296,61 +310,3 @@ def dump_stream(intervals: list[IntervalBuffer], path: str) -> None:
             for t in range(buf.n):
                 coords = ",".join(f"{v:.17g}" for v in buf.X[t])
                 fh.write(f"{buf.interval_index},{t + 1},{int(buf.y[t])},{coords}\n")
-
-
-def load_stream(path: str) -> list[IntervalBuffer]:
-    """Read a dump_stream file back; exact float round-trip. Records keep the
-    order dump_stream writes: intervals g = 1, 2, ... in turn, each with the
-    steps t = 1, 2, ... and as many of them as the first interval; anything
-    else is a StreamFormatError naming the line."""
-    intervals: list[tuple[list[int], list[np.ndarray]]] = []
-    dim = B = None  # B: the first interval's length, known once the second opens
-    last = 0  # the last record's line
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            last = lineno
-            parts = line.split(",")
-            if len(parts) < 4:
-                raise StreamFormatError("stream record needs g,t,y and coordinates", lineno)
-            try:
-                g, t, y = int(parts[0]), int(parts[1]), int(parts[2])
-                x = np.array([float(v) for v in parts[3:]])
-            except ValueError:
-                raise StreamFormatError("non-numeric stream record", lineno) from None
-            if g == len(intervals) + 1:  # the record opens the next interval
-                if intervals:
-                    B = _check_length(intervals, B, lineno)
-                intervals.append(([], []))
-            elif g != len(intervals) or g < 1:
-                raise StreamFormatError(
-                    f"interval {g} is out of order: intervals run 1, 2, ... in turn", lineno)
-            ys, xs = intervals[-1]
-            if t != len(ys) + 1:
-                raise StreamFormatError(f"interval {g} needs t={len(ys) + 1}, got {t}", lineno)
-            if y not in (-1, 1):
-                raise StreamFormatError(f"label must be -1 or +1, got {y}", lineno)
-            if not np.all(np.isfinite(x)):
-                raise StreamFormatError("non-finite coordinate", lineno)
-            if dim is None:
-                dim = x.size
-            elif x.size != dim:
-                raise StreamFormatError(
-                    f"record has {x.size} coordinates, earlier records have {dim}", lineno)
-            ys.append(y)
-            xs.append(x)
-    if len(intervals) > 1:
-        _check_length(intervals, B, last)
-    return [IntervalBuffer(X=np.vstack(xs), y=np.array(ys, dtype=np.int64), interval_index=g)
-            for g, (ys, xs) in enumerate(intervals, start=1)]
-
-
-def _check_length(intervals, B: int | None, lineno: int) -> int:
-    """The first interval's length; raise unless the last interval has it."""
-    n = len(intervals[-1][0])
-    if B is not None and n != B:
-        raise StreamFormatError(
-            f"interval {len(intervals)} holds {n} samples, but the first holds {B}", lineno)
-    return n

@@ -3,6 +3,7 @@ import json
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from co2learn import cli, harness
@@ -52,7 +53,15 @@ BAD_CONFIG_BODIES = [
     {"gamma_floor": 0},  # gamma = 0 when WL = 0; the theory needs gamma > 0
     {"seeds": [1, 1]},  # bounds.json is keyed by seed
     {"stream": {"D": 0.1, "G": 4}, "seeds": [0]},  # R = 1 > D: the OGD bound needs R <= D
+    # seed 1's class-mean walk overflows at interval 2; it used to end in a traceback
+    {"stream": {"G": 4, "B": 5, "drift_std": 1e308}, "seeds": [1]},
 ]
+
+
+def write_libsvm(path, n=200):
+    path.write_text("".join(f"{1 if i % 2 else -1} 1:{0.9 * (i % 5 - 2):.1f} "
+                            f"2:{0.3 * (i % 3):.1f}\n" for i in range(n)))
+    return str(path)
 
 
 class TestGenerate:
@@ -244,8 +253,34 @@ class TestLibsvmPipeline:
         alone = json.loads((tmp_path / "bounds" / "bounds.json").read_text())
         assert alone["inputs"]["eigenvalues"] == ran["inputs"]["eigenvalues"]
 
+    @pytest.mark.parametrize("command", ["run", "generate", "bounds"])
+    def test_noise_past_the_float_range_is_one_line_exit_1(self, tmp_path, capsys, command):
+        body = {"stream": {"G": 4, "B": 40, "dim": 2, "mode": "libsvm_noised", "noise_std": 1e308},
+                "input": write_libsvm(tmp_path / "toy.libsvm")}
+        err = assert_config_error(tmp_path, capsys, command, body)
+        assert err.startswith("config error: noise_std=1e+308 ")
+
     def test_bad_argument_is_exit_1(self):
         assert run_cli("run", "--strategy", "bogus") == 1
+
+
+@pytest.mark.parametrize("flags", [
+    ["--drift-std", "1e200"],
+    ["--noise-std", "1e200", "--mode", "libsvm", "--input", "toy.libsvm", "--dim", "2"],
+], ids=["synthetic", "libsvm"])
+def test_rows_whose_norm_overflows_land_on_the_sphere(tmp_path, capsys, monkeypatch, flags):
+    """Huge but finite rows are conditioned onto the D-sphere, with nothing on
+    stderr; they used to be zeroed, so a run reported zero regret."""
+    monkeypatch.chdir(tmp_path)
+    write_libsvm(tmp_path / "toy.libsvm")
+    flags = [*flags, "--g", "2", "--b", "3", "--seed", "0"]
+    assert run_cli("generate", *flags, "--out", "gen") == 0
+    assert run_cli("run", *flags, "--out", "run") == 0
+    assert capsys.readouterr().err == ""
+    X = np.loadtxt(tmp_path / "gen" / "stream.csv", delimiter=",", ndmin=2)[:, 3:]
+    np.testing.assert_allclose(np.linalg.norm(X, axis=1), 1.0, rtol=1e-15)
+    summary = json.loads((tmp_path / "run" / "summary.json").read_text())
+    assert summary["aggregate"]["mean_final_regret_co2"] != 0.0
 
 
 def test_readme_config_block_is_the_defaults():

@@ -1,4 +1,6 @@
-"""Every script under demos/ runs to completion against the package."""
+"""Every script under demos/ runs to completion against the package, under
+``python -W error`` and with nothing on stderr: the demos keep the
+warnings-as-errors rule the test suite runs under."""
 
 import os
 import subprocess
@@ -20,6 +22,7 @@ def test_demo_runs(demo, tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
+    proc = subprocess.run([sys.executable, "-W", "error", str(demo)], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from co2learn import harness
-from co2learn.errors import ConfigError
+from co2learn.errors import ConfigError, ConvergenceError
 from co2learn.harness import (
     ExperimentConfig,
+    _run_seed,
     emit_reports,
     erm_oracle,
     run_experiment,
@@ -15,7 +16,7 @@ from co2learn.losses import LossSpec, batch_mean_loss
 from co2learn.offline import omega
 from co2learn.pool import ExpertPool
 from co2learn.rng import _BLOCK, CounterRng
-from co2learn.streams import StreamSpec, fresh_proxy_samples, gen_synthetic
+from co2learn.streams import IntervalBuffer, StreamSpec, fresh_proxy_samples, gen_synthetic
 
 from oracles import grid_min_objective, reference_normals
 
@@ -165,6 +166,22 @@ class TestRunExperiment:
         )
         report = run_experiment(config)
         assert len(report.runs[0].intervals) == 3
+
+    def test_separable_interval_at_large_D_R_runs_out_of_erm_iterations(self):
+        # A known limit, pinned so that it stays visible (the CLI exits 3 on it).
+        # At D = R = 10 the loss of a separable interval is nearly linear, and
+        # with gamma = 0 the ERM solve has no strong convexity: its projected
+        # gradient runs out of its 200,000 iterations. The ways out listed in
+        # ROADMAP.md: an erm_tol relative to the loss scale, a certificate that
+        # tolerates a flat minimizer on the sphere, or rejecting such D R at the
+        # boundary. Whichever lands must change this test.
+        X = np.zeros((20, 2))
+        X[:, 0] = np.tile([10.0, -10.0], 10)
+        config = ExperimentConfig(stream=StreamSpec(G=1, B=20, dim=2, D=10.0), seeds=(0,),
+                                  R=10.0)
+        interval = IntervalBuffer(X=X, y=np.tile([1, -1], 10), interval_index=1)
+        with pytest.raises(ConvergenceError, match="within 200000 iterations"):
+            _run_seed(config, 0, [interval])
 
 
 class TestEmitReports:

@@ -9,12 +9,13 @@ pool's fused step and the gemv batch gradient equal the per-sample reference
 functions, that the fused batch gradient, the solver loop and the rollover's
 expert risks equal their plain references bit for bit, that ``check_sample``
 accepts exactly the samples in the loss's domain and a rejected step leaves
-the pool as it was, that the loss is self-bounding, and that the two stream
-parsers, where outside text enters, fail only with the documented errors; the LIBSVM
-parse gives the rows or the error of the per-token reference parser. The last
-group holds the generator's contract (see ``co2learn.rng`` and the substream
-layout in ``co2learn.streams``) for any seed and request sizes, and the last
-test holds the per-interval guarantees over arbitrary small runs.
+the pool as it was, that the loss is self-bounding, and that the LIBSVM
+parser, where outside text enters, fails only with the documented errors and
+gives the rows or the error of the per-token reference parser. The last group
+holds the generator's contract (see ``co2learn.rng`` and the substream layout
+in ``co2learn.streams``) for any seed and request sizes, and the last two
+tests hold the per-interval guarantees over arbitrary small runs and over
+interval sets the generator does not give.
 """
 
 import math
@@ -27,7 +28,7 @@ from hypothesis.extra.numpy import arrays
 
 from co2learn.errors import DataError
 from co2learn.geometry import Sample, project_to_ball
-from co2learn.harness import ExperimentConfig, run_experiment
+from co2learn.harness import ExperimentConfig, _run_seed, run_experiment
 from co2learn.losses import (
     LossSpec, batch_losses, batch_mean_grad, batch_mean_losses, check_sample, grad_loss, loss,
 )
@@ -40,7 +41,6 @@ from co2learn.streams import (
     IntervalBuffer,
     StreamSpec,
     gen_synthetic,
-    load_stream,
     parse_libsvm,
     sample_from_means,
 )
@@ -388,11 +388,6 @@ LIBSVM_TEXT = st.one_of(
             ["1:0.5", "2:-3", "2:1", "3:1e400", "1:nan", "0:1", "70000:1",
              "99999999999999999999:1", "1:x", ":", "1:1:1"], " "),
 )
-STREAM_TEXT = st.one_of(
-    st.text(alphabet=st.characters(max_codepoint=127), max_size=200),
-    records([["1", "2", "x"], ["1", "2"], ["1", "-1", "0", "5"]],
-            ["0.5", "-0.25", "nan", "inf", "1e400", "x", ""], ","),
-)
 
 
 @given(LIBSVM_TEXT, st.none() | st.integers(1, 50))
@@ -431,18 +426,6 @@ def _outcome(parse, text, dim):
 @example("+1 1:0.5 3:-0.25\n\n-1\x0c 0 \u0663:2\u2028 1.0 2:1e-3\r\n-0.0", None)
 def test_parse_libsvm_matches_the_reference_parser(text, dim):
     assert _outcome(parse_libsvm, text, dim) == _outcome(reference_parse_libsvm, text, dim)
-
-
-@given(STREAM_TEXT)
-def test_load_stream_returns_intervals_or_a_data_error(tmp_path_factory, text):
-    path = tmp_path_factory.getbasetemp() / "fuzz_stream.csv"
-    path.write_text(text)
-    try:
-        intervals = load_stream(str(path))
-    except DataError:
-        return
-    for buf in intervals:
-        assert np.all(np.isin(buf.y, (-1, 1))) and np.all(np.isfinite(buf.X))
 
 
 SEEDS = st.integers(0, 2**64 - 1)
@@ -560,6 +543,12 @@ def test_every_interval_keeps_its_guarantees(G, B, dim, K_max, strategy, init_po
         stream=StreamSpec(G=G, B=B, dim=dim, seed=seed, drift_std=drift, D=D), seeds=(seed,),
         R=R, K_max=K_max, strategy=strategy, init_policy=init_policy, wstar_proxy=wstar_proxy)
     run = run_experiment(config).runs[0]  # raises BoundViolation on any failed bound
+    assert_runs_its_intervals(run, G, B)
+
+
+def assert_runs_its_intervals(run, G, B):
+    """Every interval recorded, with the regret identity and its alpha rows
+    on the simplex."""
     assert [m.g for m in run.intervals] == list(range(1, G + 1))
     for m in run.intervals:
         assert abs(m.regret_co2 - (m.regret_me + m.regret_ke)) <= 1e-9
@@ -568,3 +557,43 @@ def test_every_interval_keeps_its_guarantees(G, B, dim, K_max, strategy, init_po
         assert np.all(live >= 0.0)
         np.testing.assert_allclose(live.sum(axis=1), 1.0, rtol=0, atol=1e-12)
         assert np.all(past_k == 0.0)
+
+
+@st.composite
+def adversarial_intervals(draw, kind):
+    """A config and an interval set of a kind the Gaussian generator does not
+    give: rows on the D-sphere, one point repeated with alternating labels,
+    all-zero rows, or fixed rows whose labels flip each interval. D and R are
+    drawn as in ``test_every_interval_keeps_its_guarantees``."""
+    G, B, dim = draw(st.integers(1, 3)), draw(st.integers(1, 40)), draw(st.integers(1, 4))
+    D = draw(st.floats(0.1, 10.0))
+    R = draw(st.floats(0.01, 1.0)) * min(D, 10.0 / D)
+    X = draw(arrays(np.float64, (G, B, dim), elements=st.floats(-1.0, 1.0))) * (D / dim ** 0.5)
+    y = np.array(draw(st.lists(st.sampled_from([-1, 1]), min_size=G * B,
+                               max_size=G * B))).reshape(G, B)
+    if kind == "sphere":  # a zero row becomes D e_1; scaled by its largest entry first,
+        top = np.abs(X).max(axis=-1, keepdims=True)  # so a tiny row's norm is exact enough
+        X = np.where(top > 0, X / np.where(top > 0, top, 1.0), np.eye(dim)[0])
+        X *= D / np.linalg.norm(X, axis=-1, keepdims=True)
+    elif kind == "repeated_point":
+        X[:] = X[0, 0]
+        y[:] = np.where(np.arange(B) % 2 == 0, 1, -1)
+    elif kind == "zero_rows":
+        X[:] = 0.0
+    else:  # flipping_labels
+        X[:] = X[0]
+        y = y[0] * np.where(np.arange(G) % 2 == 0, 1, -1)[:, None]
+    config = ExperimentConfig(
+        stream=StreamSpec(G=G, B=B, dim=dim, D=D), seeds=(0,), R=R,
+        K_max=draw(st.integers(2, 4)), strategy=draw(st.sampled_from(STRATEGIES)),
+        init_policy=draw(st.sampled_from(INIT_POLICIES)))
+    return config, [IntervalBuffer(X=X[g], y=y[g], interval_index=g + 1) for g in range(G)]
+
+
+@pytest.mark.parametrize("kind", ["sphere", "repeated_point", "zero_rows", "flipping_labels"])
+@settings(max_examples=20)
+@given(data=st.data())
+def test_every_interval_set_keeps_its_guarantees(kind, data):
+    config, intervals = data.draw(adversarial_intervals(kind))
+    run = _run_seed(config, 0, intervals)  # raises BoundViolation on any failed bound
+    assert_runs_its_intervals(run, config.stream.G, config.stream.B)
