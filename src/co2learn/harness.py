@@ -220,9 +220,19 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
 
 def _run_seed(config: ExperimentConfig, seed: int, intervals: list[IntervalBuffer]) -> SeedRun:
     """One seed's run over its stream: ``config.stream.G`` intervals of
-    ``config.stream.B`` rows of dimension ``config.stream.dim`` in the D-ball."""
-    spec = config.loss_spec
+    ``config.stream.B`` rows of dimension ``config.stream.dim`` in the D-ball,
+    indexed 1..G in order. Raises a one-line ValueError, before any step, on
+    a set of another count, order or shape."""
     stream_spec = replace(config.stream, seed=seed)  # the proxy's substreams
+    shape = (stream_spec.B, stream_spec.dim)
+    if len(intervals) != stream_spec.G:
+        raise ValueError(f"the run needs {stream_spec.G} intervals, got {len(intervals)}")
+    for g, buf in enumerate(intervals, start=1):
+        if buf.interval_index != g or buf.X.shape != shape:
+            raise ValueError(f"interval {g} must be indexed {g} with {shape[0]} rows of "
+                             f"{shape[1]} values, got index {buf.interval_index} and "
+                             f"shape {buf.X.shape}")
+    spec = config.loss_spec
     pool = ExpertPool(
         spec=spec, B=stream_spec.B, K_max=config.K_max,
         strategy=config.strategy, init_policy=config.init_policy,

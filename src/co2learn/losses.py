@@ -155,19 +155,40 @@ def batch_mean_losses(W: np.ndarray, X: np.ndarray, y: np.ndarray, spec: LossSpe
     return losses.mean(axis=1)
 
 
-def batch_mean_grad(w: np.ndarray, X: np.ndarray, y: np.ndarray, spec: LossSpec) -> np.ndarray:
+def grad_buffers(X: np.ndarray, y: np.ndarray, spec: LossSpec) -> tuple:
+    """The arrays ``batch_mean_grad`` works in for one ``(X, y)``: ``-C y``,
+    then four of length n (margins, exponentials, coefficients, and the
+    ``z <= 0`` mask as 1.0 or 0.0) and the gradient, of length dim. A solver
+    makes them once per solve; a call given them overwrites all but ``-C y``."""
+    n, dim = X.shape
+    return -spec.C * y, np.empty(n), np.empty(n), np.empty(n), np.empty(n), np.empty(dim)
+
+
+def batch_mean_grad(w: np.ndarray, X: np.ndarray, y: np.ndarray, spec: LossSpec,
+                    buffers: tuple | None = None) -> np.ndarray:
     """Gradient of the batch mean loss at w: one gemv, no (n, dim) temporary.
     Row coefficient -y sigmoid(-z) / C at margin z = y <w, x>, with the stable
-    sigmoid(-z) = (1 if z <= 0 else e) / (1 + e), e = exp(-|z|)."""
-    z = X.dot(w)
+    sigmoid(-z) = (1 if z <= 0 else e) / (1 + e), e = exp(-|z|).
+
+    Given ``buffers`` from ``grad_buffers(X, y, spec)``, every step writes
+    into them and the result is their gradient array, so the call allocates
+    nothing; without them it makes its own. Each rewrite is exact: -|z| is
+    ``copysign(<w, x>, -1)`` because y is +-1, the numerator is
+    ``max(e, [z <= 0])`` because 0 <= e <= 1, and dividing by -C y is
+    dividing by -C and multiplying by y."""
+    neg_Cy, z, e, coef, nonpos, grad = grad_buffers(X, y, spec) if buffers is None else buffers
+    X.dot(w, out=z)
+    np.copysign(z, -1.0, out=e)
     z *= y
-    ez = np.abs(z)
-    np.negative(ez, ez)
-    np.exp(ez, ez)
-    coef = np.where(z <= 0, 1.0, ez) / (1.0 + ez)
-    coef /= -spec.C
-    coef *= y
-    return coef.dot(X) / X.shape[0]
+    np.exp(e, out=e)
+    np.add(e, 1.0, out=coef)
+    np.less_equal(z, 0.0, out=nonpos)
+    np.maximum(e, nonpos, out=e)
+    np.divide(e, coef, out=coef)
+    coef /= neg_Cy
+    coef.dot(X, out=grad)
+    grad /= X.shape[0]
+    return grad
 
 
 # Scalar forms for the per-sample step, in ``math``: the same formulas as

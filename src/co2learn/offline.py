@@ -17,8 +17,11 @@ mapping norm reaches ``grad_map_tol``, and ``train_offline`` reports the
 certificate either way. With gamma = 0 and no anchor the same routine is the
 harness's ERM oracle, which raises ConvergenceError instead of reporting.
 
-The labels are cast to float64 once per solve, not once per iteration; they
-are +-1, so every product with them is exact and the iterates are the same.
+A solve allocates once: the labels as float64 and ``-C y``, the gradient's
+work arrays (``losses.grad_buffers``), and two iterates and a difference of
+length dim. Each iteration then runs in place and swaps the iterates. Every
+rewrite is exact (y is +-1), so the iterates are those of the plain loop in
+``tests/oracles.py``, bit for bit.
 """
 
 from __future__ import annotations
@@ -28,9 +31,12 @@ from math import ceil, log, sqrt
 
 import numpy as np
 
-from .geometry import project_to_ball
-from .losses import LossSpec, batch_mean_grad, batch_mean_loss
+from .geometry import project_in_place
+from .losses import LossSpec, batch_mean_grad, batch_mean_loss, grad_buffers
 from .streams import IntervalBuffer
+
+# Not called here; kept importable because bench/tracing.py patches this name.
+from .geometry import project_to_ball  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -96,21 +102,26 @@ def projected_gradient(
         raise ValueError("cannot minimize over an empty sample set")
     v = np.zeros(X.shape[1]) if anchor is None else anchor
     y = np.asarray(y, dtype=np.float64)
+    buffers = grad_buffers(X, y, spec)
     R = spec.R
     step = 1.0 / (spec.beta + gamma)
-    w = v.copy()
+    w = np.array(v, dtype=np.float64)
+    w_next, d = np.empty_like(w), np.empty_like(w)
     grad_map_norm = np.inf
     for it in range(max_iters):
-        grad = batch_mean_grad(w, X, y, spec)
+        grad = batch_mean_grad(w, X, y, spec, buffers)
         if gamma:
-            grad += gamma * (w - v)
+            np.subtract(w, v, out=d)
+            d *= gamma
+            grad += d
         grad *= step
-        w_next = project_to_ball(np.subtract(w, grad, out=grad), R)
-        d = w - w_next
+        np.subtract(w, grad, out=w_next)
+        project_in_place(w_next, R)
+        np.subtract(w, w_next, out=d)
         grad_map_norm = sqrt(d.dot(d)) / step
         if grad_map_norm <= tol:
             return w, grad_map_norm, it, True
-        w = w_next
+        w, w_next = w_next, w
     return w, grad_map_norm, max_iters, False
 
 

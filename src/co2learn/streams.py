@@ -109,13 +109,15 @@ _ROW_BLOCK_VALUES = 2**14  # conditioning works on row blocks of about this many
 
 
 def condition_norms(X: np.ndarray, D: float) -> np.ndarray:
-    """Rescale every row with ||x|| > D onto the sphere of radius D (a copy)."""
+    """Rescale every row with ||x|| > D onto the sphere of radius D (a copy).
+    A row with a NaN or infinite entry is a one-line DataError."""
     return _condition_in_place(np.array(X, dtype=np.float64), D)
 
 
 def _condition_in_place(X: np.ndarray, D: float) -> np.ndarray:
     """``condition_norms`` on a float64 array it may overwrite, one block of
-    rows at a time, so its temporaries stay block-sized. Returns ``X``."""
+    rows at a time, so its temporaries stay block-sized. Returns ``X``; on a
+    DataError, rows before the bad one may already be rescaled."""
     if not (D > 0):
         raise ValueError("D must be positive")
     rows = np.atleast_2d(X)  # a view: writes land in X
@@ -124,11 +126,15 @@ def _condition_in_place(X: np.ndarray, D: float) -> np.ndarray:
         block = rows[lo: lo + step]
         with np.errstate(over="ignore"):  # a finite row past about 1e154: mended below
             norms = np.linalg.norm(block, axis=-1, keepdims=True)
-        huge = np.isinf(norms[:, 0])
-        if huge.any():  # scale by the largest |entry| first, so the norm is finite
-            big = block[huge] / np.abs(block[huge]).max(axis=-1, keepdims=True)
-            block[huge] = big * (D / np.linalg.norm(big, axis=-1, keepdims=True))
-            norms[huge] = D  # done: the factor below is 1
+        nonfinite = ~np.isfinite(norms[:, 0])  # a NaN or infinite entry, or an overflow
+        if nonfinite.any():  # scale by the largest |entry| first, so the norm is finite
+            top = np.abs(block[nonfinite]).max(axis=-1, keepdims=True)
+            if not np.isfinite(top).all():
+                bad = lo + np.flatnonzero(nonfinite)[np.argmin(np.isfinite(top[:, 0]))]
+                raise DataError(f"row {bad} has a NaN or infinite entry")
+            big = block[nonfinite] / top
+            block[nonfinite] = big * (D / np.linalg.norm(big, axis=-1, keepdims=True))
+            norms[nonfinite] = D  # done: the factor below is 1
         block *= np.where(norms > D, D / np.where(norms == 0, 1.0, norms), 1.0)
     return X
 

@@ -183,6 +183,30 @@ class TestRunExperiment:
         with pytest.raises(ConvergenceError, match="within 200000 iterations"):
             _run_seed(config, 0, [interval])
 
+    @pytest.mark.parametrize("stream", [
+        StreamSpec(G=2, B=10),  # too few: the last interval would be all-zero rows
+        StreamSpec(G=4, B=10),
+        StreamSpec(G=3, B=12),
+        StreamSpec(G=3, B=10, dim=3),
+        "out of order",
+    ], ids=["too_few", "too_many", "other_B", "other_dim", "out_of_order"])
+    def test_an_interval_set_that_does_not_fit_the_config_fails_before_any_step(
+            self, stream, monkeypatch):
+        config = ExperimentConfig(stream=StreamSpec(G=3, B=10), seeds=(0,))
+        if stream == "out of order":
+            first, second, third = gen_synthetic(config.stream)
+            intervals = [first, third, second]
+        else:
+            intervals = gen_synthetic(stream)
+
+        def no_step(*args):
+            raise AssertionError("the run took a step")
+
+        monkeypatch.setattr(ExpertPool, "process_labeled", no_step)
+        with pytest.raises(ValueError) as caught:
+            _run_seed(config, 0, intervals)
+        assert "\n" not in str(caught.value)
+
 
 class TestEmitReports:
     def test_files_and_row_counts(self, small_report, tmp_path):

@@ -7,6 +7,7 @@ from co2learn.offline import (
     gamma_lower_bound,
     objective,
     omega,
+    projected_gradient,
     train_offline,
 )
 from co2learn.streams import IntervalBuffer, StreamSpec, gen_synthetic
@@ -118,6 +119,25 @@ class TestTrainOffline:
             a = Anchor(v=v, weighted_loss=wl)
             res = train_offline(buf, a, spec, 0.1, 1e-8)
             assert omega(res.w, a) <= wl / res.gamma + 10 * 1e-8
+
+
+class TestProjectedGradient:
+    def test_each_solve_returns_an_iterate_of_its_own(self, spec):
+        buf = small_interval(B=20)
+        anchor = np.array([0.3, -0.2])
+        solves = [  # converged after several steps, converged at once, stopped by the cap
+            projected_gradient(buf.X, buf.y, spec, tol=1e-9, max_iters=1000),
+            projected_gradient(buf.X, buf.y, spec, gamma=0.1, anchor=anchor, tol=1.0,
+                               max_iters=5),
+            projected_gradient(buf.X, buf.y, spec, tol=1e-9, max_iters=2),
+            projected_gradient(buf.X, buf.y, spec, tol=1e-9, max_iters=3),
+        ]
+        assert [(s[2], s[3]) for s in solves[1:]] == [(0, True), (2, False), (3, False)]
+        iterates = [s[0] for s in solves] + [anchor]
+        for i, u in enumerate(iterates):
+            for v in iterates[i + 1:]:
+                assert not np.shares_memory(u, v)
+        assert anchor.tolist() == [0.3, -0.2] and solves[1][0].tolist() == [0.3, -0.2]
 
 
 class TestObjectiveShape:

@@ -30,7 +30,8 @@ from co2learn.errors import DataError
 from co2learn.geometry import Sample, project_to_ball
 from co2learn.harness import ExperimentConfig, _run_seed, run_experiment
 from co2learn.losses import (
-    LossSpec, batch_losses, batch_mean_grad, batch_mean_losses, check_sample, grad_loss, loss,
+    LossSpec, batch_losses, batch_mean_grad, batch_mean_losses, check_sample, grad_buffers,
+    grad_loss, loss,
 )
 from co2learn.meta import MetaWeights, combine, update_weights
 from co2learn.offline import projected_gradient
@@ -327,16 +328,50 @@ def test_batch_mean_grad_equals_the_reference_bit_for_bit(batch, dtype, data):
     assert np.array_equal(got, want) and got.tobytes() == want.tobytes()
 
 
-@settings(max_examples=60, deadline=None)
-@given(sphere_batches(max_n=60, max_dim=5), st.sampled_from([np.int64, np.float64]),
-       st.just(0.0) | st.floats(1e-3, 2.0), st.booleans(),
-       st.sampled_from([1e-3, 1e-6, 1e-9]), st.integers(1, 300), st.data())
-def test_projected_gradient_equals_the_reference_loop(batch, dtype, gamma, anchored, tol,
-                                                      max_iters, data):
+@given(sphere_batches(), st.sampled_from([np.int64, np.float64]), st.data())
+def test_batch_mean_grad_writes_into_the_buffers_it_is_given(batch, dtype, data):
     spec, X, y, rng = batch
+    y = y.astype(dtype)
+    buffers = grad_buffers(X, y, spec)
+    for _ in range(2):  # the second call overwrites what the first left
+        w = sphere_point(data.draw, spec, X, rng)
+        got = batch_mean_grad(w, X, y, spec, buffers)
+        want = batch_mean_grad(w, X, y, spec)
+        assert got is buffers[-1]
+        assert not np.shares_memory(want, got) and got.tobytes() == want.tobytes()
+
+
+@st.composite
+def solver_problems(draw):
+    """A ``sphere_batches`` problem with its gamma and anchor: an anchor
+    inside the R-ball whenever gamma > 0, and for some problems at gamma 0."""
+    spec, X, y, rng = draw(sphere_batches(max_n=60, max_dim=5))
+    gamma = draw(st.just(0.0) | st.floats(1e-3, 2.0))
     anchor = None
-    if anchored or gamma > 0:
-        anchor = 0.9 * sphere_point(data.draw, spec, X, rng)
+    if draw(st.booleans()) or gamma > 0:
+        anchor = 0.9 * sphere_point(draw, spec, X, rng)
+    return spec, X, y, gamma, anchor
+
+
+UNIT = LossSpec.create(D=1.0, R=1.0, dim=2)
+SPREAD = np.random.default_rng(3).normal(size=(7, 3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(solver_problems(), st.sampled_from([np.int64, np.float64]),
+       st.sampled_from([1e-3, 1e-6, 1e-9]), st.integers(1, 300))
+# the anchor on the R-sphere and the data pulling outward: all 22 steps project
+@example((UNIT, np.array([[1.0, 0.0], [0.8, 0.6], [1.0, 0.0]]), np.array([1, 1, 1]), 0.05,
+          np.array([0.0, 1.0])), np.float64, 1e-9, 300)
+# stopped by max_iters after three steps, with no certificate
+@example((LossSpec.create(D=1.0, R=2.0, dim=3),
+          SPREAD / np.linalg.norm(SPREAD, axis=1)[:, None], np.array([1, -1, 1, 1, -1, -1, 1]),
+          0.0, None), np.int64, 1e-9, 3)
+# one sample
+@example((UNIT, np.array([[0.6, 0.8]]), np.array([-1]), 0.5, np.array([0.3, 0.0])),
+         np.int64, 1e-6, 300)
+def test_projected_gradient_equals_the_reference_loop(problem, dtype, tol, max_iters):
+    spec, X, y, gamma, anchor = problem
     kwargs = dict(gamma=gamma, anchor=anchor, tol=tol, max_iters=max_iters)
     w, *rest = projected_gradient(X, y.astype(dtype), spec, **kwargs)
     w_ref, *rest_ref = reference_projected_gradient(X, y, spec, **kwargs)

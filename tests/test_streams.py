@@ -149,12 +149,24 @@ class TestConditionNorms:
     @pytest.mark.parametrize("D", [0.5, 1.0, 10.0])
     def test_rows_whose_norm_overflows_land_on_the_sphere(self, D):
         # the plain norm of these finite rows is inf; pytest turns a warning into an error
-        X = np.array([[3e200, -4e200], [-1.7e308, 1.7e308], [1e300, 0.0], [0.3, 0.4]])
+        X = np.array([[3e200, -4e200], [-1.7e308, 1.7e308], [1e300, 0.0], [1e200, 1e200],
+                      [0.3, 0.4]])
         out = condition_norms(X, D)
-        np.testing.assert_allclose(np.linalg.norm(out, axis=1)[:3], D, rtol=1e-15)
+        np.testing.assert_allclose(np.linalg.norm(out, axis=1)[:4], D, rtol=1e-15)
         np.testing.assert_allclose(out[0], [0.6 * D, -0.8 * D], rtol=1e-15)
         assert out[2].tolist() == [D, 0.0]
-        assert out[3].tolist() == [0.3, 0.4]
+        np.testing.assert_allclose(out[3], [D / np.sqrt(2.0)] * 2, rtol=1e-15)
+        assert out[4].tolist() == [0.3, 0.4]
+
+    @pytest.mark.parametrize("entry", [np.inf, -np.inf, np.nan])
+    def test_a_row_with_a_non_finite_entry_is_a_data_error(self, entry):
+        X = np.array([[0.3, 0.4], [entry, 1.0]])
+        with pytest.raises(DataError, match="^row 1 has a NaN or infinite entry$"):
+            condition_norms(X, 1.0)
+        X = np.full((20_000, 3), 0.1)  # four row blocks; the bad row is in the third
+        X[12_345, 2] = entry
+        with pytest.raises(DataError, match="^row 12345 has"):
+            condition_norms(X, 1.0)
 
     @pytest.mark.parametrize("dim", [1, 3, 200, 40_000])
     def test_row_blocks_match_the_whole_array_formula(self, dim):
