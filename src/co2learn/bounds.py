@@ -22,7 +22,7 @@ eigenvalues lambda_i):
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from math import exp, isfinite, log, sqrt, e as _E
+from math import exp, inf, isfinite, log, sqrt, e as _E
 from numbers import Real
 from typing import NamedTuple
 
@@ -33,7 +33,9 @@ from .errors import ConfigError, DataError, check_int, check_real
 
 @dataclass(frozen=True)
 class BoundInputs:
-    """Everything the calculators consume, measured or configured."""
+    """Everything the calculators consume, measured or configured. Checked so
+    that ``transfer_gap_bound``'s ``gamma**2`` is finite and > 0 and
+    ``k_condition``'s exp does not overflow."""
 
     T: int
     K: int
@@ -63,7 +65,24 @@ class BoundInputs:
         regret = self.regret_KE  # the one input that may be negative
         if isinstance(regret, bool) or not (isinstance(regret, Real) and isfinite(regret)):
             raise ConfigError(f"regret_KE must be a finite number, got {regret!r}")
+        if not has_finite_square(self.gamma):
+            raise ConfigError(f"gamma must have a finite square > 0, got {self.gamma!r}")
+        try:
+            k_condition(self.T, self.D, self.beta, regret)
+        except OverflowError:  # from its exp
+            raise ConfigError(f"regret_KE must keep exp(6 D sqrt(beta) - regret_KE / sqrt(T)) "
+                              f"finite, got {regret!r} at D={self.D}, beta={self.beta}, "
+                              f"T={self.T}") from None
         _check_nonincreasing(ev)
+
+
+def has_finite_square(gamma: float) -> bool:
+    """Whether ``gamma ** 2``, as ``transfer_gap_bound`` takes it, is finite
+    and > 0; ``gamma * gamma`` can differ from it in the last bit."""
+    try:
+        return 0.0 < gamma**2 < inf
+    except OverflowError:
+        return False
 
 
 def _check_nonincreasing(ev: np.ndarray) -> None:

@@ -74,9 +74,10 @@ class LossSpec:
         check_int("dim", self.dim, minimum=1)
         C = float(softplus(self.D * self.R))
         beta = self.D * self.D / (4.0 * C)
-        if not (beta > 0 and math.isfinite(beta)):  # D^2 or D R over- or underflowed
-            raise ConfigError(f"beta = D^2/(4C) must be a finite number > 0, got {beta} "
-                              f"from D={self.D}, R={self.R}")
+        # D^2 or D R over- or underflowed; 1/beta is the solvers' step at gamma = 0
+        if not (beta > 0 and math.isfinite(beta) and math.isfinite(1.0 / beta)):
+            raise ConfigError(f"beta = D^2/(4C) and 1/beta must be finite numbers > 0, got "
+                              f"beta={beta} from D={self.D}, R={self.R}")
         object.__setattr__(self, "C", C)
         object.__setattr__(self, "beta", beta)
 

@@ -5,9 +5,9 @@ highest-priority expert has the highest index) plus one online expert at
 index K, with K = min(G, K_max) and G the number of intervals seen so far.
 
 The pool keeps its output, the weighted average ``w = alpha @ A`` of the
-K experts, as state: it changes only when a labeled step or a rollover
-changes ``alpha`` or ``A``, so each of them computes it once at its end,
-and a prediction in between is one dot product. Each labeled sample runs,
+K experts, as state, always current: a labeled step, a rollover and
+``set_state`` each compute it once at their end, and a prediction in
+between is one dot product. Each labeled sample runs,
 in order: check the sample and compute the OGD step size, either of which
 can raise; take the output carried over from the previous step as
 ``w_t``; score every expert (one matvec and one ``logaddexp``, the
@@ -39,8 +39,8 @@ import numpy as np
 
 from .errors import ConfigError, check_int, check_real
 from .geometry import Sample
-from .losses import LossSpec, batch_mean_losses, check_sample, margin_loss
-from .meta import MetaWeights, reweight
+from .losses import _DOMAIN_ATOL, LossSpec, batch_mean_losses, check_sample, margin_loss
+from .meta import MetaWeights, init_weights, reweight, step_size_nu
 from .offline import Anchor, OfflineTrainResult, omega, train_offline
 from .online import OnlineExpertState, eta, ogd_update
 from .streams import IntervalBuffer
@@ -74,8 +74,6 @@ class StepRecord(NamedTuple):
     the meta weights around it. A tuple, so building one per step is cheap;
     the arrays are the step's own and no later step writes into them."""
 
-    g: int
-    t: int
     w: np.ndarray
     loss_meta: float
     losses_per_expert: np.ndarray
@@ -102,12 +100,12 @@ class ExpertPool:
     offline ones first in priority order and the online iterate last, the
     meta weights ``alpha`` with their step size ``nu``, the count ``t`` of
     samples taken in this interval, the interval index ``G``, and the
-    output ``w = alpha @ A``. The online expert restarts with each interval,
-    so its next OGD step is ``t + 1``. A step writes the online row and
-    ``t`` in place, replaces ``alpha`` and then ``w``; only ``rollover``
-    rebuilds the array. ``offline``, ``online`` and ``meta`` read that state
-    (and set it, to inject one); setting any of them drops ``w``, and the
-    next read recomputes it from whatever was set.
+    output ``w = alpha @ A``, always current. The online expert restarts
+    with each interval, so its next OGD step is ``t + 1``. A step writes the
+    online row and ``t`` in place, replaces ``alpha`` and then ``w``; only
+    ``rollover`` rebuilds the array. ``G``, ``t``, ``offline``, ``online``
+    and ``meta`` only read that state; ``set_state`` is the one way to set
+    it from outside, whole and checked.
     """
 
     def __init__(
@@ -128,74 +126,77 @@ class ExpertPool:
         self.init_policy = init_policy
         self.gamma_floor = gamma_floor
         self.grad_map_tol = grad_map_tol
-        self.G = 1
-        self.t = 0
+        self._G = 1
+        self._t = 0
         # no previous interval to inherit from, so even a warm pool starts cold
         self._experts = np.zeros((1, spec.dim))
-        self.meta = MetaWeights.fresh(K=1, horizon=B)
+        self._alpha, self._nu = init_weights(1), step_size_nu(1, B)
+        self._w = self._alpha.dot(self._experts)
+
+    def set_state(self, experts, alpha, nu: float, t: int = 0, G: int | None = None) -> None:
+        """Set the whole state from copies: ``experts`` is a (K, dim) array,
+        the online iterate last, and ``G`` defaults to K. Raises a one-line
+        ValueError, with the state unchanged, unless 1 <= K = min(G, K_max),
+        every expert is finite and in the R-ball, ``alpha`` has shape (K,)
+        and lies on the simplex (within 1e-9), ``nu`` is finite and >= 0, and
+        0 <= t <= B: the regret bound needs the simplex, and losses in [0, 1]."""
+        A = np.array(experts, dtype=np.float64)
+        if A.ndim != 2 or A.shape[1] != self.spec.dim:
+            raise ValueError(f"experts must have shape (K, {self.spec.dim}), got {A.shape}")
+        K, G = len(A), len(A) if G is None else G
+        check_int("G", G, minimum=1)
+        if not 1 <= K == min(G, self.K_max):
+            raise ValueError(f"need 1 <= K = min(G, K_max), got K={K}, G={G}, K_max={self.K_max}")
+        norm = np.sqrt(np.einsum("ij,ij->i", A, A)).max()  # NaN if any row is not finite
+        if not norm <= self.spec.R + _DOMAIN_ATOL:
+            raise ValueError(f"each expert needs a finite ||w|| <= R={self.spec.R}, got {norm}")
+        a = np.array(alpha, dtype=np.float64)
+        if a.shape != (K,) or not (a >= 0).all() or not abs(a.sum() - 1.0) <= 1e-9:
+            raise ValueError(f"alpha must be {K} weights >= 0 summing to 1, got {a.tolist()}")
+        check_real("nu", nu)
+        check_int("t", t, minimum=0, maximum=self.B)
+        self._experts, self._alpha, self._nu, self._t, self._G = A, a, float(nu), t, G
+        self._w = a.dot(A)
+
+    G = property(lambda self: self._G, doc="The interval index: intervals begun so far.")
+    t = property(lambda self: self._t, doc="Samples taken in this interval.")
 
     @property
     def K(self) -> int:
         """Number of live experts: min(G, K_max)."""
-        return min(self.G, self.K_max)
+        return min(self._G, self.K_max)
 
     @property
     def offline(self) -> list[np.ndarray]:
         """The offline experts w^1..w^{K-1}, lowest priority first."""
         return list(self._experts[:-1])
 
-    @offline.setter
-    def offline(self, experts) -> None:
-        self._experts = np.array([*experts, self._experts[-1]], dtype=np.float64)
-        self._w = None
-
     @property
     def online(self) -> OnlineExpertState:
-        """A copy of the online expert's iterate and its next OGD step, t + 1;
-        setting it also sets t to ``state.t - 1``."""
-        return OnlineExpertState(w=self._experts[-1].copy(), t=self.t + 1)
-
-    @online.setter
-    def online(self, state: OnlineExpertState) -> None:
-        self._experts[-1] = state.w
-        self.t = state.t - 1
-        self._w = None
+        """A copy of the online expert's iterate and its next OGD step, t + 1."""
+        return OnlineExpertState(w=self._experts[-1].copy(), t=self._t + 1)
 
     @property
     def meta(self) -> MetaWeights:
         """The meta weights over the K experts and their step size."""
         return MetaWeights(alpha=self._alpha, nu=self._nu)
 
-    @meta.setter
-    def meta(self, weights: MetaWeights) -> None:
-        self._alpha = np.array(weights.alpha, dtype=np.float64)
-        self._nu = weights.nu
-        self._w = None
-
-    def _output(self) -> np.ndarray:
-        """The output ``alpha @ A``, computed only if a setter dropped it."""
-        if self._w is None:
-            self._w = self._alpha.dot(self._experts)
-        return self._w
-
     def current_output(self) -> np.ndarray:
         """A copy of the weighted-average hypothesis the pool emits now."""
-        return self._output().copy()
+        return self._w.copy()
 
     def process_labeled(self, s: Sample) -> StepRecord:
         """One pass of the per-sample loop; advances t. The sample is checked
         here, once, by ``check_sample``, and the OGD step size ``eta(t + 1)``
         is computed, both before any state changes; nothing after re-checks
         the sample. So a bad sample or step index leaves the pool as it was."""
-        if self.t >= self.B:
+        if self._t >= self.B:
             raise RuntimeError("online interval already holds B samples; rollover first")
         y, spec = s.y, self.spec
         x = check_sample(s.x, y, spec)
-        t = self.t + 1
+        t = self._t + 1
         eta_t = eta(t, spec)
         experts, alpha, w_t = self._experts, self._alpha, self._w
-        if w_t is None:
-            w_t = self._output()
         neg_z = experts.dot(x)  # -y <w_k, x> for every expert, the online one last
         if y == 1:
             np.negative(neg_z, neg_z)
@@ -207,9 +208,9 @@ class ExpertPool:
         loss_meta = margin_loss(y * float(w_t.dot(x)), spec)
         ogd_update(experts[-1], eta_t, x, y, z_online, spec)
         self._alpha = alpha_next = reweight(alpha, self._nu, losses)
-        self.t = t
+        self._t = t
         self._w = alpha_next.dot(experts)
-        return StepRecord(self.G, t, w_t, loss_meta, losses, alpha, alpha_next)
+        return StepRecord(w_t, loss_meta, losses, alpha, alpha_next)
 
     def predict_unlabeled(self, x: np.ndarray) -> int:
         """Sign of <w, x> with the current output; +1 on ties. Free: does
@@ -217,8 +218,6 @@ class ExpertPool:
         mismatch or when <w, x> is not finite (a NaN or infinite entry in
         ``x``, or entries too large for the product)."""
         w = self._w
-        if w is None:
-            w = self._output()
         x = np.asarray(x, dtype=np.float64)
         if x.shape != w.shape:
             raise ValueError(f"dimension mismatch: {w.shape} vs {x.shape}")
@@ -232,8 +231,8 @@ class ExpertPool:
         The completed interval is checked first, before any state changes:
         B samples, and its longest row (or a non-finite one) by the sample
         rule, so every row has shape (dim,) and ||x|| <= D."""
-        if self.t != self.B:
-            raise RuntimeError(f"rollover needs t = B = {self.B}, have t = {self.t}")
+        if self._t != self.B:
+            raise RuntimeError(f"rollover needs t = B = {self.B}, have t = {self._t}")
         if completed.n != self.B:
             raise ValueError(f"completed interval must hold exactly B={self.B} samples")
         i = np.einsum("ij,ij->i", completed.X, completed.X).argmax()  # a NaN row wins too
@@ -246,8 +245,8 @@ class ExpertPool:
         result = train_offline(completed, anchor, self.spec, self.gamma_floor, self.grad_map_tol)
         omega_new = omega(result.w, anchor)
 
-        g_completed = self.G
-        self.G += 1
+        g_completed = self._G
+        self._G += 1
         K_new = self.K
 
         # rank the offline experts, lowest priority first; the new one ranks highest
@@ -258,8 +257,8 @@ class ExpertPool:
         evicted = experts[order[0]] if n_evict else None
         restart = experts[-1] if self.init_policy == "warm" else np.zeros(self.spec.dim)
         self._experts = np.concatenate((experts[order[n_evict:]], [result.w, restart]))
-        self.meta = MetaWeights.fresh(K=K_new, horizon=self.B)
+        self._alpha, self._nu = init_weights(K_new), step_size_nu(K_new, self.B)
         self._w = self._alpha.dot(self._experts)
-        self.t = 0
+        self._t = 0
         return RolloverRecord(g_completed=g_completed, anchor=anchor, result=result,
                               omega_new=omega_new, evicted=evicted, K=K_new)

@@ -132,10 +132,19 @@ class TestBoundInputs:
         dict(weighted_loss=1.5),
         dict(eigenvalues=np.array([1.0, float("nan")])),
         dict(eigenvalues=np.array([float("nan"), 0.0])),
+        dict(gamma=1e200),  # gamma**2 overflows
+        dict(gamma=1e-300),  # gamma**2 underflows to 0
+        dict(regret_KE=-7200.0),  # exp(6 - (-720)) overflows in k_condition
     ])
     def test_bad_input_rejected(self, bad):
         with pytest.raises(ConfigError):
             make_inputs(**bad)
+
+    def test_every_calculator_returns_a_number_at_the_float_range_edges(self):
+        for inputs in (make_inputs(gamma=1e150), make_inputs(gamma=1e-150),
+                       make_inputs(regret_KE=-7000.0)):
+            report = bound_report(inputs)
+            assert all(math.isfinite(v) for k, v in report.items() if k != "inputs")
 
     def test_negative_regret_accepted(self):
         assert make_inputs(regret_KE=-3.0).regret_KE == -3.0

@@ -55,6 +55,19 @@ BAD_CONFIG_BODIES = [
     {"stream": {"D": 0.1, "G": 4}, "seeds": [0]},  # R = 1 > D: the OGD bound needs R <= D
     # seed 1's class-mean walk overflows at interval 2; it used to end in a traceback
     {"stream": {"G": 4, "B": 5, "drift_std": 1e308}, "seeds": [1]},
+    # derived values that leave the float range; each used to end in a traceback
+    {"R": 1e-100},  # gamma = 1/(4 R^2) is finite but gamma**2 overflows
+    {"R": 1e-155},  # 1/(4 R^2) overflows, and the trainer's kappa is NaN
+    {"R": 1e-200},  # 4 R^2 underflows to 0
+    {"stream": {"G": 2, "B": 20, "D": 1e-155}, "R": 1e-155},  # beta > 0, but 1/beta overflows
+    {"gamma_floor": 1e160},  # gamma_floor**2 overflows
+]
+
+# The nearest settings to the float-range rows above that still run.
+EDGE_CONFIG_BODIES = [
+    {"R": 1e-50},
+    {"stream": {"G": 2, "B": 20, "D": 1e-50}, "R": 1e-50},
+    {"gamma_floor": 1e150},
 ]
 
 
@@ -112,6 +125,14 @@ class TestRun:
     def test_bad_config_value_is_one_line_exit_1(self, tmp_path, capsys, command, body):
         assert_config_error(tmp_path, capsys, command, {"stream": {"G": 2, "B": 20}, **body})
 
+    @pytest.mark.parametrize("command", ["run", "bounds"])
+    @pytest.mark.parametrize("body", EDGE_CONFIG_BODIES)
+    def test_settings_at_the_edge_of_the_float_range_still_run(self, tmp_path, command, body):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"stream": {"G": 2, "B": 20}, "seeds": [0], **body}))
+        assert run_cli(command, "--config", str(cfg_path), "--out", str(tmp_path / "o")) == 0
+        assert (tmp_path / "o" / "bounds.json").exists()
+
     @pytest.mark.parametrize("command", ["run", "generate", "bounds"])
     def test_seed_and_seeds_together_is_one_line_exit_1(self, tmp_path, capsys, command):
         rc = run_cli(command, "--seed", "1", "--seeds", "2,3", "--g", "2", "--b", "20",
@@ -159,6 +180,9 @@ class TestBounds:
 
     @pytest.mark.parametrize("key,value", [
         ("gamma", 0), ("regret_KE", float("inf")), ("omega_star", -1), ("weighted_loss", 1.5),
+        ("gamma", 1e200),  # gamma**2 overflows
+        ("gamma", 1e-300),  # gamma**2 underflows to 0
+        ("regret_KE", -1e6),  # exp in k_condition overflows at T = 20000
     ])
     def test_bad_bounds_block_fails_before_any_stream_is_generated(
             self, tmp_path, capsys, monkeypatch, key, value):

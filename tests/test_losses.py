@@ -53,6 +53,7 @@ class TestSpec:
             dict(R=float("nan")),
             dict(D=1e200),  # D^2 overflows, so beta is infinite
             dict(D=1e-200, R=1e-200),  # D^2 underflows, so beta is 0
+            dict(D=1e-155, R=1e-155),  # beta > 0 is subnormal, so 1/beta overflows
             dict(dim=0),
             dict(dim=2.5),
             dict(dim=2.0),

@@ -38,13 +38,11 @@ class TestScriptedStep:
     def test_two_expert_step_matches_hand_computation(self, spec):
         B = 50
         pool = ExpertPool(spec=spec, B=B, K_max=5)
-        # inject a two-expert state as after one rollover
+        # a two-expert state as after one rollover, two samples into the interval
         w_off = np.array([0.3, 0.0])
         w_on = np.array([0.0, 0.2])
-        pool.offline = [w_off.copy()]
-        pool.G = 2
-        pool.meta = MetaWeights.fresh(2, B)
-        pool.online = OnlineExpertState(w=w_on.copy(), t=3)
+        meta = MetaWeights.fresh(2, B)
+        pool.set_state([w_off, w_on], meta.alpha, meta.nu, t=2)
         s = Sample(x=np.array([0.6, -0.5]), y=1)
 
         rec = pool.process_labeled(s)
@@ -75,10 +73,8 @@ class TestScriptedStep:
         B = 30
         pool = ExpertPool(spec=spec, B=B, K_max=5)
         w = np.array([0.1, -0.2])
-        pool.offline = [w.copy(), w.copy()]
-        pool.G = 3
-        pool.meta = MetaWeights.fresh(3, B)
-        pool.online = OnlineExpertState(w=w.copy(), t=1)
+        meta = MetaWeights.fresh(3, B)
+        pool.set_state([w, w, w], meta.alpha, meta.nu)
         rec = pool.process_labeled(Sample(x=np.array([0.5, 0.5]), y=-1))
         np.testing.assert_allclose(rec.w, w, rtol=1e-14)
         np.testing.assert_allclose(rec.alpha_after, rec.alpha_before, rtol=1e-14)
@@ -87,14 +83,14 @@ class TestScriptedStep:
 class TestPredictUnlabeled:
     def test_signs_and_tiebreak(self, spec):
         pool = ExpertPool(spec=spec, B=10, K_max=5)
-        pool.online = OnlineExpertState(w=np.array([1.0, 0.0]), t=1)
+        pool.set_state([[1.0, 0.0]], [1.0], 0.0)
         assert pool.predict_unlabeled(np.array([2.0, 0.0])) == 1
         assert pool.predict_unlabeled(np.array([-2.0, 0.0])) == -1
         assert pool.predict_unlabeled(np.array([0.0, 3.0])) == 1  # orthogonal -> +1
 
     def test_accepts_a_list(self, spec):
         pool = ExpertPool(spec=spec, B=10, K_max=5)
-        pool.online = OnlineExpertState(w=np.array([1.0, -1.0]), t=1)
+        pool.set_state([[0.6, -0.6]], [1.0], 0.0)
         assert pool.predict_unlabeled([0.2, 0.5]) == -1
         assert pool.predict_unlabeled([1, 0]) == 1
 
@@ -112,14 +108,14 @@ class TestPredictUnlabeled:
         pool = ExpertPool(spec=spec, B=10, K_max=5)
         with pytest.raises(ValueError, match="not finite"):
             pool.predict_unlabeled(np.array([np.nan, 0.0]))  # against the zero output
-        pool.online = OnlineExpertState(w=np.array([0.6, 0.8]), t=1)
+        pool.set_state([[0.6, 0.8]], [1.0], 0.0)
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(ValueError, match="not finite"):
             pool.predict_unlabeled(np.array(x))
 
     def test_current_output_is_a_copy(self, spec):
         pool = ExpertPool(spec=spec, B=10, K_max=5)
-        pool.online = OnlineExpertState(w=np.array([1.0, 0.0]), t=1)
+        pool.set_state([[1.0, 0.0]], [1.0], 0.0)
         pool.current_output()[:] = -1.0
         np.testing.assert_array_equal(pool.current_output(), [1.0, 0.0])
         assert pool.predict_unlabeled(np.array([1.0, 0.0])) == 1
@@ -180,17 +176,14 @@ class TestLifecycleGuards:
         np.testing.assert_array_equal(pool.current_output(), output)
 
     def test_bad_step_index_raises_with_no_state_change(self, spec):
-        # an injected online state at step 0 has no OGD step size: eta(0) raises
-        # before the weights, t, the experts or the output move
+        # a step index below 0 has no OGD step size; set_state rejects it whole
         pool = ExpertPool(spec=spec, B=5, K_max=3)
-        pool.offline = [np.array([0.3, 0.0])]
-        pool.G = 2
-        pool.meta = MetaWeights.fresh(2, 5)
-        pool.online = OnlineExpertState(w=np.array([0.0, 0.2]), t=0)
-        t, output = pool.t, pool.current_output()
-        with pytest.raises(ValueError, match="t must be >= 1, got 0"):
-            pool.process_labeled(Sample(np.array([0.6, -0.5]), 1))
-        assert t == -1 and pool.t == t
+        meta = MetaWeights.fresh(2, 5)
+        pool.set_state([[0.3, 0.0], [0.0, 0.2]], meta.alpha, meta.nu, t=1)
+        output = pool.current_output()
+        with pytest.raises(ValueError, match="t must be an integer >= 0 and <= 5, got -1"):
+            pool.set_state([[0.1, 0.0], [0.0, 0.1]], [0.5, 0.5], 1.0, t=-1)
+        assert (pool.t, pool.G, pool.meta.nu) == (1, 2, meta.nu)
         np.testing.assert_array_equal(pool.meta.alpha, [0.25, 0.75])
         np.testing.assert_array_equal(np.vstack(pool.offline), [[0.3, 0.0]])
         np.testing.assert_array_equal(pool.online.w, [0.0, 0.2])
@@ -202,6 +195,46 @@ class TestLifecycleGuards:
         pool.process_labeled(Sample(x=buf.X[0], y=int(buf.y[0])))
         with pytest.raises(RuntimeError):
             pool.rollover(buf)
+
+
+class TestSetState:
+    @pytest.mark.parametrize("name", ["offline", "online", "meta", "G", "t"])
+    def test_the_views_cannot_be_assigned(self, spec, name):
+        pool = ExpertPool(spec=spec, B=5, K_max=3)
+        with pytest.raises(AttributeError):
+            setattr(pool, name, getattr(pool, name))
+
+    @pytest.mark.parametrize("state,message", [
+        # what `pool.offline = [w]` alone gave: G = 2 wants two experts, one is given
+        (dict(experts=[[0.3, 0.0]], alpha=[0.25, 0.75], G=2), "need 1 <= K = min"),
+        (dict(experts=[[0.3, 0.0], [np.nan, 0.0]], alpha=[0.25, 0.75]), "got nan"),
+        (dict(experts=[[0.3, 0.0], [3.0, 4.0]], alpha=[0.25, 0.75]), "got 5.0"),
+        (dict(experts=[[0.3, 0.0], [0.0, 0.2]], alpha=[2.0, 3.0]), "summing to 1"),
+    ], ids=["K_mismatch", "nan", "norm_5", "alpha_sum"])
+    def test_a_bad_state_is_rejected_in_one_line(self, spec, state, message):
+        # each of these was accepted when the state had a setter per part;
+        # test_properties checks every rule of set_state on drawn states
+        pool = ExpertPool(spec=spec, B=5, K_max=3)
+        with pytest.raises(ValueError, match=message) as exc:
+            pool.set_state(**{"nu": 0.5, **state})
+        assert "\n" not in str(exc.value)
+        assert (pool.K, pool.t) == (1, 0)
+
+    def test_the_state_is_copied_and_steps_from_where_it_was_set(self, spec):
+        pool = ExpertPool(spec=spec, B=5, K_max=3, strategy="fifo")
+        experts, alpha = np.array([[0.3, 0.0], [0.1, 0.1], [0.0, 0.2]]), np.array([0.2, 0.3, 0.5])
+        pool.set_state(experts, alpha, 0.4, t=4, G=7)
+        output = alpha @ experts
+        experts[:], alpha[:] = 0.0, 1.0 / 3
+        assert (pool.G, pool.K, pool.t, pool.online.t, pool.meta.nu) == (7, 3, 4, 5, 0.4)
+        np.testing.assert_array_equal(pool.meta.alpha, [0.2, 0.3, 0.5])
+        np.testing.assert_allclose(output, [0.09, 0.13], rtol=1e-15)
+        assert pool.current_output().tobytes() == output.tobytes()
+        buf = make_interval(seed=36, B=5)
+        pool.process_labeled(Sample(buf.X[0], int(buf.y[0])))
+        roll = pool.rollover(buf)
+        assert (roll.g_completed, roll.K, pool.G, pool.t) == (7, 3, 8, 0)
+        np.testing.assert_array_equal(roll.evicted, [0.3, 0.0])
 
 
 def run_interval(pool, buf):

@@ -9,7 +9,8 @@ pool's fused step and the gemv batch gradient equal the per-sample reference
 functions, that the fused batch gradient, the solver loop and the rollover's
 expert risks equal their plain references bit for bit, that ``check_sample``
 accepts exactly the samples in the loss's domain and a rejected step leaves
-the pool as it was, that the loss is self-bounding, and that the LIBSVM
+the pool as it was, that ``ExpertPool.set_state`` takes a whole valid state
+or changes nothing, that the loss is self-bounding, and that the LIBSVM
 parser, where outside text enters, fails only with the documented errors and
 gives the rows or the error of the per-token reference parser. The last group
 holds the generator's contract (see ``co2learn.rng`` and the substream layout
@@ -135,9 +136,7 @@ def test_step_matches_the_reference_chain(state):
     spec, B, experts, meta, t_pool, s = state
     K = len(experts)
     pool = ExpertPool(spec=spec, B=B, K_max=max(K, 2))
-    pool.offline = list(experts[:-1])
-    pool.online = OnlineExpertState(w=experts[-1].copy(), t=t_pool + 1)
-    pool.G, pool.meta = K, meta
+    pool.set_state(experts, meta.alpha, meta.nu, t=t_pool)
 
     rec = pool.process_labeled(s)
 
@@ -196,8 +195,9 @@ def test_check_sample_is_the_domain_rule_and_a_rejected_step_changes_nothing(can
 
     # a two-expert pool part-way through an interval
     pool = ExpertPool(spec=spec, B=8, K_max=3)
-    pool.offline = [np.full(spec.dim, 0.5 / math.sqrt(spec.dim))]
-    pool.G, pool.meta = 2, MetaWeights.fresh(2, 8)
+    meta = MetaWeights.fresh(2, 8)
+    pool.set_state([np.full(spec.dim, 0.5 / math.sqrt(spec.dim)), np.zeros(spec.dim)],
+                   meta.alpha, meta.nu)
     x_ok = np.full(spec.dim, 0.5 * spec.D / math.sqrt(spec.dim))
     for k in range(steps):
         pool.process_labeled(Sample(x_ok, (-1) ** k))
@@ -218,15 +218,8 @@ def test_check_sample_is_the_domain_rule_and_a_rejected_step_changes_nothing(can
 
 
 def coherent_output(pool):
-    """The pool's output recomputed from the state it reports, or None if
-    that state has a different number of experts and weights; in that case
-    ``current_output`` must raise too."""
-    try:
-        want = pool.meta.alpha @ np.vstack(pool.offline + [pool.online.w])
-    except ValueError:
-        with pytest.raises(ValueError):
-            pool.current_output()
-        return None
+    """The pool's output recomputed from the state it reports."""
+    want = pool.meta.alpha @ np.vstack(pool.offline + [pool.online.w])
     assert pool.current_output().tobytes() == want.tobytes()
     return want
 
@@ -244,17 +237,12 @@ def test_kept_output_is_alpha_times_experts_after_every_call(data):
     for op in draw(st.lists(st.sampled_from(("inject", "step", "predict")), max_size=30)):
         if op == "inject":
             K = draw(st.integers(1, K_max))
-            experts = in_ball(draw, dim, spec.R, n=K)
+            G = K if K < K_max else draw(st.integers(K_max, K_max + 3))
             raw = draw(arrays(np.float64, K, elements=st.floats(1e-3, 1.0)))
-            values = {
-                "offline": list(experts[:-1]),
-                "online": OnlineExpertState(w=experts[-1].copy(), t=draw(st.integers(1, 50))),
-                "meta": MetaWeights(alpha=raw / raw.sum(), nu=draw(st.floats(0.0, 4.0))),
-            }
-            for name in draw(st.permutations(list(values))):
-                setattr(pool, name, values[name])
-                want = coherent_output(pool)
-            pool.G, pool.t, taken = K, 0, []
+            pool.set_state(in_ball(draw, dim, spec.R, n=K), raw / raw.sum(),
+                           draw(st.floats(0.0, 4.0)), G=G)
+            taken = []
+            want = coherent_output(pool)
         elif op == "step" and pool.t == B:
             X = np.array([s.x for s in taken])
             y = np.array([s.y for s in taken])
@@ -274,6 +262,78 @@ def test_kept_output_is_alpha_times_experts_after_every_call(data):
             value = float(np.dot(want, q))
             assert pool.predict_unlabeled(q) == (1 if value >= 0 else -1)
             assert coherent_output(pool).tobytes() == want.tobytes()
+
+
+def reported_state(pool):
+    """The bytes of everything the pool reports: A, alpha, nu, t, G and w."""
+    A = np.vstack(pool.offline + [pool.online.w])
+    return (A.tobytes(), A.shape, pool.meta.alpha.tobytes(), pool.meta.nu, pool.t, pool.G,
+            pool.current_output().tobytes())
+
+
+# each check of set_state, with the start of its message
+SET_STATE_CHECKS = {"shape": "experts must have shape", "K": "need 1 <= K|G must", "ball":
+                    "each expert needs", "alpha": "alpha must", "nu": "nu must", "t": "t must"}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), st.sampled_from((None, *SET_STATE_CHECKS)))
+def test_set_state_takes_a_whole_state_or_changes_nothing(data, broken):
+    """With ``broken`` None the drawn state is valid; otherwise exactly that
+    check of ``set_state`` fails, and the pool keeps what it had."""
+    draw = data.draw
+    dim, K_max, B = draw(st.integers(1, 5)), draw(st.integers(2, 5)), draw(st.integers(1, 6))
+    spec = LossSpec.create(D=1.0, R=draw(st.floats(0.1, 1.0)), dim=dim)
+    pool = ExpertPool(spec=spec, B=B, K_max=K_max)
+    for k in range(draw(st.integers(0, B))):  # part-way through the first interval
+        pool.process_labeled(Sample(np.full(dim, 0.5 / math.sqrt(dim)), (-1) ** k))
+    K = draw(st.integers(1, K_max))
+    experts = in_ball(draw, dim, spec.R, n=K)
+    raw = draw(arrays(np.float64, K, elements=st.floats(1e-3, 1.0)))
+    state = dict(experts=experts, alpha=raw / raw.sum(), nu=draw(st.floats(0.0, 4.0)),
+                 t=draw(st.integers(0, B)),
+                 G=K if K < K_max else draw(st.integers(K_max, K_max + 3)))
+    if broken == "shape":
+        state["experts"] = draw(st.sampled_from([
+            np.hstack([experts, experts[:, :1]]), experts[0], experts[:, :, None]]))
+    elif broken == "K":  # G that gives another K, or more than K_max experts
+        if draw(st.booleans()):
+            state["G"] = draw(st.integers(-1, K_max + 3).filter(lambda g: min(g, K_max) != K))
+        else:
+            state["experts"] = np.vstack([experts, np.zeros((K_max + 1 - K, dim))])
+            state["alpha"] = np.full(K_max + 1, 1.0 / (K_max + 1))
+            state["G"] = K_max + 1
+    elif broken == "ball":
+        k = draw(st.integers(0, K - 1))
+        bad = draw(st.sampled_from([np.nan, np.inf, -np.inf, "outside"]))
+        if bad == "outside":
+            experts[k] = spec.R * draw(st.floats(1.0 + 1e-6, 1e200)) / math.sqrt(dim)
+        else:
+            experts[k, draw(st.integers(0, dim - 1))] = bad
+    elif broken == "alpha":
+        alpha = state["alpha"]
+        state["alpha"] = draw(st.sampled_from([
+            alpha * 2.0, alpha * 0.5, np.append(alpha, 0.0), alpha[:, None],
+            np.where(np.arange(K) == 0, np.nan, alpha),
+            alpha + np.where(np.arange(K) == 0, -1.0, 1.0 / max(K - 1, 1)),  # one weight < 0
+        ]))
+    elif broken == "nu":
+        state["nu"] = draw(st.sampled_from([np.nan, np.inf, -np.inf, -1e-300, -2.0, True]))
+    elif broken == "t":
+        state["t"] = draw(st.integers(-3, -1) | st.integers(B + 1, B + 3) | st.just(0.5))
+
+    before = reported_state(pool)
+    if broken is not None:
+        with pytest.raises(ValueError, match=SET_STATE_CHECKS[broken]) as exc:
+            pool.set_state(**state)
+        assert "\n" not in str(exc.value)
+        assert reported_state(pool) == before
+        return
+    want = state["alpha"] @ experts
+    pool.set_state(**state)
+    experts[:] = 0.0  # the pool holds copies
+    assert pool.current_output().tobytes() == want.tobytes()
+    assert (pool.t, pool.G, pool.K, pool.meta.nu) == (state["t"], state["G"], K, state["nu"])
 
 
 @st.composite
@@ -390,11 +450,9 @@ def test_rollover_risks_equal_the_per_expert_mean_losses(batch, K, data):
 
     # the pool's anchor carries the same risks of its K experts
     pool = ExpertPool(spec=spec, B=len(X), K_max=max(K, 2))
-    pool.offline = list(experts[:-1])
-    pool.online = OnlineExpertState(w=experts[-1].copy(), t=1)
     raw = data.draw(arrays(np.float64, K, elements=st.floats(1e-3, 1.0)))
     alpha = raw / raw.sum()
-    pool.G, pool.t, pool.meta = K, len(X), MetaWeights(alpha=alpha, nu=1.0)
+    pool.set_state(experts, alpha, 1.0, t=len(X))
     rec = pool.rollover(IntervalBuffer(X=X, y=y, interval_index=K))
     assert rec.anchor.weighted_loss == float(alpha.dot(want))
 
