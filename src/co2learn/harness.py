@@ -55,9 +55,9 @@ class ExperimentConfig:
     inputs. The pool settings are checked by ``pool.check_settings``. R must
     be <= ``stream.D``: the asserted OGD bound ``6 D sqrt(T beta)`` is
     Zinkevich's ``(2 R^2 / D + 4 D) sqrt(T beta)`` at R = D, and below it
-    only for R <= D. The largest transfer weight a run can take,
-    ``max(1/(4 R^2), gamma_floor)``, must have a finite square: the
-    transfer-gap bound takes ``gamma**2``."""
+    only for R <= D. The smallest and the largest transfer weight a run can
+    take, ``gamma_floor`` and ``max(1/(4 R^2), gamma_floor)``, must have a
+    finite square > 0: the transfer-gap bound takes ``gamma**2``."""
 
     stream: StreamSpec
     seeds: tuple[int, ...]
@@ -87,12 +87,12 @@ class ExperimentConfig:
                               f"asserted OGD regret bound 6 D sqrt(T beta) needs R <= D")
         check_settings(self.stream.B, self.K_max, self.strategy, self.init_policy,
                        self.gamma_floor, self.grad_map_tol)
-        cap = 4.0 * self.R * self.R  # gamma = max(WL / cap, gamma_floor) with WL <= 1
+        cap = 4.0 * self.R * self.R  # gamma = max(WL / cap, gamma_floor) with 0 <= WL <= 1
         gamma_max = max(1.0 / cap if cap else math.inf, self.gamma_floor)
-        if not tb.has_finite_square(gamma_max):
-            raise ConfigError(f"the largest transfer weight max(1/(4 R^2), gamma_floor) = "
-                              f"{gamma_max} must have a finite square > 0, from R={self.R}, "
-                              f"gamma_floor={self.gamma_floor}")
+        if not (tb.has_finite_square(self.gamma_floor) and tb.has_finite_square(gamma_max)):
+            raise ConfigError(f"every transfer weight a run can take, from gamma_floor to "
+                              f"max(1/(4 R^2), gamma_floor) = {gamma_max}, must have a finite "
+                              f"square > 0, from R={self.R}, gamma_floor={self.gamma_floor}")
         check_real("erm_tol", self.erm_tol, positive=True)
         check_real("delta", self.delta, positive=True, below=1.0)
         if not isinstance(self.wstar_proxy, bool):

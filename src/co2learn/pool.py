@@ -133,13 +133,14 @@ class ExpertPool:
         self._alpha, self._nu = init_weights(1), step_size_nu(1, B)
         self._w = self._alpha.dot(self._experts)
 
-    def set_state(self, experts, alpha, nu: float, t: int = 0, G: int | None = None) -> None:
+    def set_state(self, experts, alpha, t: int = 0, G: int | None = None) -> None:
         """Set the whole state from copies: ``experts`` is a (K, dim) array,
-        the online iterate last, and ``G`` defaults to K. Raises a one-line
+        the online iterate last, ``G`` defaults to K, and ``nu`` is
+        ``step_size_nu(K, B)`` as in every reachable state. Raises a one-line
         ValueError, with the state unchanged, unless 1 <= K = min(G, K_max),
-        every expert is finite and in the R-ball, ``alpha`` has shape (K,)
-        and lies on the simplex (within 1e-9), ``nu`` is finite and >= 0, and
-        0 <= t <= B: the regret bound needs the simplex, and losses in [0, 1]."""
+        every expert is finite and in the R-ball, ``alpha`` has shape (K,) and
+        lies on the simplex (within 1e-9), and 0 <= t <= B: the regret bound
+        needs the simplex, and losses in [0, 1]."""
         A = np.array(experts, dtype=np.float64)
         if A.ndim != 2 or A.shape[1] != self.spec.dim:
             raise ValueError(f"experts must have shape (K, {self.spec.dim}), got {A.shape}")
@@ -153,9 +154,8 @@ class ExpertPool:
         a = np.array(alpha, dtype=np.float64)
         if a.shape != (K,) or not (a >= 0).all() or not abs(a.sum() - 1.0) <= 1e-9:
             raise ValueError(f"alpha must be {K} weights >= 0 summing to 1, got {a.tolist()}")
-        check_real("nu", nu)
         check_int("t", t, minimum=0, maximum=self.B)
-        self._experts, self._alpha, self._nu, self._t, self._G = A, a, float(nu), t, G
+        self._experts, self._alpha, self._nu, self._t, self._G = A, a, step_size_nu(K, self.B), t, G
         self._w = a.dot(A)
 
     G = property(lambda self: self._G, doc="The interval index: intervals begun so far.")

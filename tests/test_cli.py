@@ -61,6 +61,7 @@ BAD_CONFIG_BODIES = [
     {"R": 1e-200},  # 4 R^2 underflows to 0
     {"stream": {"G": 2, "B": 20, "D": 1e-155}, "R": 1e-155},  # beta > 0, but 1/beta overflows
     {"gamma_floor": 1e160},  # gamma_floor**2 overflows
+    {"gamma_floor": 1e-200},  # gamma_floor**2 underflows to 0
 ]
 
 # The nearest settings to the float-range rows above that still run.

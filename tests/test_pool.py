@@ -6,7 +6,7 @@ import pytest
 from co2learn.errors import ConfigError
 from co2learn.geometry import Sample
 from co2learn.losses import LossSpec, batch_losses, grad_loss
-from co2learn.meta import MetaWeights
+from co2learn.meta import MetaWeights, step_size_nu
 from co2learn.online import OnlineExpertState, ogd_step
 from co2learn.pool import ExpertPool
 from co2learn.streams import IntervalBuffer, StreamSpec, gen_synthetic
@@ -42,7 +42,7 @@ class TestScriptedStep:
         w_off = np.array([0.3, 0.0])
         w_on = np.array([0.0, 0.2])
         meta = MetaWeights.fresh(2, B)
-        pool.set_state([w_off, w_on], meta.alpha, meta.nu, t=2)
+        pool.set_state([w_off, w_on], meta.alpha, t=2)
         s = Sample(x=np.array([0.6, -0.5]), y=1)
 
         rec = pool.process_labeled(s)
@@ -74,7 +74,7 @@ class TestScriptedStep:
         pool = ExpertPool(spec=spec, B=B, K_max=5)
         w = np.array([0.1, -0.2])
         meta = MetaWeights.fresh(3, B)
-        pool.set_state([w, w, w], meta.alpha, meta.nu)
+        pool.set_state([w, w, w], meta.alpha)
         rec = pool.process_labeled(Sample(x=np.array([0.5, 0.5]), y=-1))
         np.testing.assert_allclose(rec.w, w, rtol=1e-14)
         np.testing.assert_allclose(rec.alpha_after, rec.alpha_before, rtol=1e-14)
@@ -83,14 +83,14 @@ class TestScriptedStep:
 class TestPredictUnlabeled:
     def test_signs_and_tiebreak(self, spec):
         pool = ExpertPool(spec=spec, B=10, K_max=5)
-        pool.set_state([[1.0, 0.0]], [1.0], 0.0)
+        pool.set_state([[1.0, 0.0]], [1.0])
         assert pool.predict_unlabeled(np.array([2.0, 0.0])) == 1
         assert pool.predict_unlabeled(np.array([-2.0, 0.0])) == -1
         assert pool.predict_unlabeled(np.array([0.0, 3.0])) == 1  # orthogonal -> +1
 
     def test_accepts_a_list(self, spec):
         pool = ExpertPool(spec=spec, B=10, K_max=5)
-        pool.set_state([[0.6, -0.6]], [1.0], 0.0)
+        pool.set_state([[0.6, -0.6]], [1.0])
         assert pool.predict_unlabeled([0.2, 0.5]) == -1
         assert pool.predict_unlabeled([1, 0]) == 1
 
@@ -108,14 +108,14 @@ class TestPredictUnlabeled:
         pool = ExpertPool(spec=spec, B=10, K_max=5)
         with pytest.raises(ValueError, match="not finite"):
             pool.predict_unlabeled(np.array([np.nan, 0.0]))  # against the zero output
-        pool.set_state([[0.6, 0.8]], [1.0], 0.0)
+        pool.set_state([[0.6, 0.8]], [1.0])
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(ValueError, match="not finite"):
             pool.predict_unlabeled(np.array(x))
 
     def test_current_output_is_a_copy(self, spec):
         pool = ExpertPool(spec=spec, B=10, K_max=5)
-        pool.set_state([[1.0, 0.0]], [1.0], 0.0)
+        pool.set_state([[1.0, 0.0]], [1.0])
         pool.current_output()[:] = -1.0
         np.testing.assert_array_equal(pool.current_output(), [1.0, 0.0])
         assert pool.predict_unlabeled(np.array([1.0, 0.0])) == 1
@@ -179,10 +179,10 @@ class TestLifecycleGuards:
         # a step index below 0 has no OGD step size; set_state rejects it whole
         pool = ExpertPool(spec=spec, B=5, K_max=3)
         meta = MetaWeights.fresh(2, 5)
-        pool.set_state([[0.3, 0.0], [0.0, 0.2]], meta.alpha, meta.nu, t=1)
+        pool.set_state([[0.3, 0.0], [0.0, 0.2]], meta.alpha, t=1)
         output = pool.current_output()
         with pytest.raises(ValueError, match="t must be an integer >= 0 and <= 5, got -1"):
-            pool.set_state([[0.1, 0.0], [0.0, 0.1]], [0.5, 0.5], 1.0, t=-1)
+            pool.set_state([[0.1, 0.0], [0.0, 0.1]], [0.5, 0.5], t=-1)
         assert (pool.t, pool.G, pool.meta.nu) == (1, 2, meta.nu)
         np.testing.assert_array_equal(pool.meta.alpha, [0.25, 0.75])
         np.testing.assert_array_equal(np.vstack(pool.offline), [[0.3, 0.0]])
@@ -216,17 +216,18 @@ class TestSetState:
         # test_properties checks every rule of set_state on drawn states
         pool = ExpertPool(spec=spec, B=5, K_max=3)
         with pytest.raises(ValueError, match=message) as exc:
-            pool.set_state(**{"nu": 0.5, **state})
+            pool.set_state(**state)
         assert "\n" not in str(exc.value)
         assert (pool.K, pool.t) == (1, 0)
 
     def test_the_state_is_copied_and_steps_from_where_it_was_set(self, spec):
         pool = ExpertPool(spec=spec, B=5, K_max=3, strategy="fifo")
         experts, alpha = np.array([[0.3, 0.0], [0.1, 0.1], [0.0, 0.2]]), np.array([0.2, 0.3, 0.5])
-        pool.set_state(experts, alpha, 0.4, t=4, G=7)
+        pool.set_state(experts, alpha, t=4, G=7)
         output = alpha @ experts
         experts[:], alpha[:] = 0.0, 1.0 / 3
-        assert (pool.G, pool.K, pool.t, pool.online.t, pool.meta.nu) == (7, 3, 4, 5, 0.4)
+        assert (pool.G, pool.K, pool.t, pool.online.t) == (7, 3, 4, 5)
+        assert pool.meta.nu == step_size_nu(3, 5)  # nu is derived, never set
         np.testing.assert_array_equal(pool.meta.alpha, [0.2, 0.3, 0.5])
         np.testing.assert_allclose(output, [0.09, 0.13], rtol=1e-15)
         assert pool.current_output().tobytes() == output.tobytes()

@@ -34,7 +34,7 @@ from co2learn.losses import (
     LossSpec, batch_losses, batch_mean_grad, batch_mean_losses, check_sample, grad_buffers,
     grad_loss, loss,
 )
-from co2learn.meta import MetaWeights, combine, update_weights
+from co2learn.meta import MetaWeights, combine, step_size_nu, update_weights
 from co2learn.offline import projected_gradient
 from co2learn.online import OnlineExpertState, ogd_step
 from co2learn.pool import INIT_POLICIES, STRATEGIES, ExpertPool
@@ -125,7 +125,7 @@ def pool_states(draw):
     B = draw(st.integers(1, 400))
     experts = in_ball(draw, dim, spec.R, n=K)
     raw = draw(arrays(np.float64, K, elements=st.floats(1e-3, 1.0)))
-    meta = MetaWeights(alpha=raw / raw.sum(), nu=draw(st.floats(0.0, 4.0)))
+    meta = MetaWeights(alpha=raw / raw.sum(), nu=step_size_nu(K, B))
     t_pool = draw(st.integers(0, B - 1))
     x = in_ball(draw, dim, spec.D)
     return spec, B, experts, meta, t_pool, Sample(x=x, y=draw(st.sampled_from([-1, 1])))
@@ -136,7 +136,7 @@ def test_step_matches_the_reference_chain(state):
     spec, B, experts, meta, t_pool, s = state
     K = len(experts)
     pool = ExpertPool(spec=spec, B=B, K_max=max(K, 2))
-    pool.set_state(experts, meta.alpha, meta.nu, t=t_pool)
+    pool.set_state(experts, meta.alpha, t=t_pool)
 
     rec = pool.process_labeled(s)
 
@@ -197,7 +197,7 @@ def test_check_sample_is_the_domain_rule_and_a_rejected_step_changes_nothing(can
     pool = ExpertPool(spec=spec, B=8, K_max=3)
     meta = MetaWeights.fresh(2, 8)
     pool.set_state([np.full(spec.dim, 0.5 / math.sqrt(spec.dim)), np.zeros(spec.dim)],
-                   meta.alpha, meta.nu)
+                   meta.alpha)
     x_ok = np.full(spec.dim, 0.5 * spec.D / math.sqrt(spec.dim))
     for k in range(steps):
         pool.process_labeled(Sample(x_ok, (-1) ** k))
@@ -239,8 +239,7 @@ def test_kept_output_is_alpha_times_experts_after_every_call(data):
             K = draw(st.integers(1, K_max))
             G = K if K < K_max else draw(st.integers(K_max, K_max + 3))
             raw = draw(arrays(np.float64, K, elements=st.floats(1e-3, 1.0)))
-            pool.set_state(in_ball(draw, dim, spec.R, n=K), raw / raw.sum(),
-                           draw(st.floats(0.0, 4.0)), G=G)
+            pool.set_state(in_ball(draw, dim, spec.R, n=K), raw / raw.sum(), G=G)
             taken = []
             want = coherent_output(pool)
         elif op == "step" and pool.t == B:
@@ -273,7 +272,7 @@ def reported_state(pool):
 
 # each check of set_state, with the start of its message
 SET_STATE_CHECKS = {"shape": "experts must have shape", "K": "need 1 <= K|G must", "ball":
-                    "each expert needs", "alpha": "alpha must", "nu": "nu must", "t": "t must"}
+                    "each expert needs", "alpha": "alpha must", "t": "t must"}
 
 
 @settings(max_examples=150, deadline=None)
@@ -290,8 +289,7 @@ def test_set_state_takes_a_whole_state_or_changes_nothing(data, broken):
     K = draw(st.integers(1, K_max))
     experts = in_ball(draw, dim, spec.R, n=K)
     raw = draw(arrays(np.float64, K, elements=st.floats(1e-3, 1.0)))
-    state = dict(experts=experts, alpha=raw / raw.sum(), nu=draw(st.floats(0.0, 4.0)),
-                 t=draw(st.integers(0, B)),
+    state = dict(experts=experts, alpha=raw / raw.sum(), t=draw(st.integers(0, B)),
                  G=K if K < K_max else draw(st.integers(K_max, K_max + 3)))
     if broken == "shape":
         state["experts"] = draw(st.sampled_from([
@@ -317,8 +315,6 @@ def test_set_state_takes_a_whole_state_or_changes_nothing(data, broken):
             np.where(np.arange(K) == 0, np.nan, alpha),
             alpha + np.where(np.arange(K) == 0, -1.0, 1.0 / max(K - 1, 1)),  # one weight < 0
         ]))
-    elif broken == "nu":
-        state["nu"] = draw(st.sampled_from([np.nan, np.inf, -np.inf, -1e-300, -2.0, True]))
     elif broken == "t":
         state["t"] = draw(st.integers(-3, -1) | st.integers(B + 1, B + 3) | st.just(0.5))
 
@@ -333,7 +329,7 @@ def test_set_state_takes_a_whole_state_or_changes_nothing(data, broken):
     pool.set_state(**state)
     experts[:] = 0.0  # the pool holds copies
     assert pool.current_output().tobytes() == want.tobytes()
-    assert (pool.t, pool.G, pool.K, pool.meta.nu) == (state["t"], state["G"], K, state["nu"])
+    assert (pool.t, pool.G, pool.K, pool.meta.nu) == (state["t"], state["G"], K, step_size_nu(K, B))
 
 
 @st.composite
@@ -452,7 +448,7 @@ def test_rollover_risks_equal_the_per_expert_mean_losses(batch, K, data):
     pool = ExpertPool(spec=spec, B=len(X), K_max=max(K, 2))
     raw = data.draw(arrays(np.float64, K, elements=st.floats(1e-3, 1.0)))
     alpha = raw / raw.sum()
-    pool.set_state(experts, alpha, 1.0, t=len(X))
+    pool.set_state(experts, alpha, t=len(X))
     rec = pool.rollover(IntervalBuffer(X=X, y=y, interval_index=K))
     assert rec.anchor.weighted_loss == float(alpha.dot(want))
 
