@@ -13,7 +13,7 @@ import numpy as np
 from co2learn import ExperimentConfig, StreamSpec, run_experiment
 
 config = ExperimentConfig(
-    stream=StreamSpec(G=10, B=150, dim=2, seed=0),
+    stream=StreamSpec(G=10, B=150, dim=2),
     seeds=tuple(range(1, 9)),
     K_max=5,
     wstar_proxy=False,

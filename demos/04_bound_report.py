@@ -16,8 +16,8 @@ from co2learn import (
 )
 from co2learn.streams import gen_synthetic
 
-stream = StreamSpec(G=8, B=120, dim=2, seed=3)
-config = ExperimentConfig(stream=stream, seeds=(1,), wstar_proxy=True)
+# the config's stream takes the first of its seeds, so it is seed 1's stream
+config = ExperimentConfig(stream=StreamSpec(G=8, B=120, dim=2), seeds=(1,), wstar_proxy=True)
 report = run_experiment(config)
 run = report.runs[0]
 
@@ -29,7 +29,7 @@ print(json.dumps(run.bound_report, indent=2))
 # regret_KE to see the K-condition tighten
 final = run.intervals[-1]
 inputs = config.bound_inputs(
-    estimate_eigenvalues(gen_synthetic(stream)[-1].X),
+    estimate_eigenvalues(gen_synthetic(config.stream)[-1].X),
     gamma=run.rollovers[-1].gamma, regret_KE=5.0, weighted_loss=0.4,
 )
 pessimistic = bound_report(inputs)

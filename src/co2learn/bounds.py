@@ -35,7 +35,8 @@ from .errors import ConfigError, DataError, check_int, check_real
 class BoundInputs:
     """Everything the calculators consume, measured or configured. Checked so
     that ``transfer_gap_bound``'s ``gamma**2`` is finite and > 0 and
-    ``k_condition``'s exp does not overflow."""
+    ``k_condition`` is finite; ``ExperimentConfig`` builds one per run to
+    check its settings against this one float-range rule."""
 
     T: int
     K: int
@@ -65,24 +66,24 @@ class BoundInputs:
         regret = self.regret_KE  # the one input that may be negative
         if isinstance(regret, bool) or not (isinstance(regret, Real) and isfinite(regret)):
             raise ConfigError(f"regret_KE must be a finite number, got {regret!r}")
-        if not has_finite_square(self.gamma):
+        try:  # as transfer_gap_bound takes it; gamma * gamma can differ in the last bit
+            square = self.gamma**2
+        except OverflowError:
+            square = inf
+        if not 0.0 < square < inf:
             raise ConfigError(f"gamma must have a finite square > 0, got {self.gamma!r}")
-        try:
-            k_condition(self.T, self.D, self.beta, regret)
-        except OverflowError:  # from its exp
-            raise ConfigError(f"regret_KE must keep exp(6 D sqrt(beta) - regret_KE / sqrt(T)) "
-                              f"finite, got {regret!r} at D={self.D}, beta={self.beta}, "
-                              f"T={self.T}") from None
+        # a regret_KE >= 0 only lowers the exponent: past the float range at
+        # max(regret_KE, 0), the culprit is D and R
+        for culprit, at in (("D and R", max(regret, 0.0)), ("regret_KE", regret)):
+            try:
+                rhs = k_condition(self.T, self.D, self.beta, at)
+            except OverflowError:  # from its exp; the factor 2 overflows to inf instead
+                rhs = inf
+            if rhs == inf:
+                raise ConfigError(f"{culprit} must keep the K condition's 2 exp(6 D sqrt(beta) - "
+                                  f"regret_KE / sqrt(T)) finite, got D={self.D}, R={self.R}, "
+                                  f"beta={self.beta}, T={self.T}, regret_KE={regret!r}")
         _check_nonincreasing(ev)
-
-
-def has_finite_square(gamma: float) -> bool:
-    """Whether ``gamma ** 2``, as ``transfer_gap_bound`` takes it, is finite
-    and > 0; ``gamma * gamma`` can differ from it in the last bit."""
-    try:
-        return 0.0 < gamma**2 < inf
-    except OverflowError:
-        return False
 
 
 def _check_nonincreasing(ev: np.ndarray) -> None:

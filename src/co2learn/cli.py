@@ -77,8 +77,9 @@ _KEY_OF_FIELD = {field: key for key, field in _FIELD_OF_KEY.items()}
 
 def _defaults() -> dict:
     """The config file's defaults: StreamSpec's and ExperimentConfig's field
-    defaults, plus the keys only the CLI reads."""
-    cfg = {"stream": {f.name: f.default for f in fields(StreamSpec)}}
+    defaults, plus the keys only the CLI reads. The stream's seed is not a
+    key: ExperimentConfig sets it to the first of ``seeds``."""
+    cfg = {"stream": {f.name: f.default for f in fields(StreamSpec) if f.name != "seed"}}
     for f in fields(ExperimentConfig):
         if f.default is not MISSING:
             cfg[_KEY_OF_FIELD.get(f.name, f.name)] = f.default
@@ -132,12 +133,10 @@ def _load_config(args) -> dict:
 
 
 def _experiment_config(cfg: dict) -> ExperimentConfig:
-    """Every setting, checked once by the config dataclasses; the stream's
-    seed is the first of the run's seeds."""
+    """Every setting, checked once by the config dataclasses."""
     settings = {_FIELD_OF_KEY.get(key, key): cfg[key] for key in cfg
                 if key not in ("stream", "out", "bounds")}
-    config = ExperimentConfig(stream=StreamSpec(**cfg["stream"]), **settings)
-    return replace(config, stream=replace(config.stream, seed=config.seeds[0]))
+    return ExperimentConfig(stream=StreamSpec(**cfg["stream"]), **settings)
 
 
 def _cmd_generate(cfg: dict) -> int:

@@ -26,10 +26,10 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from . import bounds as tb
-from .errors import BoundViolation, ConfigError, ConvergenceError, check_int, check_real
+from .errors import BoundViolation, ConfigError, ConvergenceError, check_int
 from .geometry import Sample
 from .losses import LossSpec, batch_losses, margin_loss
-from .offline import omega, projected_gradient
+from .offline import GRAD_MAP_TOL, omega, projected_gradient
 from .online import eta, ogd_update
 from .pool import ExpertPool, check_settings
 from .streams import IntervalBuffer, StreamSpec, fresh_proxy_samples, generate, parse_libsvm
@@ -49,15 +49,15 @@ class ExperimentConfig:
     """Everything a run depends on; two equal configs give identical reports.
     With StreamSpec, the one home of each setting's default and check.
 
-    A run's derived settings are built here, once: ``loss_spec`` (not a field,
-    so ``asdict`` gives the settings alone) is the LossSpec of ``stream.D``,
-    ``R`` and ``stream.dim``, and ``bound_inputs`` assembles the calculators'
-    inputs. The pool settings are checked by ``pool.check_settings``. R must
-    be <= ``stream.D``: the asserted OGD bound ``6 D sqrt(T beta)`` is
+    Built here, once: ``stream.seed``, set to ``seeds[0]``; ``loss_spec`` (not
+    a field, so ``asdict`` gives the settings alone), the LossSpec of
+    ``stream.D``, ``R`` and ``stream.dim``; and, by ``bound_inputs``, the
+    calculators' inputs. ``pool.check_settings`` checks the pool settings.
+    R must be <= ``stream.D``: the asserted OGD bound ``6 D sqrt(T beta)`` is
     Zinkevich's ``(2 R^2 / D + 4 D) sqrt(T beta)`` at R = D, and below it
-    only for R <= D. The smallest and the largest transfer weight a run can
-    take, ``gamma_floor`` and ``max(1/(4 R^2), gamma_floor)``, must have a
-    finite square > 0: the transfer-gap bound takes ``gamma**2``."""
+    only for R <= D. ``BoundInputs`` checks ``delta`` and the float range at
+    ``regret_KE = 0`` and the smallest and largest transfer weight a run can
+    take, ``gamma_floor`` and ``max(1/(4 R^2), gamma_floor)``."""
 
     stream: StreamSpec
     seeds: tuple[int, ...]
@@ -66,8 +66,6 @@ class ExperimentConfig:
     strategy: str = "weight"
     init_policy: str = "cold"
     gamma_floor: float = 0.1
-    grad_map_tol: float = 1e-8
-    erm_tol: float = 1e-9
     delta: float = 0.05
     wstar_proxy: bool = True
     input_path: str | None = None
@@ -80,21 +78,20 @@ class ExperimentConfig:
         if len(set(self.seeds)) != len(self.seeds):
             raise ConfigError(f"seeds must be distinct, got {list(self.seeds)}")
         object.__setattr__(self, "seeds", tuple(self.seeds))
+        object.__setattr__(self, "stream", replace(self.stream, seed=self.seeds[0]))
         object.__setattr__(self, "loss_spec",
                            LossSpec(D=self.stream.D, R=self.R, dim=self.stream.dim))
         if self.R > self.stream.D:
             raise ConfigError(f"R must be <= D, got R={self.R}, D={self.stream.D}: the "
                               f"asserted OGD regret bound 6 D sqrt(T beta) needs R <= D")
         check_settings(self.stream.B, self.K_max, self.strategy, self.init_policy,
-                       self.gamma_floor, self.grad_map_tol)
+                       self.gamma_floor)
+        self.bound_inputs(())  # at gamma_floor, the smallest transfer weight
         cap = 4.0 * self.R * self.R  # gamma = max(WL / cap, gamma_floor) with 0 <= WL <= 1
-        gamma_max = max(1.0 / cap if cap else math.inf, self.gamma_floor)
-        if not (tb.has_finite_square(self.gamma_floor) and tb.has_finite_square(gamma_max)):
-            raise ConfigError(f"every transfer weight a run can take, from gamma_floor to "
-                              f"max(1/(4 R^2), gamma_floor) = {gamma_max}, must have a finite "
-                              f"square > 0, from R={self.R}, gamma_floor={self.gamma_floor}")
-        check_real("erm_tol", self.erm_tol, positive=True)
-        check_real("delta", self.delta, positive=True, below=1.0)
+        try:  # only gamma differs from the inputs just checked
+            self.bound_inputs((), gamma=max(1.0 / cap if cap else math.inf, self.gamma_floor))
+        except ConfigError as exc:
+            raise ConfigError(f"max(1/(4 R^2), gamma_floor) at R={self.R}: {exc}") from None
         if not isinstance(self.wstar_proxy, bool):
             raise ConfigError(f"wstar_proxy must be true or false, got {self.wstar_proxy!r}")
         if not (self.input_path is None or isinstance(self.input_path, str)):
@@ -245,7 +242,7 @@ def _run_seed(config: ExperimentConfig, seed: int, intervals: list[IntervalBuffe
     pool = ExpertPool(
         spec=spec, B=stream_spec.B, K_max=config.K_max,
         strategy=config.strategy, init_policy=config.init_policy,
-        gamma_floor=config.gamma_floor, grad_map_tol=config.grad_map_tol,
+        gamma_floor=config.gamma_floor,
     )
     w_ogd = np.zeros(spec.dim)  # the whole-stream baseline, stepped in place
 
@@ -274,7 +271,7 @@ def _run_seed(config: ExperimentConfig, seed: int, intervals: list[IntervalBuffe
             ogd_losses[t] = margin_loss(z, spec)
             ogd_update(w_ogd, eta((g - 1) * B + t + 1, spec), x, y, z, spec)
 
-        w_hat = erm_oracle(buf.X, buf.y, spec, tol=config.erm_tol)
+        w_hat = erm_oracle(buf.X, buf.y, spec)
         erm_losses = batch_losses(w_hat, buf.X, buf.y, spec)
         # the w* proxy sample, shared by both metrics below; the last interval's
         # is let go first, so two are never held at once
@@ -282,7 +279,7 @@ def _run_seed(config: ExperimentConfig, seed: int, intervals: list[IntervalBuffe
         if config.wstar_proxy and buf.class_means is not None:
             proxy = fresh_proxy_samples(stream_spec, buf, 10 * B)
         m = _interval_metrics(
-            config, spec, seed, g, K, nu, B,
+            spec, seed, g, K, nu, B,
             co2_losses, ogd_losses, expert_losses, weighted_losses,
             erm_losses, buf, proxy,
         )
@@ -293,7 +290,7 @@ def _run_seed(config: ExperimentConfig, seed: int, intervals: list[IntervalBuffe
 
         if g < stream_spec.G:
             roll = pool.rollover(buf)
-            rollovers.append(_rollover_metrics(config, spec, seed, roll, proxy))
+            rollovers.append(_rollover_metrics(spec, seed, roll, proxy))
             _assert_rollover_bounds(rollovers[-1])
 
     last_roll = rollovers[-1] if rollovers else None
@@ -307,7 +304,7 @@ def _run_seed(config: ExperimentConfig, seed: int, intervals: list[IntervalBuffe
                    rollovers=rollovers, bound_report=tb.bound_report(report_inputs))
 
 
-def _interval_metrics(config, spec, seed, g, K, nu, B, co2_losses, ogd_losses,
+def _interval_metrics(spec, seed, g, K, nu, B, co2_losses, ogd_losses,
                       expert_losses, weighted_losses, erm_losses,
                       buf, proxy) -> IntervalMetrics:
     cum_experts = expert_losses.sum(axis=0)
@@ -328,7 +325,7 @@ def _interval_metrics(config, spec, seed, g, K, nu, B, co2_losses, ogd_losses,
     early = min(EARLY_T, B)
     vs_wstar = (None, None)
     if proxy is not None:
-        w_star = erm_oracle(*proxy, spec, tol=config.erm_tol)
+        w_star = erm_oracle(*proxy, spec)
         star_cum = float(batch_losses(w_star, buf.X, buf.y, spec).sum())
         vs_wstar = (cum_co2 - star_cum, cum_ogd - star_cum)
 
@@ -351,12 +348,12 @@ def _interval_metrics(config, spec, seed, g, K, nu, B, co2_losses, ogd_losses,
     )
 
 
-def _rollover_metrics(config, spec, seed, roll, proxy) -> RolloverMetrics:
-    anchor_cap = roll.anchor.weighted_loss / roll.result.gamma + 10.0 * config.grad_map_tol
+def _rollover_metrics(spec, seed, roll, proxy) -> RolloverMetrics:
+    anchor_cap = roll.anchor.weighted_loss / roll.result.gamma + 10.0 * GRAD_MAP_TOL
     gap_measured = gap_bound = gap_holds = omega_star = None
     if proxy is not None:
         # the interval metrics' fit again; it goes once bench's S(3G - 1) ERM-call pin is restated
-        w_star = erm_oracle(*proxy, spec, tol=config.erm_tol)
+        w_star = erm_oracle(*proxy, spec)
         omega_star = omega(w_star, roll.anchor)
         gap_measured = float(np.linalg.norm(roll.result.w - w_star))
         gap_bound = tb.transfer_gap_bound(

@@ -13,9 +13,10 @@ Solver: ``projected_gradient``, the package's one projected-gradient
 routine, with fixed step 1/(beta + gamma) started at the anchor. F is
 (beta + gamma)-smooth and gamma-strongly convex, so the iteration descends
 monotonically and converges linearly; it stops when the projected-gradient
-mapping norm reaches ``grad_map_tol``, and ``train_offline`` reports the
-certificate either way. With gamma = 0 and no anchor the same routine is the
-harness's ERM oracle, which raises ConvergenceError instead of reporting.
+mapping norm reaches ``grad_map_tol`` (a run's pool trains at the fixed
+``GRAD_MAP_TOL``), and ``train_offline`` reports the certificate either
+way. With gamma = 0 and no anchor the same routine is the harness's ERM
+oracle, which raises ConvergenceError instead of reporting.
 
 A solve allocates once: the labels as float64 and ``-C y``, the gradient's
 work arrays (``losses.grad_buffers``), and two iterates and a difference of
@@ -37,6 +38,8 @@ from .streams import IntervalBuffer
 
 # Not called here; kept importable because bench/tracing.py patches this name.
 from .geometry import project_to_ball  # noqa: F401
+
+GRAD_MAP_TOL = 1e-8  # the pool's stopping tolerance for every offline expert
 
 
 @dataclass(frozen=True)
@@ -138,8 +141,8 @@ def train_offline(
     50 ceil(kappa log(1 / ``grad_map_tol``)) is sized for the linear rate of
     the (beta + gamma)-smooth, gamma-strongly-convex objective, with
     kappa = (beta + gamma) / gamma. Unchecked: ``gamma_floor`` is finite and
-    > 0 (so gamma > 0 even when WL = 0) and ``0 < grad_map_tol < 1``;
-    ``pool.check_settings`` checks both when a pool is built.
+    > 0 (so gamma > 0 even when WL = 0), as ``pool.check_settings`` checks,
+    and ``0 < grad_map_tol < 1``, as ``GRAD_MAP_TOL`` is.
     Starts at the anchor (feasible) and never increases the objective, so the
     returned point always scores at least as well as the anchor itself.
     """

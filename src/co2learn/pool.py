@@ -18,10 +18,11 @@ fixed before the loss was seen.
 
 When the online interval completes (t = B) the pool rolls over: it builds
 the anchor from the final meta weights and the experts' empirical risks on
-the completed interval, trains a new offline expert against that anchor,
-evicts the lowest-priority offline expert if the pool is full, reorders
-survivors by priority, reinitializes the meta weights for the new K, and
-restarts the online expert, at zero (cold) or at its final iterate (warm).
+the completed interval, trains a new offline expert against that anchor
+(to the fixed mapping-norm tolerance ``offline.GRAD_MAP_TOL``), evicts the
+lowest-priority offline expert if the pool is full, reorders survivors by
+priority, reinitializes the meta weights for the new K, and restarts the
+online expert, at zero (cold) or at its final iterate (warm).
 
 Eviction strategies: ``fifo`` keeps insertion order (oldest = lowest
 priority); ``weight`` orders the surviving offline experts by their final
@@ -41,7 +42,7 @@ from .errors import ConfigError, check_int, check_real
 from .geometry import Sample
 from .losses import _DOMAIN_ATOL, LossSpec, batch_mean_losses, check_sample, margin_loss
 from .meta import MetaWeights, init_weights, reweight, step_size_nu
-from .offline import Anchor, OfflineTrainResult, omega, train_offline
+from .offline import GRAD_MAP_TOL, Anchor, OfflineTrainResult, omega, train_offline
 from .online import OnlineExpertState, eta, ogd_update
 from .streams import IntervalBuffer
 
@@ -54,7 +55,7 @@ STRATEGIES = ("fifo", "weight")
 INIT_POLICIES = ("cold", "warm")  # how rollover restarts the online expert
 
 
-def check_settings(B, K_max, strategy, init_policy, gamma_floor, grad_map_tol) -> None:
+def check_settings(B, K_max, strategy, init_policy, gamma_floor) -> None:
     """Raise ConfigError unless these are settings a pool accepts. The
     transfer weight gamma >= ``gamma_floor`` must be > 0: the trainer's rate
     and the transfer-gap bound divide by it."""
@@ -65,7 +66,6 @@ def check_settings(B, K_max, strategy, init_policy, gamma_floor, grad_map_tol) -
     if init_policy not in INIT_POLICIES:
         raise ConfigError(f"init_policy must be one of {INIT_POLICIES}, got {init_policy!r}")
     check_real("gamma_floor", gamma_floor, positive=True)
-    check_real("grad_map_tol", grad_map_tol, positive=True, below=1.0)
 
 
 class StepRecord(NamedTuple):
@@ -116,16 +116,14 @@ class ExpertPool:
         strategy: str = "weight",
         init_policy: str = "cold",
         gamma_floor: float = 0.1,
-        grad_map_tol: float = 1e-8,
     ):
-        check_settings(B, K_max, strategy, init_policy, gamma_floor, grad_map_tol)
+        check_settings(B, K_max, strategy, init_policy, gamma_floor)
         self.spec = spec
         self.B = B
         self.K_max = K_max
         self.strategy = strategy
         self.init_policy = init_policy
         self.gamma_floor = gamma_floor
-        self.grad_map_tol = grad_map_tol
         self._G = 1
         self._t = 0
         # no previous interval to inherit from, so even a warm pool starts cold
@@ -242,7 +240,7 @@ class ExpertPool:
         experts, alpha = self._experts, self._alpha
         risks = batch_mean_losses(experts, completed.X, completed.y, self.spec)
         anchor = Anchor(v=alpha.dot(experts), weighted_loss=float(alpha.dot(risks)))
-        result = train_offline(completed, anchor, self.spec, self.gamma_floor, self.grad_map_tol)
+        result = train_offline(completed, anchor, self.spec, self.gamma_floor, GRAD_MAP_TOL)
         omega_new = omega(result.w, anchor)
 
         g_completed = self._G

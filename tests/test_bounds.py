@@ -146,6 +146,18 @@ class TestBoundInputs:
             report = bound_report(inputs)
             assert all(math.isfinite(v) for k, v in report.items() if k != "inputs")
 
+    @pytest.mark.parametrize("overrides,culprit", [
+        (dict(D=200.0), "D and R"),  # 6 D sqrt(beta) = 1200
+        (dict(D=200.0, regret_KE=5.0), "D and R"),
+        (dict(D=200.0, regret_KE=-7200.0), "D and R"),  # D overflows even at regret_KE = 0
+        (dict(regret_KE=-7200.0), "regret_KE"),
+        # exp(709.5) is finite, but the factor 2 takes it to inf
+        (dict(D=709.5 / 6.0), "D and R"),
+    ])
+    def test_k_condition_past_the_float_range_names_its_culprit(self, overrides, culprit):
+        with pytest.raises(ConfigError, match=f"^{culprit} must keep the K condition's"):
+            make_inputs(**overrides)
+
     def test_negative_regret_accepted(self):
         assert make_inputs(regret_KE=-3.0).regret_KE == -3.0
 

@@ -31,7 +31,7 @@ def assert_config_error(tmp_path, capsys, command, body):
 BAD_CONFIG_BODIES = [
     {"strategy": "bogus"},
     {"init": "random"},
-    {"grad_map_tol": 0},
+    {"grad_map_tol": 0},  # unknown: the solver tolerances are fixed, not settings
     {"stream": {"G": 2.5, "B": 20}},
     {"stream": {"G": 2, "B": 20, "dim": True}},
     {"stream": {"G": 2, "B": 20, "dim": 100000000000000000000}},
@@ -45,9 +45,9 @@ BAD_CONFIG_BODIES = [
     {"seeds": [True]},
     {"gamma_floor": -1},
     {"wstar_proxy": "no"},
-    {"erm_tol": True},
+    {"erm_tol": True},  # unknown, as grad_map_tol
     {"stream": 5},
-    {"grad_map_tol": 1.0},  # the offline trainer's iteration cap would be 0
+    {"grad_map_tol": 1.0},  # unknown, as above
     {"stream": {"G": 2, "B": 20, "D": 1e200}},  # D^2 overflows, so beta is infinite
     {"stream": {"G": 2, "B": 20, "D": 1e-200}, "R": 1e-200},  # D^2 underflows: beta is 0
     {"gamma_floor": 0},  # gamma = 0 when WL = 0; the theory needs gamma > 0
@@ -62,6 +62,10 @@ BAD_CONFIG_BODIES = [
     {"stream": {"G": 2, "B": 20, "D": 1e-155}, "R": 1e-155},  # beta > 0, but 1/beta overflows
     {"gamma_floor": 1e160},  # gamma_floor**2 overflows
     {"gamma_floor": 1e-200},  # gamma_floor**2 underflows to 0
+    # 6 D sqrt(beta) = 3000: the K condition's exp overflows; run used to end in a
+    # traceback after the first interval, generate to exit 0
+    {"stream": {"G": 2, "B": 20, "D": 100}},
+    {"stream": {"G": 2, "B": 20, "seed": 5}},  # the stream seed is the first of seeds
 ]
 
 # The nearest settings to the float-range rows above that still run.
@@ -69,6 +73,7 @@ EDGE_CONFIG_BODIES = [
     {"R": 1e-50},
     {"stream": {"G": 2, "B": 20, "D": 1e-50}, "R": 1e-50},
     {"gamma_floor": 1e150},
+    {"stream": {"G": 2, "B": 20, "D": 30}},  # 6 D sqrt(beta) = 493, below exp's 709.8
 ]
 
 
@@ -133,6 +138,21 @@ class TestRun:
         cfg_path.write_text(json.dumps({"stream": {"G": 2, "B": 20}, "seeds": [0], **body}))
         assert run_cli(command, "--config", str(cfg_path), "--out", str(tmp_path / "o")) == 0
         assert (tmp_path / "o" / "bounds.json").exists()
+
+    @pytest.mark.parametrize("command", ["run", "generate", "bounds"])
+    @pytest.mark.parametrize("body,start", [
+        ({"stream": {"D": 100}}, "D and R must keep the K condition's "),
+        ({"R": 300, "stream": {"D": 300}}, "D and R must keep the K condition's "),
+        ({"stream": {"seed": 5}}, "unknown config key stream.seed"),
+    ], ids=["D_100", "D_R_300", "stream_seed"])
+    def test_k_condition_overflow_and_stream_seed_fail_before_any_stream_is_generated(
+            self, tmp_path, capsys, monkeypatch, command, body, start):
+        calls = []
+        for module in (cli, harness):
+            monkeypatch.setattr(module, "generate", lambda *a: calls.append(a))
+        err = assert_config_error(tmp_path, capsys, command, body)
+        assert err.startswith(f"config error: {start}")
+        assert calls == []
 
     @pytest.mark.parametrize("command", ["run", "generate", "bounds"])
     def test_seed_and_seeds_together_is_one_line_exit_1(self, tmp_path, capsys, command):
@@ -313,3 +333,47 @@ def test_readme_config_block_is_the_defaults():
     section = readme[readme.index("### Config file"):]
     block = re.search(r"```json\n(.*?)```", section, re.S).group(1)
     assert json.loads(block) == _defaults()
+
+
+# A legal value other than the default for every leaf key of the config file,
+# and the other keys it needs; test_no_config_key_is_silently_ignored holds this
+# table to the keys, so a new key must be shown to reach the run.
+NON_DEFAULT_VALUES = {
+    "stream.G": 3, "stream.B": 20, "stream.dim": 3, "stream.mode": "libsvm_noised",
+    "stream.drift_std": 0.5, "stream.noise_std": 0.2, "stream.D": 2.0,
+    "R": 0.5, "k_max": 3, "strategy": "fifo", "init": "warm", "gamma_floor": 0.2,
+    "delta": 0.1, "wstar_proxy": False, "seeds": [3, 4], "input": "data.libsvm",
+    "out": "elsewhere",
+    "bounds.regret_KE": 1.5, "bounds.omega_star": 0.5, "bounds.weighted_loss": 0.25,
+    "bounds.gamma": 0.3,
+}
+NEEDS = {"stream.mode": {"input": "data.libsvm"}}
+
+
+def test_no_config_key_is_silently_ignored(tmp_path):
+    """Each key, set alone, reaches the built ExperimentConfig, the output
+    directory or the bound inputs."""
+    leaves = {}
+    for key, value in _defaults().items():
+        if isinstance(value, dict):
+            leaves.update({f"{key}.{name}": v for name, v in value.items()})
+        else:
+            leaves[key] = value
+    assert sorted(NON_DEFAULT_VALUES) == sorted(leaves)
+    path = tmp_path / "cfg.json"
+    for key, value in NON_DEFAULT_VALUES.items():
+        assert value != leaves[key], key
+        section, _, name = key.rpartition(".")
+        path.write_text(json.dumps({**({section: {name: value}} if section else {name: value}),
+                                    **NEEDS.get(key, {})}))
+        cfg = cli._load_config(cli._build_parser().parse_args(["run", "--config", str(path)]))
+        config = cli._experiment_config(cfg)
+        if section == "stream":
+            got = getattr(config.stream, name)
+        elif section == "bounds":
+            got = getattr(config.bound_inputs((), **cfg["bounds"]), name)
+        elif key == "out":
+            got = cfg["out"]
+        else:
+            got = getattr(config, cli._FIELD_OF_KEY.get(key, key))
+        assert got == (tuple(value) if key == "seeds" else value), key

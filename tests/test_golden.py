@@ -52,7 +52,7 @@ def current_outputs() -> dict:
     spec = LossSpec.create(D=config.stream.D, R=config.R, dim=config.stream.dim)
     pool = ExpertPool(spec=spec, B=config.stream.B, K_max=config.K_max,
                       strategy=config.strategy, init_policy=config.init_policy,
-                      gamma_floor=config.gamma_floor, grad_map_tol=config.grad_map_tol)
+                      gamma_floor=config.gamma_floor)
     stream = generate(config.stream)
     offline_w = []
     for buf in stream[:-1]:

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace as dc_replace
 
 import numpy as np
 import pytest
@@ -139,11 +140,18 @@ class TestRunExperiment:
         with pytest.raises(ConfigError):
             ExperimentConfig(stream=StreamSpec(G=1, B=10, dim=2, seed=0), seeds=(1,), K_max=1)
 
+    def test_the_stream_seed_is_the_first_of_the_seeds(self, tmp_path):
+        config = ExperimentConfig(stream=StreamSpec(G=2, B=20, seed=7), seeds=(1, 2),
+                                  wstar_proxy=False)
+        assert config.stream.seed == config.seeds[0] == 1
+        assert dc_replace(config, seeds=(4,)).stream.seed == 4
+        emit_reports(run_experiment(config), str(tmp_path))
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["config"]["stream"]["seed"] == 1
+
     def test_regret_columns_consistent_with_losses(self, small_report, spec):
         # the cumulative regret columns must difference back to the
         # per-step losses minus the interval comparator's losses
-        from dataclasses import replace as dc_replace
-
         from co2learn.losses import batch_losses
 
         config = small_report.config
@@ -151,7 +159,7 @@ class TestRunExperiment:
         run = small_report.runs[0]
         stream = gen_synthetic(dc_replace(config.stream, seed=run.seed))
         for buf in stream:
-            w_hat = erm_oracle(buf.X, buf.y, spec, tol=config.erm_tol)
+            w_hat = erm_oracle(buf.X, buf.y, spec)
             comparator = batch_losses(w_hat, buf.X, buf.y, spec)
             g = buf.interval_index
             rows = run.steps[(g - 1) * B: g * B]
@@ -172,9 +180,9 @@ class TestRunExperiment:
         # At D = R = 10 the loss of a separable interval is nearly linear, and
         # with gamma = 0 the ERM solve has no strong convexity: its projected
         # gradient runs out of its 200,000 iterations. The ways out listed in
-        # ROADMAP.md: an erm_tol relative to the loss scale, a certificate that
-        # tolerates a flat minimizer on the sphere, or rejecting such D R at the
-        # boundary. Whichever lands must change this test.
+        # ROADMAP.md: an ERM tolerance relative to the loss scale, a certificate
+        # that tolerates a flat minimizer on the sphere, or rejecting such D R at
+        # the boundary. Whichever lands must change this test.
         X = np.zeros((20, 2))
         X[:, 0] = np.tile([10.0, -10.0], 10)
         config = ExperimentConfig(stream=StreamSpec(G=1, B=20, dim=2, D=10.0), seeds=(0,),
@@ -323,6 +331,6 @@ class TestWstarProxyDraws:
         assert roll.g_completed == metrics.g_completed == g
         interval = gen_synthetic(stream)[g - 1]
         Xf, yf = fresh_proxy_samples(stream, interval, 10 * stream.B)
-        w_star = erm_oracle(Xf, yf, spec, tol=config.erm_tol)
+        w_star = erm_oracle(Xf, yf, spec)
         assert metrics.omega_star == omega(w_star, roll.anchor)
         assert metrics.gap_measured == float(np.linalg.norm(roll.result.w - w_star))

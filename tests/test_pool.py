@@ -137,10 +137,6 @@ class TestLifecycleGuards:
             pool.process_labeled(Sample(x=buf.X[0], y=int(buf.y[0])))
 
     @pytest.mark.parametrize("setting", [
-        dict(grad_map_tol=0.0),
-        dict(grad_map_tol=-1.0),
-        dict(grad_map_tol=float("nan")),
-        dict(grad_map_tol=1.0),  # the offline trainer's iteration cap would be 0
         dict(gamma_floor=float("inf")),
         dict(gamma_floor=-1.0),
         dict(gamma_floor=float("nan")),
