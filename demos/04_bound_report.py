@@ -34,7 +34,7 @@ inputs = config.bound_inputs(
 )
 pessimistic = bound_report(inputs)
 print("\nwith regret_KE forced to 5.0:")
-print(f"  admissible expert count K <= {pessimistic['k_condition_rhs']:.2f} "
+print(f"  admissible expert count log K <= {pessimistic['k_condition_log_rhs']:.2f} "
       f"(measured run had regret_KE = {final.regret_ke:.3f} "
-      f"and K <= {run.bound_report['k_condition_rhs']:.2f})")
+      f"and log K <= {run.bound_report['k_condition_log_rhs']:.2f})")
 print(f"  excess-risk bound: {pessimistic['excess_risk_bound']:.3f}")

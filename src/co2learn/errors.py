@@ -6,6 +6,7 @@ The CLI maps these onto exit codes: ConfigError -> 1, data errors
 """
 
 import math
+import sys
 from numbers import Real
 
 
@@ -49,8 +50,9 @@ def check_int(name: str, value, minimum: int | None = None,
 
 def check_real(name: str, value, positive: bool = False, below: float = math.inf) -> None:
     """Raise ConfigError unless ``value`` is a real number (not a bool) that is
-    > 0 (``positive``) or >= 0, and < ``below``; NaN and infinities fail."""
+    > 0 (``positive``) or >= 0, < ``below``, and in the float range (not NaN)."""
     if (isinstance(value, bool) or not isinstance(value, Real)
-            or not (value > 0 if positive else value >= 0) or not value < below):
+            or not (value > 0 if positive else value >= 0) or not value < below
+            or value > sys.float_info.max):
         bound = ("> 0" if positive else ">= 0") + ("" if below == math.inf else f" and < {below}")
         raise ConfigError(f"{name} must be a finite number {bound}, got {value!r}")

@@ -26,7 +26,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from . import bounds as tb
-from .errors import BoundViolation, ConfigError, ConvergenceError, check_int
+from .errors import BoundViolation, ConfigError, ConvergenceError, check_int, check_real
 from .geometry import Sample
 from .losses import LossSpec, batch_losses, margin_loss
 from .offline import GRAD_MAP_TOL, omega, projected_gradient
@@ -55,9 +55,10 @@ class ExperimentConfig:
     calculators' inputs. ``pool.check_settings`` checks the pool settings.
     R must be <= ``stream.D``: the asserted OGD bound ``6 D sqrt(T beta)`` is
     Zinkevich's ``(2 R^2 / D + 4 D) sqrt(T beta)`` at R = D, and below it
-    only for R <= D. ``BoundInputs`` checks ``delta`` and the float range at
-    ``regret_KE = 0`` and the smallest and largest transfer weight a run can
-    take, ``gamma_floor`` and ``max(1/(4 R^2), gamma_floor)``."""
+    only for R <= D. ``BoundInputs`` checks the float range where a run's
+    bounds are largest: ``omega_star = 4 R^2``, ``weighted_loss = 1``,
+    ``regret_KE = -B`` and ``B``, at the transfer weight
+    ``max(1/(4 R^2), gamma_floor)`` (a failure names ``R``) and ``gamma_floor``."""
 
     stream: StreamSpec
     seeds: tuple[int, ...]
@@ -86,12 +87,16 @@ class ExperimentConfig:
                               f"asserted OGD regret bound 6 D sqrt(T beta) needs R <= D")
         check_settings(self.stream.B, self.K_max, self.strategy, self.init_policy,
                        self.gamma_floor)
-        self.bound_inputs(())  # at gamma_floor, the smallest transfer weight
-        cap = 4.0 * self.R * self.R  # gamma = max(WL / cap, gamma_floor) with 0 <= WL <= 1
-        try:  # only gamma differs from the inputs just checked
-            self.bound_inputs((), gamma=max(1.0 / cap if cap else math.inf, self.gamma_floor))
-        except ConfigError as exc:
-            raise ConfigError(f"max(1/(4 R^2), gamma_floor) at R={self.R}: {exc}") from None
+        check_real("delta", self.delta, positive=True, below=1.0)  # unprefixed, unlike below
+        cap = 4.0 * self.R * self.R  # omega_star <= cap; gamma = max(WL / cap, gamma_floor)
+        for setting, gamma in (("R", max(1.0 / cap if cap else math.inf, self.gamma_floor)),
+                               ("gamma_floor", self.gamma_floor)):
+            for regret_KE in (-self.stream.B, self.stream.B):
+                try:
+                    self.bound_inputs((), gamma=gamma, regret_KE=regret_KE,
+                                      omega_star=cap, weighted_loss=1.0)
+                except ConfigError as exc:
+                    raise ConfigError(f"{setting}={getattr(self, setting)!r}: {exc}") from None
         if not isinstance(self.wstar_proxy, bool):
             raise ConfigError(f"wstar_proxy must be true or false, got {self.wstar_proxy!r}")
         if not (self.input_path is None or isinstance(self.input_path, str)):
@@ -140,7 +145,7 @@ class IntervalMetrics:
     ogd_bound: float
     co2_bound_general: float
     co2_bound_worst: float
-    k_condition_rhs: float
+    k_condition_log_rhs: float
     k_condition_holds: bool
     regret_co2_vs_wstar: float | None = None
     regret_ogd_vs_wstar: float | None = None
@@ -319,7 +324,7 @@ def _interval_metrics(spec, seed, g, K, nu, B, co2_losses, ogd_losses,
     regret_ke = best - erm_cum
     regret_oe = cum_online - erm_cum
     regret_ogd = cum_ogd - erm_cum
-    k_rhs = tb.k_condition(B, spec.D, spec.beta, regret_ke)
+    k_log_rhs = tb.k_condition(B, spec.D, spec.beta, regret_ke)
     general, worst = tb.co2_regret_bounds(B, K, spec.D, spec.beta, regret_ke)
 
     early = min(EARLY_T, B)
@@ -343,7 +348,7 @@ def _interval_metrics(spec, seed, g, K, nu, B, co2_losses, ogd_losses,
         meta_bound=tb.meta_regret_bound(B, K),
         ogd_bound=tb.ogd_regret_bound(B, spec.D, spec.beta),
         co2_bound_general=general, co2_bound_worst=worst,
-        k_condition_rhs=k_rhs, k_condition_holds=bool(K <= k_rhs),
+        k_condition_log_rhs=k_log_rhs, k_condition_holds=bool(math.log(K) <= k_log_rhs),
         regret_co2_vs_wstar=vs_wstar[0], regret_ogd_vs_wstar=vs_wstar[1],
     )
 

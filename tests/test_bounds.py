@@ -61,12 +61,15 @@ class TestCoupledRegretBounds:
 
 
 class TestKCondition:
+    """k_condition returns the log of the right-hand side 2 exp(...)."""
+
     def test_boundary(self):
         T, D, beta = 100, 1.0, 1.0
-        assert k_condition(T, D, beta, 6 * D * math.sqrt(T * beta)) == pytest.approx(2.0, rel=1e-12)
+        got = k_condition(T, D, beta, 6 * D * math.sqrt(T * beta))
+        assert got == pytest.approx(math.log(2.0), rel=1e-12)
 
     def test_hand_value(self):
-        assert k_condition(100, 1.0, 1.0, 50.0) == pytest.approx(2 * math.e, rel=1e-12)
+        assert k_condition(100, 1.0, 1.0, 50.0) == pytest.approx(math.log(2 * math.e), rel=1e-12)
 
     def test_monotone_in_regret(self):
         values = [k_condition(100, 1.0, 1.0, r) for r in (0.0, 10.0, 30.0, 60.0)]
@@ -132,30 +135,43 @@ class TestBoundInputs:
         dict(weighted_loss=1.5),
         dict(eigenvalues=np.array([1.0, float("nan")])),
         dict(eigenvalues=np.array([float("nan"), 0.0])),
-        dict(gamma=1e200),  # gamma**2 overflows
-        dict(gamma=1e-300),  # gamma**2 underflows to 0
-        dict(regret_KE=-7200.0),  # exp(6 - (-720)) overflows in k_condition
+        dict(gamma=1e-300),  # 32 beta / gamma^2 overflows
+        dict(T=10**400),  # past the float range
+        dict(D=10**400),
+        dict(regret_KE=-10**400),
     ])
     def test_bad_input_rejected(self, bad):
         with pytest.raises(ConfigError):
             make_inputs(**bad)
 
-    def test_every_calculator_returns_a_number_at_the_float_range_edges(self):
-        for inputs in (make_inputs(gamma=1e150), make_inputs(gamma=1e-150),
-                       make_inputs(regret_KE=-7000.0)):
-            report = bound_report(inputs)
-            assert all(math.isfinite(v) for k, v in report.items() if k != "inputs")
-
-    @pytest.mark.parametrize("overrides,culprit", [
-        (dict(D=200.0), "D and R"),  # 6 D sqrt(beta) = 1200
-        (dict(D=200.0, regret_KE=5.0), "D and R"),
-        (dict(D=200.0, regret_KE=-7200.0), "D and R"),  # D overflows even at regret_KE = 0
-        (dict(regret_KE=-7200.0), "regret_KE"),
-        # exp(709.5) is finite, but the factor 2 takes it to inf
-        (dict(D=709.5 / 6.0), "D and R"),
+    @pytest.mark.parametrize("overrides", [
+        dict(gamma=1e150), dict(gamma=1e-150), dict(regret_KE=-7000.0),
+        dict(gamma=1e200),  # gamma**2 would overflow; 32 beta / gamma / gamma is 0.0
+        # each overflowed the K condition's 2 exp(...); its log form is finite
+        dict(regret_KE=-7200.0),
+        dict(D=200.0), dict(D=200.0, regret_KE=5.0), dict(D=200.0, regret_KE=-7200.0),
+        dict(D=709.5 / 6.0),
     ])
-    def test_k_condition_past_the_float_range_names_its_culprit(self, overrides, culprit):
-        with pytest.raises(ConfigError, match=f"^{culprit} must keep the K condition's"):
+    def test_every_calculator_returns_a_number_at_the_float_range_edges(self, overrides):
+        inputs = make_inputs(**overrides)
+        report = bound_report(inputs)
+        assert all(math.isfinite(v) for k, v in report.items() if k != "inputs")
+        assert report["k_condition_log_rhs"] == pytest.approx(
+            math.log(2.0) + 6 * inputs.D - inputs.regret_KE / 10, rel=1e-12)
+
+    @pytest.mark.parametrize("overrides,name", [
+        (dict(T=10**308, K=10**300), "meta_regret_bound"),
+        (dict(D=1e308), "ogd_regret_bound"),
+        (dict(T=1, B=1, D=1e308 / 6, regret_KE=-1e308), "k_condition_log_rhs"),
+        (dict(gamma=1e-300), "transfer_gap_bound"),
+        (dict(T=1, B=1, R=1e308), "rademacher_bound"),
+        (dict(delta=5e-324), "excess_risk_bound"),  # log(16 / delta) overflows
+        # numpy's overflow in the eigenvalue sum is an inf, not a warning
+        (dict(D=1e154, eigenvalues=np.array([1e308, 1e308])), "rademacher_bound"),
+    ])
+    def test_the_first_calculator_past_the_float_range_is_named(self, overrides, name):
+        with pytest.raises(ConfigError, match=f"^{name} must be a finite number, got (inf|nan) "
+                                              f"at T="):
             make_inputs(**overrides)
 
     def test_negative_regret_accepted(self):
@@ -222,7 +238,7 @@ class TestBoundReport:
         report = bound_report(make_inputs(regret_KE=5.0))
         for key in (
             "meta_regret_bound", "ogd_regret_bound", "co2_regret_bound_general",
-            "co2_regret_bound_worst", "k_condition_rhs", "transfer_gap_bound",
+            "co2_regret_bound_worst", "k_condition_log_rhs", "transfer_gap_bound",
             "rademacher_bound", "excess_risk_bound",
         ):
             assert key in report and np.isfinite(report[key])

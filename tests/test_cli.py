@@ -36,6 +36,7 @@ BAD_CONFIG_BODIES = [
     {"stream": {"G": 2, "B": 20, "dim": True}},
     {"stream": {"G": 2, "B": 20, "dim": 100000000000000000000}},
     {"stream": {"G": 2, "B": 20, "D": 1e400}},
+    {"stream": {"G": 2, "B": 20, "D": 10**400}},  # an integer past the float range
     {"stream": {"G": 2, "B": 20, "drift_std": float("nan")}},
     {"k_max": 2.5},
     {"R": "1"},
@@ -56,24 +57,24 @@ BAD_CONFIG_BODIES = [
     # seed 1's class-mean walk overflows at interval 2; it used to end in a traceback
     {"stream": {"G": 4, "B": 5, "drift_std": 1e308}, "seeds": [1]},
     # derived values that leave the float range; each used to end in a traceback
-    {"R": 1e-100},  # gamma = 1/(4 R^2) is finite but gamma**2 overflows
     {"R": 1e-155},  # 1/(4 R^2) overflows, and the trainer's kappa is NaN
     {"R": 1e-200},  # 4 R^2 underflows to 0
     {"stream": {"G": 2, "B": 20, "D": 1e-155}, "R": 1e-155},  # beta > 0, but 1/beta overflows
-    {"gamma_floor": 1e160},  # gamma_floor**2 overflows
-    {"gamma_floor": 1e-200},  # gamma_floor**2 underflows to 0
-    # 6 D sqrt(beta) = 3000: the K condition's exp overflows; run used to end in a
-    # traceback after the first interval, generate to exit 0
-    {"stream": {"G": 2, "B": 20, "D": 100}},
+    {"gamma_floor": 1e-200},  # 32 beta / gamma_floor^2 overflows
+    {"R": 2.5e-150, "stream": {"D": 1e154, "G": 2, "B": 20000}},  # 6 D sqrt(T beta) overflows
     {"stream": {"G": 2, "B": 20, "seed": 5}},  # the stream seed is the first of seeds
 ]
 
 # The nearest settings to the float-range rows above that still run.
 EDGE_CONFIG_BODIES = [
     {"R": 1e-50},
+    {"R": 1e-100},  # gamma = 1/(4 R^2) = 2.5e199, whose square would overflow
     {"stream": {"G": 2, "B": 20, "D": 1e-50}, "R": 1e-50},
     {"gamma_floor": 1e150},
-    {"stream": {"G": 2, "B": 20, "D": 30}},  # 6 D sqrt(beta) = 493, below exp's 709.8
+    {"gamma_floor": 1e160},  # its square would overflow
+    {"stream": {"G": 2, "B": 20, "D": 30}},  # 6 D sqrt(beta) = 493
+    # 6 D sqrt(beta) = 1.9e3 overflows exp, but not the K condition's log form
+    {"R": 0.1, "stream": {"G": 2, "B": 20, "D": 100}},
 ]
 
 
@@ -141,11 +142,13 @@ class TestRun:
 
     @pytest.mark.parametrize("command", ["run", "generate", "bounds"])
     @pytest.mark.parametrize("body,start", [
-        ({"stream": {"D": 100}}, "D and R must keep the K condition's "),
-        ({"R": 300, "stream": {"D": 300}}, "D and R must keep the K condition's "),
+        ({"gamma_floor": 1e-200}, "gamma_floor=1e-200: transfer_gap_bound must be a finite "),
+        ({"R": 2.5e-150, "stream": {"D": 1e154, "G": 2, "B": 20000}},
+         "R=2.5e-150: ogd_regret_bound must be a finite "),
+        ({"R": 1e-155}, "R=1e-155: gamma must be a finite number > 0, got inf"),
         ({"stream": {"seed": 5}}, "unknown config key stream.seed"),
-    ], ids=["D_100", "D_R_300", "stream_seed"])
-    def test_k_condition_overflow_and_stream_seed_fail_before_any_stream_is_generated(
+    ], ids=["gamma_floor_1e-200", "ogd_overflow", "R_1e-155", "stream_seed"])
+    def test_config_error_names_the_setting_before_any_stream_is_generated(
             self, tmp_path, capsys, monkeypatch, command, body, start):
         calls = []
         for module in (cli, harness):
@@ -153,6 +156,19 @@ class TestRun:
         err = assert_config_error(tmp_path, capsys, command, body)
         assert err.startswith(f"config error: {start}")
         assert calls == []
+
+    # Refused while the K condition's 2 exp(6 D sqrt(beta)) overflowed. The
+    # config now takes them; run hits the ERM oracle's iteration cap (exit 3)
+    # after about 10 s, so only the commands without an ERM solve run here.
+    @pytest.mark.parametrize("command", ["generate", "bounds"])
+    @pytest.mark.parametrize("body", [
+        {"stream": {"D": 100}},  # 6 D sqrt(beta) = 3000
+        {"R": 300, "stream": {"D": 300}},
+    ], ids=["D_100", "D_R_300"])
+    def test_shapes_past_exp_range_pass_the_config(self, tmp_path, command, body):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(body))
+        assert run_cli(command, "--config", str(cfg_path), "--out", str(tmp_path / "o")) == 0
 
     @pytest.mark.parametrize("command", ["run", "generate", "bounds"])
     def test_seed_and_seeds_together_is_one_line_exit_1(self, tmp_path, capsys, command):
@@ -199,20 +215,32 @@ class TestBounds:
         for bounds in ({"gamma": -1}, {"gamma": True, "regret_KE": False}, {"gamma": 0}):
             assert_config_error(tmp_path, capsys, "bounds", {"bounds": bounds})
 
-    @pytest.mark.parametrize("key,value", [
-        ("gamma", 0), ("regret_KE", float("inf")), ("omega_star", -1), ("weighted_loss", 1.5),
-        ("gamma", 1e200),  # gamma**2 overflows
-        ("gamma", 1e-300),  # gamma**2 underflows to 0
-        ("regret_KE", -1e6),  # exp in k_condition overflows at T = 20000
+    @pytest.mark.parametrize("key,value,name", [
+        ("gamma", 0, "gamma"), ("regret_KE", float("inf"), "regret_KE"),
+        ("omega_star", -1, "omega_star"), ("weighted_loss", 1.5, "weighted_loss"),
+        ("gamma", 1e-300, "transfer_gap_bound"),  # 32 beta / gamma^2 overflows
     ])
     def test_bad_bounds_block_fails_before_any_stream_is_generated(
-            self, tmp_path, capsys, monkeypatch, key, value):
+            self, tmp_path, capsys, monkeypatch, key, value, name):
         calls = []
         monkeypatch.setattr(cli, "generate", lambda *a: calls.append(a))
         body = {"bounds": {key: value}, "stream": {"G": 3, "B": 20000, "dim": 100}}
         err = assert_config_error(tmp_path, capsys, "bounds", body)
-        assert err.startswith(f"config error: bounds.{key} ")
+        assert err.startswith(f"config error: bounds.{name} ")
         assert calls == []
+
+    @pytest.mark.parametrize("key,value", [
+        ("gamma", 1e200),  # gamma**2 would overflow; 32 beta / gamma / gamma is 0.0
+        ("regret_KE", -1e6),  # 2 exp(...) would overflow at T = 20000; its log is finite
+    ])
+    def test_bounds_block_at_the_float_range_edge_runs(self, tmp_path, key, value):
+        body = {"bounds": {key: value}, "stream": {"G": 2, "B": 20000}}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(body))
+        assert run_cli("bounds", "--config", str(cfg_path), "--out", str(tmp_path)) == 0
+        report = json.loads((tmp_path / "bounds.json").read_text())
+        assert report["inputs"][key] == value
+        assert all(np.isfinite(v) for k, v in report.items() if k != "inputs")
 
 
 class TestParseLibsvm:

@@ -16,7 +16,9 @@ gives the rows or the error of the per-token reference parser. The last group
 holds the generator's contract (see ``co2learn.rng`` and the substream layout
 in ``co2learn.streams``) for any seed and request sizes, and the last two
 tests hold the per-interval guarantees over arbitrary small runs and over
-interval sets the generator does not give.
+interval sets the generator does not give. The final test holds the bounds'
+float-range rule: a config it takes gives finite bounds at every input a run
+can reach.
 """
 
 import math
@@ -27,7 +29,8 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from co2learn.errors import DataError
+from co2learn.bounds import bound_report
+from co2learn.errors import ConfigError, DataError
 from co2learn.geometry import Sample, project_to_ball
 from co2learn.harness import ExperimentConfig, _run_seed, run_experiment
 from co2learn.losses import (
@@ -686,3 +689,41 @@ def test_every_interval_set_keeps_its_guarantees(kind, data):
     config, intervals = data.draw(adversarial_intervals(kind))
     run = _run_seed(config, 0, intervals)  # raises BoundViolation on any failed bound
     assert_runs_its_intervals(run, config.stream.G, config.stream.B)
+
+
+# log-uniform over the positive floats, from the smallest subnormal up to 1e308
+POSITIVE_FLOATS = st.floats(-744.4, 709.2).map(math.exp)
+
+
+@settings(max_examples=300)
+@given(D=POSITIVE_FLOATS, R=POSITIVE_FLOATS, gamma_floor=POSITIVE_FLOATS,
+       delta=st.floats(-744.4, -1e-15).map(math.exp),  # in (0, 1)
+       B=POSITIVE_FLOATS.map(math.ceil), K_max=st.floats(0.7, 709.2).map(math.exp).map(math.ceil),
+       G=st.integers(1, 30))
+# 6 D sqrt(T beta) overflows, which a rule on the transfer gap alone let through
+@example(D=1e154, R=2.5e-150, gamma_floor=0.1, delta=0.05, B=20000, K_max=5, G=2)
+# 32 beta / gamma_floor^2 is a few ulps below the float range's end, which
+# 2 omega_star = 8 R^2 at the largest omega_star a run can measure crosses
+@example(D=1e146, R=1e146, gamma_floor=2.1095373229726e-154, delta=0.05, B=200, K_max=5, G=2)
+def test_a_config_the_rule_takes_gives_finite_bounds_at_every_reachable_input(
+        D, R, gamma_floor, delta, B, K_max, G):
+    assume(R <= D)
+    try:
+        config = ExperimentConfig(stream=StreamSpec(G=G, B=B, D=D), seeds=(0,), R=R,
+                                  K_max=K_max, gamma_floor=gamma_floor, delta=delta)
+    except ConfigError:
+        return
+    beta, cap = config.loss_spec.beta, 4.0 * R * R
+    gammas = (gamma_floor, max(1.0 / cap if cap else math.inf, gamma_floor))
+    for gamma in gammas:
+        for omega_star in (0.0, cap):
+            for weighted_loss in (0.0, 1.0):
+                for regret_KE in (-B, 0, B):
+                    report = bound_report(config.bound_inputs(
+                        (), gamma=gamma, regret_KE=regret_KE, omega_star=omega_star,
+                        weighted_loss=weighted_loss))
+                    assert all(math.isfinite(v) for k, v in report.items() if k != "inputs")
+                    exponent = 6.0 * D * math.sqrt(beta) - regret_KE / math.sqrt(B)
+                    if exponent < 709.0:  # where 2 exp(exponent) is finite
+                        assert math.exp(report["k_condition_log_rhs"]) == pytest.approx(
+                            2.0 * math.exp(exponent), rel=1e-12)
