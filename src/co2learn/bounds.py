@@ -40,7 +40,6 @@ class BoundInputs:
 
     T: int
     K: int
-    B: int
     D: float
     R: float
     beta: float
@@ -53,7 +52,7 @@ class BoundInputs:
 
     def __post_init__(self):
         object.__setattr__(self, "eigenvalues", np.asarray(self.eigenvalues, dtype=np.float64))
-        for name in ("T", "K", "B"):
+        for name in ("T", "K"):
             check_int(name, getattr(self, name), minimum=1, maximum=float_info.max)
         for name in ("D", "R", "beta", "gamma"):
             check_real(name, getattr(self, name), positive=True)

@@ -24,7 +24,8 @@ from dataclasses import MISSING, fields, replace
 
 from . import bounds as tb
 from .errors import BoundViolation, ConfigError, ConvergenceError, DataError
-from .harness import ExperimentConfig, emit_reports, load_input_samples, run_experiment
+from .harness import (ExperimentConfig, check_memory, emit_reports, load_input_samples,
+                      run_experiment)
 from .pool import INIT_POLICIES, STRATEGIES
 from .streams import StreamSpec, dump_stream, generate, parse_libsvm
 
@@ -133,10 +134,13 @@ def _load_config(args) -> dict:
 
 
 def _experiment_config(cfg: dict) -> ExperimentConfig:
-    """Every setting, checked once by the config dataclasses."""
+    """Every setting, checked once by the config dataclasses, and the run's
+    size, checked against memory."""
     settings = {_FIELD_OF_KEY.get(key, key): cfg[key] for key in cfg
                 if key not in ("stream", "out", "bounds")}
-    return ExperimentConfig(stream=StreamSpec(**cfg["stream"]), **settings)
+    config = ExperimentConfig(stream=StreamSpec(**cfg["stream"]), **settings)
+    check_memory(config)  # before any stream is drawn
+    return config
 
 
 def _cmd_generate(cfg: dict) -> int:
@@ -225,7 +229,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"convergence error: {exc}", file=sys.stderr)
         return 3
     except MemoryError as exc:
-        print(f"memory error: {exc or 'out of memory'}; lower --b, --g or --dim", file=sys.stderr)
+        print(f"memory error: {exc or 'out of memory'}; lower --b, --g, --dim or --kmax",
+              file=sys.stderr)
         return 1
 
 

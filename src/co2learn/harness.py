@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -55,10 +56,13 @@ class ExperimentConfig:
     calculators' inputs. ``pool.check_settings`` checks the pool settings.
     R must be <= ``stream.D``: the asserted OGD bound ``6 D sqrt(T beta)`` is
     Zinkevich's ``(2 R^2 / D + 4 D) sqrt(T beta)`` at R = D, and below it
-    only for R <= D. ``BoundInputs`` checks the float range where a run's
-    bounds are largest: ``omega_star = 4 R^2``, ``weighted_loss = 1``,
-    ``regret_KE = -B`` and ``B``, at the transfer weight
-    ``max(1/(4 R^2), gamma_floor)`` (a failure names ``R``) and ``gamma_floor``."""
+    only for R <= D. Every bound a run can report must be finite where it is
+    largest, at ``omega_star = 4 R^2`` and ``weighted_loss = 1``: first
+    ``transfer_gap_bound``, the one bound that reads gamma, at the transfer
+    weights ``max(1/(4 R^2), gamma_floor)`` (a failure, or an infinite
+    ``1/(4 R^2)``, names ``R``) and ``gamma_floor`` (it names ``gamma_floor``);
+    then one ``BoundInputs`` at ``gamma_floor`` and ``regret_KE = B`` for the
+    rest, whose failure names the bound and echoes its inputs."""
 
     stream: StreamSpec
     seeds: tuple[int, ...]
@@ -87,16 +91,22 @@ class ExperimentConfig:
                               f"asserted OGD regret bound 6 D sqrt(T beta) needs R <= D")
         check_settings(self.stream.B, self.K_max, self.strategy, self.init_policy,
                        self.gamma_floor)
-        check_real("delta", self.delta, positive=True, below=1.0)  # unprefixed, unlike below
+        check_real("delta", self.delta, positive=True, below=1.0)
         cap = 4.0 * self.R * self.R  # omega_star <= cap; gamma = max(WL / cap, gamma_floor)
-        for setting, gamma in (("R", max(1.0 / cap if cap else math.inf, self.gamma_floor)),
+        weight = 1.0 / cap if cap else math.inf
+        if not math.isfinite(weight):
+            raise ConfigError(f"R={self.R!r}: 1/(4 R^2) must be a finite number, got {weight}")
+        for setting, gamma in (("R", max(weight, self.gamma_floor)),
                                ("gamma_floor", self.gamma_floor)):
-            for regret_KE in (-self.stream.B, self.stream.B):
-                try:
-                    self.bound_inputs((), gamma=gamma, regret_KE=regret_KE,
-                                      omega_star=cap, weighted_loss=1.0)
-                except ConfigError as exc:
-                    raise ConfigError(f"{setting}={getattr(self, setting)!r}: {exc}") from None
+            gap = tb.transfer_gap_bound(cap, self.loss_spec.beta, gamma, 1.0)
+            if not math.isfinite(gap):
+                raise ConfigError(
+                    f"{setting}={getattr(self, setting)!r}: transfer_gap_bound must be a finite "
+                    f"number, got {gap} at omega_star={cap!r}, beta={self.loss_spec.beta!r}, "
+                    f"gamma={gamma!r}")
+        # every other bound; none that is finite at regret_KE = B leaves the
+        # float range for a regret_KE in [-B, B]
+        self.bound_inputs((), regret_KE=self.stream.B, omega_star=cap, weighted_loss=1.0)
         if not isinstance(self.wstar_proxy, bool):
             raise ConfigError(f"wstar_proxy must be true or false, got {self.wstar_proxy!r}")
         if not (self.input_path is None or isinstance(self.input_path, str)):
@@ -111,7 +121,7 @@ class ExperimentConfig:
         ``gamma_floor``."""
         spec, stream = self.loss_spec, self.stream
         return tb.BoundInputs(
-            T=stream.B, K=min(stream.G, self.K_max), B=stream.B,
+            T=stream.B, K=min(stream.G, self.K_max),
             D=spec.D, R=spec.R, beta=spec.beta,
             gamma=self.gamma_floor if gamma is None else gamma, delta=self.delta,
             regret_KE=regret_KE, omega_star=omega_star, weighted_loss=weighted_loss,
@@ -218,6 +228,23 @@ def load_input_samples(config: ExperimentConfig):
         return None
     with open(config.input_path) as fh:
         return parse_libsvm(fh.read(), dim=config.stream.dim)
+
+
+def check_memory(config: ExperimentConfig) -> None:
+    """Raise MemoryError unless one seed's stream and step table, ``G*B`` rows
+    of ``dim + 1`` and ``4 + K_max`` 8-byte values, fit in the machine's
+    physical memory. A larger run would fail, or never end, while its stream
+    is drawn; this check draws nothing."""
+    stream = config.stream
+    need = 8 * stream.G * stream.B * (stream.dim + 5 + config.K_max)
+    try:
+        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):  # no sysconf: numpy's size limit
+        memory = sys.maxsize
+    if need > memory:
+        raise MemoryError(f"one seed's stream and step table, G*B = {stream.G} x {stream.B} "
+                          f"rows of {stream.dim + 5 + config.K_max} float64 values, need more "
+                          f"than the machine's {memory / 2**30:.3g} GiB")
 
 
 def run_experiment(config: ExperimentConfig) -> RunReport:

@@ -117,7 +117,7 @@ class TestRademacherBound:
 
 def make_inputs(**overrides):
     base = dict(
-        T=100, K=2, B=100, D=1.0, R=1.0, beta=1.0, gamma=1.0, delta=0.05,
+        T=100, K=2, D=1.0, R=1.0, beta=1.0, gamma=1.0, delta=0.05,
         regret_KE=0.0, omega_star=0.0, weighted_loss=0.0,
         eigenvalues=np.array([1.0, 0.0]),
     )
@@ -129,7 +129,6 @@ class TestBoundInputs:
     @pytest.mark.parametrize("bad", [
         dict(T=2.5),
         dict(K=True),
-        dict(B=0),
         dict(gamma=0.0),
         dict(regret_KE=float("inf")),
         dict(weighted_loss=1.5),
@@ -162,9 +161,9 @@ class TestBoundInputs:
     @pytest.mark.parametrize("overrides,name", [
         (dict(T=10**308, K=10**300), "meta_regret_bound"),
         (dict(D=1e308), "ogd_regret_bound"),
-        (dict(T=1, B=1, D=1e308 / 6, regret_KE=-1e308), "k_condition_log_rhs"),
+        (dict(T=1, D=1e308 / 6, regret_KE=-1e308), "k_condition_log_rhs"),
         (dict(gamma=1e-300), "transfer_gap_bound"),
-        (dict(T=1, B=1, R=1e308), "rademacher_bound"),
+        (dict(T=1, R=1e308), "rademacher_bound"),
         (dict(delta=5e-324), "excess_risk_bound"),  # log(16 / delta) overflows
         # numpy's overflow in the eigenvalue sum is an inf, not a warning
         (dict(D=1e154, eigenvalues=np.array([1e308, 1e308])), "rademacher_bound"),

@@ -1,6 +1,9 @@
 import functools
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -143,11 +146,13 @@ class TestRun:
     @pytest.mark.parametrize("command", ["run", "generate", "bounds"])
     @pytest.mark.parametrize("body,start", [
         ({"gamma_floor": 1e-200}, "gamma_floor=1e-200: transfer_gap_bound must be a finite "),
+        # a bound that does not read gamma is named with no setting: its inputs show the cause
         ({"R": 2.5e-150, "stream": {"D": 1e154, "G": 2, "B": 20000}},
-         "R=2.5e-150: ogd_regret_bound must be a finite "),
-        ({"R": 1e-155}, "R=1e-155: gamma must be a finite number > 0, got inf"),
+         "ogd_regret_bound must be a finite "),
+        ({"delta": 1e-320}, "excess_risk_bound must be a finite "),  # log(16 / delta) overflows
+        ({"R": 1e-155}, "R=1e-155: 1/(4 R^2) must be a finite number, got inf"),
         ({"stream": {"seed": 5}}, "unknown config key stream.seed"),
-    ], ids=["gamma_floor_1e-200", "ogd_overflow", "R_1e-155", "stream_seed"])
+    ], ids=["gamma_floor_1e-200", "ogd_overflow", "delta_1e-320", "R_1e-155", "stream_seed"])
     def test_config_error_names_the_setting_before_any_stream_is_generated(
             self, tmp_path, capsys, monkeypatch, command, body, start):
         calls = []
@@ -193,11 +198,40 @@ class TestRun:
         def oversized(config):
             raise exc
         monkeypatch.setattr(cli, "run_experiment", oversized)
-        rc = run_cli("run", "--seeds", "1", "--g", "2", "--b", "1000000000",
-                     "--out", str(tmp_path / "o"))
+        rc = run_cli("run", "--seeds", "1", "--g", "2", "--b", "20", "--out", str(tmp_path / "o"))
         err = capsys.readouterr().err
         assert rc == 1 and not (tmp_path / "o").exists()
         assert err.startswith("memory error:") and len(err.splitlines()) == 1
+
+
+# Each needs above 1 TB for one seed's stream and step table. Each used to end
+# in a numpy traceback ("Maximum allowed dimension exceeded") or never end
+# while its stream was drawn interval by interval.
+OVERSIZE_BODIES = [
+    {"stream": {"B": 10**20}},
+    {"k_max": 10**20},
+    {"stream": {"G": 10**20, "B": 2}},
+    {"stream": {"G": 10**12, "B": 2}},
+]
+
+
+@pytest.mark.parametrize("command", ["run", "generate", "bounds"])
+@pytest.mark.parametrize("body", OVERSIZE_BODIES, ids=["B_1e20", "k_max_1e20", "G_1e20", "G_1e12"])
+def test_an_oversize_shape_is_one_line_exit_1_before_any_stream_is_drawn(
+        tmp_path, command, body):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(body))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(__file__).resolve().parent.parent / "src")]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    # a child process with a timeout, so a shape that is drawn again fails instead of hanging
+    proc = subprocess.run([sys.executable, "-m", "co2learn", command, "--config", str(cfg_path),
+                           "--out", str(tmp_path / "o")],
+                          env=env, capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 1 and not (tmp_path / "o").exists()
+    assert proc.stderr.startswith(("config error:", "memory error:"))
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
 
 
 class TestBounds:

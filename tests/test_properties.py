@@ -16,12 +16,14 @@ gives the rows or the error of the per-token reference parser. The last group
 holds the generator's contract (see ``co2learn.rng`` and the substream layout
 in ``co2learn.streams``) for any seed and request sizes, and the last two
 tests hold the per-interval guarantees over arbitrary small runs and over
-interval sets the generator does not give. The final test holds the bounds'
-float-range rule: a config it takes gives finite bounds at every input a run
-can reach.
+interval sets the generator does not give. The final two tests hold the
+bounds' float-range rule: a config it takes gives finite bounds at every
+input a run can reach, and a refusal names a setting only when that setting
+decides it.
 """
 
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -29,7 +31,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from co2learn.bounds import bound_report
+from co2learn.bounds import bound_report, transfer_gap_bound
 from co2learn.errors import ConfigError, DataError
 from co2learn.geometry import Sample, project_to_ball
 from co2learn.harness import ExperimentConfig, _run_seed, run_experiment
@@ -695,11 +697,16 @@ def test_every_interval_set_keeps_its_guarantees(kind, data):
 POSITIVE_FLOATS = st.floats(-744.4, 709.2).map(math.exp)
 
 
+# the config draws of both tests below
+CONFIG_DRAWS = dict(
+    D=POSITIVE_FLOATS, R=POSITIVE_FLOATS, gamma_floor=POSITIVE_FLOATS,
+    delta=st.floats(-744.4, -1e-15).map(math.exp),  # in (0, 1)
+    B=POSITIVE_FLOATS.map(math.ceil), K_max=st.floats(0.7, 709.2).map(math.exp).map(math.ceil),
+    G=st.integers(1, 30))
+
+
 @settings(max_examples=300)
-@given(D=POSITIVE_FLOATS, R=POSITIVE_FLOATS, gamma_floor=POSITIVE_FLOATS,
-       delta=st.floats(-744.4, -1e-15).map(math.exp),  # in (0, 1)
-       B=POSITIVE_FLOATS.map(math.ceil), K_max=st.floats(0.7, 709.2).map(math.exp).map(math.ceil),
-       G=st.integers(1, 30))
+@given(**CONFIG_DRAWS)
 # 6 D sqrt(T beta) overflows, which a rule on the transfer gap alone let through
 @example(D=1e154, R=2.5e-150, gamma_floor=0.1, delta=0.05, B=20000, K_max=5, G=2)
 # 32 beta / gamma_floor^2 is a few ulps below the float range's end, which
@@ -727,3 +734,40 @@ def test_a_config_the_rule_takes_gives_finite_bounds_at_every_reachable_input(
                     if exponent < 709.0:  # where 2 exp(exponent) is finite
                         assert math.exp(report["k_condition_log_rhs"]) == pytest.approx(
                             2.0 * math.exp(exponent), rel=1e-12)
+
+
+BOUND_NAMES = tuple(name for name in bound_report(
+    ExperimentConfig(stream=StreamSpec(), seeds=(0,)).bound_inputs(())) if name != "inputs")
+
+
+@settings(max_examples=300)
+@given(**CONFIG_DRAWS)
+@example(D=1.0, R=1.0, gamma_floor=0.1, delta=1e-320, B=200, K_max=5, G=15)  # log(16/delta)
+@example(D=1e154, R=2.5e-150, gamma_floor=0.1, delta=0.05, B=20000, K_max=5, G=2)  # OGD bound
+def test_a_refusal_names_a_setting_only_when_that_setting_decides_it(
+        D, R, gamma_floor, delta, B, K_max, G):
+    assume(R <= D)
+    try:
+        ExperimentConfig(stream=StreamSpec(G=G, B=B, D=D), seeds=(0,), R=R, K_max=K_max,
+                         gamma_floor=gamma_floor, delta=delta)
+        return
+    except ConfigError as exc:
+        message = str(exc)
+    try:
+        beta = LossSpec(D=D, R=R, dim=1).beta
+    except ConfigError:  # refused before any bound is computed
+        assert message.startswith("beta = ")
+        return
+    # the transfer gap where a run's is largest, at the two weights a run can reach
+    cap = 4.0 * R * R
+    weight = 1.0 / cap if cap else math.inf
+    def gap_is_finite(gamma):
+        return math.isfinite(transfer_gap_bound(cap, beta, gamma, 1.0))
+    if not (math.isfinite(weight) and gap_is_finite(max(weight, gamma_floor))):
+        assert message.startswith(f"R={R!r}: ")
+    elif not gap_is_finite(gamma_floor):
+        assert message.startswith(f"gamma_floor={gamma_floor!r}: transfer_gap_bound must be ")
+    else:
+        name = message.split(" ", 1)[0]
+        assert name in BOUND_NAMES
+        assert re.match(f"{name} must be a finite number, got (inf|nan) at T={B}, ", message)
