@@ -113,6 +113,9 @@ class ExperimentConfig:
             raise ConfigError(f"input must be a file path, got {self.input_path!r}")
         if self.stream.mode == "libsvm_noised" and self.input_path is None:
             raise ConfigError("libsvm_noised mode needs input_path")
+        if self.stream.mode != "libsvm_noised" and self.input_path is not None:
+            raise ConfigError(f"input {self.input_path!r} is read only when stream.mode is "
+                              f"libsvm_noised, got stream.mode {self.stream.mode}")
 
     def bound_inputs(self, eigenvalues, gamma: float | None = None, regret_KE: float = 0.0,
                      omega_star: float = 0.0, weighted_loss: float = 0.0) -> tb.BoundInputs:

@@ -5,16 +5,17 @@ highest-priority expert has the highest index) plus one online expert at
 index K, with K = min(G, K_max) and G the number of intervals seen so far.
 
 The pool keeps its output, the weighted average ``w = alpha @ A`` of the
-K experts, as state, always current: a labeled step, a rollover and
-``set_state`` each compute it once at their end, and a prediction in
-between is one dot product. Each labeled sample runs,
-in order: check the sample and compute the OGD step size, either of which
-can raise; take the output carried over from the previous step as
-``w_t``; score every expert (one matvec and one ``logaddexp``, the
-K-vector form of ``losses.softplus``) and ``w_t`` on the sample; take the
-online expert's OGD step with the gradient at its own iterate; and only
-then write the new meta weights, ``t`` and the next output. ``w_t`` was
-fixed before the loss was seen.
+K experts, as state, always current, so a prediction is one dot product.
+A labeled step writes the online row, ``t``, ``alpha`` and the output;
+every other write goes through the checked ``set_state``, and every read
+is a read-only view or a copy. Each labeled sample runs, in order: check
+the sample and compute the OGD step size, either of which can raise; take
+the output carried over from the previous step as ``w_t``; score every
+expert (one matvec and one ``logaddexp``, the K-vector form of
+``losses.softplus``) and ``w_t`` on the sample; take the online expert's
+OGD step with the gradient at its own iterate; and only then write the new
+meta weights, ``t`` and the next output. ``w_t`` was fixed before the loss
+was seen.
 
 When the online interval completes (t = B) the pool rolls over: it builds
 the anchor from the final meta weights and the experts' empirical risks on
@@ -102,10 +103,10 @@ class ExpertPool:
     samples taken in this interval, the interval index ``G``, and the
     output ``w = alpha @ A``, always current. The online expert restarts
     with each interval, so its next OGD step is ``t + 1``. A step writes the
-    online row and ``t`` in place, replaces ``alpha`` and then ``w``; only
-    ``rollover`` rebuilds the array. ``G``, ``t``, ``offline``, ``online``
-    and ``meta`` only read that state; ``set_state`` is the one way to set
-    it from outside, whole and checked.
+    online row and ``t`` in place and replaces ``alpha`` and ``w``; every
+    other write is one checked ``set_state`` call. ``G``, ``t``, ``offline``
+    (read-only views), ``online`` (a copy) and ``meta`` (a read-only
+    ``alpha``) only read that state.
     """
 
     def __init__(
@@ -124,12 +125,8 @@ class ExpertPool:
         self.strategy = strategy
         self.init_policy = init_policy
         self.gamma_floor = gamma_floor
-        self._G = 1
-        self._t = 0
         # no previous interval to inherit from, so even a warm pool starts cold
-        self._experts = np.zeros((1, spec.dim))
-        self._alpha, self._nu = init_weights(1), step_size_nu(1, B)
-        self._w = self._alpha.dot(self._experts)
+        self.set_state(np.zeros((1, spec.dim)), init_weights(1))
 
     def set_state(self, experts, alpha, t: int = 0, G: int | None = None) -> None:
         """Set the whole state from copies: ``experts`` is a (K, dim) array,
@@ -153,6 +150,7 @@ class ExpertPool:
         if a.shape != (K,) or not (a >= 0).all() or not abs(a.sum() - 1.0) <= 1e-9:
             raise ValueError(f"alpha must be {K} weights >= 0 summing to 1, got {a.tolist()}")
         check_int("t", t, minimum=0, maximum=self.B)
+        a.setflags(write=False)
         self._experts, self._alpha, self._nu, self._t, self._G = A, a, step_size_nu(K, self.B), t, G
         self._w = a.dot(A)
 
@@ -166,8 +164,10 @@ class ExpertPool:
 
     @property
     def offline(self) -> list[np.ndarray]:
-        """The offline experts w^1..w^{K-1}, lowest priority first."""
-        return list(self._experts[:-1])
+        """Read-only views of the offline experts, lowest priority first."""
+        rows = self._experts[:-1].view()
+        rows.setflags(write=False)
+        return list(rows)
 
     @property
     def online(self) -> OnlineExpertState:
@@ -176,7 +176,7 @@ class ExpertPool:
 
     @property
     def meta(self) -> MetaWeights:
-        """The meta weights over the K experts and their step size."""
+        """The meta weights over the K experts, read-only, and their step size."""
         return MetaWeights(alpha=self._alpha, nu=self._nu)
 
     def current_output(self) -> np.ndarray:
@@ -206,6 +206,7 @@ class ExpertPool:
         loss_meta = margin_loss(y * float(w_t.dot(x)), spec)
         ogd_update(experts[-1], eta_t, x, y, z_online, spec)
         self._alpha = alpha_next = reweight(alpha, self._nu, losses)
+        alpha_next.setflags(write=False)
         self._t = t
         self._w = alpha_next.dot(experts)
         return StepRecord(w_t, loss_meta, losses, alpha, alpha_next)
@@ -226,9 +227,10 @@ class ExpertPool:
 
     def rollover(self, completed: IntervalBuffer) -> RolloverRecord:
         """Close the online interval: train, evict, reindex, reinitialize.
-        The completed interval is checked first, before any state changes:
-        B samples, and its longest row (or a non-finite one) by the sample
-        rule, so every row has shape (dim,) and ||x|| <= D."""
+        The completed interval is checked first (B samples; its longest row,
+        or a non-finite one, by the sample rule, so every row has shape
+        (dim,) and ||x|| <= D) and the new state committed last, through
+        ``set_state``, so either failing leaves the pool as it was."""
         if self._t != self.B:
             raise RuntimeError(f"rollover needs t = B = {self.B}, have t = {self._t}")
         if completed.n != self.B:
@@ -244,8 +246,7 @@ class ExpertPool:
         omega_new = omega(result.w, anchor)
 
         g_completed = self._G
-        self._G += 1
-        K_new = self.K
+        K_new = min(g_completed + 1, self.K_max)
 
         # rank the offline experts, lowest priority first; the new one ranks highest
         n_offline = len(experts) - 1
@@ -254,9 +255,7 @@ class ExpertPool:
         n_evict = max(0, n_offline + 2 - K_new)  # 1 once the pool is full, else 0
         evicted = experts[order[0]] if n_evict else None
         restart = experts[-1] if self.init_policy == "warm" else np.zeros(self.spec.dim)
-        self._experts = np.concatenate((experts[order[n_evict:]], [result.w, restart]))
-        self._alpha, self._nu = init_weights(K_new), step_size_nu(K_new, self.B)
-        self._w = self._alpha.dot(self._experts)
-        self._t = 0
+        new_A = np.concatenate((experts[order[n_evict:]], [result.w, restart]))
+        self.set_state(new_A, init_weights(K_new), G=g_completed + 1)
         return RolloverRecord(g_completed=g_completed, anchor=anchor, result=result,
                               omega_new=omega_new, evicted=evicted, K=K_new)

@@ -66,6 +66,7 @@ BAD_CONFIG_BODIES = [
     {"gamma_floor": 1e-200},  # 32 beta / gamma_floor^2 overflows
     {"R": 2.5e-150, "stream": {"D": 1e154, "G": 2, "B": 20000}},  # 6 D sqrt(T beta) overflows
     {"stream": {"G": 2, "B": 20, "seed": 5}},  # the stream seed is the first of seeds
+    {"input": "x.libsvm"},  # synthetic mode would run without ever reading the file
 ]
 
 # The nearest settings to the float-range rows above that still run.
@@ -409,7 +410,8 @@ NON_DEFAULT_VALUES = {
     "bounds.regret_KE": 1.5, "bounds.omega_star": 0.5, "bounds.weighted_loss": 0.25,
     "bounds.gamma": 0.3,
 }
-NEEDS = {"stream.mode": {"input": "data.libsvm"}}
+NEEDS = {"stream.mode": {"input": "data.libsvm"},
+         "input": {"stream": {"mode": "libsvm_noised"}}}
 
 
 def test_no_config_key_is_silently_ignored(tmp_path):

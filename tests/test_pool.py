@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from co2learn.geometry import Sample
 from co2learn.losses import LossSpec, batch_losses, grad_loss
 from co2learn.meta import MetaWeights, step_size_nu
 from co2learn.online import OnlineExpertState, ogd_step
+from co2learn import pool as pool_module
 from co2learn.pool import ExpertPool
 from co2learn.streams import IntervalBuffer, StreamSpec, gen_synthetic
 
@@ -234,6 +236,36 @@ class TestSetState:
         np.testing.assert_array_equal(roll.evicted, [0.3, 0.0])
 
 
+class TestReadsAreReadOnly:
+    READS = {
+        "offline": lambda pool, rec: pool.offline[0],
+        "meta.alpha": lambda pool, rec: pool.meta.alpha,
+        "alpha_before": lambda pool, rec: rec.alpha_before,
+        "alpha_after": lambda pool, rec: rec.alpha_after,
+    }
+
+    @pytest.mark.parametrize("name", READS)
+    def test_writing_through_a_read_raises_and_changes_nothing(self, spec, name):
+        # the twin takes no write, so a write that reached the state would show
+        stream = gen_synthetic(StreamSpec(G=2, B=5, dim=2, seed=37))
+        pool, twin = (ExpertPool(spec=spec, B=5, K_max=3) for _ in range(2))
+
+        def first_steps(p):
+            run_interval(p, stream[0])
+            p.rollover(stream[0])
+            return p.process_labeled(Sample(stream[1].X[0], int(stream[1].y[0])))
+
+        rec, _ = first_steps(pool), first_steps(twin)
+        with pytest.raises(ValueError, match="read-only"):
+            self.READS[name](pool, rec)[:] = [2.0, -1.0]
+        np.testing.assert_array_equal(pool.current_output(), twin.current_output())
+        x = stream[1].X[1]
+        assert pool.predict_unlabeled(x) == twin.predict_unlabeled(x)
+        s = Sample(x, int(stream[1].y[1]))
+        for got, want in zip(pool.process_labeled(s), twin.process_labeled(s)):
+            np.testing.assert_array_equal(got, want)
+
+
 def run_interval(pool, buf):
     records = []
     for i in range(buf.n):
@@ -352,6 +384,26 @@ class TestRollover:
         np.testing.assert_array_equal(pool.meta.alpha, alpha)
         pool.rollover(stream[1])  # the interval as it was still rolls over
         assert pool.G == G + 1
+
+    def test_a_trained_expert_outside_the_ball_is_refused_with_no_state_change(
+            self, spec, monkeypatch):
+        # set_state's ball check, the rollover's commit, refuses the expert
+        B = 5
+        buf = make_interval(seed=38, B=B)
+        pool = ExpertPool(spec=spec, B=B, K_max=3)
+        run_interval(pool, buf)
+        real = pool_module.train_offline
+        monkeypatch.setattr(pool_module, "train_offline", lambda *args: dataclasses.replace(
+            real(*args), w=np.array([3.0, 4.0])))
+        experts = np.vstack(pool.offline + [pool.online.w])
+        alpha, output = pool.meta.alpha.copy(), pool.current_output()
+        with pytest.raises(ValueError, match="R=1.0, got 5.0") as exc:
+            pool.rollover(buf)
+        assert "\n" not in str(exc.value)
+        assert (pool.G, pool.t, pool.K) == (1, B, 1)
+        np.testing.assert_array_equal(np.vstack(pool.offline + [pool.online.w]), experts)
+        np.testing.assert_array_equal(pool.meta.alpha, alpha)
+        np.testing.assert_array_equal(pool.current_output(), output)
 
     def test_warm_policy_inherits_final_iterate(self, spec):
         B = 30
