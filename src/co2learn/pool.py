@@ -40,7 +40,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError, check_int, check_real
-from .geometry import Sample
+from .geometry import _INSIDE_RTOL, Sample
 from .losses import _DOMAIN_ATOL, LossSpec, batch_mean_losses, check_sample, margin_loss
 from .meta import MetaWeights, init_weights, reweight, step_size_nu
 from .offline import GRAD_MAP_TOL, Anchor, OfflineTrainResult, omega, train_offline
@@ -131,11 +131,11 @@ class ExpertPool:
     def set_state(self, experts, alpha, t: int = 0, G: int | None = None) -> None:
         """Set the whole state from copies: ``experts`` is a (K, dim) array,
         the online iterate last, ``G`` defaults to K, and ``nu`` is
-        ``step_size_nu(K, B)`` as in every reachable state. Raises a one-line
-        ValueError, with the state unchanged, unless 1 <= K = min(G, K_max),
-        every expert is finite and in the R-ball, ``alpha`` has shape (K,) and
-        lies on the simplex (within 1e-9), and 0 <= t <= B: the regret bound
-        needs the simplex, and losses in [0, 1]."""
+        ``step_size_nu(K, B)``. Raises a one-line ValueError, with the state
+        unchanged, unless 1 <= K = min(G, K_max), every expert is finite and
+        in the R-ball (up to twice the projection's slack, so a projected
+        expert passes at any R), ``alpha`` has shape (K,) and lies on the
+        simplex (within 1e-9), and 0 <= t <= B, as the regret bound needs."""
         A = np.array(experts, dtype=np.float64)
         if A.ndim != 2 or A.shape[1] != self.spec.dim:
             raise ValueError(f"experts must have shape (K, {self.spec.dim}), got {A.shape}")
@@ -144,7 +144,7 @@ class ExpertPool:
         if not 1 <= K == min(G, self.K_max):
             raise ValueError(f"need 1 <= K = min(G, K_max), got K={K}, G={G}, K_max={self.K_max}")
         norm = np.sqrt(np.einsum("ij,ij->i", A, A)).max()  # NaN if any row is not finite
-        if not norm <= self.spec.R + _DOMAIN_ATOL:
+        if not norm <= self.spec.R * (1.0 + 2 * _INSIDE_RTOL) + _DOMAIN_ATOL:
             raise ValueError(f"each expert needs a finite ||w|| <= R={self.spec.R}, got {norm}")
         a = np.array(alpha, dtype=np.float64)
         if a.shape != (K,) or not (a >= 0).all() or not abs(a.sum() - 1.0) <= 1e-9:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from co2learn.errors import ConfigError
-from co2learn.geometry import Sample
+from co2learn.geometry import Sample, project_to_ball
 from co2learn.losses import LossSpec, batch_losses, grad_loss
 from co2learn.meta import MetaWeights, step_size_nu
 from co2learn.online import OnlineExpertState, ogd_step
@@ -404,6 +404,20 @@ class TestRollover:
         np.testing.assert_array_equal(np.vstack(pool.offline + [pool.online.w]), experts)
         np.testing.assert_array_equal(pool.meta.alpha, alpha)
         np.testing.assert_array_equal(pool.current_output(), output)
+
+    def test_a_warm_rollover_at_large_R_accepts_experts_the_projection_leaves_alone(self):
+        # at R = 1e7 one ulp is 1.9e-9, so an absolute slack of 1e-9 on the
+        # ball check refused rows the projection counts as inside
+        R, B = 1e7, 5
+        big = LossSpec.create(D=R, R=R, dim=2)
+        online = np.array([0.0, R * (1 + 5e-13)])
+        assert project_to_ball(online, R).tobytes() == online.tobytes()
+        pool = ExpertPool(spec=big, B=B, K_max=3, init_policy="warm")
+        pool.set_state([online], [1.0], t=B)
+        roll = pool.rollover(make_interval(seed=38, B=B))
+        assert (roll.K, pool.G, pool.t) == (2, 2, 0)
+        assert np.linalg.norm(roll.result.w) > R + 1e-9  # the trained expert is on the edge too
+        np.testing.assert_array_equal(pool.online.w, online)
 
     def test_warm_policy_inherits_final_iterate(self, spec):
         B = 30
