@@ -18,11 +18,18 @@ import numpy as np
 _INSIDE_RTOL = 1e-12
 
 
+def inside_ball(norm: float, r: float) -> bool:
+    """The one rule for the R- and D-balls: ``norm <= r (1 + 2 _INSIDE_RTOL) + 1e-9``,
+    never NaN. Twice the projection's slack, so its outputs, their convex
+    combinations and ``streams.condition_norms`` rows pass at any ``r``."""
+    return norm <= r * (1.0 + 2 * _INSIDE_RTOL) + 1e-9
+
+
 class Sample(NamedTuple):
     """One labeled stream element: feature vector x and label y in {-1, +1}.
 
     An unchecked pair: the learner checks it where it takes it, in
-    ``losses.check_sample`` (shape (dim,), ||x|| <= D, y = +-1).
+    ``losses.check_sample`` (shape (dim,), x inside the D-ball, y = +-1).
     """
 
     x: np.ndarray
@@ -53,4 +60,3 @@ def project_in_place(w: np.ndarray, R: float) -> None:
         raise ValueError("cannot project a non-finite vector")
     if norm > R * (1.0 + _INSIDE_RTOL):
         w *= R / norm
-

@@ -25,11 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, check_int, check_real
-from .geometry import Sample
-
-# Absolute slack on the norm-bound domain checks; callers must project first,
-# this only forgives float rounding from projection itself.
-_DOMAIN_ATOL = 1e-9
+from .geometry import Sample, inside_ball
 
 
 def softplus(z):
@@ -88,40 +84,39 @@ class LossSpec:
 
 
 def check_sample(x, y: int, spec: LossSpec) -> np.ndarray:
-    """The learner's one sample rule: ``x`` has shape (dim,) and ||x|| <= D,
-    which also makes it finite, and ``y`` is an int or numpy integer (not a
-    bool) equal to -1 or +1. Returns ``x`` as a float64 array; raises a
-    one-line ValueError otherwise."""
+    """The learner's one sample rule: ``x`` has shape (dim,) and lies inside
+    the D-ball by ``geometry.inside_ball``, which also makes it finite, and
+    ``y`` is an int or numpy integer (not a bool) equal to -1 or +1. Returns
+    ``x`` as a float64 array; raises a one-line ValueError otherwise."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (spec.dim,):
         raise ValueError(f"sample x must have shape ({spec.dim},), got {x.shape}")
     nx = math.sqrt(np.vdot(x, x))  # vdot: an overflow gives inf, not a warning
-    if not nx <= spec.D + _DOMAIN_ATOL:  # so NaN, inf and overflow fail here too
+    if not inside_ball(nx, spec.D):  # so NaN, inf and overflow fail here too
         raise ValueError(f"||x||={nx} is not <= D={spec.D}; condition the stream first")
     if not (type(y) is int or isinstance(y, np.integer)) or y not in (-1, 1):
         raise ValueError(f"label must be the integer -1 or +1, got {y!r}")
     return x
 
 
-def _check_domain(w: np.ndarray, s: Sample, spec: LossSpec) -> np.ndarray:
-    """Check ``w`` against the R-ball and ``s`` by the sample rule; return its x."""
+def _check_domain(w, s: Sample, spec: LossSpec) -> tuple:
+    """``w`` as a float array checked by ``inside_ball``, and ``s``'s checked x."""
+    w = np.asarray(w, dtype=np.float64)
     nw = float(np.linalg.norm(w))
-    if not nw <= spec.R + _DOMAIN_ATOL:
+    if not inside_ball(nw, spec.R):
         raise ValueError(f"||w||={nw} is not <= R={spec.R}; project first")
-    return check_sample(s.x, s.y, spec)
+    return w, check_sample(s.x, s.y, spec)
 
 
 def loss(w: np.ndarray, s: Sample, spec: LossSpec) -> float:
     """Loss of hypothesis ``w`` on sample ``s``; value in [0, 1]."""
-    w = np.asarray(w, dtype=np.float64)
-    x = _check_domain(w, s, spec)
+    w, x = _check_domain(w, s, spec)
     return float(batch_losses(w, x, s.y, spec))
 
 
 def grad_loss(w: np.ndarray, s: Sample, spec: LossSpec) -> np.ndarray:
     """Gradient of the loss in w; norm at most D/C <= 2 sqrt(beta)."""
-    w = np.asarray(w, dtype=np.float64)
-    x = _check_domain(w, s, spec)
+    w, x = _check_domain(w, s, spec)
     return batch_mean_grad(w, x[np.newaxis], np.array([s.y]), spec)
 
 

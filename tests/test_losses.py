@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from co2learn.geometry import Sample
+from co2learn.geometry import Sample, project_to_ball
 from co2learn.losses import (
     LossSpec,
     batch_losses,
@@ -121,10 +121,23 @@ class TestCheckSample:
         np.testing.assert_array_equal(pool.online.w, w_online)
         np.testing.assert_array_equal(pool.current_output(), output)
 
-    def test_norm_slack_is_absolute(self, spec):
+    def test_the_ball_rule_forgives_rounding_and_no_more_at_unit_D(self, spec):
+        # D = 1 ends the ball at 1 + 2e-12 + 1e-9 (geometry.inside_ball)
         check_sample([1.0 + 5e-10, 0.0], 1, spec)
         with pytest.raises(ValueError, match="is not <= D"):
             check_sample([1.0 + 2e-9, 0.0], 1, spec)
+
+    def test_loss_and_grad_loss_take_what_the_projection_leaves_alone_at_large_R(self):
+        # one ulp of R = 1e7 is 1.9e-9, more than an absolute slack of 1e-9
+        R = 1e7
+        big = LossSpec.create(D=R, R=R, dim=2)
+        w = np.array([0.0, R * (1 + 5e-13)])
+        assert project_to_ball(w, R).tobytes() == w.tobytes()
+        s = Sample(x=np.array([R, 0.0]), y=1)
+        assert loss(w, s, big) == pytest.approx(math.log(2) / big.C, rel=1e-12)
+        np.testing.assert_array_equal(grad_loss(w, s, big), [-R / 2 / big.C, 0.0])
+        with pytest.raises(ValueError, match="is not <= R"):
+            loss(w * (1 + 1e-6), s, big)
 
 
 class TestLoss:

@@ -11,7 +11,7 @@ from co2learn.meta import MetaWeights, step_size_nu
 from co2learn.online import OnlineExpertState, ogd_step
 from co2learn import pool as pool_module
 from co2learn.pool import ExpertPool
-from co2learn.streams import IntervalBuffer, StreamSpec, gen_synthetic
+from co2learn.streams import IntervalBuffer, StreamSpec, gen_synthetic, generate
 
 
 @pytest.fixture(scope="module")
@@ -418,6 +418,21 @@ class TestRollover:
         assert (roll.K, pool.G, pool.t) == (2, 2, 0)
         assert np.linalg.norm(roll.result.w) > R + 1e-9  # the trained expert is on the edge too
         np.testing.assert_array_equal(pool.online.w, online)
+
+    def test_the_pool_takes_every_row_the_stream_conditioned_at_large_D(self):
+        # one ulp of D = 1e12 is 1.2e-4, so a conditioned row can sit an ulp
+        # past D, and an absolute slack of 1e-9 refused it mid-interval
+        B = 50
+        big = LossSpec.create(D=1e12, R=1e-12, dim=3)
+        stream = generate(StreamSpec(G=2, B=B, dim=3, seed=0, D=1e12, drift_std=1e13))
+        pool = ExpertPool(spec=big, B=B, K_max=3)
+        for g, buf in enumerate(stream):
+            if g:
+                pool.rollover(stream[g - 1])
+            for s in buf.samples:
+                pool.process_labeled(s)
+        assert (pool.G, pool.t) == (2, B)
+        assert max(np.linalg.norm(buf.X, axis=1).max() for buf in stream) > 1e12
 
     def test_warm_policy_inherits_final_iterate(self, spec):
         B = 30

@@ -9,7 +9,9 @@ pool's fused step and the gemv batch gradient equal the per-sample reference
 functions, that the fused batch gradient, the solver loop and the rollover's
 expert risks equal their plain references bit for bit, that ``check_sample``
 accepts exactly the samples in the loss's domain and a rejected step leaves
-the pool as it was, that ``ExpertPool.set_state`` takes a whole valid state
+the pool as it was, that every domain check takes the vectors the package
+builds at any radius and refuses one past ``geometry.inside_ball``'s rule,
+that ``ExpertPool.set_state`` takes a whole valid state
 or changes nothing, that the loss is self-bounding, and that the LIBSVM
 parser, where outside text enters, fails only with the documented errors and
 gives the rows or the error of the per-token reference parser. The last group
@@ -33,14 +35,16 @@ from hypothesis.extra.numpy import arrays
 
 from co2learn.bounds import bound_report, transfer_gap_bound
 from co2learn.errors import ConfigError, DataError
-from co2learn.geometry import Sample, project_to_ball
+from co2learn.geometry import (
+    _INSIDE_RTOL, Sample, inside_ball, project_in_place, project_to_ball,
+)
 from co2learn.harness import ExperimentConfig, _run_seed, run_experiment
 from co2learn.losses import (
-    LossSpec, batch_losses, batch_mean_grad, batch_mean_losses, check_sample, grad_buffers,
-    grad_loss, loss,
+    LossSpec, _check_domain, batch_losses, batch_mean_grad, batch_mean_losses, check_sample,
+    grad_buffers, grad_loss, loss,
 )
 from co2learn.meta import MetaWeights, combine, step_size_nu, update_weights
-from co2learn.offline import projected_gradient
+from co2learn.offline import GRAD_MAP_TOL, Anchor, projected_gradient, train_offline
 from co2learn.online import OnlineExpertState, ogd_step
 from co2learn.pool import INIT_POLICIES, STRATEGIES, ExpertPool
 from co2learn.rng import _BLOCK, CounterRng, substream
@@ -48,6 +52,7 @@ from co2learn.streams import (
     IntervalBuffer,
     StreamSpec,
     gen_synthetic,
+    condition_norms,
     parse_libsvm,
     sample_from_means,
 )
@@ -192,8 +197,9 @@ def test_check_sample_is_the_domain_rule_and_a_rejected_step_changes_nothing(can
     in_rule = x.shape == (spec.dim,) and bool(np.isfinite(x).all())
     if in_rule:
         norm = math.hypot(*x.tolist())  # exact to an ulp, and never overflows
-        assume(abs(norm - (spec.D + 1e-9)) > 1e-12 * spec.D)  # clear of the boundary
-        in_rule = norm <= spec.D + 1e-9 and label_ok
+        near = [inside_ball(norm * (1 + d), spec.D) for d in (-1e-12, 1e-12)]
+        assume(near[0] == near[1])  # clear of the boundary
+        in_rule = inside_ball(norm, spec.D) and label_ok
     accepted = accepts(x, y, spec)
     assert accepted == in_rule
     assert accepts(np.zeros(spec.dim), y, spec) == label_ok  # the label rule on its own
@@ -220,6 +226,77 @@ def test_check_sample_is_the_domain_rule_and_a_rejected_step_changes_nothing(can
     np.testing.assert_array_equal(np.vstack(pool.offline), offline)
     np.testing.assert_array_equal(pool.online.w, online.w)
     np.testing.assert_array_equal(pool.current_output(), output)
+
+
+def refuses(check, *args) -> bool:
+    try:
+        check(*args)
+    except ValueError:
+        return True
+    return False
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_every_domain_check_takes_what_the_package_builds_and_nothing_past_the_rule(data):
+    """At any radius r in [1e-150, 1e150] and dim in 1-50, with D = R = r:
+    outputs of both projections pass ``set_state`` and ``_check_domain``; a
+    convex combination of such experts, or of experts on the edge the
+    projection leaves alone, with weights normalized in floats and built as
+    the rollover builds its anchor, passes ``train_offline``; every
+    ``condition_norms`` row passes
+    ``check_sample``; and a vector at ``r (1 + 1e-6) + 2e-9`` fails all four.
+    The 2e-9 is there because below r = 1e-3 the rule's absolute 1e-9, not
+    its relative slack, decides."""
+    draw = data.draw
+    r, dim = 10.0 ** draw(st.floats(-150, 150)), draw(st.integers(1, 50))
+    spec = LossSpec.create(D=r, R=r, dim=dim)
+    K, n = draw(st.integers(1, 4)), draw(st.integers(1, 8))
+
+    def direction():
+        u = draw(arrays(np.float64, dim, elements=st.floats(-1, 1)))
+        u[draw(st.integers(0, dim - 1))] = draw(st.sampled_from([-1.0, 1.0]))
+        return u / np.linalg.norm(u)
+
+    experts = []
+    for _ in range(K):
+        kind = draw(st.sampled_from(["copy", "in_place", "edge"]))
+        if kind == "edge":  # on the sphere, or at the edge of the projection's slack
+            edge = draw(st.sampled_from([1.0, 1.0 + _INSIDE_RTOL]))
+            experts.append(direction() * (r * edge))
+            continue
+        w = direction() * (r * 10.0 ** draw(st.floats(-3, 3)))
+        if kind == "copy":
+            w = project_to_ball(w, r)
+        else:
+            project_in_place(w, r)
+        experts.append(w)
+    far = direction() * (r * (1 + 1e-6) + 2e-9)
+    zero = Sample(np.zeros(dim), 1)
+    for w in experts:
+        _check_domain(w, zero, spec)
+    assert refuses(_check_domain, far, zero, spec)
+
+    A = np.array(experts)
+    raw = draw(arrays(np.float64, K, elements=st.floats(0.0, 1.0)))
+    raw[draw(st.integers(0, K - 1))] = 1.0
+    alpha = raw / raw.sum()
+    pool = ExpertPool(spec=spec, B=n, K_max=max(K, 2))
+    pool.set_state(A, alpha, t=n)
+    assert refuses(pool.set_state, np.vstack([A[:-1], far]), alpha)
+
+    scale = draw(st.sampled_from([r * 10.0 ** draw(st.floats(-3, 3)), 1e300]))
+    X = draw(arrays(np.float64, (n, dim), elements=st.floats(-1, 1)))
+    X = condition_norms(X * scale, r)
+    for x in X:
+        check_sample(x, 1, spec)
+    assert refuses(check_sample, far, 1, spec)
+
+    interval = IntervalBuffer(X=X, y=np.ones(n, dtype=np.int64), interval_index=0)
+    anchor = Anchor(v=alpha.dot(A), weighted_loss=draw(st.floats(0.0, 1.0)))
+    train_offline(interval, anchor, spec, 0.1, GRAD_MAP_TOL)
+    assert refuses(train_offline, interval, Anchor(v=far, weighted_loss=0.5), spec, 0.1,
+                   GRAD_MAP_TOL)
 
 
 def coherent_output(pool):
