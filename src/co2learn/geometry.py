@@ -12,25 +12,19 @@ from typing import NamedTuple
 
 import numpy as np
 
-# Relative slack under which a vector counts as already inside the ball.
-# project_to_ball leaves such vectors untouched, which makes the projection
-# exactly idempotent even though a rescale can land a few ulps above R.
+# Relative slack under which project_to_ball leaves a vector alone, which makes
+# the projection exactly idempotent though a rescale can land a few ulps above R.
 _INSIDE_RTOL = 1e-12
 
 
-def inside_ball(norm: float, r: float) -> bool:
-    """The one rule for the R- and D-balls: ``norm <= r (1 + 2 _INSIDE_RTOL) + 1e-9``,
-    never NaN. Twice the projection's slack, so its outputs, their convex
-    combinations and ``streams.condition_norms`` rows pass at any ``r``."""
-    return norm <= r * (1.0 + 2 * _INSIDE_RTOL) + 1e-9
+def max_norm(r: float) -> float:
+    """The ball rule: the largest norm inside radius r, twice the projection's slack plus 1e-9."""
+    return r * (1.0 + 2 * _INSIDE_RTOL) + 1e-9
 
 
 class Sample(NamedTuple):
     """One labeled stream element: feature vector x and label y in {-1, +1}.
-
-    An unchecked pair: the learner checks it where it takes it, in
-    ``losses.check_sample`` (shape (dim,), x inside the D-ball, y = +-1).
-    """
+    Unchecked: the learner checks it where it takes it, by ``losses.check_sample``."""
 
     x: np.ndarray
     y: int

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, check_int, check_real
-from .geometry import Sample, inside_ball
+from .geometry import Sample, max_norm
 
 
 def softplus(z):
@@ -49,13 +49,13 @@ def softplus(z):
 class LossSpec:
     """Loss family instance: the bounds and the constants derived from them.
 
-    D     feature-norm bound, ||x|| <= D
-    R     hypothesis-norm bound, ||w|| <= R
+    D     feature-norm bound, ||x|| <= D_max = ``geometry.max_norm(D)``, the ball rule
+    R     hypothesis-norm bound, ||w|| <= R_max = ``geometry.max_norm(R)``
     dim   ambient dimension
     C     normalizer log(1 + exp(D R))
     beta  smoothness constant D^2 / (4 C) of the loss in w
 
-    C and beta are computed once, when the spec is built, and never supplied.
+    C, beta, D_max and R_max are computed once, when the spec is built, and never supplied.
     """
 
     D: float
@@ -63,6 +63,8 @@ class LossSpec:
     dim: int
     C: float = field(init=False)
     beta: float = field(init=False)
+    D_max: float = field(init=False)
+    R_max: float = field(init=False)
 
     def __post_init__(self):
         check_real("D", self.D, positive=True)
@@ -76,6 +78,8 @@ class LossSpec:
                               f"beta={beta} from D={self.D}, R={self.R}")
         object.__setattr__(self, "C", C)
         object.__setattr__(self, "beta", beta)
+        object.__setattr__(self, "D_max", max_norm(self.D))
+        object.__setattr__(self, "R_max", max_norm(self.R))
 
     @classmethod
     def create(cls, D: float, R: float, dim: int) -> "LossSpec":
@@ -84,39 +88,40 @@ class LossSpec:
 
 
 def check_sample(x, y: int, spec: LossSpec) -> np.ndarray:
-    """The learner's one sample rule: ``x`` has shape (dim,) and lies inside
-    the D-ball by ``geometry.inside_ball``, which also makes it finite, and
-    ``y`` is an int or numpy integer (not a bool) equal to -1 or +1. Returns
-    ``x`` as a float64 array; raises a one-line ValueError otherwise."""
+    """The learner's one sample rule: ``x`` has shape (dim,) and ||x|| <= D_max,
+    which also makes it finite, and ``y`` is an int or numpy integer (not a
+    bool) equal to -1 or +1. Returns ``x`` as a float64 array; raises a
+    one-line ValueError otherwise."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (spec.dim,):
         raise ValueError(f"sample x must have shape ({spec.dim},), got {x.shape}")
     nx = math.sqrt(np.vdot(x, x))  # vdot: an overflow gives inf, not a warning
-    if not inside_ball(nx, spec.D):  # so NaN, inf and overflow fail here too
+    if not nx <= spec.D_max:  # so NaN, inf and overflow fail here too
         raise ValueError(f"||x||={nx} is not <= D={spec.D}; condition the stream first")
     if not (type(y) is int or isinstance(y, np.integer)) or y not in (-1, 1):
         raise ValueError(f"label must be the integer -1 or +1, got {y!r}")
     return x
 
 
-def _check_domain(w, s: Sample, spec: LossSpec) -> tuple:
-    """``w`` as a float array checked by ``inside_ball``, and ``s``'s checked x."""
-    w = np.asarray(w, dtype=np.float64)
+def _check_domain(w: np.ndarray, s: Sample, spec: LossSpec) -> np.ndarray:
+    """Check ``w`` against the R-ball and ``s`` by the sample rule; return its x."""
     nw = float(np.linalg.norm(w))
-    if not inside_ball(nw, spec.R):
+    if not nw <= spec.R_max:
         raise ValueError(f"||w||={nw} is not <= R={spec.R}; project first")
-    return w, check_sample(s.x, s.y, spec)
+    return check_sample(s.x, s.y, spec)
 
 
 def loss(w: np.ndarray, s: Sample, spec: LossSpec) -> float:
     """Loss of hypothesis ``w`` on sample ``s``; value in [0, 1]."""
-    w, x = _check_domain(w, s, spec)
+    w = np.asarray(w, dtype=np.float64)
+    x = _check_domain(w, s, spec)
     return float(batch_losses(w, x, s.y, spec))
 
 
 def grad_loss(w: np.ndarray, s: Sample, spec: LossSpec) -> np.ndarray:
     """Gradient of the loss in w; norm at most D/C <= 2 sqrt(beta)."""
-    w, x = _check_domain(w, s, spec)
+    w = np.asarray(w, dtype=np.float64)
+    x = _check_domain(w, s, spec)
     return batch_mean_grad(w, x[np.newaxis], np.array([s.y]), spec)
 
 

@@ -32,7 +32,7 @@ from math import ceil, log, sqrt
 
 import numpy as np
 
-from .geometry import inside_ball, project_in_place
+from .geometry import project_in_place
 from .losses import LossSpec, batch_mean_grad, batch_mean_loss, grad_buffers
 from .streams import IntervalBuffer
 
@@ -146,7 +146,7 @@ def train_offline(
     Starts at the anchor (feasible) and never increases the objective, so the
     returned point always scores at least as well as the anchor itself.
     """
-    if not inside_ball(sqrt(anchor.v.dot(anchor.v)), spec.R):
+    if not sqrt(anchor.v.dot(anchor.v)) <= spec.R_max:
         raise ValueError("anchor lies outside the hypothesis ball")
     gamma = max(gamma_lower_bound(anchor, spec.R), gamma_floor)
     kappa = (spec.beta + gamma) / gamma

@@ -40,7 +40,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError, check_int, check_real
-from .geometry import Sample, inside_ball
+from .geometry import Sample, project_in_place
 from .losses import LossSpec, batch_mean_losses, check_sample, margin_loss
 from .meta import MetaWeights, init_weights, reweight, step_size_nu
 from .offline import GRAD_MAP_TOL, Anchor, OfflineTrainResult, omega, train_offline
@@ -132,9 +132,9 @@ class ExpertPool:
         """Set the whole state from copies: ``experts`` is a (K, dim) array,
         the online iterate last, ``G`` defaults to K, and ``nu`` is
         ``step_size_nu(K, B)``. Raises a one-line ValueError, with the state
-        unchanged, unless 1 <= K = min(G, K_max), every expert is inside the
-        R-ball by ``geometry.inside_ball``, ``alpha`` has shape (K,) and is on
-        the simplex (within 1e-9), and 0 <= t <= B, as the regret bound needs."""
+        unchanged, unless 1 <= K = min(G, K_max), every ||w|| <= ``R_max``,
+        ``alpha`` has shape (K,) and is on the simplex (within 1e-9), and
+        0 <= t <= B, as the regret bound needs."""
         A = np.array(experts, dtype=np.float64)
         if A.ndim != 2 or A.shape[1] != self.spec.dim:
             raise ValueError(f"experts must have shape (K, {self.spec.dim}), got {A.shape}")
@@ -143,7 +143,7 @@ class ExpertPool:
         if not 1 <= K == min(G, self.K_max):
             raise ValueError(f"need 1 <= K = min(G, K_max), got K={K}, G={G}, K_max={self.K_max}")
         norm = np.sqrt(np.einsum("ij,ij->i", A, A)).max()  # NaN if any row is not finite
-        if not inside_ball(norm, self.spec.R):
+        if not norm <= self.spec.R_max:
             raise ValueError(f"each expert needs a finite ||w|| <= R={self.spec.R}, got {norm}")
         a = np.array(alpha, dtype=np.float64)
         if a.shape != (K,) or not (a >= 0).all() or not abs(a.sum() - 1.0) <= 1e-9:
@@ -228,8 +228,8 @@ class ExpertPool:
         """Close the online interval: train, evict, reindex, reinitialize.
         The completed interval is checked first (B samples; its longest row,
         or a non-finite one, by the sample rule, so every row has shape
-        (dim,) and lies inside the D-ball) and the new state committed last,
-        through ``set_state``, so either failing leaves the pool as it was."""
+        (dim,) and ||x|| <= D_max) and the new state committed last, through
+        ``set_state``, so either failing leaves the pool as it was."""
         if self._t != self.B:
             raise RuntimeError(f"rollover needs t = B = {self.B}, have t = {self._t}")
         if completed.n != self.B:
@@ -237,10 +237,11 @@ class ExpertPool:
         i = np.einsum("ij,ij->i", completed.X, completed.X).argmax()  # a NaN row wins too
         check_sample(completed.X[i], completed.y[i], self.spec)
 
-        # Anchor from the final state: post-update weights, final iterates.
         experts, alpha = self._experts, self._alpha
         risks = batch_mean_losses(experts, completed.X, completed.y, self.spec)
-        anchor = Anchor(v=alpha.dot(experts), weighted_loss=float(alpha.dot(risks)))
+        v = alpha.dot(experts)  # the anchor from the final state, and its risk, held to
+        project_in_place(v, self.spec.R)  # the ball and [0, 1]: set_state takes alpha
+        anchor = Anchor(v, min(float(alpha.dot(risks)), 1.0))  # summing to 1 +- 1e-9
         result = train_offline(completed, anchor, self.spec, self.gamma_floor, GRAD_MAP_TOL)
         omega_new = omega(result.w, anchor)
 

@@ -1,10 +1,12 @@
 """The ball rule's one home, read from the source with ``ast``.
 
-``geometry.inside_ball`` decides what lies inside the R- and D-balls. A
-module that kept a tolerance of its own, or borrowed ``geometry``'s, could
-decide membership differently from it, as four checks once did with four
-slacks. So no module under ``src/co2learn/`` but ``geometry.py`` defines,
-imports or reads a ball tolerance, and every domain check calls the rule.
+``geometry.max_norm`` is the largest norm inside a ball, and ``LossSpec``
+holds it, once, as ``D_max`` and ``R_max``. A module that kept a tolerance
+of its own, or borrowed ``geometry``'s, could decide membership differently,
+as four checks once did with four slacks. So no module under
+``src/co2learn/`` but ``geometry.py`` defines, imports or reads a ball
+tolerance, ``LossSpec`` builds both edges with ``max_norm``, and every domain
+check compares against one of them.
 """
 
 import ast
@@ -13,9 +15,10 @@ from pathlib import Path
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "co2learn"
 HOME = "geometry.py"
 TOLERANCES = {"_INSIDE_RTOL", "_DOMAIN_ATOL"}
-CHECKS = {"losses.py": ("check_sample", "_check_domain"),
-          "pool.py": ("set_state",),
-          "offline.py": ("train_offline",)}
+CHECKS = {("losses.py", "check_sample"): "D_max",
+          ("losses.py", "_check_domain"): "R_max",
+          ("pool.py", "set_state"): "R_max",
+          ("offline.py", "train_offline"): "R_max"}
 
 
 def tolerance_uses(tree: ast.AST) -> list[tuple[str, int]]:
@@ -36,31 +39,44 @@ def tolerance_uses(tree: ast.AST) -> list[tuple[str, int]]:
     return found
 
 
-def functions(tree: ast.AST) -> dict[str, ast.AST]:
-    return {node.name: node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+def parse(module: str) -> ast.AST:
+    return ast.parse((PACKAGE / module).read_text())
 
 
-def calls_the_rule(fn: ast.AST) -> bool:
-    return any(isinstance(node, ast.Call)
-               and getattr(node.func, "id", getattr(node.func, "attr", None)) == "inside_ball"
+def definitions(tree: ast.AST) -> dict[str, ast.AST]:
+    return {node.name: node for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+
+
+def reads(fn: ast.AST, attr: str) -> bool:
+    return any(isinstance(node, ast.Attribute) and node.attr == attr for node in ast.walk(fn))
+
+
+def calls(fn: ast.AST, name: str) -> int:
+    return sum(isinstance(node, ast.Call) and getattr(node.func, "id", None) == name
                for node in ast.walk(fn))
 
 
 def test_only_geometry_holds_a_ball_tolerance():
     modules = sorted(PACKAGE.glob("*.py"))
-    assert {m.name for m in modules} >= {HOME, *CHECKS}
+    assert {m.name for m in modules} >= {HOME} | {module for module, _ in CHECKS}
     found = [f"{m.name}:{line} uses {name}" for m in modules if m.name != HOME
              for name, line in tolerance_uses(ast.parse(m.read_text()))]
-    assert not found, "; ".join(found) + ": ask geometry.inside_ball instead"
-    assert {name for name, _ in tolerance_uses(ast.parse((PACKAGE / HOME).read_text()))} \
-        == {"_INSIDE_RTOL"}
+    assert not found, "; ".join(found) + ": use LossSpec's D_max and R_max instead"
+    assert {name for name, _ in tolerance_uses(parse(HOME))} == {"_INSIDE_RTOL"}
+    assert "max_norm" in definitions(parse(HOME))
 
 
-def test_every_domain_check_calls_the_rule():
+def test_loss_spec_builds_both_edges_with_the_rule():
+    post_init = definitions(definitions(parse("losses.py"))["LossSpec"])["__post_init__"]
+    assert calls(post_init, "max_norm") == 2
+    assert reads(post_init, "D") and reads(post_init, "R")
+
+
+def test_every_domain_check_compares_against_an_edge():
     missing = []
-    for module, names in CHECKS.items():
-        defined = functions(ast.parse((PACKAGE / module).read_text()))
-        missing += [f"{module}:{name}" for name in names
-                    if name not in defined or not calls_the_rule(defined[name])]
-    assert not missing, ", ".join(missing) + " must call geometry.inside_ball"
-    assert "inside_ball" in functions(ast.parse((PACKAGE / HOME).read_text()))
+    for (module, name), edge in CHECKS.items():
+        defined = definitions(parse(module))
+        if name not in defined or not reads(defined[name], edge):
+            missing.append(f"{module}:{name} must compare against spec.{edge}")
+    assert not missing, ", ".join(missing)

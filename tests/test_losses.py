@@ -122,10 +122,21 @@ class TestCheckSample:
         np.testing.assert_array_equal(pool.current_output(), output)
 
     def test_the_ball_rule_forgives_rounding_and_no_more_at_unit_D(self, spec):
-        # D = 1 ends the ball at 1 + 2e-12 + 1e-9 (geometry.inside_ball)
+        # D = 1 ends the ball at 1 + 2e-12 + 1e-9 (geometry.max_norm)
         check_sample([1.0 + 5e-10, 0.0], 1, spec)
         with pytest.raises(ValueError, match="is not <= D"):
             check_sample([1.0 + 2e-9, 0.0], 1, spec)
+
+    def test_the_ball_rule_forgives_twice_the_projection_slack_and_no_more_at_large_D(self):
+        # at D = R = 1e7 the relative 2e-12 decides: the balls end at 1e7 + 2e-5 + 1e-9
+        r = 1e7
+        big = LossSpec.create(D=r, R=r, dim=2)
+        check_sample([r * (1 + 1.5e-12), 0.0], 1, big)
+        loss([0.0, r * (1 + 1.5e-12)], Sample(np.zeros(2), 1), big)
+        with pytest.raises(ValueError, match="is not <= D"):
+            check_sample([r * (1 + 1e-11), 0.0], 1, big)
+        with pytest.raises(ValueError, match="is not <= R"):
+            loss([0.0, r * (1 + 1e-11)], Sample(np.zeros(2), 1), big)
 
     def test_loss_and_grad_loss_take_what_the_projection_leaves_alone_at_large_R(self):
         # one ulp of R = 1e7 is 1.9e-9, more than an absolute slack of 1e-9

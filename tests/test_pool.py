@@ -419,6 +419,20 @@ class TestRollover:
         assert np.linalg.norm(roll.result.w) > R + 1e-9  # the trained expert is on the edge too
         np.testing.assert_array_equal(pool.online.w, online)
 
+    @pytest.mark.parametrize("R", [1.0, 10.0, 1e7])
+    def test_a_rollover_takes_every_state_set_state_takes(self, R):
+        # alpha may sum to 1 + 1e-9, so alpha @ A can lie 1e-9 relative past
+        # the R-ball and the weighted risk past 1 where every risk is 1
+        big = LossSpec.create(D=R, R=R, dim=2)
+        edge = np.array([0.0, R])
+        pool = ExpertPool(spec=big, B=1, K_max=3)
+        pool.set_state([edge, edge], [0.5, 0.5 + 9e-10], t=1)
+        worst = IntervalBuffer(X=np.array([[0.0, -R]]), y=np.array([1]), interval_index=0)
+        roll = pool.rollover(worst)
+        assert roll.anchor.weighted_loss == 1.0
+        assert np.linalg.norm(roll.anchor.v) <= R * (1 + 1e-12)
+        assert (pool.G, pool.K) == (3, 3)
+
     def test_the_pool_takes_every_row_the_stream_conditioned_at_large_D(self):
         # one ulp of D = 1e12 is 1.2e-4, so a conditioned row can sit an ulp
         # past D, and an absolute slack of 1e-9 refused it mid-interval

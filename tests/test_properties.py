@@ -10,7 +10,7 @@ functions, that the fused batch gradient, the solver loop and the rollover's
 expert risks equal their plain references bit for bit, that ``check_sample``
 accepts exactly the samples in the loss's domain and a rejected step leaves
 the pool as it was, that every domain check takes the vectors the package
-builds at any radius and refuses one past ``geometry.inside_ball``'s rule,
+builds at any radius and refuses one past the ball rule ``geometry.max_norm``,
 that ``ExpertPool.set_state`` takes a whole valid state
 or changes nothing, that the loss is self-bounding, and that the LIBSVM
 parser, where outside text enters, fails only with the documented errors and
@@ -36,7 +36,7 @@ from hypothesis.extra.numpy import arrays
 from co2learn.bounds import bound_report, transfer_gap_bound
 from co2learn.errors import ConfigError, DataError
 from co2learn.geometry import (
-    _INSIDE_RTOL, Sample, inside_ball, project_in_place, project_to_ball,
+    _INSIDE_RTOL, Sample, project_in_place, project_to_ball,
 )
 from co2learn.harness import ExperimentConfig, _run_seed, run_experiment
 from co2learn.losses import (
@@ -197,9 +197,9 @@ def test_check_sample_is_the_domain_rule_and_a_rejected_step_changes_nothing(can
     in_rule = x.shape == (spec.dim,) and bool(np.isfinite(x).all())
     if in_rule:
         norm = math.hypot(*x.tolist())  # exact to an ulp, and never overflows
-        near = [inside_ball(norm * (1 + d), spec.D) for d in (-1e-12, 1e-12)]
-        assume(near[0] == near[1])  # clear of the boundary
-        in_rule = inside_ball(norm, spec.D) and label_ok
+        edge = spec.D * (1 + 2e-12) + 1e-9  # the ball rule, written out
+        assume(abs(norm - edge) > 1e-12 * edge)  # clear of the boundary
+        in_rule = norm <= edge and label_ok
     accepted = accepts(x, y, spec)
     assert accepted == in_rule
     assert accepts(np.zeros(spec.dim), y, spec) == label_ok  # the label rule on its own
@@ -240,14 +240,14 @@ def refuses(check, *args) -> bool:
 @given(st.data())
 def test_every_domain_check_takes_what_the_package_builds_and_nothing_past_the_rule(data):
     """At any radius r in [1e-150, 1e150] and dim in 1-50, with D = R = r:
-    outputs of both projections pass ``set_state`` and ``_check_domain``; a
-    convex combination of such experts, or of experts on the edge the
-    projection leaves alone, with weights normalized in floats and built as
-    the rollover builds its anchor, passes ``train_offline``; every
-    ``condition_norms`` row passes
-    ``check_sample``; and a vector at ``r (1 + 1e-6) + 2e-9`` fails all four.
-    The 2e-9 is there because below r = 1e-3 the rule's absolute 1e-9, not
-    its relative slack, decides."""
+    outputs of both projections, and experts on the sphere, at the
+    projection's slack and at the rule's edge ``R_max``, pass ``set_state``
+    and ``_check_domain``; a state of such experts whose weights sum to 1
+    only within ``set_state``'s 1e-9 rolls over, so the anchor the rollover
+    builds from it passes ``train_offline``; every ``condition_norms`` row
+    passes ``check_sample``; and a vector at ``r (1 + 1e-6) + 2e-9`` fails
+    all four checks. The 2e-9 is there because below r = 1e-3 the rule's
+    absolute 1e-9, not its relative slack, decides."""
     draw = data.draw
     r, dim = 10.0 ** draw(st.floats(-150, 150)), draw(st.integers(1, 50))
     spec = LossSpec.create(D=r, R=r, dim=dim)
@@ -261,9 +261,9 @@ def test_every_domain_check_takes_what_the_package_builds_and_nothing_past_the_r
     experts = []
     for _ in range(K):
         kind = draw(st.sampled_from(["copy", "in_place", "edge"]))
-        if kind == "edge":  # on the sphere, or at the edge of the projection's slack
-            edge = draw(st.sampled_from([1.0, 1.0 + _INSIDE_RTOL]))
-            experts.append(direction() * (r * edge))
+        if kind == "edge":  # 1e-14 below R_max keeps the norm's rounding inside it
+            edge = draw(st.sampled_from([r, r * (1 + _INSIDE_RTOL), spec.R_max * (1 - 1e-14)]))
+            experts.append(direction() * edge)
             continue
         w = direction() * (r * 10.0 ** draw(st.floats(-3, 3)))
         if kind == "copy":
@@ -280,10 +280,11 @@ def test_every_domain_check_takes_what_the_package_builds_and_nothing_past_the_r
     A = np.array(experts)
     raw = draw(arrays(np.float64, K, elements=st.floats(0.0, 1.0)))
     raw[draw(st.integers(0, K - 1))] = 1.0
-    alpha = raw / raw.sum()
-    pool = ExpertPool(spec=spec, B=n, K_max=max(K, 2))
-    pool.set_state(A, alpha, t=n)
+    alpha = raw / raw.sum() * (1 + draw(st.floats(-9.9e-10, 9.9e-10)))
+    pool = ExpertPool(spec=spec, B=n, K_max=max(K, 2),
+                      init_policy=draw(st.sampled_from(INIT_POLICIES)))
     assert refuses(pool.set_state, np.vstack([A[:-1], far]), alpha)
+    pool.set_state(A, alpha, t=n)
 
     scale = draw(st.sampled_from([r * 10.0 ** draw(st.floats(-3, 3)), 1e300]))
     X = draw(arrays(np.float64, (n, dim), elements=st.floats(-1, 1)))
@@ -292,11 +293,12 @@ def test_every_domain_check_takes_what_the_package_builds_and_nothing_past_the_r
         check_sample(x, 1, spec)
     assert refuses(check_sample, far, 1, spec)
 
-    interval = IntervalBuffer(X=X, y=np.ones(n, dtype=np.int64), interval_index=0)
-    anchor = Anchor(v=alpha.dot(A), weighted_loss=draw(st.floats(0.0, 1.0)))
-    train_offline(interval, anchor, spec, 0.1, GRAD_MAP_TOL)
-    assert refuses(train_offline, interval, Anchor(v=far, weighted_loss=0.5), spec, 0.1,
-                   GRAD_MAP_TOL)
+    y = draw(arrays(np.int64, n, elements=st.sampled_from([-1, 1])))
+    roll = pool.rollover(IntervalBuffer(X=X, y=y, interval_index=0))
+    assert (pool.G, pool.t) == (K + 1, 0)
+    assert np.linalg.norm(roll.anchor.v) <= spec.R_max
+    assert refuses(train_offline, IntervalBuffer(X=X, y=y, interval_index=0),
+                   Anchor(v=far, weighted_loss=0.5), spec, 0.1, GRAD_MAP_TOL)
 
 
 def coherent_output(pool):
