@@ -27,7 +27,7 @@ from .errors import BoundViolation, ConfigError, ConvergenceError, DataError
 from .harness import (ExperimentConfig, check_memory, emit_reports, load_input_samples,
                       run_experiment)
 from .pool import INIT_POLICIES, STRATEGIES
-from .streams import StreamSpec, dump_stream, generate, parse_libsvm
+from .streams import StreamSpec, dump_stream, final_interval, generate, parse_libsvm
 
 
 class _Parser(argparse.ArgumentParser):
@@ -113,12 +113,10 @@ def _load_config(args) -> dict:
                     cfg[key][k2] = v2
             else:
                 cfg[key] = value
-    flags = vars(args)
-    for section, keys in ((cfg["stream"], ("G", "B", "dim", "drift_std", "noise_std")),
-                          (cfg, ("k_max", "strategy", "init", "gamma_floor", "input", "out"))):
-        for key in keys:
-            if flags[key] is not None:
-                section[key] = flags[key]
+    for key, value in vars(args).items():  # a flag's dest names the key it overrides
+        section = cfg["stream"] if key in cfg["stream"] else cfg
+        if value is not None and key in section:
+            section[key] = value  # --mode and --seeds are translated below
     if args.mode is not None:
         cfg["stream"]["mode"] = "libsvm_noised" if args.mode == "libsvm" else "synthetic"
     if args.seeds is not None:
@@ -177,7 +175,7 @@ def _cmd_bounds(cfg: dict) -> int:
         inputs = config.bound_inputs((), **cfg["bounds"])
     except ConfigError as exc:  # every other input was checked with the config
         raise ConfigError(f"bounds.{exc}") from None
-    X = generate(config.stream, load_input_samples(config))[-1].X  # the final interval, as in run
+    X = final_interval(config.stream, load_input_samples(config)).X  # as in run
     report = tb.bound_report(replace(inputs, eigenvalues=tb.estimate_eigenvalues(X)))
     os.makedirs(cfg["out"], exist_ok=True)
     path = os.path.join(cfg["out"], "bounds.json")
@@ -200,38 +198,32 @@ def _cmd_parse_libsvm(cfg: dict, dim_flag: int | None) -> int:
     return 0
 
 
+# (exception type, exit code, stderr prefix): the errors main reports as one line
+EXIT_CODES = (
+    (ConfigError, 1, "config error"),
+    (DataError, 2, "data error"),
+    (OSError, 2, "i/o error"),
+    (BoundViolation, 3, "bound violation"),
+    (ConvergenceError, 3, "convergence error"),
+    (MemoryError, 1, "memory error"),
+)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
         cfg = _load_config(args)
         if args.command == "parse-libsvm":
             return _cmd_parse_libsvm(cfg, args.dim)
-        command = {
-            "generate": _cmd_generate,
-            "run": _cmd_run,
-            "bounds": _cmd_bounds,
-        }[args.command]
-        return command(cfg)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    except DataError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return 2
-    except BoundViolation as exc:
-        print(f"bound violation: {exc}", file=sys.stderr)
-        return 3
-    except ConvergenceError as exc:
-        print(f"convergence error: {exc}", file=sys.stderr)
-        return 3
-    except MemoryError as exc:
-        print(f"memory error: {exc or 'out of memory'}; lower --b, --g, --dim or --kmax",
-              file=sys.stderr)
-        return 1
+        command = {"generate": _cmd_generate, "run": _cmd_run, "bounds": _cmd_bounds}
+        return command[args.command](cfg)
+    except tuple(kind for kind, _, _ in EXIT_CODES) as exc:
+        code, prefix = next((c, p) for kind, c, p in EXIT_CODES if isinstance(exc, kind))
+        message = str(exc)
+        if isinstance(exc, MemoryError):
+            message = f"{message or 'out of memory'}; lower --b, --g, --dim or --kmax"
+        print(f"{prefix}: {message}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

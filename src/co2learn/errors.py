@@ -1,8 +1,14 @@
 """Exception types shared across the package.
 
-The CLI maps these onto exit codes: ConfigError -> 1, data errors
-(StreamFormatError, DataError) -> 2, BoundViolation and ConvergenceError
-(the ERM oracle hit its iteration cap) -> 3.
+The CLI reports an error as one stderr line and an exit code, from its
+table ``cli.EXIT_CODES``:
+
+    ConfigError        1  "config error: "
+    DataError          2  "data error: "   (StreamFormatError is one)
+    OSError            2  "i/o error: "
+    BoundViolation     3  "bound violation: "
+    ConvergenceError   3  "convergence error: "   (the ERM oracle hit its cap)
+    MemoryError        1  "memory error: "
 """
 
 import math

@@ -158,16 +158,14 @@ def sample_from_means(class_means: np.ndarray, n: int, D: float, rng: CounterRng
     return _condition_in_place(X, D), y
 
 
-def gen_synthetic(spec: StreamSpec) -> list[IntervalBuffer]:
-    """Drifting-Gaussian stream of G intervals; deterministic in the seed."""
-    if spec.mode != "synthetic":
-        raise ValueError(f"gen_synthetic needs mode='synthetic', got {spec.mode!r}")
+def class_mean_walk(spec: StreamSpec):
+    """Yield the class means (+1 row first) of intervals 1..G of a synthetic
+    stream in order: the drifting walk drawn from substream 0."""
     mean_rng = substream(spec.seed, 0)
     mu_pos = mean_rng.normals(spec.dim)
     mu_neg = mean_rng.normals(spec.dim)
     if np.array_equal(mu_pos, mu_neg):  # probability-zero; regenerating would
         raise RuntimeError("degenerate draw: identical class means")
-    intervals = []
     for g in range(1, spec.G + 1):
         if g > 1:
             with np.errstate(over="ignore"):  # reported below
@@ -177,9 +175,20 @@ def gen_synthetic(spec: StreamSpec) -> list[IntervalBuffer]:
         if not np.isfinite(means).all():
             raise ConfigError(f"drift_std={spec.drift_std} walks a class mean out of the "
                               f"float range at interval {g}")
-        X, y = sample_from_means(means, spec.B, spec.D, substream(spec.seed, g))
-        intervals.append(IntervalBuffer(X=X, y=y, interval_index=g, class_means=means))
-    return intervals
+        yield means
+
+
+def _synthetic_interval(spec: StreamSpec, g: int, means: np.ndarray) -> IntervalBuffer:
+    X, y = sample_from_means(means, spec.B, spec.D, substream(spec.seed, g))
+    return IntervalBuffer(X=X, y=y, interval_index=g, class_means=means)
+
+
+def gen_synthetic(spec: StreamSpec) -> list[IntervalBuffer]:
+    """Drifting-Gaussian stream of G intervals; deterministic in the seed."""
+    if spec.mode != "synthetic":
+        raise ValueError(f"gen_synthetic needs mode='synthetic', got {spec.mode!r}")
+    return [_synthetic_interval(spec, g, means)
+            for g, means in enumerate(class_mean_walk(spec), start=1)]
 
 
 def fresh_proxy_samples(spec: StreamSpec, interval: IntervalBuffer, n: int):
@@ -307,6 +316,16 @@ def generate(spec: StreamSpec, samples: list[Sample] | None = None) -> list[Inte
     if samples is None:
         raise DataError("libsvm_noised mode needs parsed input samples")
     return make_multidist(samples, spec)
+
+
+def final_interval(spec: StreamSpec, samples: list[Sample] | None = None) -> IntervalBuffer:
+    """``generate(spec, samples)[-1]``. In synthetic mode only the class-mean
+    walk and interval G are drawn, so time and memory hardly grow with G."""
+    if spec.mode != "synthetic":
+        return generate(spec, samples)[-1]
+    for means in class_mean_walk(spec):
+        pass
+    return _synthetic_interval(spec, spec.G, means)
 
 
 def dump_stream(intervals: list[IntervalBuffer], path: str) -> None:

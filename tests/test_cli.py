@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from co2learn import cli, harness
+from co2learn import bounds, cli, harness
 from co2learn.cli import _defaults, main
 
 
@@ -159,6 +159,7 @@ class TestRun:
         calls = []
         for module in (cli, harness):
             monkeypatch.setattr(module, "generate", lambda *a: calls.append(a))
+        monkeypatch.setattr(cli, "final_interval", lambda *a: calls.append(a))
         err = assert_config_error(tmp_path, capsys, command, body)
         assert err.startswith(f"config error: {start}")
         assert calls == []
@@ -193,16 +194,50 @@ class TestRun:
         assert rc == 3
         assert err.startswith("convergence error:") and len(err.splitlines()) == 1
 
-    @pytest.mark.parametrize("exc", [MemoryError(), MemoryError("Unable to allocate 7.45 GiB")],
-                             ids=["bare", "with_size"])
-    def test_out_of_memory_is_one_line_exit_1(self, tmp_path, capsys, monkeypatch, exc):
+    @pytest.mark.parametrize("exc,message", [
+        (MemoryError(), "out of memory"),
+        (MemoryError("Unable to allocate 7.45 GiB"), "Unable to allocate 7.45 GiB"),
+    ], ids=["bare", "with_size"])
+    def test_out_of_memory_is_one_line_exit_1(self, tmp_path, capsys, monkeypatch, exc, message):
         def oversized(config):
             raise exc
         monkeypatch.setattr(cli, "run_experiment", oversized)
         rc = run_cli("run", "--seeds", "1", "--g", "2", "--b", "20", "--out", str(tmp_path / "o"))
         err = capsys.readouterr().err
         assert rc == 1 and not (tmp_path / "o").exists()
-        assert err.startswith("memory error:") and len(err.splitlines()) == 1
+        assert err == f"memory error: {message}; lower --b, --g, --dim or --kmax\n"
+
+
+@pytest.mark.parametrize("kind,code,prefix", cli.EXIT_CODES,
+                         ids=[kind.__name__ for kind, _, _ in cli.EXIT_CODES])
+def test_each_exit_code_row_is_one_stderr_line(tmp_path, capsys, monkeypatch, kind, code, prefix):
+    def fail(config):
+        raise kind("boom")
+    monkeypatch.setattr(cli, "run_experiment", fail)
+    rc = run_cli("run", "--seeds", "1", "--g", "2", "--b", "20", "--out", str(tmp_path / "o"))
+    err = capsys.readouterr().err
+    assert rc == code
+    assert err.startswith(f"{prefix}: boom") and len(err.splitlines()) == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["run", "generate", "bounds"])
+def test_out_naming_a_file_is_one_line_exit_2(tmp_path, capsys, command):
+    out = tmp_path / "taken"
+    out.write_text("kept")
+    rc = run_cli(command, "--seeds", "1", "--g", "2", "--b", "20", "--out", str(out))
+    err = capsys.readouterr().err
+    assert rc == 2 and out.read_text() == "kept"
+    assert err.startswith("i/o error: [Errno 17] File exists:") and len(err.splitlines()) == 1
+
+
+def test_a_violated_bound_is_one_line_exit_3(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(bounds, "meta_regret_bound", lambda *a: -1.0)
+    rc = run_cli("run", "--seeds", "1", "--g", "2", "--b", "20", "--out", str(tmp_path / "o"))
+    err = capsys.readouterr().err
+    assert rc == 3 and not (tmp_path / "o").exists()
+    assert re.fullmatch(r"bound violation: seed 1 interval 1: meta regret \S+ exceeds bound -1.0\n",
+                        err)
 
 
 # Each needs above 1 TB for one seed's stream and step table. Each used to end
@@ -258,7 +293,8 @@ class TestBounds:
     def test_bad_bounds_block_fails_before_any_stream_is_generated(
             self, tmp_path, capsys, monkeypatch, key, value, name):
         calls = []
-        monkeypatch.setattr(cli, "generate", lambda *a: calls.append(a))
+        for draw in ("generate", "final_interval"):
+            monkeypatch.setattr(cli, draw, lambda *a: calls.append(a))
         body = {"bounds": {key: value}, "stream": {"G": 3, "B": 20000, "dim": 100}}
         err = assert_config_error(tmp_path, capsys, "bounds", body)
         assert err.startswith(f"config error: bounds.{name} ")
@@ -398,6 +434,12 @@ def test_readme_config_block_is_the_defaults():
     assert json.loads(block) == _defaults()
 
 
+def test_readme_exit_table_is_the_cli_s():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = re.findall(r"^\| `(\d)` \| `([a-z/ ]+):` \| .*\(`(\w+)`\) \|$", readme, re.M)
+    assert rows == [(str(code), prefix, kind.__name__) for kind, code, prefix in cli.EXIT_CODES]
+
+
 # A legal value other than the default for every leaf key of the config file,
 # and the other keys it needs; test_no_config_key_is_silently_ignored holds this
 # table to the keys, so a new key must be shown to reach the run.
@@ -431,13 +473,56 @@ def test_no_config_key_is_silently_ignored(tmp_path):
         path.write_text(json.dumps({**({section: {name: value}} if section else {name: value}),
                                     **NEEDS.get(key, {})}))
         cfg = cli._load_config(cli._build_parser().parse_args(["run", "--config", str(path)]))
-        config = cli._experiment_config(cfg)
-        if section == "stream":
-            got = getattr(config.stream, name)
-        elif section == "bounds":
-            got = getattr(config.bound_inputs((), **cfg["bounds"]), name)
-        elif key == "out":
-            got = cfg["out"]
-        else:
-            got = getattr(config, cli._FIELD_OF_KEY.get(key, key))
-        assert got == (tuple(value) if key == "seeds" else value), key
+        assert reached(cfg, key) == (tuple(value) if key == "seeds" else value), key
+
+
+def reached(cfg, key):
+    """The value config key ``key`` (``section.name`` for a nested one) has
+    in what ``cfg`` builds: the ExperimentConfig, the bound inputs or ``out``."""
+    config = cli._experiment_config(cfg)
+    section, _, name = key.rpartition(".")
+    if section == "stream":
+        return getattr(config.stream, name)
+    if section == "bounds":
+        return getattr(config.bound_inputs((), **cfg["bounds"]), name)
+    if key == "out":
+        return cfg["out"]
+    return getattr(config, cli._FIELD_OF_KEY.get(key, key))
+
+
+# Per flag: its text, the config key it sets and the value that key then has,
+# none of them the default. --mode, --seed and --seeds are translated; every
+# other flag sets the key its dest names.
+FLAG_ROWS = {
+    "--g": ("3", "stream.G", 3), "--b": ("20", "stream.B", 20), "--dim": ("3", "stream.dim", 3),
+    "--kmax": ("3", "k_max", 3), "--strategy": ("fifo", "strategy", "fifo"),
+    "--init": ("warm", "init", "warm"), "--drift-std": ("0.5", "stream.drift_std", 0.5),
+    "--noise-std": ("0.2", "stream.noise_std", 0.2),
+    "--gamma-floor": ("0.2", "gamma_floor", 0.2), "--input": ("data.libsvm", "input", "data.libsvm"),
+    "--out": ("elsewhere", "out", "elsewhere"),
+    "--mode": ("libsvm", "stream.mode", "libsvm_noised"),
+    "--seed": ("3", "seeds", (3,)), "--seeds": ("3,4", "seeds", (3, 4)),
+}
+
+
+def test_every_other_flag_dest_is_a_config_key():
+    """A flag added without a config key fails here instead of being ignored."""
+    defaults = _defaults()
+    parser = cli._Parser()
+    cli._add_common(parser)
+    dests = {a.option_strings[-1]: a.dest for a in parser._actions if a.option_strings}
+    assert sorted(dests) == sorted([*FLAG_ROWS, "--config", "--help"])
+    for flag, dest in dests.items():
+        if flag not in ("--help", "--config", "--seed", "--seeds", "--mode"):
+            assert dest in defaults or dest in defaults["stream"], flag
+            section = "stream." if dest in defaults["stream"] else ""
+            assert FLAG_ROWS[flag][1] == section + dest, flag
+
+
+@pytest.mark.parametrize("flag", FLAG_ROWS)
+def test_each_flag_reaches_the_built_config(flag):
+    text, key, value = FLAG_ROWS[flag]
+    assert reached(_defaults(), key) != value
+    needs = {"--mode": ["--input", "data.libsvm"], "--input": ["--mode", "libsvm"]}
+    args = cli._build_parser().parse_args(["run", flag, text, *needs.get(flag, [])])
+    assert reached(cli._load_config(args), key) == value

@@ -11,8 +11,10 @@ from co2learn.streams import (
     StreamSpec,
     condition_norms,
     dump_stream,
+    final_interval,
     fresh_proxy_samples,
     gen_synthetic,
+    generate,
     make_multidist,
     parse_libsvm,
 )
@@ -268,6 +270,48 @@ class TestParseLibsvm:
     def test_malformed_token(self):
         with pytest.raises(StreamFormatError):
             parse_libsvm("1 oops\n")
+
+
+class TestFinalInterval:
+    """``final_interval`` is ``generate(...)[-1]``, drawn without the earlier intervals."""
+
+    @staticmethod
+    def _libsvm_samples(n, dim):
+        rng = np.random.default_rng(dim)
+        return [Sample(x=x, y=int(y)) for x, y in
+                zip(rng.normal(size=(n, dim)), rng.choice([-1, 1], n))]
+
+    @pytest.mark.parametrize("mode", ["synthetic", "libsvm_noised"])
+    @pytest.mark.parametrize("G,B,seed", [(1, 1, 0), (2, 7, 3), (5, 20, 41), (9, 13, 2**40)])
+    @pytest.mark.parametrize("dim", [1, 2, 5])
+    def test_equals_the_last_generated_interval(self, mode, G, B, seed, dim):
+        spec = StreamSpec(G=G, B=B, dim=dim, seed=seed, mode=mode, drift_std=0.7)
+        samples = self._libsvm_samples(G * B + 3, dim) if mode == "libsvm_noised" else None
+        want, got = generate(spec, samples)[-1], final_interval(spec, samples)
+        assert got.interval_index == want.interval_index == G
+        np.testing.assert_array_equal(got.X, want.X)
+        np.testing.assert_array_equal(got.y, want.y)
+        if mode == "synthetic":
+            np.testing.assert_array_equal(got.class_means, want.class_means)
+        else:
+            assert got.class_means is want.class_means is None
+
+    def test_raises_what_generate_raises(self):
+        with pytest.raises(ConfigError, match=r"^drift_std=1e\+308 .* at interval 2$"):
+            final_interval(StreamSpec(G=4, B=5, dim=2, seed=1, drift_std=1e308))
+        with pytest.raises(DataError, match="needs parsed input samples"):
+            final_interval(StreamSpec(G=2, B=5, mode="libsvm_noised"))
+
+    def test_synthetic_memory_does_not_grow_with_G(self):
+        # the whole stream would hold G intervals of B*dim doubles: 9.6 MB here
+        spec = StreamSpec(G=2000, B=200, dim=3, seed=1)
+        tracemalloc.start()
+        try:
+            final_interval(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * spec.B * spec.dim * 8
 
 
 class TestMakeMultidist:
