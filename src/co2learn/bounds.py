@@ -12,11 +12,12 @@ eigenvalues lambda_i):
     OGD regret       6 D sqrt(T beta)
     coupled regret   sqrt(T ln K) + regret_KE   (general)
                      sqrt(T ln K) + 6 D sqrt(T beta)   (worst case)
-    K condition      log K <= log 2 + 6 D sqrt(beta) - regret_KE / sqrt(T)
+    K condition      log K <= log 2 + (OGD regret - regret_KE) / sqrt(T)
     transfer gap     ||w_new - w*|| <= sqrt(2 Omega(w*) + 32 beta / gamma^2
                                            + 6 WL / gamma)
     Rademacher       R sqrt((1/T) sum_i min(D^2, e lambda_i / T)) + D R sqrt(e) / T
-    excess risk      three-term high-probability bound, see excess_risk_bound
+    excess risk      fast term + 28 sqrt(beta) log(64 T)^1.5 Rademacher
+                     + confidence term + worst-case coupled regret / T
 """
 
 from __future__ import annotations
@@ -101,9 +102,8 @@ def co2_regret_bounds(T: int, K: int, D: float, beta: float, regret_KE: float) -
 def k_condition(T: int, D: float, beta: float, regret_KE: float) -> float:
     """Log of the largest expert count for which coupling cannot lose to
     bare OGD: the caller checks log K <= returned value."""
-    if T < 1:
-        raise ValueError("T must be >= 1")
-    return log(2.0) + (6.0 * D * sqrt(beta) - regret_KE / sqrt(T))  # the log of 2 exp(exponent)
+    # each term over sqrt(T) on its own, so no intermediate leaves the float range
+    return log(2.0) + (ogd_regret_bound(T, D, beta) / sqrt(T) - regret_KE / sqrt(T))
 
 
 def transfer_gap_bound(omega_star: float, beta: float, gamma: float, weighted_loss: float) -> float:
@@ -132,27 +132,19 @@ def rademacher_bound(T: int, D: float, R: float, eigenvalues) -> float:
 
 
 def excess_risk_bound(inputs: BoundInputs) -> float:
-    """High-probability excess risk of the averaged output hypothesis.
-
-    Sum of three terms: a fast 1/T term from the loss-function properties,
-    a capacity term built on the Rademacher complexity, and a 1/sqrt(T)
-    term carrying the confidence level, the expert count, and the online
-    optimizer's guarantee.
-    """
-    T, K = inputs.T, inputs.K
-    D, R, beta, delta = inputs.D, inputs.R, inputs.beta, inputs.delta
-    ev = inputs.eigenvalues
-    term1 = (12.0 * beta * R * R + 4.0 * R * sqrt(beta)) * log(16.0 / delta) / T
-    with np.errstate(over="ignore"):  # as in rademacher_bound
-        capacity = sqrt(float(np.minimum(T * D * D, _E * ev).sum())) + D * sqrt(_E)
-    term2 = 28.0 * R * sqrt(beta) * log(64.0 * T) ** 1.5 / T * capacity
-    term3 = (
-        (6.0 * R * sqrt(beta) + 2.0) * sqrt(log(16.0 / delta))
-        + 4.0 * log(8.0 / delta)
-        + sqrt(log(K))
-        + 6.0 * D * sqrt(beta)
-    ) / sqrt(T)
-    return term1 + term2 + term3
+    """High-probability excess risk of the averaged output hypothesis, the
+    sum of four parts: a fast 1/T term from the loss-function properties;
+    28 sqrt(beta) log(64 T)^1.5 times ``rademacher_bound``; a confidence term
+    over sqrt(T); and the worst-case coupled regret over T, the online-to-batch
+    conversion (Cesa-Bianchi, Conconi & Gentile, IEEE Trans. IT 2004)."""
+    T, D, R, beta, delta = inputs.T, inputs.D, inputs.R, inputs.beta, inputs.delta
+    fast = (12.0 * beta * R * R + 4.0 * R * sqrt(beta)) * log(16.0 / delta) / T
+    capacity = 28.0 * sqrt(beta) * log(64.0 * T) ** 1.5 * rademacher_bound(
+        T, D, R, inputs.eigenvalues)
+    confidence = ((6.0 * R * sqrt(beta) + 2.0) * sqrt(log(16.0 / delta))
+                  + 4.0 * log(8.0 / delta)) / sqrt(T)
+    regret = co2_regret_bounds(T, inputs.K, D, beta, inputs.regret_KE).worst / T
+    return fast + capacity + confidence + regret
 
 
 def estimate_eigenvalues(X: np.ndarray) -> np.ndarray:

@@ -9,9 +9,7 @@ Subcommands:
     parse-libsvm  validate a LIBSVM file and print a short summary
 
 A JSON config file (--config) may supply everything; explicit flags
-override it. Exit codes: 0 success, 1 config error or a run too large for
-memory, 2 data/parse error, 3 bound or invariant violation, or an ERM solve
-that hit its iteration cap.
+override it.
 """
 
 from __future__ import annotations
@@ -58,7 +56,9 @@ def _add_common(p: _Parser) -> None:
 
 
 def _build_parser() -> _Parser:
-    parser = _Parser(prog="co2learn", description=__doc__,
+    epilog = "exit codes:\n  0  success\n" + "".join(
+        f"  {code}  {prefix}\n" for _, code, prefix in EXIT_CODES)
+    parser = _Parser(prog="co2learn", description=__doc__, epilog=epilog,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, doc in [

@@ -33,7 +33,8 @@ from .losses import LossSpec, batch_losses, margin_loss
 from .offline import GRAD_MAP_TOL, omega, projected_gradient
 from .online import eta, ogd_update
 from .pool import ExpertPool, check_settings
-from .streams import IntervalBuffer, StreamSpec, fresh_proxy_samples, generate, parse_libsvm
+from .streams import (_SEED_MAX, IntervalBuffer, StreamSpec, fresh_proxy_samples, generate,
+                      parse_libsvm)
 
 # Not called here; kept importable because bench/tracing.py patches these names.
 from .geometry import project_to_ball  # noqa: F401
@@ -79,7 +80,7 @@ class ExperimentConfig:
         if not isinstance(self.seeds, (list, tuple)) or len(self.seeds) == 0:
             raise ConfigError(f"seeds must be a non-empty list of integers, got {self.seeds!r}")
         for seed in self.seeds:
-            check_int("each seed", seed)
+            check_int("each seed", seed, minimum=0, maximum=_SEED_MAX)
         if len(set(self.seeds)) != len(self.seeds):
             raise ConfigError(f"seeds must be distinct, got {list(self.seeds)}")
         object.__setattr__(self, "seeds", tuple(self.seeds))

@@ -43,6 +43,7 @@ from .rng import CounterRng, substream
 PROXY_SUBSTREAM_OFFSET = 2**32
 MAX_DIM = 2**16  # samples are stored dense; one row is then at most 512 KiB
 STREAM_MODES = ("synthetic", "libsvm_noised")
+_SEED_MAX = 2**64 - 1  # CounterRng reads a seed modulo 2**64, so larger ones would repeat
 
 
 @dataclass(frozen=True)
@@ -63,7 +64,7 @@ class StreamSpec:
         for name in ("G", "B"):
             check_int(name, getattr(self, name), minimum=1)
         check_int("dim", self.dim, minimum=1, maximum=MAX_DIM)
-        check_int("seed", self.seed)
+        check_int("seed", self.seed, minimum=0, maximum=_SEED_MAX)
         if self.mode not in STREAM_MODES:
             raise ConfigError(f"stream mode must be one of {STREAM_MODES}, got {self.mode!r}")
         for name in ("drift_std", "noise_std"):
@@ -160,18 +161,22 @@ def sample_from_means(class_means: np.ndarray, n: int, D: float, rng: CounterRng
 
 def class_mean_walk(spec: StreamSpec):
     """Yield the class means (+1 row first) of intervals 1..G of a synthetic
-    stream in order: the drifting walk drawn from substream 0."""
+    stream in order: the drifting walk drawn from substream 0. A step's two
+    ``normals(dim)`` requests (+1 row, then -1) are drawn as one, bit for bit
+    equal: a request consumes its draws in pairs and drops an odd leftover."""
     mean_rng = substream(spec.seed, 0)
-    mu_pos = mean_rng.normals(spec.dim)
-    mu_neg = mean_rng.normals(spec.dim)
-    if np.array_equal(mu_pos, mu_neg):  # probability-zero; regenerating would
+    width = spec.dim + spec.dim % 2
+
+    def both_rows():
+        return mean_rng.normals(2 * width).reshape(2, width)[:, :spec.dim]
+
+    means = both_rows()
+    if np.array_equal(means[0], means[1]):  # probability-zero; regenerating would
         raise RuntimeError("degenerate draw: identical class means")
     for g in range(1, spec.G + 1):
         if g > 1:
             with np.errstate(over="ignore"):  # reported below
-                mu_pos = mu_pos + spec.drift_std * mean_rng.normals(spec.dim)
-                mu_neg = mu_neg + spec.drift_std * mean_rng.normals(spec.dim)
-        means = np.vstack([mu_pos, mu_neg])
+                means = means + spec.drift_std * both_rows()
         if not np.isfinite(means).all():
             raise ConfigError(f"drift_std={spec.drift_std} walks a class mean out of the "
                               f"float range at interval {g}")

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from co2learn import ConfigError
+from co2learn import ConfigError, bounds
 from co2learn.bounds import (
     BoundInputs,
     bound_report,
@@ -207,6 +207,33 @@ class TestExcessRiskBound:
             make_inputs(delta=0.0)
         with pytest.raises(ValueError):
             make_inputs(delta=1.0)
+
+
+class TestEachRateHasOneHome:
+    """The bounds built on a rate call its calculator: raising one calculator
+    by 1 moves each of them by what its formula implies, so a rate restated
+    inline fails here."""
+
+    @pytest.mark.parametrize("name,shifts", [
+        # (k_condition, co2_regret_bounds(...).worst, excess_risk_bound)
+        ("ogd_regret_bound", (1 / 10, 1.0, 1 / 100)),
+        ("meta_regret_bound", (0.0, 1.0, 1 / 100)),
+        ("rademacher_bound", (0.0, 0.0, 28 * 0.5 * math.log(6400) ** 1.5)),
+    ])
+    def test_raising_a_calculator_moves_the_bounds_built_on_it(self, monkeypatch, name, shifts):
+        inputs = make_inputs(T=100, K=3, beta=0.25, regret_KE=2.0,
+                             eigenvalues=np.array([0.6, 0.3]))
+
+        def built_on_it():
+            return (k_condition(100, 1.0, 0.25, 2.0),
+                    co2_regret_bounds(100, 3, 1.0, 0.25, 2.0).worst,
+                    excess_risk_bound(inputs))
+
+        before = built_on_it()
+        calculator = getattr(bounds, name)
+        monkeypatch.setattr(bounds, name, lambda *args: calculator(*args) + 1.0)
+        moved = [a - b for a, b in zip(built_on_it(), before)]
+        assert moved == pytest.approx(shifts, rel=1e-9, abs=1e-12)
 
 
 class TestEstimateEigenvalues:

@@ -56,6 +56,9 @@ BAD_CONFIG_BODIES = [
     {"stream": {"G": 2, "B": 20, "D": 1e-200}, "R": 1e-200},  # D^2 underflows: beta is 0
     {"gamma_floor": 0},  # gamma = 0 when WL = 0; the theory needs gamma > 0
     {"seeds": [1, 1]},  # bounds.json is keyed by seed
+    # equal to 1 and to 0 modulo 2**64, the generator's seed range, so each ran one stream twice
+    {"seeds": [1, 2**64 + 1]},
+    {"seeds": [0, -2**64]},
     {"stream": {"D": 0.1, "G": 4}, "seeds": [0]},  # R = 1 > D: the OGD bound needs R <= D
     # seed 1's class-mean walk overflows at interval 2; it used to end in a traceback
     {"stream": {"G": 4, "B": 5, "drift_std": 1e308}, "seeds": [1]},
@@ -185,6 +188,15 @@ class TestRun:
         assert rc == 1 and not (tmp_path / "o").exists()
         assert err.startswith("config error:") and "--seed" in err and len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("seeds", ["1,18446744073709551617", "0,-18446744073709551616"])
+    def test_seeds_outside_the_generator_range_are_one_line_exit_1(self, tmp_path, capsys,
+                                                                    seeds):
+        rc = run_cli("run", "--seeds", seeds, "--g", "2", "--b", "20", "--out", str(tmp_path / "o"))
+        err = capsys.readouterr().err
+        assert rc == 1 and not (tmp_path / "o").exists()
+        assert err == (f"config error: each seed must be an integer >= 0 and "
+                       f"<= 18446744073709551615, got {seeds.split(',')[1]}\n")
+
     def test_erm_convergence_failure_is_one_line_exit_3(self, tmp_path, capsys, monkeypatch):
         capped = functools.partial(harness.erm_oracle, max_iters=1)
         monkeypatch.setattr(harness, "erm_oracle", capped)
@@ -219,6 +231,15 @@ def test_each_exit_code_row_is_one_stderr_line(tmp_path, capsys, monkeypatch, ki
     assert rc == code
     assert err.startswith(f"{prefix}: boom") and len(err.splitlines()) == 1
     assert "Traceback" not in err
+
+
+def test_help_lists_every_exit_code_row(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        run_cli("--help")
+    assert exit_.value.code == 0
+    epilog = capsys.readouterr().out.split("exit codes:\n")[1]
+    assert epilog.splitlines() == ["  0  success"] + [
+        f"  {code}  {prefix}" for _, code, prefix in cli.EXIT_CODES]
 
 
 @pytest.mark.parametrize("command", ["run", "generate", "bounds"])

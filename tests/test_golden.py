@@ -3,9 +3,10 @@ that may move floating-point results.
 
 Shape: synthetic stream, G 15, B 200, dim 2, K_max 5, seeds 0, 1, 2, all
 other settings at their defaults (weight eviction, cold start, w* proxy on).
-Floats are compared at 1e-12 absolute, rollover iteration counts exactly.
-The offline iterates come from driving ExpertPool directly on seed 0's
-stream.
+Floats are compared at 1e-12 absolute; rollover iteration counts and each
+interval's ``k_condition_holds`` exactly. Each seed's eight ``bounds.json``
+calculator values are pinned too. The offline iterates come from driving
+ExpertPool directly on seed 0's stream.
 
 The stored values live in ``golden_desk.json`` next to this file; running
 
@@ -31,6 +32,9 @@ ATOL = 1e-12
 SEEDS = (0, 1, 2)
 INTERVAL_FIELDS = ("regret_co2", "regret_ogd", "erm_objective", "regret_co2_vs_wstar")
 ROLLOVER_FIELDS = ("omega_new", "grad_map_norm", "gap_measured")
+BOUND_NAMES = ("meta_regret_bound", "ogd_regret_bound", "co2_regret_bound_general",
+               "co2_regret_bound_worst", "k_condition_log_rhs", "transfer_gap_bound",
+               "rademacher_bound", "excess_risk_bound")
 
 
 def _config() -> ExperimentConfig:
@@ -44,9 +48,11 @@ def current_outputs() -> dict:
     per_seed = {}
     for run in report.runs:
         per_seed[str(run.seed)] = {
-            "intervals": {f: [getattr(m, f) for m in run.intervals] for f in INTERVAL_FIELDS},
+            "intervals": {f: [getattr(m, f) for m in run.intervals]
+                          for f in INTERVAL_FIELDS + ("k_condition_holds",)},
             "rollovers": {f: [getattr(r, f) for r in run.rollovers]
                           for f in ROLLOVER_FIELDS + ("iterations",)},
+            "bounds": {name: run.bound_report[name] for name in BOUND_NAMES},
         }
 
     spec = LossSpec.create(D=config.stream.D, R=config.R, dim=config.stream.dim)
@@ -95,6 +101,20 @@ def test_rollover_metrics_match(outputs, golden, seed, name):
 def test_rollover_iterations_match_exactly(outputs, golden, seed):
     got = outputs["per_seed"][str(seed)]["rollovers"]["iterations"]
     assert got == golden["per_seed"][str(seed)]["rollovers"]["iterations"]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_k_condition_verdicts_match_exactly(outputs, golden, seed):
+    got = outputs["per_seed"][str(seed)]["intervals"]["k_condition_holds"]
+    assert got == golden["per_seed"][str(seed)]["intervals"]["k_condition_holds"]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("name", BOUND_NAMES)
+def test_bound_report_matches(outputs, golden, seed, name):
+    got = outputs["per_seed"][str(seed)]["bounds"][name]
+    want = golden["per_seed"][str(seed)]["bounds"][name]
+    np.testing.assert_allclose(got, want, rtol=0, atol=ATOL)
 
 
 def test_seed0_offline_iterates_match(outputs, golden):

@@ -9,6 +9,7 @@ from co2learn.rng import _BLOCK, CounterRng, substream
 from co2learn.streams import (
     IntervalBuffer,
     StreamSpec,
+    class_mean_walk,
     condition_norms,
     dump_stream,
     final_interval,
@@ -67,8 +68,29 @@ class TestStreamSpecValidation:
         with pytest.raises(ValueError):
             StreamSpec(G=1, B=10, dim=2, seed=1, drift_std=-0.1)
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_the_generator_range_rejected(self, seed):
+        # CounterRng reads a seed modulo 2**64: 2**64 would draw seed 0's stream
+        with pytest.raises(ValueError, match="seed must be an integer >= 0 and <= "):
+            StreamSpec(seed=seed)
+        assert StreamSpec(seed=2**64 - 1).seed == 2**64 - 1
+
 
 class TestGenSynthetic:
+    @pytest.mark.parametrize("dim", [1, 2, 3, 7, 200])
+    def test_class_mean_walk_equals_two_requests_per_step(self, dim):
+        # the documented draw order: normals(dim) for the +1 mean, then for the -1 mean
+        spec = StreamSpec(G=6, B=10, dim=dim, seed=13)
+        rng = substream(13, 0)
+        mu_pos, mu_neg = rng.normals(dim), rng.normals(dim)
+        for g, means in enumerate(class_mean_walk(spec), start=1):
+            if g > 1:
+                mu_pos = mu_pos + spec.drift_std * rng.normals(dim)
+                mu_neg = mu_neg + spec.drift_std * rng.normals(dim)
+            assert means.shape == (2, dim)
+            assert means.tobytes() == np.vstack([mu_pos, mu_neg]).tobytes()
+        assert g == spec.G
+
     def test_deterministic(self):
         spec = StreamSpec(G=4, B=30, dim=2, seed=11)
         a, b = gen_synthetic(spec), gen_synthetic(spec)
