@@ -34,7 +34,6 @@ from .harness import (
     ExperimentConfig,
     RunReport,
     emit_reports,
-    erm_oracle,
     run_experiment,
 )
 from .losses import LossSpec, grad_loss, loss
@@ -42,6 +41,7 @@ from .meta import MetaWeights, combine, init_weights, step_size_nu, update_weigh
 from .offline import (
     Anchor,
     OfflineTrainResult,
+    erm_oracle,
     gamma_lower_bound,
     omega,
     train_offline,

@@ -18,8 +18,9 @@ _INSIDE_RTOL = 1e-12
 
 
 def max_norm(r: float) -> float:
-    """The ball rule: the largest norm inside radius r, twice the projection's slack plus 1e-9."""
-    return r * (1.0 + 2 * _INSIDE_RTOL) + 1e-9
+    """The ball rule: the largest norm inside radius r, twice the projection's
+    slack plus 1e-9 min(r, 1), so the slack shrinks with a radius below 1."""
+    return r * (1.0 + 2 * _INSIDE_RTOL) + 1e-9 * min(r, 1.0)
 
 
 class Sample(NamedTuple):

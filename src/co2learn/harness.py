@@ -3,8 +3,7 @@
 One experiment runs, per seed: the coupled learner across all G intervals of
 a generated stream, and a bare OGD baseline trained on the identical sample
 sequence with no interval structure. Each interval's regret comparator is
-the empirical minimizer over that interval's B samples (the ERM oracle: the
-offline solver with gamma = 0, see ``offline.projected_gradient``);
+the empirical minimizer over that interval's B samples (``offline.erm_oracle``);
 synthetic runs can additionally report a population-optimum proxy fitted on
 10*B fresh samples from the same interval distribution, labeled separately.
 That proxy sample is drawn once per interval and shared by the interval's
@@ -27,10 +26,10 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from . import bounds as tb
-from .errors import BoundViolation, ConfigError, ConvergenceError, check_int, check_real
+from .errors import BoundViolation, ConfigError, check_int, check_real
 from .geometry import Sample
 from .losses import LossSpec, batch_losses, margin_loss
-from .offline import GRAD_MAP_TOL, omega, projected_gradient
+from .offline import GRAD_MAP_TOL, erm_oracle, omega
 from .online import eta, ogd_update
 from .pool import ExpertPool, check_settings
 from .streams import (_SEED_MAX, IntervalBuffer, StreamSpec, fresh_proxy_samples, generate,
@@ -202,28 +201,6 @@ class RunReport:
     config: ExperimentConfig
     runs: list[SeedRun]
     aggregate: dict = field(default_factory=dict)
-
-
-def erm_oracle(
-    X: np.ndarray,
-    y: np.ndarray,
-    spec: LossSpec,
-    tol: float = 1e-9,
-    max_iters: int = 200_000,
-) -> np.ndarray:
-    """Empirical minimizer over the hypothesis ball.
-
-    The offline solver with gamma = 0 from the zero start (fixed step
-    1/beta); returns the first iterate whose projected-gradient mapping norm
-    is at most ``tol`` and raises ConvergenceError if the cap is hit first.
-    Deterministic.
-    """
-    w, _, _, converged = projected_gradient(X, y, spec, tol=tol, max_iters=max_iters)
-    if not converged:
-        raise ConvergenceError(
-            f"ERM oracle did not reach mapping norm {tol} within {max_iters} iterations"
-        )
-    return w
 
 
 def load_input_samples(config: ExperimentConfig):

@@ -12,11 +12,11 @@ regularizer to carry information (its unconditional cap is 4 R^2).
 Solver: ``projected_gradient``, the package's one projected-gradient
 routine, with fixed step 1/(beta + gamma) started at the anchor. F is
 (beta + gamma)-smooth and gamma-strongly convex, so the iteration descends
-monotonically and converges linearly; it stops when the projected-gradient
-mapping norm reaches ``grad_map_tol`` (a run's pool trains at the fixed
-``GRAD_MAP_TOL``), and ``train_offline`` reports the certificate either
-way. With gamma = 0 and no anchor the same routine is the harness's ERM
-oracle, which raises ConvergenceError instead of reporting.
+monotonically and converges linearly; ``train_offline`` stops it at mapping
+norm ``GRAD_MAP_TOL`` and reports the certificate either way. With gamma = 0
+and no anchor it is ``erm_oracle``, which stops at ``ERM_TOL`` or raises
+ConvergenceError after ``ERM_MAX_ITERS``. Neither takes a tolerance: this
+module alone decides when a solve stops.
 
 A solve allocates once: the labels as float64 and ``-C y``, the gradient's
 work arrays (``losses.grad_buffers``), and two iterates and a difference of
@@ -32,6 +32,7 @@ from math import ceil, log, sqrt
 
 import numpy as np
 
+from .errors import ConvergenceError
 from .geometry import project_in_place
 from .losses import LossSpec, batch_mean_grad, batch_mean_loss, grad_buffers
 from .streams import IntervalBuffer
@@ -40,6 +41,8 @@ from .streams import IntervalBuffer
 from .geometry import project_to_ball  # noqa: F401
 
 GRAD_MAP_TOL = 1e-8  # the pool's stopping tolerance for every offline expert
+ERM_TOL = 1e-9  # the ERM oracle's stopping tolerance
+ERM_MAX_ITERS = 200_000  # the ERM oracle's iteration cap
 
 
 @dataclass(frozen=True)
@@ -128,21 +131,32 @@ def projected_gradient(
     return w, grad_map_norm, max_iters, False
 
 
+def erm_oracle(X: np.ndarray, y: np.ndarray, spec: LossSpec) -> np.ndarray:
+    """Empirical minimizer over the hypothesis ball: ``projected_gradient``
+    with gamma = 0 from the origin (step 1/beta). Deterministic; see the
+    module docstring for its stopping rule."""
+    w, _, _, converged = projected_gradient(X, y, spec, tol=ERM_TOL, max_iters=ERM_MAX_ITERS)
+    if not converged:
+        raise ConvergenceError(
+            f"ERM oracle did not reach mapping norm {ERM_TOL} within {ERM_MAX_ITERS} iterations"
+        )
+    return w
+
+
 def train_offline(
     interval: IntervalBuffer,
     anchor: Anchor,
     spec: LossSpec,
     gamma_floor: float,
-    grad_map_tol: float,
 ) -> OfflineTrainResult:
     """Approximately minimize the regularized interval objective.
 
-    gamma = max(lower bound, ``gamma_floor``); the iteration cap
-    50 ceil(kappa log(1 / ``grad_map_tol``)) is sized for the linear rate of
-    the (beta + gamma)-smooth, gamma-strongly-convex objective, with
-    kappa = (beta + gamma) / gamma. Unchecked: ``gamma_floor`` is finite and
-    > 0 (so gamma > 0 even when WL = 0), as ``pool.check_settings`` checks,
-    and ``0 < grad_map_tol < 1``, as ``GRAD_MAP_TOL`` is.
+    gamma = max(lower bound, ``gamma_floor``); the solve stops at mapping
+    norm ``GRAD_MAP_TOL``, and its cap 50 ceil(kappa log(1 / GRAD_MAP_TOL))
+    is sized for the linear rate of the (beta + gamma)-smooth,
+    gamma-strongly-convex objective, with kappa = (beta + gamma) / gamma.
+    Unchecked: ``gamma_floor`` is finite and > 0 (so gamma > 0 even when
+    WL = 0), as ``pool.check_settings`` checks.
     Starts at the anchor (feasible) and never increases the objective, so the
     returned point always scores at least as well as the anchor itself.
     """
@@ -150,10 +164,10 @@ def train_offline(
         raise ValueError("anchor lies outside the hypothesis ball")
     gamma = max(gamma_lower_bound(anchor, spec.R), gamma_floor)
     kappa = (spec.beta + gamma) / gamma
-    max_iters = 50 * ceil(kappa * log(1.0 / grad_map_tol))
+    max_iters = 50 * ceil(kappa * log(1.0 / GRAD_MAP_TOL))
     w, grad_map_norm, iterations, converged = projected_gradient(
         interval.X, interval.y, spec, gamma=gamma, anchor=anchor.v,
-        tol=grad_map_tol, max_iters=max_iters,
+        tol=GRAD_MAP_TOL, max_iters=max_iters,
     )
     return OfflineTrainResult(
         w=w, grad_map_norm=grad_map_norm, iterations=iterations,

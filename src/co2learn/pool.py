@@ -43,7 +43,7 @@ from .errors import ConfigError, check_int, check_real
 from .geometry import Sample, project_in_place
 from .losses import LossSpec, batch_mean_losses, check_sample, margin_loss
 from .meta import MetaWeights, init_weights, reweight, step_size_nu
-from .offline import GRAD_MAP_TOL, Anchor, OfflineTrainResult, omega, train_offline
+from .offline import Anchor, OfflineTrainResult, omega, train_offline
 from .online import OnlineExpertState, eta, ogd_update
 from .streams import IntervalBuffer
 
@@ -242,7 +242,7 @@ class ExpertPool:
         v = alpha.dot(experts)  # the anchor from the final state, and its risk, held to
         project_in_place(v, self.spec.R)  # the ball and [0, 1]: set_state takes alpha
         anchor = Anchor(v, min(float(alpha.dot(risks)), 1.0))  # summing to 1 +- 1e-9
-        result = train_offline(completed, anchor, self.spec, self.gamma_floor, GRAD_MAP_TOL)
+        result = train_offline(completed, anchor, self.spec, self.gamma_floor)
         omega_new = omega(result.w, anchor)
 
         g_completed = self._G

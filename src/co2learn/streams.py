@@ -44,6 +44,7 @@ PROXY_SUBSTREAM_OFFSET = 2**32
 MAX_DIM = 2**16  # samples are stored dense; one row is then at most 512 KiB
 STREAM_MODES = ("synthetic", "libsvm_noised")
 _SEED_MAX = 2**64 - 1  # CounterRng reads a seed modulo 2**64, so larger ones would repeat
+_WALK_DRAWS = 2**10  # normals per class-mean walk request (about 36 KiB while drawn), or one step
 
 
 @dataclass(frozen=True)
@@ -162,25 +163,33 @@ def sample_from_means(class_means: np.ndarray, n: int, D: float, rng: CounterRng
 def class_mean_walk(spec: StreamSpec):
     """Yield the class means (+1 row first) of intervals 1..G of a synthetic
     stream in order: the drifting walk drawn from substream 0. A step's two
-    ``normals(dim)`` requests (+1 row, then -1) are drawn as one, bit for bit
-    equal: a request consumes its draws in pairs and drops an odd leftover."""
+    ``normals(dim)`` requests (+1 row, then -1) are drawn as one, and up to
+    ``_WALK_DRAWS`` normals' worth of steps as one, bit for bit equal: a
+    request consumes its draws in pairs and drops an odd leftover, and each
+    step's share, 2 (dim + dim % 2), is even. A chunk's drifts are summed in
+    step order, so each interval's means are those of the step-by-step walk."""
     mean_rng = substream(spec.seed, 0)
     width = spec.dim + spec.dim % 2
-
-    def both_rows():
-        return mean_rng.normals(2 * width).reshape(2, width)[:, :spec.dim]
-
-    means = both_rows()
-    if np.array_equal(means[0], means[1]):  # probability-zero; regenerating would
-        raise RuntimeError("degenerate draw: identical class means")
-    for g in range(1, spec.G + 1):
-        if g > 1:
-            with np.errstate(over="ignore"):  # reported below
-                means = means + spec.drift_std * both_rows()
-        if not np.isfinite(means).all():
-            raise ConfigError(f"drift_std={spec.drift_std} walks a class mean out of the "
-                              f"float range at interval {g}")
-        yield means
+    per_request = max(1, _WALK_DRAWS // (2 * width))
+    means = None  # the last interval's, which the next chunk drifts from
+    for first in range(1, spec.G + 1, per_request):
+        n = min(per_request, spec.G + 1 - first)
+        draws = mean_rng.normals(2 * width * n).reshape(n, 2, width)[:, :, :spec.dim]
+        with np.errstate(over="ignore", invalid="ignore"):  # reported below
+            walk = spec.drift_std * draws
+            if means is None:  # interval 1's means are drawn, not drifted
+                walk[0] = draws[0]
+                if np.array_equal(walk[0, 0], walk[0, 1]):  # probability zero
+                    raise RuntimeError("degenerate draw: identical class means")
+            else:
+                walk[0] += means
+            np.cumsum(walk, axis=0, out=walk)
+        finite = np.isfinite(walk).all(axis=(1, 2))
+        for g, means in enumerate(walk, start=first):
+            if not finite[g - first]:
+                raise ConfigError(f"drift_std={spec.drift_std} walks a class mean out of the "
+                                  f"float range at interval {g}")
+            yield means
 
 
 def _synthetic_interval(spec: StreamSpec, g: int, means: np.ndarray) -> IntervalBuffer:

@@ -19,10 +19,11 @@ from co2learn.bounds import (
     transfer_gap_bound,
 )
 from co2learn.geometry import Sample
-from co2learn.harness import ExperimentConfig, emit_reports, erm_oracle, run_experiment
+from co2learn.harness import ExperimentConfig, emit_reports, run_experiment
 from co2learn.losses import LossSpec, batch_mean_loss, grad_loss, loss
 from co2learn.meta import MetaWeights, update_weights
-from co2learn.offline import Anchor, gamma_lower_bound, objective, omega, train_offline
+from co2learn.offline import (GRAD_MAP_TOL, Anchor, erm_oracle, gamma_lower_bound, objective,
+                              omega, train_offline)
 from co2learn.online import OnlineExpertState, ogd_step
 from co2learn.pool import ExpertPool
 from co2learn.streams import IntervalBuffer, StreamSpec, gen_synthetic
@@ -42,7 +43,6 @@ TOL_FD_REL = 1e-5     # finite-difference gradient agreement
 TOL_GRID = 1e-4       # solver-vs-grid objective gap
 TOL_SPOT = 1e-4       # calculator spot values
 TOL_SPOT_RADE = 1e-5
-GRAD_MAP_TOL = 1e-8
 THM2_SLACK = 0.05
 THM2_CASES = 40
 THM2_MIN_FRACTION = 0.95
@@ -198,7 +198,7 @@ def test_criterion_07_solvers_match_grid_search(spec):
 
     for _ in range(10):  # ERM oracle instances
         X, y = random_instance()
-        w = erm_oracle(X, y, spec, tol=1e-9)
+        w = erm_oracle(X, y, spec)
         grid_best, _ = grid_min_objective(X, y, spec.C)
         gap = batch_mean_loss(w, X, y, spec) - grid_best
         worst = max(worst, gap)
@@ -213,7 +213,7 @@ def test_criterion_07_solvers_match_grid_search(spec):
         anchor = Anchor(v=v, weighted_loss=wl)
         # a floor above the lower bound, so the floor is the gamma trained with
         gamma = gamma_lower_bound(anchor, 1.0) + float(rng.uniform(0.05, 1.0))
-        res = train_offline(buf, anchor, spec, gamma, 1e-10)
+        res = train_offline(buf, anchor, spec, gamma)
         assert res.gamma == gamma
         grid_best, _ = grid_min_objective(X, y, spec.C, gamma=gamma, anchor=v)
         gap = objective(res.w, buf, anchor, gamma, spec) - grid_best

@@ -6,11 +6,19 @@ of its own, or borrowed ``geometry``'s, could decide membership differently,
 as four checks once did with four slacks. So no module under
 ``src/co2learn/`` but ``geometry.py`` defines, imports or reads a ball
 tolerance, ``LossSpec`` builds both edges with ``max_norm``, and every domain
-check compares against one of them.
+check compares against one of them. Below radius 1 the rule's absolute
+slack shrinks with the radius, so it never admits a loss above 1 by more
+than rounding.
 """
 
 import ast
 from pathlib import Path
+
+import numpy as np
+import pytest
+
+from co2learn.geometry import Sample, max_norm
+from co2learn.losses import LossSpec, loss
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "co2learn"
 HOME = "geometry.py"
@@ -80,3 +88,19 @@ def test_every_domain_check_compares_against_an_edge():
         if name not in defined or not reads(defined[name], edge):
             missing.append(f"{module}:{name} must compare against spec.{edge}")
     assert not missing, ", ".join(missing)
+
+
+@pytest.mark.parametrize("R,D", [(1e-6, 1e6), (1e-9, 1e9)])
+def test_the_slack_shrinks_with_a_small_radius(R, D):
+    # an absolute 1e-9 past R = 1e-9 doubles the radius and lifts the loss
+    # of -D R far above 1; below r = 1 the slack is 1e-9 r
+    spec = LossSpec(D=D, R=R, dim=1)
+    try:
+        value = loss(np.array([R + 9e-10]), Sample(np.array([-D]), 1), spec)
+    except ValueError:
+        return
+    assert value <= 1 + 1e-8
+
+
+def test_the_rule_at_unit_radius_is_unchanged():
+    assert max_norm(1.0) == (1.0 + 2e-12) + 1e-9

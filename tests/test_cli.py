@@ -1,4 +1,3 @@
-import functools
 import json
 import os
 import re
@@ -9,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from co2learn import bounds, cli, harness
+from co2learn import bounds, cli, harness, offline
 from co2learn.cli import _defaults, main
 
 
@@ -198,8 +197,7 @@ class TestRun:
                        f"<= 18446744073709551615, got {seeds.split(',')[1]}\n")
 
     def test_erm_convergence_failure_is_one_line_exit_3(self, tmp_path, capsys, monkeypatch):
-        capped = functools.partial(harness.erm_oracle, max_iters=1)
-        monkeypatch.setattr(harness, "erm_oracle", capped)
+        monkeypatch.setattr(offline, "ERM_MAX_ITERS", 1)
         rc = run_cli("run", "--seeds", "1", "--g", "2", "--b", "20",
                      "--out", str(tmp_path / "o"))
         err = capsys.readouterr().err

@@ -12,8 +12,10 @@ The stored values live in ``golden_desk.json`` next to this file; running
 
     PYTHONPATH=src python tests/test_golden.py
 
-rewrites it from the current code. Do that only for a change that is meant
-to move the outputs, and say so where the change is described.
+adds the values the file lacks, from the current code, and keeps every
+stored one (see ``golden.py``). To re-anchor them all, delete the file
+first; do that only for a change that is meant to move the outputs, and say
+so where the change is described.
 """
 
 from __future__ import annotations
@@ -26,6 +28,8 @@ import pytest
 
 from co2learn import ExperimentConfig, ExpertPool, LossSpec, StreamSpec, run_experiment
 from co2learn.streams import generate
+
+from golden import load_stored, merge_missing
 
 GOLDEN_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden_desk.json")
 ATOL = 1e-12
@@ -124,8 +128,28 @@ def test_seed0_offline_iterates_match(outputs, golden):
     np.testing.assert_allclose(got, want, rtol=0, atol=ATOL)
 
 
-if __name__ == "__main__":
-    with open(GOLDEN_PATH, "w") as fh:
-        json.dump(current_outputs(), fh, indent=1)
+def write_golden(path: str, data: dict) -> None:
+    with open(path, "w") as fh:
+        json.dump(data, fh, indent=1)
         fh.write("\n")
+
+
+def test_regeneration_keeps_stored_values_and_adds_missing_ones(outputs, golden, tmp_path):
+    stored = json.loads(json.dumps(golden))
+    seed0 = stored["per_seed"]["0"]
+    seed0["bounds"]["excess_risk_bound"] += 1.0  # a stale value is kept, not re-anchored
+    del seed0["intervals"]["k_condition_holds"]  # a missing one is added
+    path = tmp_path / "golden_desk.json"
+    write_golden(path, stored)
+    write_golden(path, merge_missing(load_stored(path), outputs))
+    regenerated = load_stored(path)
+    assert regenerated["per_seed"]["0"]["bounds"] == seed0["bounds"]
+    assert (regenerated["per_seed"]["0"]["intervals"]["k_condition_holds"]
+            == outputs["per_seed"]["0"]["intervals"]["k_condition_holds"])
+    del regenerated["per_seed"]["0"]["intervals"]["k_condition_holds"]
+    assert regenerated == stored
+
+
+if __name__ == "__main__":
+    write_golden(GOLDEN_PATH, merge_missing(load_stored(GOLDEN_PATH), current_outputs()))
     print(f"wrote {GOLDEN_PATH}")

@@ -15,8 +15,10 @@ The stored values live in ``golden_pool.json`` next to this file; running
 
     PYTHONPATH=src python tests/test_golden_pool.py
 
-rewrites it from the current code. Do that only for a change that is meant
-to move the outputs, and say so where the change is described.
+adds the values the file lacks, from the current code, and keeps every
+stored one (see ``golden.py``). To re-anchor them all, delete the file
+first; do that only for a change that is meant to move the outputs, and say
+so where the change is described.
 """
 
 from __future__ import annotations
@@ -30,6 +32,8 @@ import pytest
 from co2learn import ExpertPool, LossSpec, StreamSpec
 from co2learn.geometry import Sample
 from co2learn.streams import generate
+
+from golden import load_stored, merge_missing
 
 GOLDEN_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden_pool.json")
 ATOL = 1e-12
@@ -72,9 +76,8 @@ def current_outputs() -> dict:
     return {"intervals": intervals, "final_experts": experts}
 
 
-def write_golden(path: str) -> None:
+def write_golden(path: str, data: dict) -> None:
     """One line per interval, so a diff of the file shows which moved."""
-    data = current_outputs()
     lines = ",\n".join(json.dumps(steps) for steps in data["intervals"])
     with open(path, "w") as fh:
         fh.write('{"intervals": [\n' + lines + "\n],\n")
@@ -124,6 +127,20 @@ def test_final_experts_match(outputs, golden):
     np.testing.assert_allclose(got, want, rtol=0, atol=ATOL)
 
 
+def test_regeneration_keeps_stored_values_and_adds_missing_ones(outputs, golden, tmp_path):
+    stored = json.loads(json.dumps(golden))
+    stored["intervals"][2]["loss_meta"][0] += 1.0  # a stale value is kept, not re-anchored
+    del stored["intervals"][4]["rollover_iterations"]  # a missing one is added
+    path = tmp_path / "golden_pool.json"
+    write_golden(path, stored)
+    write_golden(path, merge_missing(load_stored(path), outputs))
+    regenerated = load_stored(path)
+    assert regenerated["intervals"][2]["loss_meta"] == stored["intervals"][2]["loss_meta"]
+    assert (regenerated["intervals"][4].pop("rollover_iterations")
+            == outputs["intervals"][4]["rollover_iterations"])
+    assert regenerated == stored
+
+
 if __name__ == "__main__":
-    write_golden(GOLDEN_PATH)
+    write_golden(GOLDEN_PATH, merge_missing(load_stored(GOLDEN_PATH), current_outputs()))
     print(f"wrote {GOLDEN_PATH}")

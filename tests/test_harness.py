@@ -10,11 +10,10 @@ from co2learn.harness import (
     ExperimentConfig,
     _run_seed,
     emit_reports,
-    erm_oracle,
     run_experiment,
 )
 from co2learn.losses import LossSpec, batch_mean_loss
-from co2learn.offline import omega
+from co2learn.offline import erm_oracle, omega
 from co2learn.pool import ExpertPool
 from co2learn.rng import _BLOCK, CounterRng
 from co2learn.streams import IntervalBuffer, StreamSpec, fresh_proxy_samples, gen_synthetic

@@ -61,22 +61,22 @@ class TestGammaRule:
     def test_trainer_gamma_respects_floor(self, spec):
         buf = small_interval(seed=5)
         a = Anchor(v=np.zeros(2), weighted_loss=0.9)
-        assert train_offline(buf, a, spec, 0.1, 1e-8).gamma == pytest.approx(max(0.9 / 4, 0.1))
+        assert train_offline(buf, a, spec, 0.1).gamma == pytest.approx(max(0.9 / 4, 0.1))
         low = Anchor(v=np.zeros(2), weighted_loss=0.0)
-        assert train_offline(buf, low, spec, 0.1, 1e-8).gamma == 0.1
+        assert train_offline(buf, low, spec, 0.1).gamma == 0.1
 
 
 class TestTrainOffline:
     def test_huge_gamma_pins_to_anchor(self, spec):
         buf = small_interval(seed=2, B=6)
         a = Anchor(v=np.array([0.1, 0.2]), weighted_loss=0.5)
-        res = train_offline(buf, a, spec, 1e6, 1e-8)
+        res = train_offline(buf, a, spec, 1e6)
         assert np.linalg.norm(res.w - a.v) <= 1e-3
 
     def test_matches_grid_search(self, spec):
         buf = small_interval(seed=3, B=4)
         a = Anchor(v=np.array([-0.2, 0.3]), weighted_loss=0.4)
-        res = train_offline(buf, a, spec, 1.0, 1e-10)
+        res = train_offline(buf, a, spec, 1.0)
         _, grid_best = grid_min_objective(
             buf.X, buf.y, spec.C, gamma=1.0, anchor=a.v
         )
@@ -85,7 +85,7 @@ class TestTrainOffline:
     def test_monotone_descent_from_anchor(self, spec):
         buf = small_interval(seed=4, B=8)
         a = Anchor(v=np.array([0.4, -0.5]), weighted_loss=0.6)
-        res = train_offline(buf, a, spec, 0.1, 1e-8)
+        res = train_offline(buf, a, spec, 0.1)
         assert objective(res.w, buf, a, res.gamma, spec) <= objective(
             a.v, buf, a, res.gamma, spec
         ) + 1e-15
@@ -94,18 +94,18 @@ class TestTrainOffline:
         # a gamma_floor below the admissible bound WL / (4 R^2) is never trained with
         buf = small_interval(seed=5)
         a = Anchor(v=np.zeros(2), weighted_loss=0.8)  # bound 0.2
-        assert train_offline(buf, a, spec, 0.1, 1e-8).gamma == 0.2
+        assert train_offline(buf, a, spec, 0.1).gamma == 0.2
 
     def test_empty_interval_rejected(self, spec):
         empty = IntervalBuffer(X=np.zeros((0, 2)), y=np.zeros(0), interval_index=1)
         a = Anchor(v=np.zeros(2), weighted_loss=0.0)
         with pytest.raises(ValueError):
-            train_offline(empty, a, spec, 0.5, 1e-8)
+            train_offline(empty, a, spec, 0.5)
 
     def test_solver_certificate(self, spec):
         buf = small_interval(seed=6, B=50)
         a = Anchor(v=np.array([0.0, 0.1]), weighted_loss=0.55)
-        res = train_offline(buf, a, spec, 0.1, 1e-8)
+        res = train_offline(buf, a, spec, 0.1)
         assert res.converged
         assert res.grad_map_norm <= 1e-8
         assert np.linalg.norm(res.w) <= 1.0 + 1e-12
@@ -117,7 +117,7 @@ class TestTrainOffline:
             v = np.array([0.3, -0.2])
             wl = float(batch_mean_loss(v, buf.X, buf.y, spec))
             a = Anchor(v=v, weighted_loss=wl)
-            res = train_offline(buf, a, spec, 0.1, 1e-8)
+            res = train_offline(buf, a, spec, 0.1)
             assert omega(res.w, a) <= wl / res.gamma + 10 * 1e-8
 
 

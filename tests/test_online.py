@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from co2learn.geometry import Sample
-from co2learn.harness import erm_oracle
+from co2learn.offline import erm_oracle
 from co2learn.losses import LossSpec, batch_losses, grad_loss
 from co2learn.online import OnlineExpertState, eta, ogd_step
 from co2learn.streams import StreamSpec, gen_synthetic

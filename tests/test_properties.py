@@ -44,7 +44,7 @@ from co2learn.losses import (
     grad_buffers, grad_loss, loss,
 )
 from co2learn.meta import MetaWeights, combine, step_size_nu, update_weights
-from co2learn.offline import GRAD_MAP_TOL, Anchor, projected_gradient, train_offline
+from co2learn.offline import Anchor, projected_gradient, train_offline
 from co2learn.online import OnlineExpertState, ogd_step
 from co2learn.pool import INIT_POLICIES, STRATEGIES, ExpertPool
 from co2learn.rng import _BLOCK, CounterRng, substream
@@ -298,7 +298,7 @@ def test_every_domain_check_takes_what_the_package_builds_and_nothing_past_the_r
     assert (pool.G, pool.t) == (K + 1, 0)
     assert np.linalg.norm(roll.anchor.v) <= spec.R_max
     assert refuses(train_offline, IntervalBuffer(X=X, y=y, interval_index=0),
-                   Anchor(v=far, weighted_loss=0.5), spec, 0.1, GRAD_MAP_TOL)
+                   Anchor(v=far, weighted_loss=0.5), spec, 0.1)
 
 
 def coherent_output(pool):

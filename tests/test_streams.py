@@ -7,6 +7,7 @@ from co2learn.errors import ConfigError, DataError, StreamFormatError
 from co2learn.geometry import Sample
 from co2learn.rng import _BLOCK, CounterRng, substream
 from co2learn.streams import (
+    _WALK_DRAWS,
     IntervalBuffer,
     StreamSpec,
     class_mean_walk,
@@ -90,6 +91,44 @@ class TestGenSynthetic:
             assert means.shape == (2, dim)
             assert means.tobytes() == np.vstack([mu_pos, mu_neg]).tobytes()
         assert g == spec.G
+
+    @staticmethod
+    def per_step_walk(spec):
+        """The walk one step at a time, two normals(dim) requests per step, to
+        the first interval whose means leave the float range."""
+        rng = substream(spec.seed, 0)
+        means = np.vstack([rng.normals(spec.dim), rng.normals(spec.dim)])
+        for g in range(1, spec.G + 1):
+            if g > 1:
+                with np.errstate(over="ignore"):
+                    means = means + spec.drift_std * np.vstack(
+                        [rng.normals(spec.dim), rng.normals(spec.dim)])
+            yield means
+            if not np.isfinite(means).all():
+                return
+
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_chunked_walk_equals_the_per_step_walk_across_chunks(self, dim):
+        per_request = _WALK_DRAWS // (2 * (dim + dim % 2))  # steps drawn by one request
+        spec = StreamSpec(G=2 * per_request + 3, B=10, dim=dim, seed=21)
+        walk = list(class_mean_walk(spec))
+        want = list(self.per_step_walk(spec))
+        assert len(walk) == len(want) == spec.G
+        for g, (got, means) in enumerate(zip(walk, want), start=1):
+            assert got.tobytes() == means.tobytes(), f"interval {g}"
+
+    # drifts that leave the float range after the first request's steps
+    @pytest.mark.parametrize("dim,drift,seed", [(1, 1e307, 0), (3, 6e306, 5)])
+    def test_chunked_walk_names_the_first_interval_out_of_range(self, dim, drift, seed):
+        spec = StreamSpec(G=1000, B=10, dim=dim, seed=seed, drift_std=drift)
+        want = list(self.per_step_walk(spec))
+        g = len(want)
+        assert not np.isfinite(want[-1]).all() and g > _WALK_DRAWS // (2 * (dim + dim % 2))
+        walk = class_mean_walk(spec)
+        for means in want[:-1]:
+            assert next(walk).tobytes() == means.tobytes()
+        with pytest.raises(ConfigError, match=f"out of the float range at interval {g}$"):
+            next(walk)
 
     def test_deterministic(self):
         spec = StreamSpec(G=4, B=30, dim=2, seed=11)
