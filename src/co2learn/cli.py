@@ -23,7 +23,7 @@ from dataclasses import MISSING, fields, replace
 from . import bounds as tb
 from .errors import BoundViolation, ConfigError, ConvergenceError, DataError
 from .harness import (ExperimentConfig, check_memory, emit_reports, load_input_samples,
-                      run_experiment)
+                      run_experiment, write_json)
 from .pool import INIT_POLICIES, STRATEGIES
 from .streams import StreamSpec, dump_stream, final_interval, generate, parse_libsvm
 
@@ -179,10 +179,7 @@ def _cmd_bounds(cfg: dict) -> int:
     report = tb.bound_report(replace(inputs, eigenvalues=tb.estimate_eigenvalues(X)))
     os.makedirs(cfg["out"], exist_ok=True)
     path = os.path.join(cfg["out"], "bounds.json")
-    with open(path, "w") as fh:
-        json.dump(report, fh, indent=2)
-        fh.write("\n")
-    print(json.dumps(report, indent=2))
+    print(write_json(path, report), end="")
     print(f"wrote {path}", file=sys.stderr)
     return 0
 

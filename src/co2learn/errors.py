@@ -1,15 +1,8 @@
 """Exception types shared across the package.
 
-The CLI reports an error as one stderr line and an exit code, from its
-table ``cli.EXIT_CODES``:
-
-    ConfigError        1  "config error: "
-    DataError          2  "data error: "   (StreamFormatError is one)
-    OSError            2  "i/o error: "
-    BoundViolation     3  "bound violation: "
-    ConvergenceError   3  "convergence error: "   (the ERM oracle hit its cap)
-    MemoryError        1  "memory error: "
-"""
+The CLI reports an error as one stderr line and an exit code; its table
+``cli.EXIT_CODES`` maps each of these types (and OSError and MemoryError)
+to its code and line prefix."""
 
 import math
 import sys

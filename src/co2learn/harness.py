@@ -27,7 +27,6 @@ import numpy as np
 
 from . import bounds as tb
 from .errors import BoundViolation, ConfigError, check_int, check_real
-from .geometry import Sample
 from .losses import LossSpec, batch_losses, margin_loss
 from .offline import GRAD_MAP_TOL, erm_oracle, omega
 from .online import eta, ogd_update
@@ -212,19 +211,24 @@ def load_input_samples(config: ExperimentConfig):
 
 
 def check_memory(config: ExperimentConfig) -> None:
-    """Raise MemoryError unless one seed's stream and step table, ``G*B`` rows
-    of ``dim + 1`` and ``4 + K_max`` 8-byte values, fit in the machine's
-    physical memory. A larger run would fail, or never end, while its stream
-    is drawn; this check draws nothing."""
-    stream = config.stream
-    need = 8 * stream.G * stream.B * (stream.dim + 5 + config.K_max)
+    """Raise MemoryError unless what a run holds at once fits in the machine's
+    physical memory: one seed's stream and, when drawn, an interval's
+    ``10*B``-row w* proxy, in rows of ``dim + 1`` 8-byte values, and every
+    seed's step table, ``G*B`` rows of ``4 + K_max``, which the run keeps for
+    its report. A larger run would fail, or never end, while its stream is
+    drawn; this check draws nothing."""
+    stream, S = config.stream, len(config.seeds)
+    proxy = config.wstar_proxy and stream.mode == "synthetic"
+    rows = stream.G * stream.B + (10 * stream.B if proxy else 0)
+    need = 8 * (rows * (stream.dim + 1) + S * stream.G * stream.B * (4 + config.K_max))
     try:
         memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     except (AttributeError, ValueError, OSError):  # no sysconf: numpy's size limit
         memory = sys.maxsize
     if need > memory:
-        raise MemoryError(f"one seed's stream and step table, G*B = {stream.G} x {stream.B} "
-                          f"rows of {stream.dim + 5 + config.K_max} float64 values, need more "
+        raise MemoryError(f"one seed's stream{' and w* proxy' if proxy else ''}, {rows} rows of "
+                          f"{stream.dim + 1} float64 values, and a step table per seed, S x G*B ="
+                          f" {S} x {stream.G} x {stream.B} rows of {4 + config.K_max}, need more "
                           f"than the machine's {memory / 2**30:.3g} GiB")
 
 
@@ -266,40 +270,31 @@ def _run_seed(config: ExperimentConfig, seed: int, intervals: list[IntervalBuffe
 
     for buf in intervals:
         g = buf.interval_index
-        K = pool.K
         nu = pool.meta.nu
-        rows = steps[(g - 1) * B: g * B]  # views, filled in place
-        co2_losses, ogd_losses, alphas = rows[:, 0], rows[:, 1], rows[:, 4: 4 + K]
-        expert_losses = np.empty((B, K))
-        weighted_losses = np.empty(B)
-        for t in range(B):
-            x, y = buf.X[t], int(buf.y[t])
-            rec = pool.process_labeled(Sample(x, y))
-            co2_losses[t] = rec.loss_meta
-            expert_losses[t] = rec.losses_per_expert
-            weighted_losses[t] = float(rec.alpha_before.dot(rec.losses_per_expert))
-            alphas[t] = rec.alpha_after
-            # process_labeled has already checked this sample
+        proxy = None  # the last interval's w* proxy sample, let go before these steps
+        rows = steps[(g - 1) * B: g * B]  # a view, filled in place
+        recs = [pool.process_labeled(s) for s in buf.samples]
+        rows[:, 0] = [rec.loss_meta for rec in recs]
+        rows[:, 4: 4 + pool.K] = [rec.alpha_after for rec in recs]
+        # the whole-stream baseline; process_labeled has already checked each sample
+        for t, (x, y) in enumerate(zip(buf.X, buf.y.tolist())):
             z = y * float(x.dot(w_ogd))
-            ogd_losses[t] = margin_loss(z, spec)
+            rows[t, 1] = margin_loss(z, spec)
             ogd_update(w_ogd, eta((g - 1) * B + t + 1, spec), x, y, z, spec)
 
         w_hat = erm_oracle(buf.X, buf.y, spec)
         erm_losses = batch_losses(w_hat, buf.X, buf.y, spec)
-        # the w* proxy sample, shared by both metrics below; the last interval's
-        # is let go first, so two are never held at once
-        proxy = None
-        if config.wstar_proxy and buf.class_means is not None:
+        m = _interval_metrics(spec, seed, g, nu, rows, recs, erm_losses)
+        del recs  # let go before the w* proxy sample is drawn, so the two are never held at once
+        if config.wstar_proxy and buf.class_means is not None:  # one draw for both metrics
             proxy = fresh_proxy_samples(stream_spec, buf, 10 * B)
-        m = _interval_metrics(
-            spec, seed, g, K, nu, B,
-            co2_losses, ogd_losses, expert_losses, weighted_losses,
-            erm_losses, buf, proxy,
-        )
+            star_cum = float(batch_losses(erm_oracle(*proxy, spec), buf.X, buf.y, spec).sum())
+            m = replace(m, regret_co2_vs_wstar=m.cum_loss_co2 - star_cum,
+                        regret_ogd_vs_wstar=m.cum_loss_ogd - star_cum)
         metrics.append(m)
         _assert_interval_bounds(m)
-        rows[:, 2] = np.cumsum(co2_losses - erm_losses)
-        rows[:, 3] = np.cumsum(ogd_losses - erm_losses)
+        rows[:, 2] = np.cumsum(rows[:, 0] - erm_losses)
+        rows[:, 3] = np.cumsum(rows[:, 1] - erm_losses)
 
         if g < stream_spec.G:
             roll = pool.rollover(buf)
@@ -317,9 +312,11 @@ def _run_seed(config: ExperimentConfig, seed: int, intervals: list[IntervalBuffe
                    rollovers=rollovers, bound_report=tb.bound_report(report_inputs))
 
 
-def _interval_metrics(spec, seed, g, K, nu, B, co2_losses, ogd_losses,
-                      expert_losses, weighted_losses, erm_losses,
-                      buf, proxy) -> IntervalMetrics:
+def _interval_metrics(spec, seed, g, nu, rows, recs, erm_losses) -> IntervalMetrics:
+    co2_losses, ogd_losses = rows[:, 0], rows[:, 1]
+    expert_losses = np.array([rec.losses_per_expert for rec in recs])
+    weighted_losses = np.array([rec.alpha_before.dot(rec.losses_per_expert) for rec in recs])
+    B, K = expert_losses.shape
     cum_experts = expert_losses.sum(axis=0)
     best = float(cum_experts.min())
     cum_co2 = float(co2_losses.sum())
@@ -336,12 +333,6 @@ def _interval_metrics(spec, seed, g, K, nu, B, co2_losses, ogd_losses,
     general, worst = tb.co2_regret_bounds(B, K, spec.D, spec.beta, regret_ke)
 
     early = min(EARLY_T, B)
-    vs_wstar = (None, None)
-    if proxy is not None:
-        w_star = erm_oracle(*proxy, spec)
-        star_cum = float(batch_losses(w_star, buf.X, buf.y, spec).sum())
-        vs_wstar = (cum_co2 - star_cum, cum_ogd - star_cum)
-
     return IntervalMetrics(
         seed=seed, g=g, K=K, nu=nu, T=B,
         regret_co2=regret_co2, regret_me=regret_me,
@@ -357,7 +348,6 @@ def _interval_metrics(spec, seed, g, K, nu, B, co2_losses, ogd_losses,
         ogd_bound=tb.ogd_regret_bound(B, spec.D, spec.beta),
         co2_bound_general=general, co2_bound_worst=worst,
         k_condition_log_rhs=k_log_rhs, k_condition_holds=bool(math.log(K) <= k_log_rhs),
-        regret_co2_vs_wstar=vs_wstar[0], regret_ogd_vs_wstar=vs_wstar[1],
     )
 
 
@@ -466,10 +456,14 @@ def emit_reports(report: RunReport, out_dir: str) -> dict:
             for run in report.runs
         ],
     }
-    with open(paths["summary"], "w") as fh:
-        json.dump(summary, fh, indent=2)
-        fh.write("\n")
-    with open(paths["bounds"], "w") as fh:
-        json.dump({str(run.seed): run.bound_report for run in report.runs}, fh, indent=2)
-        fh.write("\n")
+    write_json(paths["summary"], summary)
+    write_json(paths["bounds"], {str(run.seed): run.bound_report for run in report.runs})
     return paths
+
+
+def write_json(path: str, obj) -> str:
+    """Write ``obj`` to ``path`` as indented JSON and a newline in one write; return the text."""
+    text = json.dumps(obj, indent=2) + "\n"
+    with open(path, "w") as fh:
+        fh.write(text)
+    return text

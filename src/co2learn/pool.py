@@ -17,13 +17,13 @@ OGD step with the gradient at its own iterate; and only then write the new
 meta weights, ``t`` and the next output. ``w_t`` was fixed before the loss
 was seen.
 
-When the online interval completes (t = B) the pool rolls over: it builds
-the anchor from the final meta weights and the experts' empirical risks on
-the completed interval, trains a new offline expert against that anchor
-(to the fixed mapping-norm tolerance ``offline.GRAD_MAP_TOL``), evicts the
-lowest-priority offline expert if the pool is full, reorders survivors by
-priority, reinitializes the meta weights for the new K, and restarts the
-online expert, at zero (cold) or at its final iterate (warm).
+When the online interval completes (t = B) the pool rolls over: it takes
+the final output as the anchor, weighs the experts' empirical risks on the
+completed interval by the final meta weights, trains a new offline expert
+against that anchor (to the mapping-norm tolerance ``offline.GRAD_MAP_TOL``),
+evicts the lowest-priority offline expert if the pool is full, reorders
+survivors by priority, reinitializes the meta weights for the new K, and
+restarts the online expert, at zero (cold) or at its final iterate (warm).
 
 Eviction strategies: ``fifo`` keeps insertion order (oldest = lowest
 priority); ``weight`` orders the surviving offline experts by their final
@@ -239,7 +239,7 @@ class ExpertPool:
 
         experts, alpha = self._experts, self._alpha
         risks = batch_mean_losses(experts, completed.X, completed.y, self.spec)
-        v = alpha.dot(experts)  # the anchor from the final state, and its risk, held to
+        v = self._w.copy()  # the anchor from the final output, and its risk, held to
         project_in_place(v, self.spec.R)  # the ball and [0, 1]: set_state takes alpha
         anchor = Anchor(v, min(float(alpha.dot(risks)), 1.0))  # summing to 1 +- 1e-9
         result = train_offline(completed, anchor, self.spec, self.gamma_floor)

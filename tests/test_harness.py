@@ -1,4 +1,5 @@
 import json
+import os
 from dataclasses import replace as dc_replace
 
 import numpy as np
@@ -12,8 +13,9 @@ from co2learn.harness import (
     emit_reports,
     run_experiment,
 )
-from co2learn.losses import LossSpec, batch_mean_loss
+from co2learn.losses import LossSpec, batch_mean_loss, grad_loss, loss
 from co2learn.offline import erm_oracle, omega
+from co2learn.online import OnlineExpertState, ogd_step
 from co2learn.pool import ExpertPool
 from co2learn.rng import _BLOCK, CounterRng
 from co2learn.streams import IntervalBuffer, StreamSpec, fresh_proxy_samples, gen_synthetic
@@ -107,6 +109,34 @@ class TestRunExperiment:
         run = small_report.runs[0]
         first = run.steps[0]
         assert first[LOSS_CO2] == first[LOSS_OGD]
+
+    @pytest.mark.parametrize("strategy,init_policy", [("weight", "cold"), ("fifo", "warm")])
+    def test_the_step_table_is_the_pools_step_records_and_a_whole_stream_ogd(
+            self, strategy, init_policy):
+        # K_max 3 < G, so early rows are zero-padded and later rollovers evict
+        G, B, K_max = 5, 40, 3
+        config = ExperimentConfig(stream=StreamSpec(G=G, B=B), seeds=(3,), K_max=K_max,
+                                  strategy=strategy, init_policy=init_policy, wstar_proxy=False)
+        intervals = gen_synthetic(config.stream)
+        run, spec = _run_seed(config, 3, intervals), config.loss_spec
+        pool = ExpertPool(spec=spec, B=B, K_max=K_max, strategy=strategy, init_policy=init_policy)
+        ogd, loss_ogd = OnlineExpertState(w=np.zeros(spec.dim), t=1), []
+        for buf, m in zip(intervals, run.intervals):
+            rows = run.steps[(buf.interval_index - 1) * B: buf.interval_index * B]
+            recs = [pool.process_labeled(s) for s in buf.samples]
+            assert rows[:, LOSS_CO2].tolist() == [rec.loss_meta for rec in recs]
+            alphas = np.zeros((B, K_max))
+            alphas[:, :pool.K] = [rec.alpha_after for rec in recs]
+            assert rows[:, ALPHA:].tobytes() == alphas.tobytes()
+            weighted = np.array([rec.alpha_before.dot(rec.losses_per_expert) for rec in recs])
+            best = np.array([rec.losses_per_expert for rec in recs]).sum(axis=0).min()
+            assert m.regret_me_weighted == weighted.sum() - best
+            for s in buf.samples:
+                loss_ogd.append(loss(ogd.w, s, spec))
+                ogd = ogd_step(ogd, grad_loss(ogd.w, s, spec), spec)
+            if buf.interval_index < G:
+                pool.rollover(buf)
+        np.testing.assert_allclose(run.steps[:, LOSS_OGD], loss_ogd, rtol=0, atol=1e-12)
 
     def test_bounds_hold_per_interval(self, small_report):
         for run in small_report.runs:
@@ -213,6 +243,30 @@ class TestRunExperiment:
         with pytest.raises(ValueError) as caught:
             _run_seed(config, 0, intervals)
         assert "\n" not in str(caught.value)
+
+
+class TestCheckMemory:
+    # G*B = 1000 rows at dim 2 and K_max 5: the stream and the proxy one seed
+    # draws hold 2000 rows of 3 values, each seed's step table 1000 rows of 9
+    STREAM = StreamSpec(G=10, B=100)
+
+    @staticmethod
+    def physical_memory(monkeypatch, nbytes):
+        pages, real = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": nbytes // 4096}, os.sysconf
+        monkeypatch.setattr(harness.os, "sysconf", lambda name: pages.get(name) or real(name))
+
+    def test_every_seeds_step_table_is_counted(self, monkeypatch):
+        self.physical_memory(monkeypatch, 200 * 1024)  # 1 seed needs 120 000 bytes, 8 need 624 000
+        harness.check_memory(ExperimentConfig(stream=self.STREAM, seeds=(0,)))
+        with pytest.raises(MemoryError) as caught:
+            harness.check_memory(ExperimentConfig(stream=self.STREAM, seeds=tuple(range(8))))
+        assert "\n" not in str(caught.value)
+
+    def test_the_proxy_is_counted_when_it_is_drawn(self, monkeypatch):
+        self.physical_memory(monkeypatch, 100 * 1024)  # 96 000 bytes without it, 120 000 with
+        harness.check_memory(ExperimentConfig(stream=self.STREAM, seeds=(0,), wstar_proxy=False))
+        with pytest.raises(MemoryError, match="stream and w\\* proxy"):
+            harness.check_memory(ExperimentConfig(stream=self.STREAM, seeds=(0,)))
 
 
 class TestEmitReports:

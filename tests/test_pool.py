@@ -356,6 +356,26 @@ class TestRollover:
             roll.anchor.v, sum(a * w for a, w in zip(alpha, advice)), rtol=1e-14
         )
 
+    @pytest.mark.parametrize("R", [1.0, 1e7])
+    def test_the_anchor_is_the_output_before_the_rollover_projected(self, R):
+        # two intervals in, so the output mixes two experts; the edge state's
+        # weights sum to 1 + 9e-10, so its output lies past the ball
+        B = 30
+        big = LossSpec.create(D=R, R=R, dim=2)
+        stream = gen_synthetic(StreamSpec(G=3, B=B, dim=2, D=R, seed=61))
+        pool = ExpertPool(spec=big, B=B, K_max=3)
+        for buf in stream[:2]:
+            run_interval(pool, buf)
+            output = pool.current_output()
+            roll = pool.rollover(buf)
+            assert roll.anchor.v.tobytes() == project_to_ball(output, R).tobytes()
+        edge = np.array([0.0, R])
+        pool.set_state([edge, edge, edge], [0.5, 0.25, 0.25 + 9e-10], t=B, G=3)
+        output = pool.current_output()
+        roll = pool.rollover(stream[2])
+        assert np.linalg.norm(output) > R * (1 + 1e-12)
+        assert roll.anchor.v.tobytes() == project_to_ball(output, R).tobytes()
+
     @pytest.mark.parametrize("bad", ["norm_7", "nan", "dim_3", "rows"])
     def test_completed_interval_outside_the_domain_rejected_first(self, spec, bad):
         B = 20
