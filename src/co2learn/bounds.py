@@ -9,9 +9,9 @@ smoothness beta, regularization gamma, confidence 1 - delta, moment
 eigenvalues lambda_i):
 
     meta regret      sqrt(T ln K)
-    OGD regret       6 D sqrt(T beta)
+    OGD regret       max(6 D, 2 R^2 / D + 4 D) sqrt(T beta)
     coupled regret   sqrt(T ln K) + regret_KE   (general)
-                     sqrt(T ln K) + 6 D sqrt(T beta)   (worst case)
+                     sqrt(T ln K) + OGD regret   (worst case)
     K condition      log K <= log 2 + (OGD regret - regret_KE) / sqrt(T)
     transfer gap     ||w_new - w*|| <= sqrt(2 Omega(w*) + 32 beta / gamma^2
                                            + 6 WL / gamma)
@@ -85,25 +85,26 @@ def meta_regret_bound(T: int, K: int) -> float:
     return sqrt(T * log(K))
 
 
-def ogd_regret_bound(T: int, D: float, beta: float) -> float:
-    """6 D sqrt(T beta)."""
+def ogd_regret_bound(T: int, D: float, R: float, beta: float) -> float:
+    """Zinkevich's (2 R^2 / D + 4 D) sqrt(T beta), at least its R = D value 6 D sqrt(T beta)."""
     if T < 1:
         raise ValueError("T must be >= 1")
-    return 6.0 * D * sqrt(T * beta)
+    return max(6.0 * D, 2.0 * (R / D) * R + 4.0 * D) * sqrt(T * beta)
 
 
-def co2_regret_bounds(T: int, K: int, D: float, beta: float, regret_KE: float) -> CoupledRegretBounds:
+def co2_regret_bounds(T: int, K: int, D: float, R: float, beta: float,
+                      regret_KE: float) -> CoupledRegretBounds:
     """General and worst-case regret bounds of the coupled learner."""
     base = meta_regret_bound(T, K)
     return CoupledRegretBounds(general=base + regret_KE,
-                               worst=base + ogd_regret_bound(T, D, beta))
+                               worst=base + ogd_regret_bound(T, D, R, beta))
 
 
-def k_condition(T: int, D: float, beta: float, regret_KE: float) -> float:
+def k_condition(T: int, D: float, R: float, beta: float, regret_KE: float) -> float:
     """Log of the largest expert count for which coupling cannot lose to
     bare OGD: the caller checks log K <= returned value."""
     # each term over sqrt(T) on its own, so no intermediate leaves the float range
-    return log(2.0) + (ogd_regret_bound(T, D, beta) / sqrt(T) - regret_KE / sqrt(T))
+    return log(2.0) + (ogd_regret_bound(T, D, R, beta) / sqrt(T) - regret_KE / sqrt(T))
 
 
 def transfer_gap_bound(omega_star: float, beta: float, gamma: float, weighted_loss: float) -> float:
@@ -143,7 +144,7 @@ def excess_risk_bound(inputs: BoundInputs) -> float:
         T, D, R, inputs.eigenvalues)
     confidence = ((6.0 * R * sqrt(beta) + 2.0) * sqrt(log(16.0 / delta))
                   + 4.0 * log(8.0 / delta)) / sqrt(T)
-    regret = co2_regret_bounds(T, inputs.K, D, beta, inputs.regret_KE).worst / T
+    regret = co2_regret_bounds(T, inputs.K, D, R, beta, inputs.regret_KE).worst / T
     return fast + capacity + confidence + regret
 
 
@@ -160,17 +161,18 @@ def estimate_eigenvalues(X: np.ndarray) -> np.ndarray:
 
 def _bounds(inputs: BoundInputs) -> dict:
     """Every calculator's value at these inputs, keyed by name."""
-    general, worst = co2_regret_bounds(inputs.T, inputs.K, inputs.D, inputs.beta, inputs.regret_KE)
+    T, D, R, beta, regret_KE = inputs.T, inputs.D, inputs.R, inputs.beta, inputs.regret_KE
+    general, worst = co2_regret_bounds(T, inputs.K, D, R, beta, regret_KE)
     return {
-        "meta_regret_bound": meta_regret_bound(inputs.T, inputs.K),
-        "ogd_regret_bound": ogd_regret_bound(inputs.T, inputs.D, inputs.beta),
+        "meta_regret_bound": meta_regret_bound(T, inputs.K),
+        "ogd_regret_bound": ogd_regret_bound(T, D, R, beta),
         "co2_regret_bound_general": general,
         "co2_regret_bound_worst": worst,
-        "k_condition_log_rhs": k_condition(inputs.T, inputs.D, inputs.beta, inputs.regret_KE),
+        "k_condition_log_rhs": k_condition(T, D, R, beta, regret_KE),
         "transfer_gap_bound": transfer_gap_bound(
             inputs.omega_star, inputs.beta, inputs.gamma, inputs.weighted_loss
         ),
-        "rademacher_bound": rademacher_bound(inputs.T, inputs.D, inputs.R, inputs.eigenvalues),
+        "rademacher_bound": rademacher_bound(T, D, R, inputs.eigenvalues),
         "excess_risk_bound": excess_risk_bound(inputs),
     }
 

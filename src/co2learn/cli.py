@@ -15,6 +15,7 @@ override it.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import sys
@@ -78,14 +79,15 @@ _KEY_OF_FIELD = {field: key for key, field in _FIELD_OF_KEY.items()}
 
 def _defaults() -> dict:
     """The config file's defaults: StreamSpec's and ExperimentConfig's field
-    defaults, plus the keys only the CLI reads. The stream's seed is not a
-    key: ExperimentConfig sets it to the first of ``seeds``."""
+    defaults, ``bound_inputs``' keyword defaults as ``bounds``, and the CLI's own
+    keys. The stream's seed is not a key: ExperimentConfig sets it to seeds[0]."""
     cfg = {"stream": {f.name: f.default for f in fields(StreamSpec) if f.name != "seed"}}
     for f in fields(ExperimentConfig):
         if f.default is not MISSING:
             cfg[_KEY_OF_FIELD.get(f.name, f.name)] = f.default
-    cfg.update(seeds=[0], out="out", bounds={
-        "regret_KE": 0.0, "omega_star": 0.0, "weighted_loss": 0.0, "gamma": None})
+    params = inspect.signature(ExperimentConfig.bound_inputs).parameters.values()
+    cfg.update(seeds=[0], out="out",
+               bounds={p.name: p.default for p in params if p.default is not p.empty})
     return cfg
 
 
@@ -131,13 +133,13 @@ def _load_config(args) -> dict:
     return cfg
 
 
-def _experiment_config(cfg: dict) -> ExperimentConfig:
-    """Every setting, checked once by the config dataclasses, and the run's
-    size, checked against memory."""
+def _experiment_config(cfg: dict, run: bool = False) -> ExperimentConfig:
+    """Every setting, checked once by the config dataclasses, and the
+    command's size (``run``'s, or one stream's), checked against memory."""
     settings = {_FIELD_OF_KEY.get(key, key): cfg[key] for key in cfg
                 if key not in ("stream", "out", "bounds")}
     config = ExperimentConfig(stream=StreamSpec(**cfg["stream"]), **settings)
-    check_memory(config)  # before any stream is drawn
+    check_memory(config, run)  # before any stream is drawn
     return config
 
 
@@ -154,7 +156,7 @@ def _cmd_generate(cfg: dict) -> int:
 
 
 def _cmd_run(cfg: dict) -> int:
-    config = _experiment_config(cfg)
+    config = _experiment_config(cfg, run=True)
     report = run_experiment(config)
     paths = emit_reports(report, cfg["out"])
     agg = report.aggregate
@@ -218,7 +220,7 @@ def main(argv: list[str] | None = None) -> int:
         code, prefix = next((c, p) for kind, c, p in EXIT_CODES if isinstance(exc, kind))
         message = str(exc)
         if isinstance(exc, MemoryError):
-            message = f"{message or 'out of memory'}; lower --b, --g, --dim or --kmax"
+            message = f"{message or 'out of memory'}; lower --b, --g, --dim, --kmax or --seeds"
         print(f"{prefix}: {message}", file=sys.stderr)
         return code
 

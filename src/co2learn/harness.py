@@ -53,15 +53,13 @@ class ExperimentConfig:
     a field, so ``asdict`` gives the settings alone), the LossSpec of
     ``stream.D``, ``R`` and ``stream.dim``; and, by ``bound_inputs``, the
     calculators' inputs. ``pool.check_settings`` checks the pool settings.
-    R must be <= ``stream.D``: the asserted OGD bound ``6 D sqrt(T beta)`` is
-    Zinkevich's ``(2 R^2 / D + 4 D) sqrt(T beta)`` at R = D, and below it
-    only for R <= D. Every bound a run can report must be finite where it is
-    largest, at ``omega_star = 4 R^2`` and ``weighted_loss = 1``: first
-    ``transfer_gap_bound``, the one bound that reads gamma, at the transfer
-    weights ``max(1/(4 R^2), gamma_floor)`` (a failure, or an infinite
-    ``1/(4 R^2)``, names ``R``) and ``gamma_floor`` (it names ``gamma_floor``);
-    then one ``BoundInputs`` at ``gamma_floor`` and ``regret_KE = B`` for the
-    rest, whose failure names the bound and echoes its inputs."""
+    Every bound a run can report must be finite where it is largest, at
+    ``omega_star = 4 R^2`` and ``weighted_loss = 1``: first ``transfer_gap_bound``,
+    the one bound that reads gamma, at the transfer weights
+    ``max(1/(4 R^2), gamma_floor)`` (a failure, or an infinite ``1/(4 R^2)``,
+    names ``R``) and ``gamma_floor`` (it names ``gamma_floor``); then one
+    ``BoundInputs`` at ``gamma_floor`` and ``regret_KE = B`` for the rest,
+    whose failure names the bound and echoes its inputs."""
 
     stream: StreamSpec
     seeds: tuple[int, ...]
@@ -85,9 +83,6 @@ class ExperimentConfig:
         object.__setattr__(self, "stream", replace(self.stream, seed=self.seeds[0]))
         object.__setattr__(self, "loss_spec",
                            LossSpec(D=self.stream.D, R=self.R, dim=self.stream.dim))
-        if self.R > self.stream.D:
-            raise ConfigError(f"R must be <= D, got R={self.R}, D={self.stream.D}: the "
-                              f"asserted OGD regret bound 6 D sqrt(T beta) needs R <= D")
         check_settings(self.stream.B, self.K_max, self.strategy, self.init_policy,
                        self.gamma_floor)
         check_real("delta", self.delta, positive=True, below=1.0)
@@ -210,15 +205,14 @@ def load_input_samples(config: ExperimentConfig):
         return parse_libsvm(fh.read(), dim=config.stream.dim)
 
 
-def check_memory(config: ExperimentConfig) -> None:
-    """Raise MemoryError unless what a run holds at once fits in the machine's
-    physical memory: one seed's stream and, when drawn, an interval's
-    ``10*B``-row w* proxy, in rows of ``dim + 1`` 8-byte values, and every
-    seed's step table, ``G*B`` rows of ``4 + K_max``, which the run keeps for
-    its report. A larger run would fail, or never end, while its stream is
-    drawn; this check draws nothing."""
-    stream, S = config.stream, len(config.seeds)
-    proxy = config.wstar_proxy and stream.mode == "synthetic"
+def check_memory(config: ExperimentConfig, run: bool = True) -> None:
+    """Raise MemoryError unless what a command holds at once fits in physical
+    memory: one seed's stream, in rows of ``dim + 1`` 8-byte values, and for a
+    run also an interval's ``10*B``-row w* proxy when drawn and every seed's
+    step table, ``G*B`` rows of ``4 + K_max``, kept for the report. This check
+    draws nothing; a larger command would fail, or never end, while drawing."""
+    stream, S = config.stream, len(config.seeds) if run else 0
+    proxy = run and config.wstar_proxy and stream.mode == "synthetic"
     rows = stream.G * stream.B + (10 * stream.B if proxy else 0)
     need = 8 * (rows * (stream.dim + 1) + S * stream.G * stream.B * (4 + config.K_max))
     try:
@@ -226,10 +220,11 @@ def check_memory(config: ExperimentConfig) -> None:
     except (AttributeError, ValueError, OSError):  # no sysconf: numpy's size limit
         memory = sys.maxsize
     if need > memory:
+        tables = (f", and a step table per seed, S x G*B = {S} x {stream.G} x {stream.B} rows "
+                  f"of {4 + config.K_max}," if run else "")
         raise MemoryError(f"one seed's stream{' and w* proxy' if proxy else ''}, {rows} rows of "
-                          f"{stream.dim + 1} float64 values, and a step table per seed, S x G*B ="
-                          f" {S} x {stream.G} x {stream.B} rows of {4 + config.K_max}, need more "
-                          f"than the machine's {memory / 2**30:.3g} GiB")
+                          f"{stream.dim + 1} float64 values{tables} need more than the "
+                          f"machine's {memory / 2**30:.3g} GiB")
 
 
 def run_experiment(config: ExperimentConfig) -> RunReport:
@@ -329,8 +324,8 @@ def _interval_metrics(spec, seed, g, nu, rows, recs, erm_losses) -> IntervalMetr
     regret_ke = best - erm_cum
     regret_oe = cum_online - erm_cum
     regret_ogd = cum_ogd - erm_cum
-    k_log_rhs = tb.k_condition(B, spec.D, spec.beta, regret_ke)
-    general, worst = tb.co2_regret_bounds(B, K, spec.D, spec.beta, regret_ke)
+    k_log_rhs = tb.k_condition(B, spec.D, spec.R, spec.beta, regret_ke)
+    general, worst = tb.co2_regret_bounds(B, K, spec.D, spec.R, spec.beta, regret_ke)
 
     early = min(EARLY_T, B)
     return IntervalMetrics(
@@ -345,7 +340,7 @@ def _interval_metrics(spec, seed, g, nu, rows, recs, erm_losses) -> IntervalMetr
         early_cum_online=float(expert_losses[:early, -1].sum()),
         early_cum_ogd=float(ogd_losses[:early].sum()),
         meta_bound=tb.meta_regret_bound(B, K),
-        ogd_bound=tb.ogd_regret_bound(B, spec.D, spec.beta),
+        ogd_bound=tb.ogd_regret_bound(B, spec.D, spec.R, spec.beta),
         co2_bound_general=general, co2_bound_worst=worst,
         k_condition_log_rhs=k_log_rhs, k_condition_holds=bool(math.log(K) <= k_log_rhs),
     )

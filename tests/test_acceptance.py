@@ -109,7 +109,7 @@ def test_criterion_01_meta_regret_bound(desk_report):
 
 def test_criterion_02_ogd_regret_bound(desk_report):
     slacks = [m.regret_oe - m.ogd_bound for m in all_intervals(desk_report)]
-    _verdict(2, "online-expert regret <= 6 D sqrt(T beta) on every run",
+    _verdict(2, "online-expert regret <= max(6 D, 2 R^2 / D + 4 D) sqrt(T beta) on every run",
              max(slacks) <= TOL_BOUND, f"worst slack {max(slacks):.3e}")
 
 
@@ -117,7 +117,7 @@ def test_criterion_03_coupled_regret_bounds_and_identity(desk_report, spec):
     beta = spec.beta
     worst_general = worst_worst = worst_ident = -np.inf
     for m in all_intervals(desk_report):
-        general, worst_case = co2_regret_bounds(m.T, m.K, 1.0, beta, m.regret_ke)
+        general, worst_case = co2_regret_bounds(m.T, m.K, 1.0, 1.0, beta, m.regret_ke)
         assert general == pytest.approx(m.co2_bound_general, rel=1e-12)
         assert worst_case == pytest.approx(m.co2_bound_worst, rel=1e-12)
         worst_general = max(worst_general, m.regret_co2 - general)
@@ -247,8 +247,8 @@ def test_criterion_09_early_and_end_wins(desk_report):
 
 def test_criterion_10_calculator_spot_values():
     checks = [
-        abs(co2_regret_bounds(100, 2, 1.0, 1.0, 60.0).worst - 68.32554) <= TOL_SPOT,
-        abs(k_condition(100, 1.0, 1.0, 50.0) - math.log(5.43656)) <= TOL_SPOT,  # log form
+        abs(co2_regret_bounds(100, 2, 1.0, 1.0, 1.0, 60.0).worst - 68.32554) <= TOL_SPOT,
+        abs(k_condition(100, 1.0, 1.0, 1.0, 50.0) - math.log(5.43656)) <= TOL_SPOT,  # log form
         abs(rademacher_bound(100, 1.0, 1.0, np.array([1.0, 0.0])) - 0.032975) <= TOL_SPOT_RADE,
         abs(transfer_gap_bound(0.0, 1.0, 1.0, 0.0) - 5.65685) <= TOL_SPOT,
     ]

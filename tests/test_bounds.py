@@ -31,32 +31,48 @@ class TestMetaRegretBound:
 
 class TestOgdRegretBound:
     def test_hand_values(self):
-        assert ogd_regret_bound(100, 1.0, 1.0) == pytest.approx(60.0, rel=1e-12)
-        assert ogd_regret_bound(1, 1.0, 4.0) == pytest.approx(12.0, rel=1e-12)
+        assert ogd_regret_bound(100, 1.0, 1.0, 1.0) == pytest.approx(60.0, rel=1e-12)
+        assert ogd_regret_bound(1, 1.0, 1.0, 4.0) == pytest.approx(12.0, rel=1e-12)
+        assert ogd_regret_bound(100, 1.0, 2.0, 1.0) == pytest.approx(120.0, rel=1e-12)
 
     def test_linearity_in_D(self):
-        assert ogd_regret_bound(100, 2.0, 1.0) == pytest.approx(
-            2 * ogd_regret_bound(100, 1.0, 1.0), rel=1e-12
+        assert ogd_regret_bound(100, 2.0, 1.0, 1.0) == pytest.approx(
+            2 * ogd_regret_bound(100, 1.0, 1.0, 1.0), rel=1e-12
         )
+
+    @pytest.mark.parametrize("D", [0.1, 0.3, 1.0, 7.0])
+    @pytest.mark.parametrize("R_share", [1e-300, 0.01, 0.5, 0.999999, 1.0])
+    def test_is_6_D_sqrt_T_beta_bit_for_bit_at_R_up_to_D(self, D, R_share):
+        R = D * R_share  # exactly D at share 1
+        for T, beta in [(1, 1.0), (200, 0.35), (20000, 2.5e3)]:
+            assert ogd_regret_bound(T, D, R, beta) == 6.0 * D * math.sqrt(T * beta)
+
+    @pytest.mark.parametrize("D,R", [(0.1, 1.0), (0.3, 0.31), (1.0, 2.0), (7.0, 70.0),
+                                     (0.01, 100.0)])
+    def test_is_zinkevich_s_general_form_above_D(self, D, R):
+        T, beta = 200, 2.5
+        assert ogd_regret_bound(T, D, R, beta) == pytest.approx(
+            (2 * R * R / D + 4 * D) * math.sqrt(T * beta), rel=1e-15)
+        assert ogd_regret_bound(T, D, R, beta) > 6.0 * D * math.sqrt(T * beta)
 
     def test_rejects_zero_T(self):
         with pytest.raises(ValueError):
-            ogd_regret_bound(0, 1.0, 1.0)
+            ogd_regret_bound(0, 1.0, 1.0, 1.0)
 
 
 class TestCoupledRegretBounds:
     def test_hand_value(self):
-        general, worst = co2_regret_bounds(100, 2, 1.0, 1.0, 60.0)
+        general, worst = co2_regret_bounds(100, 2, 1.0, 1.0, 1.0, 60.0)
         assert general == pytest.approx(68.32554611, rel=1e-9)
         assert worst == pytest.approx(68.32554611, rel=1e-9)
 
     def test_single_expert(self):
-        general, worst = co2_regret_bounds(100, 1, 1.0, 1.0, 0.0)
+        general, worst = co2_regret_bounds(100, 1, 1.0, 1.0, 1.0, 0.0)
         assert general == 0.0
         assert worst == pytest.approx(60.0, rel=1e-12)
 
     def test_general_below_worst_when_ke_small(self):
-        general, worst = co2_regret_bounds(200, 3, 1.0, 0.5, 10.0)
+        general, worst = co2_regret_bounds(200, 3, 1.0, 1.0, 0.5, 10.0)
         assert general <= worst
 
 
@@ -65,14 +81,15 @@ class TestKCondition:
 
     def test_boundary(self):
         T, D, beta = 100, 1.0, 1.0
-        got = k_condition(T, D, beta, 6 * D * math.sqrt(T * beta))
+        got = k_condition(T, D, 1.0, beta, 6 * D * math.sqrt(T * beta))
         assert got == pytest.approx(math.log(2.0), rel=1e-12)
 
     def test_hand_value(self):
-        assert k_condition(100, 1.0, 1.0, 50.0) == pytest.approx(math.log(2 * math.e), rel=1e-12)
+        assert k_condition(100, 1.0, 1.0, 1.0, 50.0) == pytest.approx(math.log(2 * math.e),
+                                                                       rel=1e-12)
 
     def test_monotone_in_regret(self):
-        values = [k_condition(100, 1.0, 1.0, r) for r in (0.0, 10.0, 30.0, 60.0)]
+        values = [k_condition(100, 1.0, 1.0, 1.0, r) for r in (0.0, 10.0, 30.0, 60.0)]
         assert all(a > b for a, b in zip(values, values[1:]))
 
 
@@ -163,7 +180,7 @@ class TestBoundInputs:
         (dict(D=1e308), "ogd_regret_bound"),
         (dict(T=1, D=1e308 / 6, regret_KE=-1e308), "k_condition_log_rhs"),
         (dict(gamma=1e-300), "transfer_gap_bound"),
-        (dict(T=1, R=1e308), "rademacher_bound"),
+        (dict(T=1, R=1e308), "ogd_regret_bound"),  # 2 R^2 / D overflows first
         (dict(delta=5e-324), "excess_risk_bound"),  # log(16 / delta) overflows
         # numpy's overflow in the eigenvalue sum is an inf, not a warning
         (dict(D=1e154, eigenvalues=np.array([1e308, 1e308])), "rademacher_bound"),
@@ -225,8 +242,8 @@ class TestEachRateHasOneHome:
                              eigenvalues=np.array([0.6, 0.3]))
 
         def built_on_it():
-            return (k_condition(100, 1.0, 0.25, 2.0),
-                    co2_regret_bounds(100, 3, 1.0, 0.25, 2.0).worst,
+            return (k_condition(100, 1.0, 1.0, 0.25, 2.0),
+                    co2_regret_bounds(100, 3, 1.0, 1.0, 0.25, 2.0).worst,
                     excess_risk_bound(inputs))
 
         before = built_on_it()

@@ -10,10 +10,14 @@ import pytest
 
 from co2learn import bounds, cli, harness, offline
 from co2learn.cli import _defaults, main
+from co2learn.losses import LossSpec
 
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+MEMORY_HINT = "lower --b, --g, --dim, --kmax or --seeds"  # ends each memory error
 
 
 def assert_config_error(tmp_path, capsys, command, body):
@@ -58,7 +62,6 @@ BAD_CONFIG_BODIES = [
     # equal to 1 and to 0 modulo 2**64, the generator's seed range, so each ran one stream twice
     {"seeds": [1, 2**64 + 1]},
     {"seeds": [0, -2**64]},
-    {"stream": {"D": 0.1, "G": 4}, "seeds": [0]},  # R = 1 > D: the OGD bound needs R <= D
     # seed 1's class-mean walk overflows at interval 2; it used to end in a traceback
     {"stream": {"G": 4, "B": 5, "drift_std": 1e308}, "seeds": [1]},
     # derived values that leave the float range; each used to end in a traceback
@@ -67,9 +70,13 @@ BAD_CONFIG_BODIES = [
     {"stream": {"G": 2, "B": 20, "D": 1e-155}, "R": 1e-155},  # beta > 0, but 1/beta overflows
     {"gamma_floor": 1e-200},  # 32 beta / gamma_floor^2 overflows
     {"R": 2.5e-150, "stream": {"D": 1e154, "G": 2, "B": 20000}},  # 6 D sqrt(T beta) overflows
+    {"R": 1e150, "stream": {"D": 1e-10, "G": 2, "B": 20}},  # 2 R^2 / D overflows
     {"stream": {"G": 2, "B": 20, "seed": 5}},  # the stream seed is the first of seeds
     {"input": "x.libsvm"},  # synthetic mode would run without ever reading the file
 ]
+
+# R > D, where the OGD bound is Zinkevich's (2 R^2 / D + 4 D) sqrt(T beta)
+R_ABOVE_D = {"stream": {"D": 0.1, "G": 4}, "seeds": [0]}
 
 # The nearest settings to the float-range rows above that still run.
 EDGE_CONFIG_BODIES = [
@@ -81,6 +88,8 @@ EDGE_CONFIG_BODIES = [
     {"stream": {"G": 2, "B": 20, "D": 30}},  # 6 D sqrt(beta) = 493
     # 6 D sqrt(beta) = 1.9e3 overflows exp, but not the K condition's log form
     {"R": 0.1, "stream": {"G": 2, "B": 20, "D": 100}},
+    R_ABOVE_D,
+    {"R": 100, "stream": {"D": 0.01, "G": 2, "B": 20}},  # (2 R^2 / D + 4 D) sqrt(beta) = 8.7e3
 ]
 
 
@@ -138,13 +147,28 @@ class TestRun:
     def test_bad_config_value_is_one_line_exit_1(self, tmp_path, capsys, command, body):
         assert_config_error(tmp_path, capsys, command, {"stream": {"G": 2, "B": 20}, **body})
 
-    @pytest.mark.parametrize("command", ["run", "bounds"])
+    @pytest.mark.parametrize("command,written", [
+        ("run", "bounds.json"), ("bounds", "bounds.json"), ("generate", "stream.csv")])
     @pytest.mark.parametrize("body", EDGE_CONFIG_BODIES)
-    def test_settings_at_the_edge_of_the_float_range_still_run(self, tmp_path, command, body):
+    def test_settings_at_the_edge_of_the_float_range_still_run(self, tmp_path, command, written,
+                                                              body):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"stream": {"G": 2, "B": 20}, "seeds": [0], **body}))
         assert run_cli(command, "--config", str(cfg_path), "--out", str(tmp_path / "o")) == 0
-        assert (tmp_path / "o" / "bounds.json").exists()
+        assert (tmp_path / "o" / written).exists()
+
+    def test_an_R_above_D_run_keeps_the_general_ogd_bound(self, tmp_path):
+        """At D = 0.1 and R = 1 the online expert's regret passes 6 D sqrt(T beta),
+        the bound's value at R = D, and stays under the bound the run asserts."""
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(R_ABOVE_D))
+        assert run_cli("run", "--config", str(cfg_path), "--out", str(tmp_path / "o")) == 0
+        summary = json.loads((tmp_path / "o" / "summary.json").read_text())
+        intervals = summary["per_seed"][0]["intervals"]
+        beta = LossSpec(D=0.1, R=1.0, dim=2).beta
+        assert len(intervals) == 4
+        assert max(m["regret_oe"] / (6 * 0.1 * (m["T"] * beta) ** 0.5) for m in intervals) > 1
+        assert all(m["regret_oe"] <= m["ogd_bound"] for m in intervals)
 
     @pytest.mark.parametrize("command", ["run", "generate", "bounds"])
     @pytest.mark.parametrize("body,start", [
@@ -152,10 +176,13 @@ class TestRun:
         # a bound that does not read gamma is named with no setting: its inputs show the cause
         ({"R": 2.5e-150, "stream": {"D": 1e154, "G": 2, "B": 20000}},
          "ogd_regret_bound must be a finite "),
+        ({"R": 1e150, "stream": {"D": 1e-10, "G": 2, "B": 20}},
+         "ogd_regret_bound must be a finite number, got inf at T=20, "),  # 2 R^2 / D overflows
         ({"delta": 1e-320}, "excess_risk_bound must be a finite "),  # log(16 / delta) overflows
         ({"R": 1e-155}, "R=1e-155: 1/(4 R^2) must be a finite number, got inf"),
         ({"stream": {"seed": 5}}, "unknown config key stream.seed"),
-    ], ids=["gamma_floor_1e-200", "ogd_overflow", "delta_1e-320", "R_1e-155", "stream_seed"])
+    ], ids=["gamma_floor_1e-200", "ogd_overflow", "ogd_overflow_R_above_D", "delta_1e-320",
+            "R_1e-155", "stream_seed"])
     def test_config_error_names_the_setting_before_any_stream_is_generated(
             self, tmp_path, capsys, monkeypatch, command, body, start):
         calls = []
@@ -215,7 +242,23 @@ class TestRun:
         rc = run_cli("run", "--seeds", "1", "--g", "2", "--b", "20", "--out", str(tmp_path / "o"))
         err = capsys.readouterr().err
         assert rc == 1 and not (tmp_path / "o").exists()
-        assert err == f"memory error: {message}; lower --b, --g, --dim or --kmax\n"
+        assert err == f"memory error: {message}; {MEMORY_HINT}\n"
+
+    def test_only_run_counts_the_step_tables(self, tmp_path, capsys, monkeypatch):
+        """At G*B = 1000 rows of dim 2 the stream holds 24 000 bytes and each
+        seed's step table 72 000: 64 KiB fits the stream, which generate and
+        bounds hold, but not run's two step tables more."""
+        pages, real = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 16}, os.sysconf
+        monkeypatch.setattr(harness.os, "sysconf", lambda name: pages.get(name) or real(name))
+        shape = ("--seeds", "0,1", "--g", "10", "--b", "100")
+        for command in ("generate", "bounds"):
+            assert run_cli(command, *shape, "--out", str(tmp_path / command)) == 0
+        capsys.readouterr()
+        assert run_cli("run", *shape, "--out", str(tmp_path / "run")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("memory error: one seed's stream and w* proxy, 2000 rows of 3 ")
+        assert "S x G*B = 2 x 10 x 100 rows of 9" in err and len(err.splitlines()) == 1
+        assert err.endswith(f"; {MEMORY_HINT}\n") and not (tmp_path / "run").exists()
 
 
 @pytest.mark.parametrize("kind,code,prefix", cli.EXIT_CODES,
@@ -259,19 +302,22 @@ def test_a_violated_bound_is_one_line_exit_3(tmp_path, capsys, monkeypatch):
                         err)
 
 
-# Each needs above 1 TB for one seed's stream and step table. Each used to end
-# in a numpy traceback ("Maximum allowed dimension exceeded") or never end
-# while its stream was drawn interval by interval.
-OVERSIZE_BODIES = [
-    {"stream": {"B": 10**20}},
-    {"k_max": 10**20},
-    {"stream": {"G": 10**20, "B": 2}},
-    {"stream": {"G": 10**12, "B": 2}},
-]
+# Each needs above 1 TB for one seed's stream, or, at k_max 1e20, for run's step
+# table, which generate and bounds do not hold. Each used to end in a numpy
+# traceback ("Maximum allowed dimension exceeded") or never end while its
+# stream was drawn interval by interval.
+OVERSIZE_BODIES = {
+    "B_1e20": {"stream": {"B": 10**20}},
+    "k_max_1e20": {"k_max": 10**20},
+    "G_1e20": {"stream": {"G": 10**20, "B": 2}},
+    "G_1e12": {"stream": {"G": 10**12, "B": 2}},
+}
 
 
-@pytest.mark.parametrize("command", ["run", "generate", "bounds"])
-@pytest.mark.parametrize("body", OVERSIZE_BODIES, ids=["B_1e20", "k_max_1e20", "G_1e20", "G_1e12"])
+@pytest.mark.parametrize("body,command", [
+    pytest.param(body, command, id=f"{name}-{command}")
+    for command in ("run", "generate", "bounds") for name, body in OVERSIZE_BODIES.items()
+    if command == "run" or name != "k_max_1e20"])
 def test_an_oversize_shape_is_one_line_exit_1_before_any_stream_is_drawn(
         tmp_path, command, body):
     cfg_path = tmp_path / "cfg.json"
@@ -287,6 +333,13 @@ def test_an_oversize_shape_is_one_line_exit_1_before_any_stream_is_drawn(
     assert proc.returncode == 1 and not (tmp_path / "o").exists()
     assert proc.stderr.startswith(("config error:", "memory error:"))
     assert len(proc.stderr.splitlines()) == 1, proc.stderr
+
+
+@pytest.mark.parametrize("command", ["generate", "bounds"])
+def test_k_max_does_not_size_generate_or_bounds(tmp_path, command):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(OVERSIZE_BODIES["k_max_1e20"]))
+    assert run_cli(command, "--config", str(cfg_path), "--out", str(tmp_path / "o")) == 0
 
 
 class TestBounds:
