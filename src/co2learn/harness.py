@@ -26,7 +26,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from . import bounds as tb
-from .errors import BoundViolation, ConfigError, check_int, check_real
+from .errors import BoundViolation, ConfigError, check_int
 from .losses import LossSpec, batch_losses, margin_loss
 from .offline import GRAD_MAP_TOL, erm_oracle, omega
 from .online import eta, ogd_update
@@ -56,10 +56,10 @@ class ExperimentConfig:
     Every bound a run can report must be finite where it is largest, at
     ``omega_star = 4 R^2`` and ``weighted_loss = 1``: first ``transfer_gap_bound``,
     the one bound that reads gamma, at the transfer weights
-    ``max(1/(4 R^2), gamma_floor)`` (a failure, or an infinite ``1/(4 R^2)``,
-    names ``R``) and ``gamma_floor`` (it names ``gamma_floor``); then one
-    ``BoundInputs`` at ``gamma_floor`` and ``regret_KE = B`` for the rest,
-    whose failure names the bound and echoes its inputs."""
+    ``max(1/(4 R^2), gamma_floor)`` (it names ``R``) and ``gamma_floor`` (it
+    names ``gamma_floor``); then one ``BoundInputs`` at ``gamma_floor`` and
+    ``regret_KE = B``, which checks ``delta``, and whose failure at any other
+    bound names that bound and echoes its inputs."""
 
     stream: StreamSpec
     seeds: tuple[int, ...]
@@ -85,12 +85,8 @@ class ExperimentConfig:
                            LossSpec(D=self.stream.D, R=self.R, dim=self.stream.dim))
         check_settings(self.stream.B, self.K_max, self.strategy, self.init_policy,
                        self.gamma_floor)
-        check_real("delta", self.delta, positive=True, below=1.0)
         cap = 4.0 * self.R * self.R  # omega_star <= cap; gamma = max(WL / cap, gamma_floor)
-        weight = 1.0 / cap if cap else math.inf
-        if not math.isfinite(weight):
-            raise ConfigError(f"R={self.R!r}: 1/(4 R^2) must be a finite number, got {weight}")
-        for setting, gamma in (("R", max(weight, self.gamma_floor)),
+        for setting, gamma in (("R", max(1.0 / cap, self.gamma_floor)),
                                ("gamma_floor", self.gamma_floor)):
             gap = tb.transfer_gap_bound(cap, self.loss_spec.beta, gamma, 1.0)
             if not math.isfinite(gap):
@@ -266,7 +262,7 @@ def _run_seed(config: ExperimentConfig, seed: int, intervals: list[IntervalBuffe
     for buf in intervals:
         g = buf.interval_index
         nu = pool.meta.nu
-        proxy = None  # the last interval's w* proxy sample, let go before these steps
+        proxy = star_cum = None  # the last interval's w* proxy sample, let go before these steps
         rows = steps[(g - 1) * B: g * B]  # a view, filled in place
         recs = [pool.process_labeled(s) for s in buf.samples]
         rows[:, 0] = [rec.loss_meta for rec in recs]
@@ -279,13 +275,10 @@ def _run_seed(config: ExperimentConfig, seed: int, intervals: list[IntervalBuffe
 
         w_hat = erm_oracle(buf.X, buf.y, spec)
         erm_losses = batch_losses(w_hat, buf.X, buf.y, spec)
-        m = _interval_metrics(spec, seed, g, nu, rows, recs, erm_losses)
-        del recs  # let go before the w* proxy sample is drawn, so the two are never held at once
         if config.wstar_proxy and buf.class_means is not None:  # one draw for both metrics
             proxy = fresh_proxy_samples(stream_spec, buf, 10 * B)
             star_cum = float(batch_losses(erm_oracle(*proxy, spec), buf.X, buf.y, spec).sum())
-            m = replace(m, regret_co2_vs_wstar=m.cum_loss_co2 - star_cum,
-                        regret_ogd_vs_wstar=m.cum_loss_ogd - star_cum)
+        m = _interval_metrics(spec, seed, g, nu, rows, recs, erm_losses, star_cum)
         metrics.append(m)
         _assert_interval_bounds(m)
         rows[:, 2] = np.cumsum(rows[:, 0] - erm_losses)
@@ -307,7 +300,7 @@ def _run_seed(config: ExperimentConfig, seed: int, intervals: list[IntervalBuffe
                    rollovers=rollovers, bound_report=tb.bound_report(report_inputs))
 
 
-def _interval_metrics(spec, seed, g, nu, rows, recs, erm_losses) -> IntervalMetrics:
+def _interval_metrics(spec, seed, g, nu, rows, recs, erm_losses, star_cum) -> IntervalMetrics:
     co2_losses, ogd_losses = rows[:, 0], rows[:, 1]
     expert_losses = np.array([rec.losses_per_expert for rec in recs])
     weighted_losses = np.array([rec.alpha_before.dot(rec.losses_per_expert) for rec in recs])
@@ -343,6 +336,8 @@ def _interval_metrics(spec, seed, g, nu, rows, recs, erm_losses) -> IntervalMetr
         ogd_bound=tb.ogd_regret_bound(B, spec.D, spec.R, spec.beta),
         co2_bound_general=general, co2_bound_worst=worst,
         k_condition_log_rhs=k_log_rhs, k_condition_holds=bool(math.log(K) <= k_log_rhs),
+        regret_co2_vs_wstar=None if star_cum is None else cum_co2 - star_cum,
+        regret_ogd_vs_wstar=None if star_cum is None else cum_ogd - star_cum,
     )
 
 

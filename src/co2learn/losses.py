@@ -56,6 +56,7 @@ class LossSpec:
     beta  smoothness constant D^2 / (4 C) of the loss in w
 
     C, beta, D_max and R_max are computed once, when the spec is built, and never supplied.
+    The spec refuses a D and R at which beta, 1/beta or 1/(4 R^2) is not finite.
     """
 
     D: float
@@ -76,6 +77,9 @@ class LossSpec:
         if not (beta > 0 and math.isfinite(beta) and math.isfinite(1.0 / beta)):
             raise ConfigError(f"beta = D^2/(4C) and 1/beta must be finite numbers > 0, got "
                               f"beta={beta} from D={self.D}, R={self.R}")
+        # a rollover divides a risk <= 1 by 4 R^2 (offline.gamma_lower_bound); NaN here at 0
+        if not math.isfinite(1.0 / (4.0 * self.R * self.R or math.nan)):
+            raise ConfigError(f"R={self.R!r}: 1/(4 R^2) must be a finite number, got inf")
         object.__setattr__(self, "C", C)
         object.__setattr__(self, "beta", beta)
         object.__setattr__(self, "D_max", max_norm(self.D))

@@ -15,7 +15,8 @@ expert (one matvec and one ``logaddexp``, the K-vector form of
 ``losses.softplus``) and ``w_t`` on the sample; take the online expert's
 OGD step with the gradient at its own iterate; and only then write the new
 meta weights, ``t`` and the next output. ``w_t`` was fixed before the loss
-was seen.
+was seen. The step returns a ``StepRecord`` of what it computed, with no copy
+of ``w_t``: ``current_output()`` read before the step is ``w_t``.
 
 When the online interval completes (t = B) the pool rolls over: it takes
 the final output as the anchor, weighs the experts' empirical risks on the
@@ -70,12 +71,11 @@ def check_settings(B, K_max, strategy, init_policy, gamma_floor) -> None:
 
 
 class StepRecord(NamedTuple):
-    """Everything observable about one labeled step: ``w`` is the output
-    ``w_t`` the step was scored with, ``alpha_before`` and ``alpha_after``
-    the meta weights around it. A tuple, so building one per step is cheap;
-    the arrays are the step's own and no later step writes into them."""
+    """What one labeled step computed: ``loss_meta``, the output's loss, each
+    expert's loss, and the meta weights ``alpha_before`` and ``alpha_after``
+    around it. A tuple, so building one per step is cheap; the arrays are the
+    step's own and no later step writes into them."""
 
-    w: np.ndarray
     loss_meta: float
     losses_per_expert: np.ndarray
     alpha_before: np.ndarray
@@ -208,7 +208,7 @@ class ExpertPool:
         alpha_next.setflags(write=False)
         self._t = t
         self._w = alpha_next.dot(experts)
-        return StepRecord(w_t, loss_meta, losses, alpha, alpha_next)
+        return StepRecord(loss_meta, losses, alpha, alpha_next)
 
     def predict_unlabeled(self, x: np.ndarray) -> int:
         """Sign of <w, x> with the current output; +1 on ties. Free: does

@@ -277,8 +277,9 @@ def test_criterion_12_single_expert_equals_bare_ogd(spec):
     worst = 0.0
     for i in range(buf.n):
         s = Sample(x=buf.X[i], y=int(buf.y[i]))
-        rec = pool.process_labeled(s)
-        worst = max(worst, float(np.max(np.abs(rec.w - ogd.w))))
+        w_t = pool.current_output()
+        pool.process_labeled(s)
+        worst = max(worst, float(np.max(np.abs(w_t - ogd.w))))
         ogd = ogd_step(ogd, grad_loss(ogd.w, s, spec), spec)
     _verdict(12, "single-expert pool reproduces bare OGD exactly",
              worst <= 1e-12, f"max coordinate difference {worst:.1e}")

@@ -505,6 +505,11 @@ def test_readme_config_block_is_the_defaults():
     assert json.loads(block) == _defaults()
 
 
+def test_readme_states_the_memory_hint():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    assert f"`; {MEMORY_HINT}`" in readme
+
+
 def test_readme_exit_table_is_the_cli_s():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     rows = re.findall(r"^\| `(\d)` \| `([a-z/ ]+):` \| .*\(`(\w+)`\) \|$", readme, re.M)

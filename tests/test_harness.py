@@ -204,19 +204,22 @@ class TestRunExperiment:
         report = run_experiment(config)
         assert len(report.runs[0].intervals) == 3
 
-    def test_separable_interval_at_large_D_R_runs_out_of_erm_iterations(self):
-        # A known limit, pinned so that it stays visible (the CLI exits 3 on it).
-        # At D = R = 10 the loss of a separable interval is nearly linear, and
-        # with gamma = 0 the ERM solve has no strong convexity: its projected
-        # gradient runs out of its 200,000 iterations. The ways out listed in
-        # ROADMAP.md: an ERM tolerance relative to the loss scale, a certificate
-        # that tolerates a flat minimizer on the sphere, or rejecting such D R at
-        # the boundary. Whichever lands must change this test.
-        X = np.zeros((20, 2))
-        X[:, 0] = np.tile([10.0, -10.0], 10)
-        config = ExperimentConfig(stream=StreamSpec(G=1, B=20, dim=2, D=10.0), seeds=(0,),
-                                  R=10.0)
-        interval = IntervalBuffer(X=X, y=np.tile([1, -1], 10), interval_index=1)
+    # Known limits, pinned so that they stay visible (the CLI exits 3 on them).
+    # With gamma = 0 the ERM solve has no strong convexity, and its projected
+    # gradient runs out of its 200,000 iterations where the objective is nearly
+    # flat: at D = R = 10 the loss of a separable interval is nearly linear; at
+    # D = 3, R = 0.208 (D R = 0.63) sixteen rows on one axis, split 10/6, but
+    # the last moved 3e-8 off it, leave a nearly flat direction. ROADMAP.md
+    # item 10's solver must change both rows.
+    @pytest.mark.parametrize("X, y, D, R, settings", [
+        (np.tile([[10.0, 0.0], [-10.0, 0.0]], (10, 1)), np.tile([1, -1], 10), 10.0, 10.0, {}),
+        (np.vstack([np.tile([3.0, 0.0], (15, 1)), [[3.0, 3e-8]]]),
+         np.repeat([-1, 1], [10, 6]), 3.0, 0.208, {"K_max": 2, "strategy": "fifo"}),
+    ], ids=["separable_large_D_R", "nearly_flat_small_D_R"])
+    def test_nearly_flat_interval_runs_out_of_erm_iterations(self, X, y, D, R, settings):
+        config = ExperimentConfig(stream=StreamSpec(G=1, B=len(X), dim=2, D=D), seeds=(0,),
+                                  R=R, **settings)
+        interval = IntervalBuffer(X=X, y=y, interval_index=1)
         with pytest.raises(ConvergenceError, match="within 200000 iterations"):
             _run_seed(config, 0, [interval])
 

@@ -54,6 +54,9 @@ class TestSpec:
             dict(D=1e200),  # D^2 overflows, so beta is infinite
             dict(D=1e-200, R=1e-200),  # D^2 underflows, so beta is 0
             dict(D=1e-155, R=1e-155),  # beta > 0 is subnormal, so 1/beta overflows
+            # a pool took B samples at these, then failed its first rollover
+            dict(R=1e-155),  # 4 R^2 is subnormal, so 1/(4 R^2) overflows
+            dict(R=1e-170),  # 4 R^2 underflows to 0
             dict(dim=0),
             dict(dim=2.5),
             dict(dim=2.0),

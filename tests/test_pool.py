@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,8 +31,9 @@ class TestSingleExpertDegeneracy:
         ogd = OnlineExpertState(w=np.zeros(spec.dim), t=1)
         for i in range(buf.n):
             s = Sample(x=buf.X[i], y=int(buf.y[i]))
+            w_t = pool.current_output()
             rec = pool.process_labeled(s)
-            np.testing.assert_array_equal(rec.w, ogd.w)
+            np.testing.assert_array_equal(w_t, ogd.w)
             assert rec.alpha_after[0] == 1.0
             ogd = ogd_step(ogd, grad_loss(ogd.w, s, spec), spec)
 
@@ -47,6 +49,7 @@ class TestScriptedStep:
         pool.set_state([w_off, w_on], meta.alpha, t=2)
         s = Sample(x=np.array([0.6, -0.5]), y=1)
 
+        w_out = pool.current_output()
         rec = pool.process_labeled(s)
 
         # scripted recomputation of the same step
@@ -64,7 +67,7 @@ class TestScriptedStep:
         if np.linalg.norm(w_on_next) > 1:
             w_on_next = w_on_next / np.linalg.norm(w_on_next)
 
-        np.testing.assert_allclose(rec.w, w_t, rtol=1e-14)
+        np.testing.assert_allclose(w_out, w_t, rtol=1e-14)
         np.testing.assert_allclose(rec.losses_per_expert, [l_off, l_on], rtol=1e-12)
         np.testing.assert_allclose(rec.alpha_before, alpha, rtol=1e-14)
         np.testing.assert_allclose(rec.alpha_after, alpha_next, rtol=1e-12)
@@ -77,9 +80,32 @@ class TestScriptedStep:
         w = np.array([0.1, -0.2])
         meta = MetaWeights.fresh(3, B)
         pool.set_state([w, w, w], meta.alpha)
+        w_t = pool.current_output()
         rec = pool.process_labeled(Sample(x=np.array([0.5, 0.5]), y=-1))
-        np.testing.assert_allclose(rec.w, w, rtol=1e-14)
+        np.testing.assert_allclose(w_t, w, rtol=1e-14)
         np.testing.assert_allclose(rec.alpha_after, rec.alpha_before, rtol=1e-14)
+
+
+class TestStepRecord:
+    def test_a_record_holds_what_the_step_computed(self):
+        assert pool_module.StepRecord._fields == (
+            "loss_meta", "losses_per_expert", "alpha_before", "alpha_after")
+
+    def test_a_wide_interval_s_records_hold_under_1_mb(self):
+        # B 2000 at dim 200: a record holding the step's 200-float output
+        # would make the list about 4 MB; the pool keeps that output as state
+        B, dim = 2000, 200
+        buf = gen_synthetic(StreamSpec(G=1, B=B, dim=dim, seed=0))[0]
+        pool = ExpertPool(spec=LossSpec.create(D=1.0, R=1.0, dim=dim), B=B, K_max=5)
+        samples = buf.samples
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            recs = [pool.process_labeled(s) for s in samples]
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(recs) == B and held < 1_000_000
 
 
 class TestPredictUnlabeled:
@@ -271,6 +297,15 @@ def run_interval(pool, buf):
     for i in range(buf.n):
         records.append(pool.process_labeled(Sample(x=buf.X[i], y=int(buf.y[i]))))
     return records
+
+
+def run_interval_outputs(pool, buf):
+    """Each step's output w_t, read from the pool before the step, with its record."""
+    steps = []
+    for i in range(buf.n):
+        w_t = pool.current_output()
+        steps.append((w_t, pool.process_labeled(Sample(x=buf.X[i], y=int(buf.y[i])))))
+    return steps
 
 
 class TestRollover:
@@ -487,14 +522,14 @@ class TestDeterminism:
             pool = ExpertPool(spec=spec, B=25, K_max=3)
             out = []
             for buf in stream:
-                out.extend(run_interval(pool, buf))
+                out.extend(run_interval_outputs(pool, buf))
                 if buf.interval_index < 3:
                     pool.rollover(buf)
             return out
 
         a, b = run(), run()
-        for ra, rb in zip(a, b):
-            np.testing.assert_array_equal(ra.w, rb.w)
+        for (wa, ra), (wb, rb) in zip(a, b):
+            np.testing.assert_array_equal(wa, wb)
             np.testing.assert_array_equal(ra.alpha_after, rb.alpha_after)
             assert ra.loss_meta == rb.loss_meta
 
@@ -504,8 +539,8 @@ class TestEmittedOutputInvariants:
         stream = gen_synthetic(StreamSpec(G=4, B=50, dim=2, seed=80))
         pool = ExpertPool(spec=spec, B=50, K_max=3)
         for buf in stream:
-            for rec in run_interval(pool, buf):
-                assert np.linalg.norm(rec.w) <= 1.0 + 1e-12
+            for w_t, rec in run_interval_outputs(pool, buf):
+                assert np.linalg.norm(w_t) <= 1.0 + 1e-12
                 assert 0.0 <= rec.loss_meta <= 1.0
                 assert np.all(rec.losses_per_expert >= 0)
                 assert np.all(rec.losses_per_expert <= 1.0)

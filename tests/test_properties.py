@@ -148,6 +148,7 @@ def test_step_matches_the_reference_chain(state):
     pool = ExpertPool(spec=spec, B=B, K_max=max(K, 2))
     pool.set_state(experts, meta.alpha, t=t_pool)
 
+    w_out = pool.current_output()
     rec = pool.process_labeled(s)
 
     losses = batch_losses(s.x, experts, s.y, spec)
@@ -155,7 +156,7 @@ def test_step_matches_the_reference_chain(state):
     after = update_weights(meta, losses)
     online = ogd_step(OnlineExpertState(w=experts[-1], t=t_pool + 1),
                       grad_loss(experts[-1], s, spec), spec)
-    np.testing.assert_allclose(rec.w, w_t, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(w_out, w_t, rtol=0, atol=1e-12)
     assert abs(rec.loss_meta - float(batch_losses(w_t, s.x, s.y, spec))) <= 1e-12
     np.testing.assert_allclose(rec.losses_per_expert, losses, rtol=0, atol=1e-12)
     np.testing.assert_array_equal(rec.alpha_before, meta.alpha)
@@ -334,8 +335,9 @@ def test_kept_output_is_alpha_times_experts_after_every_call(data):
             want = coherent_output(pool)
         elif op == "step":
             s = Sample(x=in_ball(draw, dim, spec.D), y=draw(st.sampled_from([-1, 1])))
-            rec = pool.process_labeled(s)
-            assert rec.w.tobytes() == want.tobytes()
+            w_t = pool.current_output()
+            pool.process_labeled(s)
+            assert w_t.tobytes() == want.tobytes()
             taken.append(s)
             want = coherent_output(pool)
         else:
@@ -833,15 +835,15 @@ def test_a_refusal_names_a_setting_only_when_that_setting_decides_it(
         message = str(exc)
     try:
         beta = LossSpec(D=D, R=R, dim=1).beta
-    except ConfigError:  # refused before any bound is computed
-        assert message.startswith("beta = ")
+    except ConfigError as refusal:  # refused before any bound is computed
+        assert message == str(refusal)
+        assert message.startswith(("beta = ", f"R={R!r}: 1/(4 R^2) must be a finite number"))
         return
     # the transfer gap where a run's is largest, at the two weights a run can reach
     cap = 4.0 * R * R
-    weight = 1.0 / cap if cap else math.inf
     def gap_is_finite(gamma):
         return math.isfinite(transfer_gap_bound(cap, beta, gamma, 1.0))
-    if not (math.isfinite(weight) and gap_is_finite(max(weight, gamma_floor))):
+    if not gap_is_finite(max(1.0 / cap, gamma_floor)):
         assert message.startswith(f"R={R!r}: ")
     elif not gap_is_finite(gamma_floor):
         assert message.startswith(f"gamma_floor={gamma_floor!r}: transfer_gap_bound must be ")
