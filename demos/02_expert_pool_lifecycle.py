@@ -9,7 +9,7 @@ an interval, the meta-expert reweights everyone per sample.
 
 import numpy as np
 
-from co2learn import ExpertPool, LossSpec, Sample, StreamSpec, gen_synthetic
+from co2learn import ExpertPool, LossSpec, Sample, StreamSpec, gen_synthetic, omega
 
 spec = LossSpec.create(D=1.0, R=1.0, dim=2)
 stream_spec = StreamSpec(G=6, B=120, dim=2, seed=7)
@@ -30,7 +30,7 @@ for buf in stream:
         roll = pool.rollover(buf)
         print(f"      rollover: gamma={roll.result.gamma:.4f} "
               f"weighted_loss={roll.anchor.weighted_loss:.4f} "
-              f"omega(new)={roll.omega_new:.5f} "
+              f"omega(new)={omega(roll.result.w, roll.anchor):.5f} "
               f"{'evicted one expert' if roll.evicted is not None else 'pool grew'}")
 
 # Unlabeled predictions use the current weighted-average hypothesis and do

@@ -10,9 +10,10 @@ That proxy sample is drawn once per interval and shared by the interval's
 metrics and the rollover metrics that follow it.
 
 Every recorded interval is checked against the closed-form guarantees
-(meta regret, OGD regret, both coupled-regret forms, the regret identity,
-and the anchor-distance cap of the trained offline expert); any violation
-raises BoundViolation, which the CLI maps to exit code 3.
+(meta regret, OGD regret, both coupled-regret forms, and the anchor-distance
+cap of the trained offline expert); any violation raises BoundViolation,
+which the CLI maps to exit code 3. The metrics' arithmetic decides the two
+identities R_CO2 = R_ME + R_KE and R_KE <= R_OE; Tier-1 tests state them.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ from .losses import batch_mean_grad, grad_loss, loss  # noqa: F401
 from .online import ogd_step  # noqa: F401
 
 _TOL_BOUND = 1e-6   # deterministic-bound slack
-_TOL_IDENT = 1e-9   # algebraic-identity slack
 EARLY_T = 20        # step at which early cumulative losses are compared
 
 
@@ -261,7 +261,7 @@ def _run_seed(config: ExperimentConfig, seed: int, intervals: list[IntervalBuffe
 
     for buf in intervals:
         g = buf.interval_index
-        nu = pool.meta.nu
+        meta = pool.meta  # the weights the interval's first step uses
         proxy = star_cum = None  # the last interval's w* proxy sample, let go before these steps
         rows = steps[(g - 1) * B: g * B]  # a view, filled in place
         recs = [pool.process_labeled(s) for s in buf.samples]
@@ -278,7 +278,7 @@ def _run_seed(config: ExperimentConfig, seed: int, intervals: list[IntervalBuffe
         if config.wstar_proxy and buf.class_means is not None:  # one draw for both metrics
             proxy = fresh_proxy_samples(stream_spec, buf, 10 * B)
             star_cum = float(batch_losses(erm_oracle(*proxy, spec), buf.X, buf.y, spec).sum())
-        m = _interval_metrics(spec, seed, g, nu, rows, recs, erm_losses, star_cum)
+        m = _interval_metrics(spec, seed, g, meta, rows, recs, erm_losses, star_cum)
         metrics.append(m)
         _assert_interval_bounds(m)
         rows[:, 2] = np.cumsum(rows[:, 0] - erm_losses)
@@ -300,10 +300,11 @@ def _run_seed(config: ExperimentConfig, seed: int, intervals: list[IntervalBuffe
                    rollovers=rollovers, bound_report=tb.bound_report(report_inputs))
 
 
-def _interval_metrics(spec, seed, g, nu, rows, recs, erm_losses, star_cum) -> IntervalMetrics:
+def _interval_metrics(spec, seed, g, meta, rows, recs, erm_losses, star_cum) -> IntervalMetrics:
     co2_losses, ogd_losses = rows[:, 0], rows[:, 1]
     expert_losses = np.array([rec.losses_per_expert for rec in recs])
-    weighted_losses = np.array([rec.alpha_before.dot(rec.losses_per_expert) for rec in recs])
+    alphas = [meta.alpha, *(rec.alpha_after for rec in recs)]  # the weights each step used
+    weighted_losses = np.array([a.dot(rec.losses_per_expert) for a, rec in zip(alphas, recs)])
     B, K = expert_losses.shape
     cum_experts = expert_losses.sum(axis=0)
     best = float(cum_experts.min())
@@ -322,7 +323,7 @@ def _interval_metrics(spec, seed, g, nu, rows, recs, erm_losses, star_cum) -> In
 
     early = min(EARLY_T, B)
     return IntervalMetrics(
-        seed=seed, g=g, K=K, nu=nu, T=B,
+        seed=seed, g=g, K=K, nu=meta.nu, T=B,
         regret_co2=regret_co2, regret_me=regret_me,
         regret_me_weighted=regret_me_weighted, regret_ke=regret_ke,
         regret_oe=regret_oe, regret_ogd=regret_ogd,
@@ -356,7 +357,7 @@ def _rollover_metrics(spec, seed, roll, proxy) -> RolloverMetrics:
         gap_holds = bool(gap_measured <= gap_bound + 0.05)
     return RolloverMetrics(
         seed=seed, g_completed=roll.g_completed, gamma=roll.result.gamma,
-        weighted_loss=roll.anchor.weighted_loss, omega_new=roll.omega_new,
+        weighted_loss=roll.anchor.weighted_loss, omega_new=omega(roll.result.w, roll.anchor),
         anchor_cap=anchor_cap, grad_map_norm=roll.result.grad_map_norm,
         iterations=roll.result.iterations, converged=roll.result.converged,
         gap_measured=gap_measured, gap_bound=gap_bound, gap_holds=gap_holds,
@@ -374,10 +375,6 @@ def _assert_interval_bounds(m: IntervalMetrics) -> None:
          f"coupled regret {m.regret_co2} exceeds general bound {m.co2_bound_general}"),
         (m.regret_co2 <= m.co2_bound_worst + _TOL_BOUND,
          f"coupled regret {m.regret_co2} exceeds worst-case bound {m.co2_bound_worst}"),
-        (abs(m.regret_co2 - (m.regret_me + m.regret_ke)) <= _TOL_IDENT,
-         "regret decomposition identity broken"),
-        (m.regret_ke <= m.regret_oe + _TOL_IDENT,
-         f"best-expert gap {m.regret_ke} exceeds online-expert regret {m.regret_oe}"),
     ]
     for ok, msg in checks:
         if not ok:

@@ -55,7 +55,7 @@ class Anchor:
     def __post_init__(self):
         v = np.asarray(self.v, dtype=np.float64)
         object.__setattr__(self, "v", v)
-        if not (0.0 <= self.weighted_loss <= 1.0 + 1e-12):
+        if not 0.0 <= self.weighted_loss <= 1.0:
             raise ValueError(f"weighted loss must lie in [0, 1], got {self.weighted_loss}")
 
 

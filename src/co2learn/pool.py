@@ -15,8 +15,9 @@ expert (one matvec and one ``logaddexp``, the K-vector form of
 ``losses.softplus``) and ``w_t`` on the sample; take the online expert's
 OGD step with the gradient at its own iterate; and only then write the new
 meta weights, ``t`` and the next output. ``w_t`` was fixed before the loss
-was seen. The step returns a ``StepRecord`` of what it computed, with no copy
-of ``w_t``: ``current_output()`` read before the step is ``w_t``.
+was seen. The step returns a ``StepRecord`` of what it computed and nothing
+it read: ``current_output()`` read before the step is ``w_t``, and ``meta.alpha``
+read before it the weights the step used.
 
 When the online interval completes (t = B) the pool rolls over: it takes
 the final output as the anchor, weighs the experts' empirical risks on the
@@ -44,7 +45,7 @@ from .errors import ConfigError, check_int, check_real
 from .geometry import Sample, project_in_place
 from .losses import LossSpec, batch_mean_losses, check_sample, margin_loss
 from .meta import MetaWeights, init_weights, reweight, step_size_nu
-from .offline import Anchor, OfflineTrainResult, omega, train_offline
+from .offline import Anchor, OfflineTrainResult, train_offline
 from .online import OnlineExpertState, eta, ogd_update
 from .streams import IntervalBuffer
 
@@ -71,25 +72,26 @@ def check_settings(B, K_max, strategy, init_policy, gamma_floor) -> None:
 
 
 class StepRecord(NamedTuple):
-    """What one labeled step computed: ``loss_meta``, the output's loss, each
-    expert's loss, and the meta weights ``alpha_before`` and ``alpha_after``
-    around it. A tuple, so building one per step is cheap; the arrays are the
-    step's own and no later step writes into them."""
+    """What one labeled step computed: ``loss_meta``, the output's loss,
+    ``losses_per_expert``, each expert's loss, and ``alpha_after``, the new
+    meta weights. The weights the step used are ``meta.alpha`` read before it,
+    the previous step's ``alpha_after``. A tuple, so building one per step is
+    cheap; the arrays are the step's own and no later step writes into them."""
 
     loss_meta: float
     losses_per_expert: np.ndarray
-    alpha_before: np.ndarray
     alpha_after: np.ndarray
 
 
 @dataclass(frozen=True)
 class RolloverRecord:
-    """Outcome of one interval rollover."""
+    """One rollover: the interval it closed, its anchor, the new expert and its
+    certificate, the evicted expert (None while the pool grows) and the new K.
+    The new expert's anchor distance is ``offline.omega(result.w, anchor)``."""
 
     g_completed: int
     anchor: Anchor
     result: OfflineTrainResult
-    omega_new: float
     evicted: np.ndarray | None
     K: int
 
@@ -193,7 +195,7 @@ class ExpertPool:
         x = check_sample(s.x, y, spec)
         t = self._t + 1
         eta_t = eta(t, spec)
-        experts, alpha, w_t = self._experts, self._alpha, self._w
+        experts, w_t = self._experts, self._w
         neg_z = experts.dot(x)  # -y <w_k, x> for every expert, the online one last
         if y == 1:
             np.negative(neg_z, neg_z)
@@ -204,11 +206,11 @@ class ExpertPool:
         losses /= spec.C
         loss_meta = margin_loss(y * float(w_t.dot(x)), spec)
         ogd_update(experts[-1], eta_t, x, y, z_online, spec)
-        self._alpha = alpha_next = reweight(alpha, self._nu, losses)
+        self._alpha = alpha_next = reweight(self._alpha, self._nu, losses)
         alpha_next.setflags(write=False)
         self._t = t
         self._w = alpha_next.dot(experts)
-        return StepRecord(loss_meta, losses, alpha, alpha_next)
+        return StepRecord(loss_meta, losses, alpha_next)
 
     def predict_unlabeled(self, x: np.ndarray) -> int:
         """Sign of <w, x> with the current output; +1 on ties. Free: does
@@ -243,7 +245,6 @@ class ExpertPool:
         project_in_place(v, self.spec.R)  # the ball and [0, 1]: set_state takes alpha
         anchor = Anchor(v, min(float(alpha.dot(risks)), 1.0))  # summing to 1 +- 1e-9
         result = train_offline(completed, anchor, self.spec, self.gamma_floor)
-        omega_new = omega(result.w, anchor)
 
         g_completed = self._G
         K_new = min(g_completed + 1, self.K_max)
@@ -258,4 +259,4 @@ class ExpertPool:
         new_A = np.concatenate((experts[order[n_evict:]], [result.w, restart]))
         self.set_state(new_A, init_weights(K_new), G=g_completed + 1)
         return RolloverRecord(g_completed=g_completed, anchor=anchor, result=result,
-                              omega_new=omega_new, evicted=evicted, K=K_new)
+                              evicted=evicted, K=K_new)

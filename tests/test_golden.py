@@ -22,6 +22,8 @@ from __future__ import annotations
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -126,6 +128,28 @@ def test_seed0_offline_iterates_match(outputs, golden):
     want = np.array(golden["seed0_offline_w"])
     assert got.shape == want.shape == (14, 2)
     np.testing.assert_allclose(got, want, rtol=0, atol=ATOL)
+
+
+def test_another_blas_kernel_keeps_every_golden_value(golden):
+    # byte-identical reports hold on one host and one BLAS kernel; OpenBLAS's
+    # Prescott kernel moves last bits, each value within ATOL, no count or verdict
+    here = os.path.dirname(os.path.abspath(__file__))
+    path = [os.path.join(here, os.pardir, "src"), here, os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, OPENBLAS_CORETYPE="Prescott", PYTHONPATH=os.pathsep.join(path))
+    code = "import json, test_golden; print(json.dumps(test_golden.current_outputs()))"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=60, check=True)
+    got = json.loads(done.stdout)
+    for seed in SEEDS:
+        for name in INTERVAL_FIELDS:
+            test_interval_metrics_match(got, golden, seed, name)
+        for name in ROLLOVER_FIELDS:
+            test_rollover_metrics_match(got, golden, seed, name)
+        for name in BOUND_NAMES:
+            test_bound_report_matches(got, golden, seed, name)
+        test_rollover_iterations_match_exactly(got, golden, seed)
+        test_k_condition_verdicts_match_exactly(got, golden, seed)
+    test_seed0_offline_iterates_match(got, golden)
 
 
 def write_golden(path: str, data: dict) -> None:

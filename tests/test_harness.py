@@ -123,12 +123,15 @@ class TestRunExperiment:
         ogd, loss_ogd = OnlineExpertState(w=np.zeros(spec.dim), t=1), []
         for buf, m in zip(intervals, run.intervals):
             rows = run.steps[(buf.interval_index - 1) * B: buf.interval_index * B]
-            recs = [pool.process_labeled(s) for s in buf.samples]
+            befores, recs = [], []  # the weights each step used: meta.alpha read before it
+            for s in buf.samples:
+                befores.append(pool.meta.alpha)
+                recs.append(pool.process_labeled(s))
             assert rows[:, LOSS_CO2].tolist() == [rec.loss_meta for rec in recs]
             alphas = np.zeros((B, K_max))
             alphas[:, :pool.K] = [rec.alpha_after for rec in recs]
             assert rows[:, ALPHA:].tobytes() == alphas.tobytes()
-            weighted = np.array([rec.alpha_before.dot(rec.losses_per_expert) for rec in recs])
+            weighted = np.array([a.dot(rec.losses_per_expert) for a, rec in zip(befores, recs)])
             best = np.array([rec.losses_per_expert for rec in recs]).sum(axis=0).min()
             assert m.regret_me_weighted == weighted.sum() - best
             for s in buf.samples:

@@ -5,6 +5,9 @@ import marked ``# noqa: F401``: a name kept importable only because
 ``bench/tracing.py`` puts a timer on it, so each such name must be patched
 there, on that module. ``__init__.py`` is left out: its imports are the
 package's public names.
+
+Every private top-level name (a ``_name`` assignment, function or class) of
+any module is read somewhere in the package, so none is left over.
 """
 
 import ast
@@ -13,7 +16,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-MODULES = sorted(p for p in (ROOT / "src" / "co2learn").glob("*.py") if p.name != "__init__.py")
+PACKAGE = sorted((ROOT / "src" / "co2learn").glob("*.py"))
+MODULES = [p for p in PACKAGE if p.name != "__init__.py"]
 
 
 def imports(tree: ast.Module, lines: list[str]):
@@ -56,3 +60,38 @@ def test_every_import_is_used_or_patched_by_the_benchmark(path):
                 f"{where} for bench/tracing.py, which patches no {path.stem}.{name}"
         else:
             assert name in used, f"{where} and never uses it"
+
+
+def private_names(tree: ast.Module):
+    """(name, line) of every top-level ``_name`` assignment, function or class."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, node.lineno
+
+
+def read_names(tree: ast.Module) -> set[str]:
+    """Every name the module loads, reads as an attribute or imports."""
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read.update(alias.name for alias in node.names)
+    return read
+
+
+def test_every_private_name_is_read_in_the_package():
+    read = set().union(*(read_names(ast.parse(p.read_text())) for p in PACKAGE))
+    unread = [f"{p.name}:{line} {name}" for p in PACKAGE
+              for name, line in private_names(ast.parse(p.read_text())) if name not in read]
+    assert not unread, f"private names never read in the package: {unread}"

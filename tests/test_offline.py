@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from co2learn.errors import ConfigError
+from co2learn.harness import ExperimentConfig
 from co2learn.losses import LossSpec, batch_mean_loss
 from co2learn.offline import (
     Anchor,
@@ -165,3 +167,14 @@ class TestAnchorType:
             Anchor(v=np.zeros(2), weighted_loss=1.5)
         with pytest.raises(ValueError):
             Anchor(v=np.zeros(2), weighted_loss=-0.1)
+
+    @pytest.mark.parametrize("weighted_loss", [1 + 5e-13, 1 + 1e-12])
+    def test_a_weighted_loss_above_1_is_refused_as_the_bound_inputs_refuse_it(
+            self, weighted_loss):
+        # one rule for one fact: the anchor and the calculators take [0, 1]
+        config = ExperimentConfig(stream=StreamSpec(G=2, B=5), seeds=(0,))
+        with pytest.raises(ConfigError, match="weighted_loss must be <= 1"):
+            config.bound_inputs((), weighted_loss=weighted_loss)
+        with pytest.raises(ValueError, match="weighted loss must lie in"):
+            Anchor(v=np.zeros(2), weighted_loss=weighted_loss)
+        assert Anchor(v=np.zeros(2), weighted_loss=1.0).weighted_loss == 1.0

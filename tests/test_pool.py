@@ -49,7 +49,7 @@ class TestScriptedStep:
         pool.set_state([w_off, w_on], meta.alpha, t=2)
         s = Sample(x=np.array([0.6, -0.5]), y=1)
 
-        w_out = pool.current_output()
+        w_out, alpha_t = pool.current_output(), pool.meta.alpha
         rec = pool.process_labeled(s)
 
         # scripted recomputation of the same step
@@ -69,7 +69,7 @@ class TestScriptedStep:
 
         np.testing.assert_allclose(w_out, w_t, rtol=1e-14)
         np.testing.assert_allclose(rec.losses_per_expert, [l_off, l_on], rtol=1e-12)
-        np.testing.assert_allclose(rec.alpha_before, alpha, rtol=1e-14)
+        np.testing.assert_allclose(alpha_t, alpha, rtol=1e-14)
         np.testing.assert_allclose(rec.alpha_after, alpha_next, rtol=1e-12)
         np.testing.assert_allclose(pool.online.w, w_on_next, rtol=1e-12)
         assert pool.online.t == 4
@@ -80,16 +80,16 @@ class TestScriptedStep:
         w = np.array([0.1, -0.2])
         meta = MetaWeights.fresh(3, B)
         pool.set_state([w, w, w], meta.alpha)
-        w_t = pool.current_output()
+        w_t, alpha_t = pool.current_output(), pool.meta.alpha
         rec = pool.process_labeled(Sample(x=np.array([0.5, 0.5]), y=-1))
         np.testing.assert_allclose(w_t, w, rtol=1e-14)
-        np.testing.assert_allclose(rec.alpha_after, rec.alpha_before, rtol=1e-14)
+        np.testing.assert_allclose(rec.alpha_after, alpha_t, rtol=1e-14)
 
 
 class TestStepRecord:
     def test_a_record_holds_what_the_step_computed(self):
         assert pool_module.StepRecord._fields == (
-            "loss_meta", "losses_per_expert", "alpha_before", "alpha_after")
+            "loss_meta", "losses_per_expert", "alpha_after")
 
     def test_a_wide_interval_s_records_hold_under_1_mb(self):
         # B 2000 at dim 200: a record holding the step's 200-float output
@@ -266,7 +266,6 @@ class TestReadsAreReadOnly:
     READS = {
         "offline": lambda pool, rec: pool.offline[0],
         "meta.alpha": lambda pool, rec: pool.meta.alpha,
-        "alpha_before": lambda pool, rec: rec.alpha_before,
         "alpha_after": lambda pool, rec: rec.alpha_after,
     }
 

@@ -18,15 +18,18 @@ gives the rows or the error of the per-token reference parser. The last group
 holds the generator's contract (see ``co2learn.rng`` and the substream layout
 in ``co2learn.streams``) for any seed and request sizes, and the last two
 tests hold the per-interval guarantees over arbitrary small runs and over
-interval sets the generator does not give. The final two tests hold the
-bounds' float-range rule: a config it takes gives finite bounds at every
-input a run can reach, and a refusal names a setting only when that setting
-decides it.
+interval sets the generator does not give. Two more hold the regret
+identities the interval metrics' arithmetic decides, for every loss table,
+and the run's symmetries: a rotation of the inputs moves no metric past
+rounding, and negating every sample and label moves no bit. The final two
+tests hold the bounds' float-range rule: a config it takes gives finite
+bounds at every input a run can reach, and a refusal names a setting only
+when that setting decides it.
 """
 
 import math
 import re
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -38,7 +41,7 @@ from co2learn.errors import ConfigError, DataError
 from co2learn.geometry import (
     _INSIDE_RTOL, Sample, project_in_place, project_to_ball,
 )
-from co2learn.harness import ExperimentConfig, _run_seed, run_experiment
+from co2learn.harness import ExperimentConfig, _interval_metrics, _run_seed, run_experiment
 from co2learn.losses import (
     LossSpec, _check_domain, batch_losses, batch_mean_grad, batch_mean_losses, check_sample,
     grad_buffers, grad_loss, loss,
@@ -46,7 +49,7 @@ from co2learn.losses import (
 from co2learn.meta import MetaWeights, combine, step_size_nu, update_weights
 from co2learn.offline import Anchor, projected_gradient, train_offline
 from co2learn.online import OnlineExpertState, ogd_step
-from co2learn.pool import INIT_POLICIES, STRATEGIES, ExpertPool
+from co2learn.pool import INIT_POLICIES, STRATEGIES, ExpertPool, StepRecord
 from co2learn.rng import _BLOCK, CounterRng, substream
 from co2learn.streams import (
     IntervalBuffer,
@@ -148,7 +151,7 @@ def test_step_matches_the_reference_chain(state):
     pool = ExpertPool(spec=spec, B=B, K_max=max(K, 2))
     pool.set_state(experts, meta.alpha, t=t_pool)
 
-    w_out = pool.current_output()
+    w_out, alpha_t = pool.current_output(), pool.meta.alpha
     rec = pool.process_labeled(s)
 
     losses = batch_losses(s.x, experts, s.y, spec)
@@ -159,7 +162,7 @@ def test_step_matches_the_reference_chain(state):
     np.testing.assert_allclose(w_out, w_t, rtol=0, atol=1e-12)
     assert abs(rec.loss_meta - float(batch_losses(w_t, s.x, s.y, spec))) <= 1e-12
     np.testing.assert_allclose(rec.losses_per_expert, losses, rtol=0, atol=1e-12)
-    np.testing.assert_array_equal(rec.alpha_before, meta.alpha)
+    np.testing.assert_array_equal(alpha_t, meta.alpha)
     np.testing.assert_allclose(rec.alpha_after, after.alpha, rtol=0, atol=1e-12)
     np.testing.assert_allclose(pool.online.w, online.w, rtol=0, atol=1e-12)
     assert pool.online.t == online.t and pool.t == t_pool + 1
@@ -772,6 +775,65 @@ def test_every_interval_set_keeps_its_guarantees(kind, data):
     config, intervals = data.draw(adversarial_intervals(kind))
     run = _run_seed(config, 0, intervals)  # raises BoundViolation on any failed bound
     assert_runs_its_intervals(run, config.stream.G, config.stream.B)
+
+
+@st.composite
+def interval_tables(draw):
+    """What ``_interval_metrics`` reads of one interval: B steps' records, each
+    with K expert losses in [0, 1] and its ``alpha_after``, the weights the
+    first step used (so B + 1 weight rows on the simplex), and each step's
+    co2, OGD and ERM losses in [0, 1]."""
+    B, K = draw(st.integers(1, 400)), draw(st.integers(1, 5))
+    unit = st.floats(0.0, 1.0)
+    table = draw(arrays(np.float64, (B, K), elements=unit))
+    weights = draw(arrays(np.float64, (B + 1, K), elements=st.floats(1e-3, 1.0)))
+    weights /= weights.sum(axis=1, keepdims=True)
+    rows = draw(arrays(np.float64, (B, 2), elements=unit))
+    erm_losses = draw(arrays(np.float64, B, elements=unit))
+    recs = [StepRecord(float(rows[t, 0]), table[t], weights[t + 1]) for t in range(B)]
+    return MetaWeights(weights[0], step_size_nu(K, B)), rows, recs, erm_losses
+
+
+@given(interval_tables())
+def test_the_metrics_arithmetic_decides_the_regret_identities(interval):
+    # R_KE <= R_OE because the online expert is one of the experts, and
+    # R_CO2 = R_ME + R_KE up to the rounding of two subtractions
+    meta, rows, recs, erm_losses = interval
+    m = _interval_metrics(UNIT, 0, 1, meta, rows, recs, erm_losses, None)
+    assert m.regret_ke <= m.regret_oe
+    largest = max(m.cum_loss_co2, m.erm_cum_loss,
+                  float(np.array([rec.losses_per_expert for rec in recs]).sum(axis=0).max()))
+    assert abs(m.regret_co2 - (m.regret_me + m.regret_ke)) <= 2 * math.ulp(largest)
+
+
+def metric_floats(record) -> list[float]:
+    """A metrics record's floats, without the solver's stopping certificate."""
+    return [v for k, v in asdict(record).items() if isinstance(v, float) and k != "grad_map_norm"]
+
+
+@settings(max_examples=20)
+@given(dim=st.integers(2, 8), G=st.integers(1, 6), B=st.integers(1, 60), K_max=st.integers(2, 3),
+       strategy=st.sampled_from(STRATEGIES), init_policy=st.sampled_from(INIT_POLICIES),
+       D=st.floats(0.5, 2.0), R_over_D=st.floats(0.25, 2.5), seed=st.integers(0, 2**32 - 1))
+def test_a_rotation_moves_no_metric_and_a_negation_no_bit(dim, G, B, K_max, strategy,
+                                                          init_policy, D, R_over_D, seed):
+    # the losses read x only through <w, x> and y <w, x>, and every expert
+    # starts at zero, so X Q^T turns each iterate by Q and (-X, -y) leaves it
+    config = ExperimentConfig(
+        stream=StreamSpec(G=G, B=B, dim=dim, seed=seed, D=D), seeds=(seed,), R=D * R_over_D,
+        K_max=K_max, strategy=strategy, init_policy=init_policy, wstar_proxy=False)
+    intervals = gen_synthetic(config.stream)
+    Q = np.linalg.qr(np.random.default_rng(seed).normal(size=(dim, dim)))[0]
+    plain = _run_seed(config, seed, intervals)
+    turned = _run_seed(config, seed, [replace(b, X=b.X @ Q.T) for b in intervals])
+    negated = _run_seed(config, seed, [replace(b, X=-b.X, y=-b.y) for b in intervals])
+
+    np.testing.assert_allclose(turned.steps, plain.steps, rtol=0, atol=1e-12)
+    for got, want in zip(turned.intervals + turned.rollovers, plain.intervals + plain.rollovers):
+        np.testing.assert_allclose(metric_floats(got), metric_floats(want), rtol=0, atol=1e-12)
+    assert ([r.iterations for r in turned.rollovers]
+            == [r.iterations for r in plain.rollovers])
+    assert negated.steps.tobytes() == plain.steps.tobytes()
 
 
 # log-uniform over the positive floats, from the smallest subnormal up to 1e308
