@@ -9,6 +9,10 @@ synthetic runs can additionally report a population-optimum proxy fitted on
 That proxy sample is drawn once per interval and shared by the interval's
 metrics and the rollover metrics that follow it.
 
+A seed draws each interval (``streams.intervals``) when it reaches it and
+lets it go, with its w* proxy sample, before it draws the next, so the run
+holds one interval of one seed at a time, and every seed's step table.
+
 Every recorded interval is checked against the closed-form guarantees
 (meta regret, OGD regret, both coupled-regret forms, and the anchor-distance
 cap of the trained offline expert); any violation raises BoundViolation,
@@ -22,6 +26,7 @@ import json
 import math
 import os
 import sys
+from collections.abc import Iterable
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -32,13 +37,14 @@ from .losses import LossSpec, batch_losses, margin_loss
 from .offline import GRAD_MAP_TOL, erm_oracle, omega
 from .online import eta, ogd_update
 from .pool import ExpertPool, check_settings
-from .streams import (_SEED_MAX, IntervalBuffer, StreamSpec, fresh_proxy_samples, generate,
+from .streams import (_SEED_MAX, IntervalBuffer, StreamSpec, fresh_proxy_samples, intervals,
                       parse_libsvm)
 
 # Not called here; kept importable because bench/tracing.py patches these names.
 from .geometry import project_to_ball  # noqa: F401
 from .losses import batch_mean_grad, grad_loss, loss  # noqa: F401
 from .online import ogd_step  # noqa: F401
+from .streams import generate  # noqa: F401
 
 _TOL_BOUND = 1e-6   # deterministic-bound slack
 EARLY_T = 20        # step at which early cumulative losses are compared
@@ -203,13 +209,16 @@ def load_input_samples(config: ExperimentConfig):
 
 def check_memory(config: ExperimentConfig, run: bool = True) -> None:
     """Raise MemoryError unless what a command holds at once fits in physical
-    memory: one seed's stream, in rows of ``dim + 1`` 8-byte values, and for a
-    run also an interval's ``10*B``-row w* proxy when drawn and every seed's
-    step table, ``G*B`` rows of ``4 + K_max``, kept for the report. This check
-    draws nothing; a larger command would fail, or never end, while drawing."""
+    memory, counted in 8-byte values. ``generate`` and ``bounds`` hold one
+    seed's stream, ``G*B`` rows of ``dim + 1``. ``run`` holds one interval,
+    ``B`` such rows (in libsvm mode its input, at least a stream's), plus the
+    interval's ``10*B``-row w* proxy when drawn, and every seed's step table,
+    ``G*B`` rows of ``4 + K_max``, kept for the report. This check draws
+    nothing; a larger command would fail, or never end, while drawing."""
     stream, S = config.stream, len(config.seeds) if run else 0
     proxy = run and config.wstar_proxy and stream.mode == "synthetic"
-    rows = stream.G * stream.B + (10 * stream.B if proxy else 0)
+    whole = not run or stream.mode == "libsvm_noised"
+    rows = (stream.G if whole else 1) * stream.B + (10 * stream.B if proxy else 0)
     need = 8 * (rows * (stream.dim + 1) + S * stream.G * stream.B * (4 + config.K_max))
     try:
         memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
@@ -218,7 +227,8 @@ def check_memory(config: ExperimentConfig, run: bool = True) -> None:
     if need > memory:
         tables = (f", and a step table per seed, S x G*B = {S} x {stream.G} x {stream.B} rows "
                   f"of {4 + config.K_max}," if run else "")
-        raise MemoryError(f"one seed's stream{' and w* proxy' if proxy else ''}, {rows} rows of "
+        held = "one seed's stream" if whole else "one interval"
+        raise MemoryError(f"{held}{' and its w* proxy' if proxy else ''}, {rows} rows of "
                           f"{stream.dim + 1} float64 values{tables} need more than the "
                           f"machine's {memory / 2**30:.3g} GiB")
 
@@ -226,43 +236,46 @@ def check_memory(config: ExperimentConfig, run: bool = True) -> None:
 def run_experiment(config: ExperimentConfig) -> RunReport:
     """Run every seed and assemble the report; see the module docstring."""
     input_samples = load_input_samples(config)
-    # one seed's stream at a time, so two are never held at once
-    runs = [_run_seed(config, seed, generate(replace(config.stream, seed=seed), input_samples))
+    # each seed draws an interval when it reaches it, so the run holds one at a time
+    runs = [_run_seed(config, seed, intervals(replace(config.stream, seed=seed), input_samples))
             for seed in config.seeds]
     return RunReport(config=config, runs=runs, aggregate=_aggregate(runs))
 
 
-def _run_seed(config: ExperimentConfig, seed: int, intervals: list[IntervalBuffer]) -> SeedRun:
+def _run_seed(config: ExperimentConfig, seed: int, stream: Iterable[IntervalBuffer]) -> SeedRun:
     """One seed's run over its stream: ``config.stream.G`` intervals of
     ``config.stream.B`` rows of dimension ``config.stream.dim`` in the D-ball,
-    indexed 1..G in order. Raises a one-line ValueError, before any step, on
-    a set of another count, order or shape."""
+    indexed 1..G in order. It takes each interval from ``stream`` when it
+    reaches it, and lets go of it, its step records and its w* proxy sample
+    before it takes the next; the last one's rows give the bound report's
+    eigenvalues. An interval of another index or shape raises a one-line
+    ValueError before its first step, and a list of another count, order or
+    shape before any step."""
     stream_spec = replace(config.stream, seed=seed)  # the proxy's substreams
-    shape = (stream_spec.B, stream_spec.dim)
-    if len(intervals) != stream_spec.G:
-        raise ValueError(f"the run needs {stream_spec.G} intervals, got {len(intervals)}")
-    for g, buf in enumerate(intervals, start=1):
-        if buf.interval_index != g or buf.X.shape != shape:
-            raise ValueError(f"interval {g} must be indexed {g} with {shape[0]} rows of "
-                             f"{shape[1]} values, got index {buf.interval_index} and "
-                             f"shape {buf.X.shape}")
+    G, B = stream_spec.G, stream_spec.B
+    if isinstance(stream, list):
+        if len(stream) != G:
+            raise ValueError(f"the run needs {G} intervals, got {len(stream)}")
+        for g, buf in enumerate(stream, start=1):
+            _check_fit(stream_spec, g, buf)
     spec = config.loss_spec
     pool = ExpertPool(
-        spec=spec, B=stream_spec.B, K_max=config.K_max,
+        spec=spec, B=B, K_max=config.K_max,
         strategy=config.strategy, init_policy=config.init_policy,
         gamma_floor=config.gamma_floor,
     )
     w_ogd = np.zeros(spec.dim)  # the whole-stream baseline, stepped in place
 
-    B = stream_spec.B
-    steps = np.zeros((stream_spec.G * B, 4 + config.K_max))
+    steps = np.zeros((G * B, 4 + config.K_max))
     metrics: list[IntervalMetrics] = []
     rollovers: list[RolloverMetrics] = []
 
-    for buf in intervals:
-        g = buf.interval_index
+    g = 0
+    for buf in stream:
+        g += 1
+        _check_fit(stream_spec, g, buf)
         meta = pool.meta  # the weights the interval's first step uses
-        proxy = star_cum = None  # the last interval's w* proxy sample, let go before these steps
+        proxy = star_cum = None
         rows = steps[(g - 1) * B: g * B]  # a view, filled in place
         recs = [pool.process_labeled(s) for s in buf.samples]
         rows[:, 0] = [rec.loss_meta for rec in recs]
@@ -284,20 +297,36 @@ def _run_seed(config: ExperimentConfig, seed: int, intervals: list[IntervalBuffe
         rows[:, 2] = np.cumsum(rows[:, 0] - erm_losses)
         rows[:, 3] = np.cumsum(rows[:, 1] - erm_losses)
 
-        if g < stream_spec.G:
+        if g < G:
             roll = pool.rollover(buf)
             rollovers.append(_rollover_metrics(spec, seed, roll, proxy))
             _assert_rollover_bounds(rollovers[-1])
+        else:
+            eigenvalues = tb.estimate_eigenvalues(buf.X)
+        buf = recs = proxy = None  # let go before the next interval is drawn
+    if g != G:
+        raise ValueError(f"the run needs {G} intervals, got {g}")
 
     last_roll = rollovers[-1] if rollovers else None
     report_inputs = config.bound_inputs(
-        tb.estimate_eigenvalues(intervals[-1].X), regret_KE=metrics[-1].regret_ke,
+        eigenvalues, regret_KE=metrics[-1].regret_ke,
         gamma=last_roll.gamma if last_roll else None,
         omega_star=(last_roll.omega_star or 0.0) if last_roll else 0.0,
         weighted_loss=last_roll.weighted_loss if last_roll else 0.0,
     )
     return SeedRun(seed=seed, steps=steps, intervals=metrics,
                    rollovers=rollovers, bound_report=tb.bound_report(report_inputs))
+
+
+def _check_fit(stream_spec: StreamSpec, g: int, buf: IntervalBuffer) -> None:
+    """A one-line ValueError unless ``buf`` can be interval g of the run."""
+    shape = (stream_spec.B, stream_spec.dim)
+    if g > stream_spec.G:
+        raise ValueError(f"the run needs {stream_spec.G} intervals, got more")
+    if buf.interval_index != g or buf.X.shape != shape:
+        raise ValueError(f"interval {g} must be indexed {g} with {shape[0]} rows of "
+                         f"{shape[1]} values, got index {buf.interval_index} and "
+                         f"shape {buf.X.shape}")
 
 
 def _interval_metrics(spec, seed, g, meta, rows, recs, erm_losses, star_cum) -> IntervalMetrics:

@@ -9,6 +9,13 @@ libsvm mode an existing dataset is shuffled, split into G blocks, and each
 block receives fresh class-conditional Gaussian noise (std ``noise_std``)
 whose per-class mean is itself redrawn per interval.
 
+``intervals(spec, samples)`` draws interval g only when its caller asks for
+it: a synthetic interval from the class-mean walk and ``substream(seed, g)``,
+a libsvm block gathered from the shuffled input and noised. So a caller that
+lets each interval go before it asks for the next, as a run does, holds one
+at a time. ``generate`` (and ``gen_synthetic`` and ``make_multidist``, one
+per mode) is the list of that iterator.
+
 Feature norms are conditioned AFTER noising: any sample with ||x|| > D is
 rescaled onto the sphere of radius D (per-sample, not global, because
 Gaussian tails defeat any pre-scaling). D defaults to 1.
@@ -31,6 +38,7 @@ Libsvm mode: per interval, dim normals for the +1 noise mean, dim for the
 from __future__ import annotations
 
 from array import array
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from math import isfinite
 
@@ -201,8 +209,7 @@ def gen_synthetic(spec: StreamSpec) -> list[IntervalBuffer]:
     """Drifting-Gaussian stream of G intervals; deterministic in the seed."""
     if spec.mode != "synthetic":
         raise ValueError(f"gen_synthetic needs mode='synthetic', got {spec.mode!r}")
-    return [_synthetic_interval(spec, g, means)
-            for g, means in enumerate(class_mean_walk(spec), start=1)]
+    return list(intervals(spec))
 
 
 def fresh_proxy_samples(spec: StreamSpec, interval: IntervalBuffer, n: int):
@@ -294,6 +301,26 @@ def make_multidist(samples: list[Sample], spec: StreamSpec) -> list[IntervalBuff
     """Shuffle, split into G blocks of B, and noise each block class-wise."""
     if spec.mode != "libsvm_noised":
         raise ValueError(f"make_multidist needs mode='libsvm_noised', got {spec.mode!r}")
+    return list(intervals(spec, samples))
+
+
+def generate(spec: StreamSpec, samples: list[Sample] | None = None) -> list[IntervalBuffer]:
+    """``list(intervals(spec, samples))``, through the mode's own list."""
+    if spec.mode == "synthetic":
+        return gen_synthetic(spec)
+    return make_multidist(samples, spec)
+
+
+def intervals(spec: StreamSpec, samples: list[Sample] | None = None) -> Iterator[IntervalBuffer]:
+    """The spec's G intervals in order, each drawn only when the caller asks
+    for it, so a caller that lets each go before the next holds one at a time.
+    Libsvm mode needs the parsed samples; their checks and the shuffle run at
+    this call, and each block is gathered and noised when it is reached."""
+    if spec.mode == "synthetic":
+        return (_synthetic_interval(spec, g, means)
+                for g, means in enumerate(class_mean_walk(spec), start=1))
+    if samples is None:
+        raise DataError("libsvm_noised mode needs parsed input samples")
     need = spec.G * spec.B
     if len(samples) < need:
         raise DataError(
@@ -302,34 +329,25 @@ def make_multidist(samples: list[Sample], spec: StreamSpec) -> list[IntervalBuff
     if any(np.shape(s.x) != (spec.dim,) for s in samples):
         raise DataError(f"all samples must have dim={spec.dim}")
     n = len(samples)
-    order = substream(spec.seed, 0).shuffle(np.arange(n))[:need]
+    order = substream(spec.seed, 0).shuffle(np.arange(n))[:need].reshape(spec.G, spec.B)
     # all rows in one array, gathered per interval: no second (n, dim) copy
     X_in = np.concatenate([s.x for s in samples]).reshape(n, spec.dim)
     y_in = np.fromiter((s.y for s in samples), dtype=np.int64, count=n)
-    intervals = []
-    for g in range(1, spec.G + 1):
-        rows = order[(g - 1) * spec.B: g * spec.B]
-        X, y = X_in[rows], y_in[rows]
-        rng = substream(spec.seed, g)
-        with np.errstate(over="ignore", invalid="ignore"):  # reported below
-            mean_pos = spec.noise_std * rng.normals(spec.dim)
-            mean_neg = spec.noise_std * rng.normals(spec.dim)
-            noise = spec.noise_std * rng.normals(spec.B * spec.dim).reshape(spec.B, spec.dim)
-            X = X + noise + np.where((y == 1)[:, None], mean_pos, mean_neg)
-        if not np.isfinite(X).all():
-            raise ConfigError(f"noise_std={spec.noise_std} noises a row of interval {g} out "
-                              f"of the float range")
-        intervals.append(IntervalBuffer(X=_condition_in_place(X, spec.D), y=y, interval_index=g))
-    return intervals
+    return (_noised_interval(spec, g, X_in[rows], y_in[rows])
+            for g, rows in enumerate(order, start=1))
 
 
-def generate(spec: StreamSpec, samples: list[Sample] | None = None) -> list[IntervalBuffer]:
-    """Dispatch on the spec's mode; libsvm mode needs the parsed samples."""
-    if spec.mode == "synthetic":
-        return gen_synthetic(spec)
-    if samples is None:
-        raise DataError("libsvm_noised mode needs parsed input samples")
-    return make_multidist(samples, spec)
+def _noised_interval(spec: StreamSpec, g: int, X: np.ndarray, y: np.ndarray) -> IntervalBuffer:
+    rng = substream(spec.seed, g)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        mean_pos = spec.noise_std * rng.normals(spec.dim)
+        mean_neg = spec.noise_std * rng.normals(spec.dim)
+        noise = spec.noise_std * rng.normals(spec.B * spec.dim).reshape(spec.B, spec.dim)
+        X = X + noise + np.where((y == 1)[:, None], mean_pos, mean_neg)
+    if not np.isfinite(X).all():
+        raise ConfigError(f"noise_std={spec.noise_std} noises a row of interval {g} out "
+                          f"of the float range")
+    return IntervalBuffer(X=_condition_in_place(X, spec.D), y=y, interval_index=g)
 
 
 def final_interval(spec: StreamSpec, samples: list[Sample] | None = None) -> IntervalBuffer:

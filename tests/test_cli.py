@@ -247,7 +247,8 @@ class TestRun:
     def test_only_run_counts_the_step_tables(self, tmp_path, capsys, monkeypatch):
         """At G*B = 1000 rows of dim 2 the stream holds 24 000 bytes and each
         seed's step table 72 000: 64 KiB fits the stream, which generate and
-        bounds hold, but not run's two step tables more."""
+        bounds hold, but not run's two step tables, beside its one interval
+        and that interval's w* proxy."""
         pages, real = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 16}, os.sysconf
         monkeypatch.setattr(harness.os, "sysconf", lambda name: pages.get(name) or real(name))
         shape = ("--seeds", "0,1", "--g", "10", "--b", "100")
@@ -256,7 +257,7 @@ class TestRun:
         capsys.readouterr()
         assert run_cli("run", *shape, "--out", str(tmp_path / "run")) == 1
         err = capsys.readouterr().err
-        assert err.startswith("memory error: one seed's stream and w* proxy, 2000 rows of 3 ")
+        assert err.startswith("memory error: one interval and its w* proxy, 1100 rows of 3 ")
         assert "S x G*B = 2 x 10 x 100 rows of 9" in err and len(err.splitlines()) == 1
         assert err.endswith(f"; {MEMORY_HINT}\n") and not (tmp_path / "run").exists()
 
@@ -302,8 +303,9 @@ def test_a_violated_bound_is_one_line_exit_3(tmp_path, capsys, monkeypatch):
                         err)
 
 
-# Each needs above 1 TB for one seed's stream, or, at k_max 1e20, for run's step
-# table, which generate and bounds do not hold. Each used to end in a numpy
+# Each needs above 1 TB: for one seed's stream, which generate and bounds hold,
+# and for run's step table (at B 1e20 also for its one interval), which only
+# run holds, so k_max 1e20 is run's alone. Each used to end in a numpy
 # traceback ("Maximum allowed dimension exceeded") or never end while its
 # stream was drawn interval by interval.
 OVERSIZE_BODIES = {

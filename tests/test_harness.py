@@ -1,11 +1,12 @@
 import json
 import os
+import tracemalloc
 from dataclasses import replace as dc_replace
 
 import numpy as np
 import pytest
 
-from co2learn import harness
+from co2learn import harness, streams
 from co2learn.errors import ConfigError, ConvergenceError
 from co2learn.harness import (
     ExperimentConfig,
@@ -251,9 +252,76 @@ class TestRunExperiment:
         assert "\n" not in str(caught.value)
 
 
+class TestStreamedRun:
+    """``run_experiment`` hands each seed ``streams.intervals``, which draws an
+    interval when the run reaches it; the run equals one over the listed
+    stream, and holds one interval at a time."""
+
+    @staticmethod
+    def libsvm_input(tmp_path, n, dim):
+        rng = np.random.default_rng(dim)
+        path = tmp_path / "data.libsvm"
+        path.write_text("".join(f"{rng.choice([-1, 1])} " + " ".join(
+            f"{j}:{v:.6f}" for j, v in enumerate(row, start=1)) + "\n"
+            for row in rng.uniform(-1, 1, size=(n, dim))))
+        return str(path)
+
+    @pytest.mark.parametrize("mode", ["synthetic", "libsvm_noised"])
+    def test_the_streamed_run_equals_the_listed_one(self, tmp_path, mode):
+        G, B, dim = 4, 30, 3
+        stream = StreamSpec(G=G, B=B, dim=dim, mode=mode)
+        path = self.libsvm_input(tmp_path, G * B + 7, dim) if mode == "libsvm_noised" else None
+        config = ExperimentConfig(stream=stream, seeds=(6,), K_max=3, input_path=path)
+        samples = harness.load_input_samples(config)
+        streamed = _run_seed(config, 6, streams.intervals(config.stream, samples))
+        listed = _run_seed(config, 6, streams.generate(config.stream, samples))
+        assert streamed.steps.tobytes() == listed.steps.tobytes()
+        assert streamed.intervals == listed.intervals
+        assert streamed.rollovers == listed.rollovers
+        assert streamed.bound_report == listed.bound_report
+
+    @pytest.mark.parametrize("misfit", ["other_B", "one_too_many"])
+    def test_a_misfit_interval_fails_before_its_first_step(self, monkeypatch, misfit):
+        config = ExperimentConfig(stream=StreamSpec(G=3, B=10), seeds=(0,), wstar_proxy=False)
+        good = gen_synthetic(config.stream)
+        if misfit == "other_B":  # the second interval has 12 rows
+            other_B = gen_synthetic(dc_replace(config.stream, B=12))[1]
+            intervals, steps_before = [good[0], other_B, good[2]], 10
+        else:  # a fourth interval after the three the run needs
+            intervals, steps_before = good + [dc_replace(good[0], interval_index=4)], 30
+        steps = []
+        original = ExpertPool.process_labeled
+
+        def counting(pool, sample):
+            steps.append(sample)
+            return original(pool, sample)
+
+        monkeypatch.setattr(ExpertPool, "process_labeled", counting)
+        with pytest.raises(ValueError) as caught:
+            _run_seed(config, 0, iter(intervals))
+        assert "\n" not in str(caught.value)
+        assert len(steps) == steps_before
+
+    def test_memory_does_not_grow_with_G(self):
+        # one interval is 64 rows of 257 values (131 KiB) and the step table
+        # 64 G rows of 6, so the whole stream outweighs the table at every G
+        def peak(G):
+            config = ExperimentConfig(stream=StreamSpec(G=G, B=64, dim=256), seeds=(0,),
+                                      K_max=2, wstar_proxy=False)
+            tracemalloc.start()
+            try:
+                run_experiment(config)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(24) <= 1.25 * peak(3)
+
+
 class TestCheckMemory:
-    # G*B = 1000 rows at dim 2 and K_max 5: the stream and the proxy one seed
-    # draws hold 2000 rows of 3 values, each seed's step table 1000 rows of 9
+    # G*B = 1000 rows at dim 2 and K_max 5: a run holds one interval of 100
+    # rows of 3 values, the 1000-row proxy it draws for it, and a step table
+    # of 1000 rows of 9 per seed; generate and bounds hold the 1000-row stream
     STREAM = StreamSpec(G=10, B=100)
 
     @staticmethod
@@ -262,17 +330,27 @@ class TestCheckMemory:
         monkeypatch.setattr(harness.os, "sysconf", lambda name: pages.get(name) or real(name))
 
     def test_every_seeds_step_table_is_counted(self, monkeypatch):
-        self.physical_memory(monkeypatch, 200 * 1024)  # 1 seed needs 120 000 bytes, 8 need 624 000
+        self.physical_memory(monkeypatch, 200 * 1024)  # 1 seed needs 98 400 bytes, 8 need 602 400
         harness.check_memory(ExperimentConfig(stream=self.STREAM, seeds=(0,)))
         with pytest.raises(MemoryError) as caught:
             harness.check_memory(ExperimentConfig(stream=self.STREAM, seeds=tuple(range(8))))
         assert "\n" not in str(caught.value)
 
     def test_the_proxy_is_counted_when_it_is_drawn(self, monkeypatch):
-        self.physical_memory(monkeypatch, 100 * 1024)  # 96 000 bytes without it, 120 000 with
+        self.physical_memory(monkeypatch, 80 * 1024)  # 74 400 bytes without it, 98 400 with
         harness.check_memory(ExperimentConfig(stream=self.STREAM, seeds=(0,), wstar_proxy=False))
-        with pytest.raises(MemoryError, match="stream and w\\* proxy"):
+        with pytest.raises(MemoryError, match="one interval and its w\\* proxy"):
             harness.check_memory(ExperimentConfig(stream=self.STREAM, seeds=(0,)))
+
+    def test_a_run_counts_one_interval_where_the_stream_would_not_fit(self, monkeypatch):
+        # at dim 1000 the stream is 8 008 000 bytes, one interval 800 800, and
+        # the run 872 800 with its step table
+        self.physical_memory(monkeypatch, 1024 * 1024)
+        config = ExperimentConfig(stream=dc_replace(self.STREAM, dim=1000), seeds=(0,),
+                                  wstar_proxy=False)
+        harness.check_memory(config, run=True)
+        with pytest.raises(MemoryError, match="^one seed's stream, 1000 rows of 1001 "):
+            harness.check_memory(config, run=False)
 
 
 class TestEmitReports:

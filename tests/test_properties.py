@@ -818,21 +818,26 @@ def metric_floats(record) -> list[float]:
 def test_a_rotation_moves_no_metric_and_a_negation_no_bit(dim, G, B, K_max, strategy,
                                                           init_policy, D, R_over_D, seed):
     # the losses read x only through <w, x> and y <w, x>, and every expert
-    # starts at zero, so X Q^T turns each iterate by Q and (-X, -y) leaves it
+    # starts at zero, so for an orthogonal M (a random Q or a permutation P)
+    # X M^T turns each iterate by M, and (-X, -y) leaves it
     config = ExperimentConfig(
         stream=StreamSpec(G=G, B=B, dim=dim, seed=seed, D=D), seeds=(seed,), R=D * R_over_D,
         K_max=K_max, strategy=strategy, init_policy=init_policy, wstar_proxy=False)
     intervals = gen_synthetic(config.stream)
-    Q = np.linalg.qr(np.random.default_rng(seed).normal(size=(dim, dim)))[0]
+    rng = np.random.default_rng(seed)
+    Q = np.linalg.qr(rng.normal(size=(dim, dim)))[0]
+    P = np.eye(dim)[rng.permutation(dim)]  # a coordinate permutation, orthogonal too
     plain = _run_seed(config, seed, intervals)
-    turned = _run_seed(config, seed, [replace(b, X=b.X @ Q.T) for b in intervals])
+    for M in (Q, P):
+        turned = _run_seed(config, seed, [replace(b, X=b.X @ M.T) for b in intervals])
+        np.testing.assert_allclose(turned.steps, plain.steps, rtol=0, atol=1e-12)
+        for got, want in zip(turned.intervals + turned.rollovers,
+                             plain.intervals + plain.rollovers):
+            np.testing.assert_allclose(metric_floats(got), metric_floats(want),
+                                       rtol=0, atol=1e-12)
+        assert ([r.iterations for r in turned.rollovers]
+                == [r.iterations for r in plain.rollovers])
     negated = _run_seed(config, seed, [replace(b, X=-b.X, y=-b.y) for b in intervals])
-
-    np.testing.assert_allclose(turned.steps, plain.steps, rtol=0, atol=1e-12)
-    for got, want in zip(turned.intervals + turned.rollovers, plain.intervals + plain.rollovers):
-        np.testing.assert_allclose(metric_floats(got), metric_floats(want), rtol=0, atol=1e-12)
-    assert ([r.iterations for r in turned.rollovers]
-            == [r.iterations for r in plain.rollovers])
     assert negated.steps.tobytes() == plain.steps.tobytes()
 
 

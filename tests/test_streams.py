@@ -17,6 +17,7 @@ from co2learn.streams import (
     fresh_proxy_samples,
     gen_synthetic,
     generate,
+    intervals,
     make_multidist,
     parse_libsvm,
 )
@@ -373,6 +374,29 @@ class TestFinalInterval:
         finally:
             tracemalloc.stop()
         assert peak < 20 * spec.B * spec.dim * 8
+
+
+class TestIntervals:
+    """``intervals`` draws interval g only when the caller asks for it."""
+
+    def test_the_libsvm_checks_run_at_the_call(self):
+        spec = StreamSpec(G=3, B=10, dim=2, mode="libsvm_noised")
+        with pytest.raises(DataError, match="need at least G\\*B = 30 samples"):
+            intervals(spec, [Sample(x=np.zeros(2), y=1)] * 29)
+        with pytest.raises(DataError, match="needs parsed input samples"):
+            intervals(spec)
+
+    def test_a_drift_overflow_is_raised_when_its_interval_is_drawn(self):
+        stream = intervals(StreamSpec(G=3, B=4, dim=2, seed=1, drift_std=1e308))
+        assert next(stream).interval_index == 1  # interval 1's means are drawn, not drifted
+        with pytest.raises(ConfigError, match=r"^drift_std=1e\+308 .* at interval 2$"):
+            next(stream)
+
+    def test_a_noise_overflow_is_raised_when_the_blocks_are_drawn(self):
+        spec = StreamSpec(G=3, B=4, dim=2, seed=1, mode="libsvm_noised", noise_std=1e308)
+        stream = intervals(spec, [Sample(x=np.zeros(2), y=1)] * 12)
+        with pytest.raises(ConfigError, match=r"^noise_std=1e\+308 "):
+            list(stream)
 
 
 class TestMakeMultidist:
