@@ -26,7 +26,7 @@ from .errors import BoundViolation, ConfigError, ConvergenceError, DataError
 from .harness import (ExperimentConfig, check_memory, emit_reports, load_input_samples,
                       run_experiment, write_json)
 from .pool import INIT_POLICIES, STRATEGIES
-from .streams import StreamSpec, dump_stream, final_interval, generate, parse_libsvm
+from .streams import StreamSpec, dump_stream, final_interval, intervals, parse_libsvm
 
 
 class _Parser(argparse.ArgumentParser):
@@ -146,12 +146,11 @@ def _experiment_config(cfg: dict, run: bool = False) -> ExperimentConfig:
 def _cmd_generate(cfg: dict) -> int:
     config = _experiment_config(cfg)
     spec = config.stream
-    intervals = generate(spec, load_input_samples(config))
+    stream = intervals(spec, load_input_samples(config))  # checks a libsvm input before out is made
     os.makedirs(cfg["out"], exist_ok=True)
     path = os.path.join(cfg["out"], "stream.csv")
-    dump_stream(intervals, path)
-    print(f"wrote {sum(b.n for b in intervals)} samples "
-          f"({spec.G} intervals x {spec.B}) to {path}")
+    dump_stream(stream, path)  # each interval is written as it is drawn
+    print(f"wrote {spec.G * spec.B} samples ({spec.G} intervals x {spec.B}) to {path}")
     return 0
 
 

@@ -208,13 +208,13 @@ def load_input_samples(config: ExperimentConfig):
 
 
 def check_memory(config: ExperimentConfig, run: bool = True) -> None:
-    """Raise MemoryError unless what a command holds at once fits in physical
-    memory, counted in 8-byte values. ``generate`` and ``bounds`` hold one
-    seed's stream, ``G*B`` rows of ``dim + 1``. ``run`` holds one interval,
-    ``B`` such rows (in libsvm mode its input, at least a stream's), plus the
-    interval's ``10*B``-row w* proxy when drawn, and every seed's step table,
-    ``G*B`` rows of ``4 + K_max``, kept for the report. This check draws
-    nothing; a larger command would fail, or never end, while drawing."""
+    """Raise MemoryError unless what a command holds fits in physical memory,
+    counted in 8-byte values. ``generate`` and ``bounds`` hold one interval
+    (libsvm: their input) but count ``G*B`` rows of ``dim + 1``, so a walk or a
+    write that would not end is refused. ``run`` holds one interval, ``B`` such
+    rows (libsvm: its input, at least ``G*B``), plus its ``10*B``-row w* proxy
+    when drawn, and every seed's step table, ``G*B`` rows of ``4 + K_max``,
+    kept for the report. This check draws nothing."""
     stream, S = config.stream, len(config.seeds) if run else 0
     proxy = run and config.wstar_proxy and stream.mode == "synthetic"
     whole = not run or stream.mode == "libsvm_noised"

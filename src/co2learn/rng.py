@@ -35,9 +35,16 @@ place into the result through scratch buffers of at most that size, so a
 large draw holds little more than its result. Every value is a function of
 its own counter, so no value depends on the block size or on where the
 block boundaries fall.
+
+A normals result of ``_MAPPED_BYTES`` or more (a wide run's intervals and w*
+proxy) gets an anonymous memory map of its own, unmapped when it goes. From
+glibc's heap, where such blocks go once one has been freed, a run's peak RSS
+depended on whether each fit in holes left by unrelated allocations.
 """
 
 from __future__ import annotations
+
+import mmap
 
 import numpy as np
 
@@ -55,6 +62,7 @@ _TWO_PI_U53 = 2.0 * np.pi * _U53
 
 _BLOCK = 2**14  # raw draws per block (even); a normals block's scratch is 448 KiB
 _RAMP = np.arange(_BLOCK, dtype=np.uint64) * np.uint64(_GOLDEN)  # k * gamma mod 2**64
+_MAPPED_BYTES = 2**20  # a normals result this large gets its own memory map
 
 
 def _mix64(z: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -67,6 +75,14 @@ def _mix64(z: np.ndarray, t: np.ndarray) -> np.ndarray:
     np.right_shift(z, _SHIFTS[31], out=t)
     z ^= t
     return z
+
+
+def _float_result(n: int) -> np.ndarray:
+    """``n`` uninitialized float64 values, in a map of their own if large."""
+    flags = getattr(mmap, "MAP_PRIVATE", 0) | getattr(mmap, "MAP_ANONYMOUS", 0)
+    if 8 * n < _MAPPED_BYTES or not flags:
+        return np.empty(n)
+    return np.frombuffer(mmap.mmap(-1, 8 * n, flags=flags), dtype=np.float64)
 
 
 def substream(seed: int, index: int) -> "CounterRng":
@@ -116,7 +132,7 @@ class CounterRng:
         strided halves of the result."""
         m = (n + 1) // 2
         first = self._take(2 * m)
-        out = np.empty(2 * m)
+        out = _float_result(2 * m)
         size = min(_BLOCK, 2 * m)
         z, t = np.empty(size, dtype=np.uint64), np.empty(size, dtype=np.uint64)
         r, theta, trig = np.empty(size // 2), np.empty(size // 2), np.empty(size // 2)

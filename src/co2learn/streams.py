@@ -9,12 +9,12 @@ libsvm mode an existing dataset is shuffled, split into G blocks, and each
 block receives fresh class-conditional Gaussian noise (std ``noise_std``)
 whose per-class mean is itself redrawn per interval.
 
-``intervals(spec, samples)`` draws interval g only when its caller asks for
-it: a synthetic interval from the class-mean walk and ``substream(seed, g)``,
-a libsvm block gathered from the shuffled input and noised. So a caller that
-lets each interval go before it asks for the next, as a run does, holds one
-at a time. ``generate`` (and ``gen_synthetic`` and ``make_multidist``, one
-per mode) is the list of that iterator.
+Interval g is drawn from one key and ``substream(seed, g)``: its class means
+(synthetic) or its block of the shuffled input (libsvm). ``intervals`` draws
+each when its caller asks for it, so a caller that lets each go before the
+next, as the ``run`` and ``generate`` commands do, holds one at a time;
+``final_interval`` draws interval G alone. ``generate`` (``gen_synthetic`` and
+``make_multidist``, one per mode) is the list of ``intervals``.
 
 Feature norms are conditioned AFTER noising: any sample with ||x|| > D is
 rescaled onto the sphere of radius D (per-sample, not global, because
@@ -38,8 +38,9 @@ Libsvm mode: per interval, dim normals for the +1 noise mean, dim for the
 from __future__ import annotations
 
 from array import array
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
+from functools import partial
 from math import isfinite
 
 import numpy as np
@@ -96,15 +97,10 @@ class IntervalBuffer:
 
     def __post_init__(self):
         X = np.asarray(self.X, dtype=np.float64)
-        y = np.asarray(self.y)
-        if X.ndim != 2 or y.shape != (X.shape[0],):
+        if X.ndim != 2 or np.shape(self.y) != (X.shape[0],):
             raise ValueError("interval buffer needs X of shape (B, dim) and y of shape (B,)")
-        items = () if isinstance(self.y, np.ndarray) else self.y  # numpy casts [True, -1] to ints
-        if (any(isinstance(v, (bool, np.bool_)) for v in items)
-                or y.dtype.kind not in "iuf" or not np.isin(y, (-1, 1)).all()):
-            raise ValueError("every label must be the number -1 or +1, and not a bool")
         object.__setattr__(self, "X", X)
-        object.__setattr__(self, "y", y.astype(np.int64, copy=False))
+        object.__setattr__(self, "y", _labels(self.y, ValueError))
 
     @property
     def n(self) -> int:
@@ -113,6 +109,16 @@ class IntervalBuffer:
     @property
     def samples(self) -> list[Sample]:
         return [Sample(x=x, y=y) for x, y in zip(self.X, self.y.tolist())]
+
+
+def _labels(y, error: type[Exception]) -> np.ndarray:
+    """``y`` as int64 labels; ``error`` unless each is the number -1 or +1, not a bool."""
+    labels = np.asarray(y)
+    items = () if isinstance(y, np.ndarray) else y  # numpy casts [True, -1] to ints
+    if (any(isinstance(v, (bool, np.bool_)) for v in items)
+            or labels.dtype.kind not in "iuf" or not np.isin(labels, (-1, 1)).all()):
+        raise error("every label must be the number -1 or +1, and not a bool")
+    return labels.astype(np.int64, copy=False)
 
 
 _ROW_BLOCK_VALUES = 2**14  # conditioning works on row blocks of about this many values
@@ -312,38 +318,39 @@ def generate(spec: StreamSpec, samples: list[Sample] | None = None) -> list[Inte
 
 
 def intervals(spec: StreamSpec, samples: list[Sample] | None = None) -> Iterator[IntervalBuffer]:
-    """The spec's G intervals in order, each drawn only when the caller asks
-    for it, so a caller that lets each go before the next holds one at a time.
-    Libsvm mode needs the parsed samples; their checks and the shuffle run at
-    this call, and each block is gathered and noised when it is reached."""
+    """The spec's G intervals in order, each drawn only when the caller asks for
+    it (libsvm mode checks its parsed samples and shuffles them at this call),
+    so a caller that lets each go before the next holds one at a time."""
+    draw, keys = _drawer(spec, samples)
+    return (draw(g, key) for g, key in enumerate(keys, start=1))
+
+
+def _drawer(spec: StreamSpec, samples: list[Sample] | None):
+    """``(draw, keys)``: interval g is ``draw(g, key)`` for the g-th key, its class
+    means (synthetic) or its block of shuffled sample indices (libsvm, checked here)."""
     if spec.mode == "synthetic":
-        return (_synthetic_interval(spec, g, means)
-                for g, means in enumerate(class_mean_walk(spec), start=1))
+        return partial(_synthetic_interval, spec), class_mean_walk(spec)
     if samples is None:
         raise DataError("libsvm_noised mode needs parsed input samples")
     need = spec.G * spec.B
     if len(samples) < need:
-        raise DataError(
-            f"need at least G*B = {need} samples for G={spec.G}, B={spec.B}; got {len(samples)}"
-        )
+        raise DataError(f"need at least G*B = {need} samples for G={spec.G}, B={spec.B}; "
+                        f"got {len(samples)}")
     if any(np.shape(s.x) != (spec.dim,) for s in samples):
         raise DataError(f"all samples must have dim={spec.dim}")
-    n = len(samples)
-    order = substream(spec.seed, 0).shuffle(np.arange(n))[:need].reshape(spec.G, spec.B)
-    # all rows in one array, gathered per interval: no second (n, dim) copy
-    X_in = np.concatenate([s.x for s in samples]).reshape(n, spec.dim)
-    y_in = np.fromiter((s.y for s in samples), dtype=np.int64, count=n)
-    return (_noised_interval(spec, g, X_in[rows], y_in[rows])
-            for g, rows in enumerate(order, start=1))
+    y = _labels([s.y for s in samples], DataError)
+    order = substream(spec.seed, 0).shuffle(np.arange(len(samples)))[:need]
+    return partial(_noised_interval, spec, samples, y), order.reshape(spec.G, spec.B)
 
 
-def _noised_interval(spec: StreamSpec, g: int, X: np.ndarray, y: np.ndarray) -> IntervalBuffer:
+def _noised_interval(spec: StreamSpec, samples: list[Sample], labels: np.ndarray, g: int,
+                     rows: np.ndarray) -> IntervalBuffer:
+    X, y = np.array([samples[i].x for i in rows], dtype=np.float64), labels[rows]
     rng = substream(spec.seed, g)
     with np.errstate(over="ignore", invalid="ignore"):  # reported below
-        mean_pos = spec.noise_std * rng.normals(spec.dim)
-        mean_neg = spec.noise_std * rng.normals(spec.dim)
-        noise = spec.noise_std * rng.normals(spec.B * spec.dim).reshape(spec.B, spec.dim)
-        X = X + noise + np.where((y == 1)[:, None], mean_pos, mean_neg)
+        means = spec.noise_std * np.stack([rng.normals(spec.dim), rng.normals(spec.dim)])
+        X += spec.noise_std * rng.normals(spec.B * spec.dim).reshape(spec.B, spec.dim)
+        X += means[(1 - y) // 2]  # the +1 row for y = 1, the -1 row for y = -1
     if not np.isfinite(X).all():
         raise ConfigError(f"noise_std={spec.noise_std} noises a row of interval {g} out "
                           f"of the float range")
@@ -351,19 +358,18 @@ def _noised_interval(spec: StreamSpec, g: int, X: np.ndarray, y: np.ndarray) -> 
 
 
 def final_interval(spec: StreamSpec, samples: list[Sample] | None = None) -> IntervalBuffer:
-    """``generate(spec, samples)[-1]``. In synthetic mode only the class-mean
-    walk and interval G are drawn, so time and memory hardly grow with G."""
-    if spec.mode != "synthetic":
-        return generate(spec, samples)[-1]
-    for means in class_mean_walk(spec):
+    """``generate(spec, samples)[-1]``, drawn alone: only the keys before it
+    are walked, so time and memory hardly grow with G."""
+    draw, keys = _drawer(spec, samples)
+    for key in keys:
         pass
-    return _synthetic_interval(spec, spec.G, means)
+    return draw(spec.G, key)
 
 
-def dump_stream(intervals: list[IntervalBuffer], path: str) -> None:
-    """Write ``g,t,y,x1,...,xdim`` records, floats at 17 significant digits."""
+def dump_stream(stream: Iterable[IntervalBuffer], path: str) -> None:
+    """Write ``g,t,y,x1,...,xdim`` records (17 significant digits), each interval as it is taken."""
     with open(path, "w", newline="") as fh:
-        for buf in intervals:
+        for buf in stream:
             for t in range(buf.n):
                 coords = ",".join(f"{v:.17g}" for v in buf.X[t])
                 fh.write(f"{buf.interval_index},{t + 1},{int(buf.y[t])},{coords}\n")

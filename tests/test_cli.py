@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -108,6 +109,21 @@ class TestGenerate:
                        "--out", str(b)) == 0
         assert (a / "stream.csv").read_bytes() == (b / "stream.csv").read_bytes()
 
+    def test_memory_does_not_grow_with_G(self, tmp_path):
+        # one interval is 64 rows of 65 values (33 KiB); holding all 24 at once
+        # peaked at 3.4 times the peak at G 3
+        def peak(G):
+            argv = ["generate", "--g", str(G), "--b", "64", "--dim", "64", "--out", str(tmp_path)]
+            tracemalloc.start()
+            try:
+                assert main(argv) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(3)  # the first call also allocates the parser's and the imports' caches
+        assert peak(24) <= 1.25 * peak(3)
+
     def test_row_count(self, tmp_path):
         run_cli("generate", "--seed", "1", "--g", "2", "--b", "15", "--out", str(tmp_path))
         lines = (tmp_path / "stream.csv").read_text().splitlines()
@@ -186,9 +202,8 @@ class TestRun:
     def test_config_error_names_the_setting_before_any_stream_is_generated(
             self, tmp_path, capsys, monkeypatch, command, body, start):
         calls = []
-        for module in (cli, harness):
-            monkeypatch.setattr(module, "generate", lambda *a: calls.append(a))
-        monkeypatch.setattr(cli, "final_interval", lambda *a: calls.append(a))
+        for module, draw in ((harness, "intervals"), (cli, "intervals"), (cli, "final_interval")):
+            monkeypatch.setattr(module, draw, lambda *a: calls.append(a))
         err = assert_config_error(tmp_path, capsys, command, body)
         assert err.startswith(f"config error: {start}")
         assert calls == []
@@ -247,7 +262,7 @@ class TestRun:
     def test_only_run_counts_the_step_tables(self, tmp_path, capsys, monkeypatch):
         """At G*B = 1000 rows of dim 2 the stream holds 24 000 bytes and each
         seed's step table 72 000: 64 KiB fits the stream, which generate and
-        bounds hold, but not run's two step tables, beside its one interval
+        bounds count, but not run's two step tables, beside its one interval
         and that interval's w* proxy."""
         pages, real = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 16}, os.sysconf
         monkeypatch.setattr(harness.os, "sysconf", lambda name: pages.get(name) or real(name))
@@ -303,11 +318,12 @@ def test_a_violated_bound_is_one_line_exit_3(tmp_path, capsys, monkeypatch):
                         err)
 
 
-# Each needs above 1 TB: for one seed's stream, which generate and bounds hold,
+# Each needs above 1 TB: for one seed's stream, which generate and bounds
+# count though a synthetic one holds one interval (a libsvm one its input),
 # and for run's step table (at B 1e20 also for its one interval), which only
 # run holds, so k_max 1e20 is run's alone. Each used to end in a numpy
 # traceback ("Maximum allowed dimension exceeded") or never end while its
-# stream was drawn interval by interval.
+# stream was walked or written interval by interval, which the count refuses.
 OVERSIZE_BODIES = {
     "B_1e20": {"stream": {"B": 10**20}},
     "k_max_1e20": {"k_max": 10**20},
@@ -366,7 +382,7 @@ class TestBounds:
     def test_bad_bounds_block_fails_before_any_stream_is_generated(
             self, tmp_path, capsys, monkeypatch, key, value, name):
         calls = []
-        for draw in ("generate", "final_interval"):
+        for draw in ("intervals", "final_interval"):
             monkeypatch.setattr(cli, draw, lambda *a: calls.append(a))
         body = {"bounds": {key: value}, "stream": {"G": 3, "B": 20000, "dim": 100}}
         err = assert_config_error(tmp_path, capsys, "bounds", body)

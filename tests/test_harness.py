@@ -321,7 +321,7 @@ class TestStreamedRun:
 class TestCheckMemory:
     # G*B = 1000 rows at dim 2 and K_max 5: a run holds one interval of 100
     # rows of 3 values, the 1000-row proxy it draws for it, and a step table
-    # of 1000 rows of 9 per seed; generate and bounds hold the 1000-row stream
+    # of 1000 rows of 9 per seed; generate and bounds count the 1000-row stream
     STREAM = StreamSpec(G=10, B=100)
 
     @staticmethod

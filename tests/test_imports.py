@@ -95,3 +95,21 @@ def test_every_private_name_is_read_in_the_package():
     unread = [f"{p.name}:{line} {name}" for p in PACKAGE
               for name, line in private_names(ast.parse(p.read_text())) if name not in read]
     assert not unread, f"private names never read in the package: {unread}"
+
+
+WHOLE_STREAM_BUILDERS = {"generate", "gen_synthetic", "make_multidist"}
+
+
+@pytest.mark.parametrize("path", [p for p in PACKAGE if p.name != "streams.py"],
+                         ids=lambda p: p.stem)
+def test_no_module_but_streams_builds_a_whole_stream(path):
+    """Each command draws through ``streams.intervals`` or ``final_interval``,
+    which hold one interval at a time; the list builders are for library callers."""
+    calls = [
+        f"{path.name}:{node.lineno} calls {name}"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+        for name in [getattr(node.func, "id", None) or getattr(node.func, "attr", None)]
+        if name in WHOLE_STREAM_BUILDERS
+    ]
+    assert not calls, calls

@@ -1,3 +1,4 @@
+import mmap
 import tracemalloc
 
 import numpy as np
@@ -5,7 +6,8 @@ import pytest
 
 from co2learn.errors import ConfigError, DataError, StreamFormatError
 from co2learn.geometry import Sample
-from co2learn.rng import _BLOCK, CounterRng, substream
+from co2learn import rng as rng_module
+from co2learn.rng import _BLOCK, _MAPPED_BYTES, CounterRng, substream
 from co2learn.streams import (
     _WALK_DRAWS,
     IntervalBuffer,
@@ -54,6 +56,24 @@ class TestCounterRng:
         out = CounterRng(7).shuffle(items)
         assert sorted(out.tolist()) == items.tolist()
         np.testing.assert_array_equal(CounterRng(7).shuffle(items), out)
+
+    def test_a_large_normals_result_has_its_own_map_and_the_same_values(self, monkeypatch):
+        """So its memory goes back to the system when it goes, and no run's
+        peak depends on where the heap can fit it."""
+        def owner(a):  # the object that holds the array's memory
+            while isinstance(a, np.ndarray) and a.base is not None:
+                a = a.base
+            return a.obj if isinstance(a, memoryview) else a
+
+        n = _MAPPED_BYTES // 8
+        small = CounterRng(4).normals(n - 2)
+        big = CounterRng(4).normals(n + 1)  # one leftover normal: 2 * ceil(n / 2) draws
+        assert isinstance(owner(small), np.ndarray) and isinstance(owner(big), mmap.mmap)
+        monkeypatch.setattr(rng_module, "_MAPPED_BYTES", 2 * _MAPPED_BYTES)
+        unmapped = CounterRng(4).normals(n + 1)
+        assert isinstance(owner(unmapped), np.ndarray)
+        assert big.tobytes() == unmapped.tobytes()
+        assert big[: n - 2].tobytes() == small.tobytes()
 
     def test_substream_xor_layout(self):
         np.testing.assert_array_equal(
@@ -255,7 +275,12 @@ def _peak_bytes(draw):
 
 class TestDrawMemory:
     """A draw holds its result plus block-sized scratch, not full-size
-    temporaries (whole-array draws peaked at about 3.5 times the result)."""
+    temporaries (whole-array draws peaked at about 3.5 times the result).
+    The result is taken from numpy's allocator, so tracemalloc counts it."""
+
+    @pytest.fixture(autouse=True)
+    def _traced_results(self, monkeypatch):
+        monkeypatch.setattr(rng_module, "_MAPPED_BYTES", 2**40)
 
     def test_normals_peak_is_the_result_plus_block_scratch(self):
         peak, z = _peak_bytes(lambda: CounterRng(1).normals(1_000_000))
@@ -339,6 +364,7 @@ class TestFinalInterval:
 
     @staticmethod
     def _libsvm_samples(n, dim):
+        """n samples whose rows are views of one (n, dim) array, as parsed."""
         rng = np.random.default_rng(dim)
         return [Sample(x=x, y=int(y)) for x, y in
                 zip(rng.normal(size=(n, dim)), rng.choice([-1, 1], n))]
@@ -364,27 +390,52 @@ class TestFinalInterval:
         with pytest.raises(DataError, match="needs parsed input samples"):
             final_interval(StreamSpec(G=2, B=5, mode="libsvm_noised"))
 
-    def test_synthetic_memory_does_not_grow_with_G(self):
-        # the whole stream would hold G intervals of B*dim doubles: 9.6 MB here
-        spec = StreamSpec(G=2000, B=200, dim=3, seed=1)
-        tracemalloc.start()
-        try:
-            final_interval(spec)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 20 * spec.B * spec.dim * 8
+    @pytest.mark.parametrize("mode", ["synthetic", "libsvm_noised"])
+    def test_memory_does_not_grow_with_G(self, mode):
+        """The whole synthetic stream would hold G intervals of B*dim doubles,
+        9.6 MB at G 2000. The libsvm input is 20 blocks, all of which the
+        stream holds at G 20 and a quarter at G 5 (it peaked at 1.5x)."""
+        B, dim = (200, 3) if mode == "synthetic" else (500, 20)
+        samples = self._libsvm_samples(20 * B, dim) if mode == "libsvm_noised" else None
+
+        def peak(G):
+            spec = StreamSpec(G=G, B=B, dim=dim, seed=1, mode=mode)
+            return _peak_bytes(lambda: final_interval(spec, samples))[0]
+
+        if mode == "synthetic":
+            assert peak(2000) < 20 * B * dim * 8
+        else:
+            assert peak(20) <= 1.1 * peak(5)
 
 
 class TestIntervals:
     """``intervals`` draws interval g only when the caller asks for it."""
 
-    def test_the_libsvm_checks_run_at_the_call(self):
+    @pytest.mark.parametrize("samples,match", [
+        ([Sample(x=np.zeros(2), y=1)] * 29, "need at least G\\*B = 30 samples"),
+        (None, "needs parsed input samples"),
+        # each used to be cast to a +1 label; IntervalBuffer refuses them too
+        *[([Sample(x=np.zeros(2), y=1)] * 29 + [Sample(x=np.zeros(2), y=label)],
+           "every label must be the number -1 or \\+1, and not a bool")
+          for label in (True, 1.5, "1")],
+    ], ids=["too_few", "no_samples", "bool_label", "float_label", "string_label"])
+    def test_the_libsvm_checks_run_at_the_call(self, samples, match):
         spec = StreamSpec(G=3, B=10, dim=2, mode="libsvm_noised")
-        with pytest.raises(DataError, match="need at least G\\*B = 30 samples"):
-            intervals(spec, [Sample(x=np.zeros(2), y=1)] * 29)
-        with pytest.raises(DataError, match="needs parsed input samples"):
-            intervals(spec)
+        with pytest.raises(DataError, match=match):
+            intervals(spec, samples)
+
+    def test_a_libsvm_call_holds_no_copy_of_its_input(self):
+        # rows of one parsed array, as parse_libsvm gives them: 8.0 MB
+        samples = TestFinalInterval._libsvm_samples(20_000, 50)
+        spec = StreamSpec(G=20, B=1000, dim=50, mode="libsvm_noised")
+        tracemalloc.start()
+        try:
+            stream = intervals(spec, samples)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held < 0.1 * 20_000 * 50 * 8
+        assert next(stream).interval_index == 1
 
     def test_a_drift_overflow_is_raised_when_its_interval_is_drawn(self):
         stream = intervals(StreamSpec(G=3, B=4, dim=2, seed=1, drift_std=1e308))
