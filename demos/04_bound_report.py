@@ -2,7 +2,9 @@
 
 The calculators are pure functions; the harness feeds them the measured
 regret of the best maintained expert, the anchor statistics of the last
-rollover, and moment eigenvalues estimated from the final interval.
+rollover (with ``wstar_proxy`` on, its distance from the interval's
+population optimum w*, which ``co2learn.population`` computes by
+quadrature), and moment eigenvalues estimated from the final interval.
 """
 
 import json

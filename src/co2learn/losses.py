@@ -160,13 +160,19 @@ def batch_mean_losses(W: np.ndarray, X: np.ndarray, y: np.ndarray, spec: LossSpe
     return losses.mean(axis=1)
 
 
-def grad_buffers(X: np.ndarray, y: np.ndarray, spec: LossSpec) -> tuple:
+def grad_buffers(X: np.ndarray, y: np.ndarray, spec: LossSpec,
+                 weights: np.ndarray | None = None) -> tuple:
     """The arrays ``batch_mean_grad`` works in for one ``(X, y)``: ``-C y``,
     then four of length n (margins, exponentials, coefficients, and the
     ``z <= 0`` mask as 1.0 or 0.0) and the gradient, of length dim. A solver
-    makes them once per solve; a call given them overwrites all but ``-C y``."""
+    makes them once per solve; a call given them overwrites all but ``-C y``.
+
+    Given row ``weights`` (positive, summing to 1), the first array is
+    ``-C y / (n weights)``, so the gradient is the weighted mean's; without
+    them it is ``-C y`` bit for bit."""
     n, dim = X.shape
-    return -spec.C * y, np.empty(n), np.empty(n), np.empty(n), np.empty(n), np.empty(dim)
+    neg_Cy = -spec.C * y if weights is None else -spec.C * y / (n * weights)
+    return neg_Cy, np.empty(n), np.empty(n), np.empty(n), np.empty(n), np.empty(dim)
 
 
 def batch_mean_grad(w: np.ndarray, X: np.ndarray, y: np.ndarray, spec: LossSpec,

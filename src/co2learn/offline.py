@@ -95,8 +95,10 @@ def projected_gradient(
     anchor: np.ndarray | None = None,
     tol: float,
     max_iters: int,
+    weights: np.ndarray | None = None,
 ) -> tuple[np.ndarray, float, int, bool]:
-    """Minimize mean loss on (X, y) + (gamma / 2) ||w - anchor||^2 over the ball.
+    """Minimize mean loss on (X, y) + (gamma / 2) ||w - anchor||^2 over the ball;
+    given row ``weights`` (positive, summing to 1), the weighted mean loss.
 
     Fixed step 1/(beta + gamma), started at the anchor, which defaults to the
     origin. Stops at the first iterate whose projected-gradient mapping norm
@@ -108,7 +110,7 @@ def projected_gradient(
         raise ValueError("cannot minimize over an empty sample set")
     v = np.zeros(X.shape[1]) if anchor is None else anchor
     y = np.asarray(y, dtype=np.float64)
-    buffers = grad_buffers(X, y, spec)
+    buffers = grad_buffers(X, y, spec, weights)
     R = spec.R
     step = 1.0 / (spec.beta + gamma)
     w = np.array(v, dtype=np.float64)
@@ -131,11 +133,14 @@ def projected_gradient(
     return w, grad_map_norm, max_iters, False
 
 
-def erm_oracle(X: np.ndarray, y: np.ndarray, spec: LossSpec) -> np.ndarray:
+def erm_oracle(X: np.ndarray, y: np.ndarray, spec: LossSpec,
+               weights: np.ndarray | None = None) -> np.ndarray:
     """Empirical minimizer over the hypothesis ball: ``projected_gradient``
-    with gamma = 0 from the origin (step 1/beta). Deterministic; see the
-    module docstring for its stopping rule."""
-    w, _, _, converged = projected_gradient(X, y, spec, tol=ERM_TOL, max_iters=ERM_MAX_ITERS)
+    with gamma = 0 from the origin (step 1/beta); with row ``weights``, the
+    minimizer of the weighted risk, as of a quadrature's nodes. Deterministic;
+    see the module docstring for its stopping rule."""
+    w, _, _, converged = projected_gradient(X, y, spec, tol=ERM_TOL, max_iters=ERM_MAX_ITERS,
+                                            weights=weights)
     if not converged:
         raise ConvergenceError(
             f"ERM oracle did not reach mapping norm {ERM_TOL} within {ERM_MAX_ITERS} iterations"

@@ -36,8 +36,8 @@ large draw holds little more than its result. Every value is a function of
 its own counter, so no value depends on the block size or on where the
 block boundaries fall.
 
-A normals result of ``_MAPPED_BYTES`` or more (a wide run's intervals and w*
-proxy) gets an anonymous memory map of its own, unmapped when it goes. From
+A normals result of ``_MAPPED_BYTES`` or more (a wide run's intervals) gets
+an anonymous memory map of its own, unmapped when it goes. From
 glibc's heap, where such blocks go once one has been freed, a run's peak RSS
 depended on whether each fit in holes left by unrelated allocations.
 """

@@ -25,8 +25,9 @@ Substream layout for seed s (see rng module for the generator contract):
     substream(s, 0)          class-mean chain (synthetic) / dataset shuffle
                              (libsvm), in documented draw order
     substream(s, g)          samples of interval g = 1..G
-    substream(s, 2**32 + g)  fresh proxy samples from interval g's
-                             distribution (diagnostics only)
+    substream(s, 2**32 + g)  fresh samples from interval g's distribution,
+                             the tests' Monte Carlo reference for w* (a
+                             run draws none; see ``population``)
 
 Draw order inside interval g (synthetic): first the label permutation
 (Fisher-Yates over ceil(B/2) labels +1 followed by floor(B/2) labels -1),
@@ -220,7 +221,8 @@ def gen_synthetic(spec: StreamSpec) -> list[IntervalBuffer]:
 
 def fresh_proxy_samples(spec: StreamSpec, interval: IntervalBuffer, n: int):
     """n new samples from interval g's generating distribution, from the
-    dedicated proxy substream. Synthetic intervals only."""
+    dedicated proxy substream: a Monte Carlo reference for the population
+    optimum that ``population`` computes. Synthetic intervals only."""
     if interval.class_means is None:
         raise DataError("fresh proxy draws need an interval with stored generating means")
     rng = substream(spec.seed, PROXY_SUBSTREAM_OFFSET + interval.interval_index)

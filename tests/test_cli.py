@@ -3,7 +3,6 @@ import os
 import re
 import subprocess
 import sys
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -109,17 +108,14 @@ class TestGenerate:
                        "--out", str(b)) == 0
         assert (a / "stream.csv").read_bytes() == (b / "stream.csv").read_bytes()
 
-    def test_memory_does_not_grow_with_G(self, tmp_path):
+    def test_memory_does_not_grow_with_G(self, tmp_path, traced):
         # one interval is 64 rows of 65 values (33 KiB); holding all 24 at once
         # peaked at 3.4 times the peak at G 3
         def peak(G):
             argv = ["generate", "--g", str(G), "--b", "64", "--dim", "64", "--out", str(tmp_path)]
-            tracemalloc.start()
-            try:
-                assert main(argv) == 0
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            peak, _, rc = traced(lambda: main(argv))
+            assert rc == 0
+            return peak
 
         peak(3)  # the first call also allocates the parser's and the imports' caches
         assert peak(24) <= 1.25 * peak(3)
@@ -259,22 +255,41 @@ class TestRun:
         assert rc == 1 and not (tmp_path / "o").exists()
         assert err == f"memory error: {message}; {MEMORY_HINT}\n"
 
+    SHAPE = ("--seeds", "0,1", "--g", "10", "--b", "100")
+
+    @staticmethod
+    def physical_pages(monkeypatch, pages):
+        sizes, real = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": pages}, os.sysconf
+        monkeypatch.setattr(harness.os, "sysconf", lambda name: sizes.get(name) or real(name))
+
     def test_only_run_counts_the_step_tables(self, tmp_path, capsys, monkeypatch):
         """At G*B = 1000 rows of dim 2 the stream holds 24 000 bytes and each
         seed's step table 72 000: 64 KiB fits the stream, which generate and
-        bounds count, but not run's two step tables, beside its one interval
-        and that interval's w* proxy."""
-        pages, real = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 16}, os.sysconf
-        monkeypatch.setattr(harness.os, "sysconf", lambda name: pages.get(name) or real(name))
-        shape = ("--seeds", "0,1", "--g", "10", "--b", "100")
+        bounds count, but not run's two step tables, beside its one interval;
+        its w* node set is not counted."""
+        self.physical_pages(monkeypatch, 16)
         for command in ("generate", "bounds"):
-            assert run_cli(command, *shape, "--out", str(tmp_path / command)) == 0
+            assert run_cli(command, *self.SHAPE, "--out", str(tmp_path / command)) == 0
         capsys.readouterr()
-        assert run_cli("run", *shape, "--out", str(tmp_path / "run")) == 1
+        assert run_cli("run", *self.SHAPE, "--out", str(tmp_path / "run")) == 1
         err = capsys.readouterr().err
-        assert err.startswith("memory error: one interval and its w* proxy, 1100 rows of 3 ")
-        assert "S x G*B = 2 x 10 x 100 rows of 9" in err and len(err.splitlines()) == 1
+        assert err.startswith("memory error: one interval, 100 rows of 3 float64 values, and a "
+                              "step table per seed, S x G*B = 2 x 10 x 100 rows of 9, need ")
+        assert len(err.splitlines()) == 1
         assert err.endswith(f"; {MEMORY_HINT}\n") and not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("command", ["generate", "bounds"])
+    def test_generate_and_bounds_say_they_walk_the_stream(self, tmp_path, capsys, monkeypatch,
+                                                          command):
+        """Each holds one interval but counts the stream's 24 000 bytes, so that a
+        walk or a write that would not end is refused; 20 KiB is too little."""
+        self.physical_pages(monkeypatch, 5)
+        assert run_cli(command, *self.SHAPE, "--out", str(tmp_path / "o")) == 1
+        err = capsys.readouterr().err
+        assert err == ("memory error: the stream, G*B = 1000 rows of 3 float64 values drawn "
+                       "one interval at a time, needs more than the machine's 1.91e-05 GiB; "
+                       f"{MEMORY_HINT}\n")
+        assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("kind,code,prefix", cli.EXIT_CODES,

@@ -2,7 +2,7 @@
 that may move floating-point results.
 
 Shape: synthetic stream, G 15, B 200, dim 2, K_max 5, seeds 0, 1, 2, all
-other settings at their defaults (weight eviction, cold start, w* proxy on).
+other settings at their defaults (weight eviction, cold start, w* on).
 Floats are compared at 1e-12 absolute; rollover iteration counts and each
 interval's ``k_condition_holds`` exactly. Each seed's eight ``bounds.json``
 calculator values are pinned too. The offline iterates come from driving

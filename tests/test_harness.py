@@ -1,6 +1,5 @@
 import json
 import os
-import tracemalloc
 from dataclasses import replace as dc_replace
 
 import numpy as np
@@ -16,10 +15,11 @@ from co2learn.harness import (
 )
 from co2learn.losses import LossSpec, batch_mean_loss, grad_loss, loss
 from co2learn.offline import erm_oracle, omega
+from co2learn.population import population_nodes
 from co2learn.online import OnlineExpertState, ogd_step
 from co2learn.pool import ExpertPool
 from co2learn.rng import _BLOCK, CounterRng
-from co2learn.streams import IntervalBuffer, StreamSpec, fresh_proxy_samples, gen_synthetic
+from co2learn.streams import IntervalBuffer, StreamSpec, gen_synthetic
 
 from oracles import grid_min_objective, reference_normals
 
@@ -302,26 +302,31 @@ class TestStreamedRun:
         assert "\n" not in str(caught.value)
         assert len(steps) == steps_before
 
-    def test_memory_does_not_grow_with_G(self):
+    def test_memory_does_not_grow_with_G(self, traced):
         # one interval is 64 rows of 257 values (131 KiB) and the step table
         # 64 G rows of 6, so the whole stream outweighs the table at every G
         def peak(G):
             config = ExperimentConfig(stream=StreamSpec(G=G, B=64, dim=256), seeds=(0,),
                                       K_max=2, wstar_proxy=False)
-            tracemalloc.start()
-            try:
-                run_experiment(config)
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            return traced(lambda: run_experiment(config))[0]
 
         assert peak(24) <= 1.25 * peak(3)
+
+    def test_wstar_adds_next_to_nothing_to_a_wide_seed_s_peak(self, traced):
+        # one interval is 2000 rows of 200 values (3.2 MB); the 10*B-row
+        # sample a w* proxy once drew beside it added about 32 MB
+        def peak(wstar):
+            config = ExperimentConfig(stream=StreamSpec(G=3, B=2000, dim=200), seeds=(0,),
+                                      wstar_proxy=wstar)
+            return traced(lambda: run_experiment(config))[0]
+
+        assert peak(True) <= 1.1 * peak(False)
 
 
 class TestCheckMemory:
     # G*B = 1000 rows at dim 2 and K_max 5: a run holds one interval of 100
-    # rows of 3 values, the 1000-row proxy it draws for it, and a step table
-    # of 1000 rows of 9 per seed; generate and bounds count the 1000-row stream
+    # rows of 3 values and a step table of 1000 rows of 9 per seed; generate
+    # and bounds count the 1000-row stream
     STREAM = StreamSpec(G=10, B=100)
 
     @staticmethod
@@ -336,11 +341,16 @@ class TestCheckMemory:
             harness.check_memory(ExperimentConfig(stream=self.STREAM, seeds=tuple(range(8))))
         assert "\n" not in str(caught.value)
 
-    def test_the_proxy_is_counted_when_it_is_drawn(self, monkeypatch):
-        self.physical_memory(monkeypatch, 80 * 1024)  # 74 400 bytes without it, 98 400 with
-        harness.check_memory(ExperimentConfig(stream=self.STREAM, seeds=(0,), wstar_proxy=False))
-        with pytest.raises(MemoryError, match="one interval and its w\\* proxy"):
-            harness.check_memory(ExperimentConfig(stream=self.STREAM, seeds=(0,)))
+    def test_w_star_is_not_counted(self, monkeypatch):
+        self.physical_memory(monkeypatch, 76 * 1024)  # 74 400 bytes, w* on or off
+        for wstar in (True, False):
+            harness.check_memory(ExperimentConfig(stream=self.STREAM, seeds=(0,),
+                                                  wstar_proxy=wstar))
+        self.physical_memory(monkeypatch, 72 * 1024)
+        for wstar in (True, False):
+            with pytest.raises(MemoryError, match="^one interval, 100 rows of 3 float64 values, "):
+                harness.check_memory(ExperimentConfig(stream=self.STREAM, seeds=(0,),
+                                                      wstar_proxy=wstar))
 
     def test_a_run_counts_one_interval_where_the_stream_would_not_fit(self, monkeypatch):
         # at dim 1000 the stream is 8 008 000 bytes, one interval 800 800, and
@@ -349,7 +359,8 @@ class TestCheckMemory:
         config = ExperimentConfig(stream=dc_replace(self.STREAM, dim=1000), seeds=(0,),
                                   wstar_proxy=False)
         harness.check_memory(config, run=True)
-        with pytest.raises(MemoryError, match="^one seed's stream, 1000 rows of 1001 "):
+        with pytest.raises(MemoryError, match="^the stream, G\\*B = 1000 rows of 1001 float64 "
+                                              "values drawn one interval at a time, needs "):
             harness.check_memory(config, run=False)
 
 
@@ -396,8 +407,8 @@ class TestEmitReports:
 
 
 def test_reports_do_not_depend_on_the_draw_blocks(tmp_path, monkeypatch):
-    """At dim 60 each interval draw spans two blocks and each proxy draw
-    eleven; the reports equal those of whole-array draws byte for byte."""
+    """At dim 60 each interval draw spans two blocks; the reports, w*'s
+    metrics with them, equal those of whole-array draws byte for byte."""
     stream = StreamSpec(G=3, B=300, dim=60, seed=5)
     assert stream.B * stream.dim > _BLOCK
     config = ExperimentConfig(stream=stream, seeds=(5, 6))
@@ -409,13 +420,15 @@ def test_reports_do_not_depend_on_the_draw_blocks(tmp_path, monkeypatch):
             assert a.read() == b.read(), name
 
 
-class TestWstarProxyDraws:
-    """The 10*B proxy sample is drawn once per interval and shared by the
-    interval's metrics and its rollover's; the fit count is unchanged."""
+class TestWstarNodeSets:
+    """w* comes from one node set per interval, shared by the interval's
+    metrics and its rollover's, and fitted by the harness's ``erm_oracle`` in
+    each: S(3G - 1) fits in a run, as when a drawn 10*B-row proxy stood in
+    for w*, and no proxy draw."""
 
     @staticmethod
     def counted(monkeypatch):
-        counts = {"draws": 0, "fits": 0}
+        counts = {"draws": 0, "node sets": 0, "fits": 0}
 
         def wrap(name, key):
             original = getattr(harness, name)
@@ -425,23 +438,25 @@ class TestWstarProxyDraws:
                 return original(*args, **kwargs)
             monkeypatch.setattr(harness, name, counting)
         wrap("fresh_proxy_samples", "draws")
+        wrap("population_nodes", "node sets")
         wrap("erm_oracle", "fits")
         return counts
 
-    def test_one_draw_per_interval(self, monkeypatch):
+    def test_one_node_set_per_interval(self, monkeypatch):
         G, seeds = 4, (3, 4)
         counts = self.counted(monkeypatch)
         run_experiment(ExperimentConfig(stream=StreamSpec(G=G, B=30, dim=2), seeds=seeds))
-        assert counts == {"draws": len(seeds) * G, "fits": len(seeds) * (3 * G - 1)}
+        assert counts == {"draws": 0, "node sets": len(seeds) * G,
+                          "fits": len(seeds) * (3 * G - 1)}
 
-    def test_no_draw_without_the_proxy(self, monkeypatch):
+    def test_none_without_w_star(self, monkeypatch):
         counts = self.counted(monkeypatch)
         config = ExperimentConfig(stream=StreamSpec(G=3, B=30, dim=2), seeds=(1,),
                                   wstar_proxy=False)
         run_experiment(config)
-        assert counts == {"draws": 0, "fits": 3}
+        assert counts == {"draws": 0, "node sets": 0, "fits": 3}
 
-    def test_no_draw_in_libsvm_mode(self, monkeypatch, tmp_path):
+    def test_none_in_libsvm_mode(self, monkeypatch, tmp_path):
         rng = np.random.default_rng(9)
         lines = [f"{rng.choice([-1, 1])} 1:{a:.6f} 2:{b:.6f}"
                  for a, b in rng.uniform(-1, 1, size=(120, 2))]
@@ -450,9 +465,9 @@ class TestWstarProxyDraws:
         counts = self.counted(monkeypatch)
         stream = StreamSpec(G=3, B=30, dim=2, mode="libsvm_noised")
         run_experiment(ExperimentConfig(stream=stream, seeds=(1,), input_path=str(path)))
-        assert counts == {"draws": 0, "fits": 3}
+        assert counts == {"draws": 0, "node sets": 0, "fits": 3}
 
-    def test_each_rollover_uses_its_own_intervals_draw(self, monkeypatch, spec):
+    def test_each_rollover_uses_its_own_intervals_node_set(self, monkeypatch, spec):
         rolls = []
         original = ExpertPool.rollover
 
@@ -466,8 +481,7 @@ class TestWstarProxyDraws:
         g = 2
         roll, metrics = rolls[g - 1], rollovers[g - 1]
         assert roll.g_completed == metrics.g_completed == g
-        interval = gen_synthetic(stream)[g - 1]
-        Xf, yf = fresh_proxy_samples(stream, interval, 10 * stream.B)
-        w_star = erm_oracle(Xf, yf, spec)
+        nodes = population_nodes(gen_synthetic(stream)[g - 1].class_means, spec)
+        w_star = nodes.basis @ erm_oracle(nodes.X, nodes.y, nodes.spec, weights=nodes.weights)
         assert metrics.omega_star == omega(w_star, roll.anchor)
         assert metrics.gap_measured == float(np.linalg.norm(roll.result.w - w_star))

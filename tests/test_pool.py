@@ -1,6 +1,5 @@
 import dataclasses
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -91,20 +90,14 @@ class TestStepRecord:
         assert pool_module.StepRecord._fields == (
             "loss_meta", "losses_per_expert", "alpha_after")
 
-    def test_a_wide_interval_s_records_hold_under_1_mb(self):
+    def test_a_wide_interval_s_records_hold_under_1_mb(self, traced):
         # B 2000 at dim 200: a record holding the step's 200-float output
         # would make the list about 4 MB; the pool keeps that output as state
         B, dim = 2000, 200
         buf = gen_synthetic(StreamSpec(G=1, B=B, dim=dim, seed=0))[0]
         pool = ExpertPool(spec=LossSpec.create(D=1.0, R=1.0, dim=dim), B=B, K_max=5)
         samples = buf.samples
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            recs = [pool.process_labeled(s) for s in samples]
-            held = tracemalloc.get_traced_memory()[0] - before
-        finally:
-            tracemalloc.stop()
+        _, held, recs = traced(lambda: [pool.process_labeled(s) for s in samples])
         assert len(recs) == B and held < 1_000_000
 
 

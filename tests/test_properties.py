@@ -627,8 +627,9 @@ def test_shuffle_matches_the_reference_loop(seed, n, dtype):
     np.testing.assert_array_equal(rng.raw(2), ref.raw(2))  # as many draws consumed
 
 
-# The property above stops at 500 items; the proxy draws shuffle 10*B labels
-# (2,000 at the desk shape, 20,000 at dim 200, B 2000).
+# The property above stops at 500 items; ``fresh_proxy_samples``, the tests'
+# Monte Carlo reference for w*, shuffles 10*B labels (2,000 at the desk
+# shape, 20,000 at dim 200, B 2000).
 @pytest.mark.parametrize("n", [2_000, 20_000])
 @pytest.mark.parametrize("kind", ["labels", "arange"])
 def test_shuffle_matches_the_reference_loop_at_proxy_sizes(n, kind):
@@ -691,13 +692,13 @@ def test_a_longer_stream_keeps_its_first_intervals(spec, extra):
 @given(small_streams())
 def test_proxy_draws_never_move_the_interval_samples(spec):
     for buf in gen_synthetic(spec):
-        # interval g's samples come from substream g alone, the proxy's from
-        # substream 2**32 + g
+        # interval g's samples come from substream g alone, fresh samples
+        # from substream 2**32 + g
         X, y = sample_from_means(buf.class_means, spec.B, spec.D,
                                  substream(spec.seed, buf.interval_index))
         np.testing.assert_array_equal(buf.X, X)
         np.testing.assert_array_equal(buf.y, y)
-    # and a run that fits the proxy every interval sees the same samples
+    # and a run that fits w* every interval sees the same samples
     config = ExperimentConfig(stream=spec, seeds=(spec.seed,), wstar_proxy=False)
     plain = run_experiment(config).runs[0]
     proxied = run_experiment(replace(config, wstar_proxy=True)).runs[0]
@@ -819,17 +820,22 @@ def test_a_rotation_moves_no_metric_and_a_negation_no_bit(dim, G, B, K_max, stra
                                                           init_policy, D, R_over_D, seed):
     # the losses read x only through <w, x> and y <w, x>, and every expert
     # starts at zero, so for an orthogonal M (a random Q or a permutation P)
-    # X M^T turns each iterate by M, and (-X, -y) leaves it
+    # X M^T turns each iterate by M, and (-X, -y) leaves it. The population
+    # optimum w* turns with the class means, so its metrics move by rounding
+    # alone; under the negation the classes swap, and so does the order of
+    # w*'s nodes
     config = ExperimentConfig(
         stream=StreamSpec(G=G, B=B, dim=dim, seed=seed, D=D), seeds=(seed,), R=D * R_over_D,
-        K_max=K_max, strategy=strategy, init_policy=init_policy, wstar_proxy=False)
+        K_max=K_max, strategy=strategy, init_policy=init_policy)
     intervals = gen_synthetic(config.stream)
     rng = np.random.default_rng(seed)
     Q = np.linalg.qr(rng.normal(size=(dim, dim)))[0]
     P = np.eye(dim)[rng.permutation(dim)]  # a coordinate permutation, orthogonal too
     plain = _run_seed(config, seed, intervals)
+    assert plain.intervals[0].regret_co2_vs_wstar is not None
     for M in (Q, P):
-        turned = _run_seed(config, seed, [replace(b, X=b.X @ M.T) for b in intervals])
+        turned = _run_seed(config, seed, [replace(b, X=b.X @ M.T, class_means=b.class_means @ M.T)
+                                          for b in intervals])
         np.testing.assert_allclose(turned.steps, plain.steps, rtol=0, atol=1e-12)
         for got, want in zip(turned.intervals + turned.rollovers,
                              plain.intervals + plain.rollovers):
@@ -837,8 +843,12 @@ def test_a_rotation_moves_no_metric_and_a_negation_no_bit(dim, G, B, K_max, stra
                                        rtol=0, atol=1e-12)
         assert ([r.iterations for r in turned.rollovers]
                 == [r.iterations for r in plain.rollovers])
-    negated = _run_seed(config, seed, [replace(b, X=-b.X, y=-b.y) for b in intervals])
+    negated = _run_seed(config, seed, [replace(b, X=-b.X, y=-b.y, class_means=-b.class_means[::-1])
+                                       for b in intervals])
     assert negated.steps.tobytes() == plain.steps.tobytes()
+    for got, want in zip(negated.intervals + negated.rollovers,
+                         plain.intervals + plain.rollovers):
+        np.testing.assert_allclose(metric_floats(got), metric_floats(want), rtol=0, atol=1e-12)
 
 
 # log-uniform over the positive floats, from the smallest subnormal up to 1e308

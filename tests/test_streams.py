@@ -1,5 +1,4 @@
 import mmap
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -263,34 +262,19 @@ class TestConditionNorms:
         np.testing.assert_array_equal(X, before)  # the input is not touched
 
 
-def _peak_bytes(draw):
-    """tracemalloc's peak during ``draw()``, and what ``draw`` returned."""
-    tracemalloc.start()
-    try:
-        result = draw()
-        return tracemalloc.get_traced_memory()[1], result
-    finally:
-        tracemalloc.stop()
-
-
 class TestDrawMemory:
     """A draw holds its result plus block-sized scratch, not full-size
-    temporaries (whole-array draws peaked at about 3.5 times the result).
-    The result is taken from numpy's allocator, so tracemalloc counts it."""
+    temporaries (whole-array draws peaked at about 3.5 times the result)."""
 
-    @pytest.fixture(autouse=True)
-    def _traced_results(self, monkeypatch):
-        monkeypatch.setattr(rng_module, "_MAPPED_BYTES", 2**40)
-
-    def test_normals_peak_is_the_result_plus_block_scratch(self):
-        peak, z = _peak_bytes(lambda: CounterRng(1).normals(1_000_000))
+    def test_normals_peak_is_the_result_plus_block_scratch(self, traced):
+        peak, _, z = traced(lambda: CounterRng(1).normals(1_000_000))
         scratch = 5 * 8 * _BLOCK  # at most five block-sized buffers of 8-byte values
         assert peak <= 1.1 * (z.nbytes + scratch)
 
-    def test_proxy_draw_peak_is_about_one_result(self):
+    def test_proxy_draw_peak_is_about_one_result(self, traced):
         spec = StreamSpec(G=1, B=100, dim=200, seed=3)
         buf = gen_synthetic(spec)[0]
-        peak, (X, y) = _peak_bytes(lambda: fresh_proxy_samples(spec, buf, 5_000))
+        peak, _, (X, y) = traced(lambda: fresh_proxy_samples(spec, buf, 5_000))
         assert X.shape == (5_000, 200)
         assert peak <= 2.2 * (X.nbytes + y.nbytes)
 
@@ -300,7 +284,7 @@ class TestParseMemory:
     a Python tuple per token and a small array per row peaked at about 3.5
     times the text plus the result."""
 
-    def test_peak_is_within_twice_the_text_and_result(self):
+    def test_peak_is_within_twice_the_text_and_result(self, traced):
         rng = np.random.default_rng(4)
         n, dim, nnz = 10_000, 20, 8
         cols = np.sort(rng.random((n, dim)).argsort(axis=1)[:, :nnz], axis=1) + 1
@@ -308,7 +292,7 @@ class TestParseMemory:
         text = "".join(" ".join(["+1" if i % 3 else "-1"]
                                 + [f"{j}:{v!r}" for j, v in zip(c, row)]) + "\n"
                        for i, (c, row) in enumerate(zip(cols.tolist(), vals.tolist())))
-        peak, samples = _peak_bytes(lambda: parse_libsvm(text, dim=dim))
+        peak, _, samples = traced(lambda: parse_libsvm(text, dim=dim))
         assert len(samples) == n and samples[0].x.shape == (dim,)
         assert peak <= 2.0 * (len(text) + n * dim * 8)
 
@@ -391,7 +375,7 @@ class TestFinalInterval:
             final_interval(StreamSpec(G=2, B=5, mode="libsvm_noised"))
 
     @pytest.mark.parametrize("mode", ["synthetic", "libsvm_noised"])
-    def test_memory_does_not_grow_with_G(self, mode):
+    def test_memory_does_not_grow_with_G(self, mode, traced):
         """The whole synthetic stream would hold G intervals of B*dim doubles,
         9.6 MB at G 2000. The libsvm input is 20 blocks, all of which the
         stream holds at G 20 and a quarter at G 5 (it peaked at 1.5x)."""
@@ -400,7 +384,7 @@ class TestFinalInterval:
 
         def peak(G):
             spec = StreamSpec(G=G, B=B, dim=dim, seed=1, mode=mode)
-            return _peak_bytes(lambda: final_interval(spec, samples))[0]
+            return traced(lambda: final_interval(spec, samples))[0]
 
         if mode == "synthetic":
             assert peak(2000) < 20 * B * dim * 8
@@ -424,16 +408,11 @@ class TestIntervals:
         with pytest.raises(DataError, match=match):
             intervals(spec, samples)
 
-    def test_a_libsvm_call_holds_no_copy_of_its_input(self):
+    def test_a_libsvm_call_holds_no_copy_of_its_input(self, traced):
         # rows of one parsed array, as parse_libsvm gives them: 8.0 MB
         samples = TestFinalInterval._libsvm_samples(20_000, 50)
         spec = StreamSpec(G=20, B=1000, dim=50, mode="libsvm_noised")
-        tracemalloc.start()
-        try:
-            stream = intervals(spec, samples)
-            held = tracemalloc.get_traced_memory()[0]
-        finally:
-            tracemalloc.stop()
+        _, held, stream = traced(lambda: intervals(spec, samples))
         assert held < 0.1 * 20_000 * 50 * 8
         assert next(stream).interval_index == 1
 
