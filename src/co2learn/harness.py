@@ -212,12 +212,14 @@ def check_memory(config: ExperimentConfig, run: bool = True) -> None:
     """Raise MemoryError unless what a command holds fits in physical memory,
     counted in 8-byte values of rows of ``dim + 1``. ``run`` holds one
     interval, ``B`` rows (libsvm: its input, at least ``G*B``), and every
-    seed's step table, ``G*B`` rows of ``4 + K_max``, kept for the report; an
-    interval's w* node set is a few thousand points of the plane of its class
-    means, which no shape enlarges. Synthetic ``generate`` and ``bounds`` hold
-    one interval but count the stream's ``G*B`` rows, so a walk or a write
-    that would not end is refused; in libsvm mode they hold the input. The
-    message names what is counted. This check draws nothing."""
+    seed's step table, ``G*B`` rows of ``4 + K_max``, kept for the report. An
+    interval's w* node set, points of the plane of its class means, is not
+    counted: a few thousand at the usual shapes, more at far means or a
+    large D, but under 1 MB (the most seen: 10,672 points of 32 bytes).
+    Synthetic ``generate`` and ``bounds`` hold one interval but count the
+    stream's ``G*B`` rows, so a walk or a write that would not end is
+    refused; in libsvm mode they hold the input. The message names what is
+    counted. This check draws nothing."""
     stream, S = config.stream, len(config.seeds) if run else 0
     libsvm = stream.mode == "libsvm_noised"
     rows = (stream.G if libsvm or not run else 1) * stream.B

@@ -38,6 +38,31 @@ and nothing else. One-dimensional integrals inside a weight (the chi mass,
 the radial mass of a ray) are Gauss-Legendre on the window of their
 log-concave integrand. Mass past ``exp(-_TAIL)`` of the largest is left out.
 
+The radial mass. For k >= 1, along the ray at (theta, delta) the
+log-density of the radius r is exactly ``(k + 1) log r - r^2/2 + beta r +
+c(theta)``, since sin^2 + cos^2 = 1, with ``beta = sin(theta) |m|
+cos(delta)`` and ``c(theta) = (k - 1) (log(cos(theta) / mode) + 1/2) -
+|m|^2/2`` (``-|m|^2/2`` at k = 1). So every ray's mass, in every ring,
+window probe and weight, of both classes and of every interval, is
+``c(theta) + Phi(beta)`` with ``Phi(beta) = log int_D^inf r^(dim-1)
+exp(-r^2/2 + beta r) dr``: one function of one variable per (dim, D, inner
+node count). ``_Radial`` tabulates it once per process as polynomial
+pieces on cells that double in width away from beta = 0. From beta = -1 up
+it holds Phi less beta^2/2, the log of the same integral with the square
+completed, about (dim - 1) log(beta) in size; that beta^2/2 joins c's
+``-|m|^2/2`` as ``-(|m| - beta)(|m| + beta)/2``, or along the theta rule
+as ``-(|m| cos(theta))^2/2``, without cancellation. Below -1 it holds Phi,
+about ``beta D``. Each value is exact to rounding: a piece's 25 values at
+its Chebyshev points are ``_log_integral``s on the window of their
+integrand; the piece is halved until the interpolant at every other point
+predicts the rest within ``_SPLIT`` of the size of the integrand's terms,
+the scale of their rounding; the interpolant at all 25, of twice that
+degree, then errs by about the square of that, far below rounding (the
+error falls geometrically with the degree for an analytic function); and
+the barycentric formula at Chebyshev points is stable. A value depends on
+beta alone, never on what the table held before. The plane (k = 0) keeps
+its closed form.
+
 numpy and ``math`` only; every rule is deterministic, so equal means give
 equal nodes.
 """
@@ -61,6 +86,9 @@ _AGREE = 1e-12  # relative agreement of two theta rules that ends the search
 _FAR = 1e8  # a class mean this many sqrt(dim) from the origin is one node
 _BLOCK = 128  # integrals per block of _log_integral
 _INNER = 48  # Gauss-Legendre nodes of an integral inside a weight
+_PIECE = 12  # a piece of a radial table interpolates at 2 * _PIECE + 1 Chebyshev points
+_SPLIT = 1e-14  # a piece is halved until half its points predict the rest this well
+_HALVINGS = 10  # a cell of a radial table is halved at most this often
 
 
 @dataclass(frozen=True)
@@ -187,6 +215,148 @@ def _log_integral(ell, dell, lo, hi, peak, n: int, *params) -> np.ndarray:
     return out.reshape(shape)
 
 
+def _log_radial(power: int, D: float, n: int, beta, complete):
+    """Psi(beta): Phi(beta) = log of the integral of ``r^power exp(-r^2/2 +
+    beta r)`` over r > D, less beta^2/2 where ``complete``; and the size of the
+    log-density's terms, which sets Psi's rounding. Where ``complete`` the
+    integral is taken in u = r - beta, the square completed, so that Psi
+    stays the size of power log(beta) as beta grows; else in r, which suits
+    beta < -1, where Phi is about beta D. ``_log_integral`` puts n nodes on
+    the window where the log-density is within ``_TAIL`` of its largest value
+    on r > D: each end starts where the curvature bounds it (as in
+    ``_log_integral``) and takes Newton steps toward the exact end, which
+    stay outside the level set of a concave function, so the window fits the
+    mass at any curvature."""
+    beta = np.asarray(beta, dtype=np.float64)
+    shift = np.where(complete, beta, 0.0)  # r = shift + u
+
+    def ell(u, beta, shift):
+        return power * np.log(shift + u) - u * u / 2 + (beta - shift) * u
+
+    def dell(u, beta, shift):
+        return power / (shift + u) - u + beta - shift
+
+    root = np.sqrt(beta * beta + 4 * power)
+    with np.errstate(divide="ignore"):  # in a branch np.where drops, and at the peak
+        peak = np.where(complete, 2 * power / (root + beta), 2 * power / (root - beta))  # in u
+        start = np.maximum(D - shift, peak)
+        hi = start + np.minimum(_REACH, _TAIL / np.abs(dell(start, beta, shift)))
+    floor = ell(start, beta, shift) - _TAIL
+    at_peak = shift + peak
+    lo = np.maximum(D - shift, peak - _REACH / np.sqrt(1 + power / (at_peak * at_peak)))
+    for _ in range(4):
+        at_lo, at_hi = ell(lo, beta, shift), ell(hi, beta, shift)
+        with np.errstate(divide="ignore", invalid="ignore"):  # at the peak: no step
+            lo = np.where(at_lo < floor, lo - (at_lo - floor) / dell(lo, beta, shift), lo)
+            hi = np.where(at_hi < floor, hi - (at_hi - floor) / dell(hi, beta, shift), hi)
+    size = (1 + power * np.abs(np.log(shift + start)) + start * start / 2
+            + np.abs((beta - shift) * start))
+    return _log_integral(ell, dell, lo, hi, peak, n, beta, shift), size
+
+
+def _chebyshev_weights(n: int) -> np.ndarray:
+    """Barycentric weights of the n + 1 Chebyshev points cos(pi j / n)."""
+    w = (-1.0) ** np.arange(n + 1)
+    w[[0, -1]] /= 2
+    return w
+
+
+_NODES = np.cos(math.pi * np.arange(2 * _PIECE + 1) / (2 * _PIECE))  # [::2] are _PIECE's
+_WEIGHTS, _HALF = _chebyshev_weights(2 * _PIECE), _chebyshev_weights(_PIECE)
+
+
+def _barycentric(s, nodes, weights, values):
+    """The polynomial through ``(nodes, values[i])`` at each ``s[i]`` on
+    [-1, 1], by the second barycentric formula (stable at Chebyshev points)."""
+    q = np.subtract.outer(s, nodes)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.divide(weights, q, out=q)
+        out = np.einsum("ij,ij->i", q, values) / q.sum(axis=1)
+    hit = np.flatnonzero(~np.isfinite(out))  # s on a node
+    out[hit] = values[hit, np.abs(s[hit, None] - nodes).argmin(axis=1)]
+    return out
+
+
+def _cell(beta: float) -> int:
+    """The cell of a radial table that holds beta: 0 for [-1, 1), e for
+    [2^(e-1), 2^e) and -e for [-2^e, -2^(e-1)). It grows with beta."""
+    mantissa, e = math.frexp(abs(beta))
+    if beta < 0 and mantissa == 0.5:  # -2^(e-1) ends the cell below
+        e -= 1
+    return 0 if e <= 0 else e if beta > 0 else -e
+
+
+def _cell_bounds(cells):
+    """The bounds (lo, hi) of each cell, as two 1-d arrays."""
+    cells = np.atleast_1d(cells)
+    e = np.abs(cells).astype(np.float64)
+    lo, hi = np.where(e > 0, 2.0 ** (e - 1), -1.0), np.where(e > 0, 2.0 ** e, 1.0)
+    return np.where(cells < 0, -hi, lo), np.where(cells < 0, -lo, hi)
+
+
+@lru_cache(maxsize=None)
+def _radial(power: int, D: float, n: int) -> _Radial:
+    """The process's one table for (power, D, n). Every caller may share it:
+    what it returns depends on beta alone, and it stays at a few dozen
+    pieces whatever the means."""
+    return _Radial(power, D, n)
+
+
+class _Radial:
+    """``Psi`` of ``_log_radial`` as a table of polynomial pieces, built
+    once per (power, D, n), the cells a call reaches at once.
+
+    A cell is cut in halves until half of a piece's 2 * _PIECE + 1
+    Chebyshev points predict ``Psi`` at the other half within ``_SPLIT`` of
+    its size; the piece then interpolates at all of them, at twice that
+    degree. Cells double in width away from the origin, as Psi's nearest
+    complex singularity recedes, so the table holds the cells from the
+    lowest beta asked for to the highest, 2e + 1 for |beta| up to 2^e.
+    Which piece a beta falls in and what the piece holds follow from beta
+    alone, never from what the table held before."""
+
+    def __init__(self, power: int, D: float, n: int):
+        self.power, self.D, self.n = power, D, n
+        self.first = self.last = 0  # it holds cells first to last
+        self.lo, self.mid, self.scale, self.values = self._pieces(*_cell_bounds(0), _HALVINGS)
+
+    def __call__(self, beta):
+        beta = np.asarray(beta, dtype=np.float64)
+        flat = beta.ravel()
+        first, last = _cell(float(flat.min())), _cell(float(flat.max()))
+        if first < self.first or last > self.last:
+            self._add([*range(first, self.first), *range(self.last + 1, last + 1)])
+            self.first, self.last = min(first, self.first), max(last, self.last)
+        k = np.searchsorted(self.lo, flat, side="right") - 1
+        s = (flat - self.mid[k]) * self.scale[k]
+        return _barycentric(s, _NODES, _WEIGHTS, self.values[k]).reshape(beta.shape)
+
+    def _add(self, cells):
+        held = self.lo, self.mid, self.scale, self.values
+        new = self._pieces(*_cell_bounds(cells), _HALVINGS)
+        columns = [np.concatenate(pair) for pair in zip(held, new)]
+        order = np.argsort(columns[0])
+        self.lo, self.mid, self.scale, self.values = (column[order] for column in columns)
+
+    def _pieces(self, lo, hi, halvings: int):
+        """(lo, mid, 2 / width, values at the points) of the pieces of each
+        [lo, hi), which lies in one cell: Psi completes the square from cell
+        0 (beta >= -1) up."""
+        mid = (lo + hi) / 2
+        points = mid[:, None] + ((hi - lo) / 2)[:, None] * _NODES
+        values, size = _log_radial(self.power, self.D, self.n, points, (lo >= -1)[:, None])
+        rest = _barycentric(np.tile(_NODES[1::2], len(lo)), _NODES[::2], _HALF,
+                            np.repeat(values[:, ::2], _PIECE, axis=0)).reshape(len(lo), _PIECE)
+        close = np.abs(rest - values[:, 1::2]) <= _SPLIT * size[:, 1::2]
+        done = close.all(axis=1) | (not halvings)
+        pieces = lo[done], mid[done], 2 / (hi - lo)[done], values[done]
+        if done.all():
+            return pieces
+        halves = self._pieces(np.concatenate([lo[~done], mid[~done]]),
+                              np.concatenate([mid[~done], hi[~done]]), halvings - 1)
+        return tuple(np.concatenate(column) for column in zip(pieces, halves))
+
+
 class _Law:
     """One class in the plane: a ~ N(m, I_r) with ``|m| = norm``, the chi_k
     variable s, and the clip at D. Log-densities drop the constants the two
@@ -197,6 +367,7 @@ class _Law:
         self.power = r + k - 1  # the radius's power in the volume element
         self.mode = math.sqrt(k - 1) if k >= 1 else 0.0
         self.inner = math.ceil(_INNER * refine)
+        self.radial = _radial(self.power, D, self.inner) if k >= 1 else None
 
     def log_chi(self, s):
         """log of the chi_k density at s, less its log at the mode."""
@@ -209,24 +380,23 @@ class _Law:
         return _log_integral(self.log_chi, lambda s: (self.k - 1) / s - s, 0.0, bound,
                              self.mode, self.inner)
 
-    def log_ray(self, sin, cos, beta):
+    def log_ray(self, cos, beta, across=None):
         """log of the mass outside the D-ball along the direction at angle theta
-        from the chi axis (``sin``, ``cos``) and delta from the mean
-        (``beta = sin |m| cos(delta)``), per unit theta and delta."""
+        from the chi axis (``cos``) and delta from the mean (``beta = sin |m|
+        cos(delta)``), per unit theta and delta: ``c(theta) + Phi(beta)``.
+        ``across``, if given, is ``|m|^2 - beta^2`` as the caller has it
+        without the difference's cancellation, which costs ``|m|^2 eps``."""
         if self.k == 0:
             return self._log_ray_plane(np.asarray(beta, dtype=np.float64))
-        norm = self.norm
-
-        def ell(radius, sin, cos, beta):
-            gauss = ((radius * sin) ** 2 - 2 * radius * beta + norm * norm) / 2
-            return 2 * np.log(radius) + self.log_chi(radius * cos) - gauss
-
-        def dell(radius, sin, cos, beta):
-            return self.power / radius - radius + beta
-
         beta = np.asarray(beta, dtype=np.float64)
-        peak = (beta + np.sqrt(beta * beta + 4 * self.power)) / 2
-        return _log_integral(ell, dell, self.D, np.inf, peak, self.inner, sin, cos, beta)
+        if across is None:
+            across = (self.norm - beta) * (self.norm + beta)
+        # -|m|^2/2, and Phi's beta^2/2 where the table leaves it out
+        shift = np.where(beta >= -1, -across / 2, -self.norm * self.norm / 2)
+        if self.k >= 2:
+            with np.errstate(divide="ignore"):
+                shift = shift + (self.k - 1) * (np.log(cos / self.mode) + 0.5)
+        return shift + self.radial(beta)
 
     def _log_ray_plane(self, beta):
         """``log_ray`` at k = 0, in closed form: with u = (D - beta) / sqrt(2),
@@ -262,8 +432,8 @@ class _Law:
     def outside(self, theta):
         """log-density of the outside directions at angle theta, delta = 0."""
         with np.errstate(divide="ignore"):
-            sin = np.sin(theta)
-            return np.log(sin) + self.log_ray(sin, np.cos(theta), sin * self.norm)
+            sin, cos = np.sin(theta), np.cos(theta)
+            return np.log(sin) + self.log_ray(cos, sin * self.norm, (cos * self.norm) ** 2)
 
 
 def _class_nodes(law: _Law, R: float, refine: int):
@@ -279,7 +449,7 @@ def _class_nodes(law: _Law, R: float, refine: int):
     profiles = {name: f(grid) for name, f in regions.items()}
     top = max(p.max() for p in profiles.values())
     if law.k == 0:  # the outside is one ray per delta
-        rays = np.array([law.log_ray(1.0, 0.0, law.norm)])
+        rays = np.array([law.log_ray(0.0, law.norm)])
         top = max(top, rays[0])
     cut = top - _TAIL - _SLACK
     rings = []
@@ -288,7 +458,9 @@ def _class_nodes(law: _Law, R: float, refine: int):
             continue
         lo, hi, points = _window(grid, profiles[name], cut)
         if points < 16:  # a narrow peak: find its window on a grid of its own
-            fine = np.union1d(np.linspace(lo, hi, 65), grid[(grid >= lo) & (grid <= hi)])
+            # np.union1d's points, without its import of numpy.ma
+            fine = np.sort(np.append(np.linspace(lo, hi, 65), grid[(grid >= lo) & (grid <= hi)]))
+            fine = fine[np.append(True, fine[1:] != fine[:-1])]
             lo, hi, _ = _window(fine, f(fine), cut)
         rings.append((name, *_converged(f, lo, hi, refine)))
     if law.k == 0:
@@ -349,7 +521,7 @@ def _delta_rule(law: _Law, region: str, theta, logw, R: float, refine: int):
         sin, cos = (np.sin(theta), np.cos(theta)) if law.k else (np.ones(1), np.zeros(1))
         b = sin * law.norm
         h = 1e-3 * np.maximum(1.0, b)
-        logs = law.log_ray(sin[:, None], cos[:, None], np.stack([b, b + h, b - h, -b], axis=1))
+        logs = law.log_ray(cos[:, None], np.stack([b, b + h, b - h, -b], axis=1))
         base = logs[:, 0]  # delta = 0; then two steps off it, and pi
         with np.errstate(invalid="ignore"):  # a ray at the end of the mass: none beyond
             kappa = np.nan_to_num(b * (logs[:, 1] - logs[:, 2]) / (2 * h), posinf=0.0)
@@ -364,15 +536,13 @@ def _delta_rule(law: _Law, region: str, theta, logw, R: float, refine: int):
                        if len(rows) else 0):
             edges = lo[:, None] + (hi - lo)[:, None] * np.linspace(0.0, 1.0, splits + 1)
             probes = b[rows, None] * np.cos(np.exp(edges[:, 1:-1]))
-            below = (law.log_ray(sin[rows, None], cos[rows, None], probes)
-                     - base[rows, None] <= -_TAIL)
+            below = law.log_ray(cos[rows, None], probes) - base[rows, None] <= -_TAIL
             first = np.where(below.any(axis=1), below.argmax(axis=1), splits - 1)
             lo, hi = (edges[np.arange(len(rows)), first + i] for i in (0, 1))
         width[rows] = np.exp(hi)
 
         def drop(rows, delta):
-            return law.log_ray(sin[rows, None], cos[rows, None],
-                               b[rows, None] * np.cos(delta)) - base[rows, None]
+            return law.log_ray(cos[rows, None], b[rows, None] * np.cos(delta)) - base[rows, None]
     parts = []
     full = width >= math.pi / 2
     for rows in (np.flatnonzero(full), np.flatnonzero(~full)):

@@ -8,7 +8,12 @@ few thousand weighted nodes in the plane of its class means. The tests hold:
   1e-12 over dim {1, 2, 3, 5, 20, 200}, |mu| from 0.3 to 40 and D in
   {0.3, 1, 10};
 - the nodes to the distribution: the node set's risk lies within 4 standard
-  errors of a Monte Carlo on ``streams.fresh_proxy_samples``.
+  errors of a Monte Carlo on ``streams.fresh_proxy_samples``;
+- the radial table (a ray's mass is ``c(theta) + Phi(beta)``, with Phi
+  tabulated once per (dim, D)) to a direct ``_log_integral`` of Phi's
+  integrand, within 1e-13 of max(1, |Phi|), at betas inside and far
+  outside the range a run uses; to its order: a node set is the same bit
+  for bit whatever the tables held before; and to its size at far means.
 
 Tier-1 runs the sweep's w* check on 12 of its 90 cases, at D 0.3 and 1,
 chosen so that every dim and every |mu| appears; at D = 10 a solve can take
@@ -18,20 +23,24 @@ of the plane. Running
 
     PYTHONPATH=src python tests/test_population.py
 
-checks all 90 and prints the largest move of w*.
+checks all 90 and prints, per case, the build time of its node set (the
+first case of each (dim, D) builds its table's cells too), the largest
+relative error of the radial table over betas up to twice |mu|, and the
+move of w*; then the largest move.
 """
 
 from __future__ import annotations
 
 import itertools
 import sys
+import time
 
 import numpy as np
 import pytest
 
 from co2learn.losses import LossSpec, batch_losses
 from co2learn.offline import erm_oracle
-from co2learn.population import population_nodes
+from co2learn.population import _INNER, _log_integral, _radial, population_nodes
 from co2learn.streams import IntervalBuffer, StreamSpec, fresh_proxy_samples
 
 DIMS = (1, 2, 3, 5, 20, 200)
@@ -116,18 +125,15 @@ class TestNodeSet:
             assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
 
 
-def largest_move(cases):
-    moves = []
-    for dim, norm, D in cases:
-        means = class_means(dim, norm, seed=int(100 * norm) + dim)
-        spec = LossSpec(D=D, R=1.0, dim=dim)
-        moves.append(float(np.abs(w_star(means, spec) - w_star(means, spec, refine=2)).max()))
-    return max(moves)
+def move(dim, norm, D):
+    means = class_means(dim, norm, seed=int(100 * norm) + dim)
+    spec = LossSpec(D=D, R=1.0, dim=dim)
+    return float(np.abs(w_star(means, spec) - w_star(means, spec, refine=2)).max())
 
 
 @pytest.mark.parametrize("dim,norm,D", STRATIFIED)
 def test_w_star_moves_by_at_most_1e12_at_twice_every_node_count(dim, norm, D):
-    assert largest_move([(dim, norm, D)]) <= 1e-12
+    assert move(dim, norm, D) <= 1e-12
 
 
 @pytest.mark.parametrize("dim,norm", [(dim, NORMS[i % len(NORMS)]) for i, dim in enumerate(DIMS)])
@@ -168,7 +174,78 @@ def test_the_node_risk_is_a_monte_carlo_s_within_4_standard_errors(dim, D, norm,
         assert abs(risk - sample.mean()) <= 4 * sample.std() / np.sqrt(n)
 
 
+def log_phi_direct(dim, D, beta):
+    """Phi(beta) = log of the integral of r^(dim - 1) exp(-r^2/2 + beta r)
+    over r > D: one ``_log_integral`` on its window from [D, inf), at ten
+    times the table's node count."""
+    p = dim - 1
+    peak = (beta + np.sqrt(beta * beta + 4 * p)) / 2
+    return _log_integral(lambda r, b: p * np.log(r) - r * r / 2 + b * r,
+                         lambda r, b: p / r - r + b, D, np.inf, peak, 10 * _INNER, beta)
+
+
+def radial_error(dim, D, beta):
+    """The largest |Phi_table - Phi_direct| / max(1, |Phi_direct|) at these
+    betas. The table leaves out beta^2/2 from beta = -1 up."""
+    table = _radial(dim - 1, D, _INNER)(beta) + np.where(beta >= -1, beta * beta / 2, 0.0)
+    direct = log_phi_direct(dim, D, beta)
+    return float((np.abs(table - direct) / np.maximum(1.0, np.abs(direct))).max())
+
+
+class TestRadialTable:
+    @pytest.mark.parametrize("D", RADII)
+    @pytest.mark.parametrize("dim", (3, 5, 20, 200))
+    def test_phi_is_a_direct_integral_s_within_1e13(self, dim, D):
+        rng = np.random.default_rng(dim)
+        inside = rng.uniform(-60.0, 60.0, 300)  # a run's betas lie within |mu|
+        outside = rng.uniform(-2e4, 2e4, 300) * rng.choice([1e-2, 1.0], 300)
+        assert radial_error(dim, D, np.concatenate([inside, outside])) <= 1e-13
+
+    def test_a_node_set_does_not_depend_on_what_the_tables_held(self):
+        cases = [(class_means(dim, norm, 7), LossSpec(D=D, R=1.0, dim=dim))
+                 for dim, norm, D in [(3, 0.5, 1.0), (3, 4.0, 1.0), (3, 300.0, 1.0),
+                                      (20, 40.0, 0.3), (200, 14.0, 1.0)]]
+
+        def build(order, before=()):
+            _radial.cache_clear()
+            for dim, D, betas in before:
+                _radial(dim - 1, D, _INNER)(np.array(betas))
+            return {i: population_nodes(*cases[i]) for i in order}
+
+        first = build(range(len(cases)))
+        others = [(5, 10.0, [-1e3, 1e3]), (200, 0.3, [5.0]), (3, 1.0, [-7e3, 9e3]),
+                  (20, 0.3, [-3.0])]  # other tables, and these tables elsewhere
+        for nodes in (build(range(len(cases)), others), build(reversed(range(len(cases))))):
+            for i, a in first.items():
+                for name in ("basis", "X", "y", "weights"):
+                    assert getattr(a, name).tobytes() == getattr(nodes[i], name).tobytes()
+
+    def test_a_table_holds_at_most_64_pieces_at_means_up_to_1e4(self):
+        _radial.cache_clear()
+        for dim in (3, 20, 200):
+            for norm in (1.0, 1e2, 1e4):
+                population_nodes(class_means(dim, norm, 9), LossSpec(D=1.0, R=1.0, dim=dim))
+            # 29 cells hold |beta| up to 2^14; each could split into 2^10 pieces
+            assert len(_radial(dim - 1, 1.0, _INNER).lo) <= 64
+
+    def test_a_mean_near_the_far_limit_builds_its_cells_without_a_warning(self):
+        # at |beta| near 1e8 a peak's denominator, root + beta, rounds to 0
+        # in the branch a cell does not take
+        nodes = population_nodes(class_means(3, 1e8, 9), LossSpec(D=1.0, R=1.0, dim=3))
+        assert np.isfinite(nodes.weights).all()
+
+
 if __name__ == "__main__":
-    move = largest_move(SWEEP)
-    print(f"{len(SWEEP)} cases: w* moves by at most {move:.2e} at twice every node count")
-    sys.exit(0 if move <= 1e-12 else 1)
+    moves = []
+    for dim, norm, D in SWEEP:
+        spec = LossSpec(D=D, R=1.0, dim=dim)
+        start = time.perf_counter()
+        population_nodes(class_means(dim, norm, seed=int(100 * norm) + dim), spec)
+        build = time.perf_counter() - start
+        error = (f"{radial_error(dim, D, np.linspace(-2 * norm, 2 * norm, 401)):.1e}"
+                 if dim >= 3 else "  -    ")
+        moves.append(move(dim, norm, D))
+        print(f"dim {dim:3d} |mu| {norm:4g} D {D:4g}: build {1e3 * build:6.2f} ms, "
+              f"table {error}, w* moves {moves[-1]:.1e}", flush=True)
+    print(f"{len(SWEEP)} cases: w* moves by at most {max(moves):.2e} at twice every node count")
+    sys.exit(0 if max(moves) <= 1e-12 else 1)
